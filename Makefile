@@ -65,7 +65,6 @@ bench:
 perf:
 	$(PYTHON) -m repro perf --json BENCH_interpreter.json
 	$(PYTHON) -m repro perf --target analysis --json BENCH_analysis.json
-	$(PYTHON) -m repro perf --target kernels --json BENCH_kernels.json
 
 clean-cache:
 	rm -rf .repro_cache

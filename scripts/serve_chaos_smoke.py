@@ -23,14 +23,6 @@ Phase 2 — durable journal (journal on, fresh cache dir):
    request from scratch;
 8. ``repro store stats`` reports the ``journal`` stream.
 
-Phase 3 — shared kernel cache (``REPRO_ENGINE=native``, fresh cache):
-9. the first request compiles native kernels into the on-disk cache
-   (``kernel_compiles_total`` in ``/metrics``);
-10. after a SIGKILLed worker, the resubmit through the respawned
-    worker must load the shared ``.so`` (``kernel_cache_hits_total``
-    grows, ``kernel_compiles_total`` does not) and stay
-    byte-identical.  Skipped when no C toolchain is discovered.
-
 Stdlib only; exits non-zero with a readable message on any violation.
 Run directly or via ``make test-chaos``.
 """
@@ -291,75 +283,9 @@ def phase2_journal_recovery():
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def phase3_kernel_cache_survives_restart():
-    """A restarted worker must reuse the shared on-disk kernel cache.
-
-    Under ``REPRO_ENGINE=native`` the first request compiles the
-    kernel into ``<cache-dir>/kernels/``; after the worker is
-    SIGKILLed mid-request, the respawned worker must *load* that
-    ``.so`` (``kernel_cache_hits_total`` in ``/metrics``) instead of
-    compiling again (``kernel_compiles_total`` unchanged).
-    """
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from repro.runtime.native import find_toolchain; "
-         "sys.exit(0 if find_toolchain() else 3)"],
-        cwd=REPO, env=base_env())
-    if probe.returncode != 0:
-        step("phase 3 skipped: no C toolchain discovered")
-        return
-    cache = tempfile.mkdtemp(prefix="repro-chaos-kernels-")
-    env = base_env(
-        REPRO_FAULTS="worker.execute:kill:after=1:times=1",
-        REPRO_ENGINE="native",
-        REPRO_CACHE_DIR=cache)
-    # the kernel disk cache is the thing under test here
-    env.pop("REPRO_NO_CACHE", None)
-    step("phase 3: native kernel cache across a worker restart")
-    proc, addr = boot(["--workers", "1", "--no-journal",
-                       "--worker-mem", "2048"], env)
-    try:
-        body = {"request": {"source": KERNEL}, "use_store": False}
-
-        status, baseline = post(addr, body)
-        if status != 200:
-            fail(f"native baseline request: {status} {baseline[:200]}")
-        status, doc = get_json(addr, "/metrics")
-        compiles = doc["counters"].get("kernel_compiles_total", 0)
-        if compiles < 1:
-            fail(f"first native request did not compile a kernel: "
-                 f"{doc['counters']}")
-        step(f"baseline request compiled {compiles} kernel(s) "
-             "into the shared cache")
-
-        expect_crash_500(addr, body, "killed")
-        step("worker SIGKILL mid-request -> 500, daemon healthy")
-
-        status, text = post(addr, body)
-        if status != 200:
-            fail(f"post-crash native resubmit: {status} {text[:200]}")
-        if text != baseline:
-            fail("post-crash native resubmit is not byte-identical")
-        status, doc = get_json(addr, "/metrics")
-        after = doc["counters"].get("kernel_compiles_total", 0)
-        hits = doc["counters"].get("kernel_cache_hits_total", 0)
-        if after != compiles:
-            fail(f"restarted worker recompiled: {compiles} -> {after}")
-        if hits < 1:
-            fail(f"restarted worker never hit the kernel disk cache: "
-                 f"{doc['counters']}")
-        step(f"restarted worker reused the cache ({hits} disk hit(s), "
-             "no recompile), bytes identical")
-    finally:
-        proc.kill()
-        proc.wait()
-        shutil.rmtree(cache, ignore_errors=True)
-
-
 def main():
     phase1_crash_containment()
     phase2_journal_recovery()
-    phase3_kernel_cache_survives_restart()
     print("chaos-smoke: OK")
     return 0
 

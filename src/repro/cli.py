@@ -520,8 +520,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return cmd_perf_analysis(args)
     if args.param is None:
         args.param = 20
-    if args.target == "kernels":
-        return cmd_perf_kernels(args)
 
     from .runtime import (allocate, checksum, clone_storage,
                           engine_override, execute)
@@ -606,114 +604,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def cmd_perf_kernels(args: argparse.Namespace) -> int:
-    """Measure the native compiled-kernel tier against the others.
-
-    Every kernel runs under ``reference``, ``vectorized`` and ``native``
-    at a uniform parameter binding.  The headline ``speedup`` column is
-    native-vs-vectorized — the *measured* gain of compiled C over the
-    NumPy block executor — and the report embeds the discovered
-    toolchain.  Without a C toolchain the native tier degrades to the
-    vectorized engine, so the parity gate still holds (speedups just
-    hover around 1x).  Any bit-level mismatch makes the exit code 1.
-    """
-    import json
-    import time
-
-    from .runtime import (allocate, checksum, clone_storage,
-                          engine_override, execute)
-    from .runtime.native import toolchain_info
-    from .suites import SUITES
-
-    engines = ("reference", "vectorized", "native")
-    suite = SUITES[args.suite]()
-    benchmarks = list(suite)
-    if args.limit is not None:
-        benchmarks = benchmarks[:args.limit]
-
-    def measure(program, params, engine):
-        """(best seconds, observed result); errors become the result."""
-        with engine_override(engine):
-            pristine = allocate(program, params)
-            best = float("inf")
-            result = None
-            for _ in range(max(1, args.repeat) + 1):  # lap 0 warms caches
-                storage = clone_storage(pristine)
-                t0 = time.perf_counter()
-                try:
-                    instances = execute(program, params, storage,
-                                        budget=args.budget)
-                except Exception as exc:
-                    return 0.0, ("error", type(exc).__name__)
-                elapsed = time.perf_counter() - t0
-                if result is None:  # warmup lap: record result, not time
-                    result = (checksum(storage, program.outputs),
-                              instances)
-                    continue
-                best = min(best, elapsed)
-        return best, result
-
-    rows = []
-    totals = {engine: 0.0 for engine in engines}
-    identical = True
-    for bench in benchmarks:
-        params = {name: args.param for name in bench.program.params}
-        times = {}
-        outs = {}
-        for engine in engines:
-            times[engine], outs[engine] = measure(bench.program, params,
-                                                  engine)
-            totals[engine] += times[engine]
-        match = (outs["reference"] == outs["vectorized"]
-                 == outs["native"])
-        identical &= match
-        failed = outs["reference"][0] == "error"
-        nat = times["native"]
-        rows.append({
-            "kernel": bench.name,
-            "instances": 0 if failed else outs["reference"][1],
-            "reference_ms": round(times["reference"] * 1000, 3),
-            "vectorized_ms": round(times["vectorized"] * 1000, 3),
-            "native_ms": round(nat * 1000, 3),
-            "speedup": (round(times["vectorized"] / nat, 2)
-                        if nat > 0 else 0.0),
-            "vs_reference": (round(times["reference"] / nat, 2)
-                             if nat > 0 else 0.0),
-            "identical": match,
-            "error": outs["reference"][1] if failed else None,
-        })
-
-    report = {
-        "suite": args.suite,
-        "param": args.param,
-        "repeat": args.repeat,
-        "target": "kernels",
-        "toolchain": toolchain_info(),
-        "kernels": rows,
-        "total_reference_s": round(totals["reference"], 4),
-        "total_vectorized_s": round(totals["vectorized"], 4),
-        "total_native_s": round(totals["native"], 4),
-        "aggregate_speedup": (
-            round(totals["vectorized"] / totals["native"], 2)
-            if totals["native"] > 0 else 0.0),
-        "aggregate_vs_reference": (
-            round(totals["reference"] / totals["native"], 2)
-            if totals["native"] > 0 else 0.0),
-        "bit_identical": identical,
-    }
-    from .evaluation.reporting import render_kernels_perf
-
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_kernels_perf(report))
-    return 0 if identical else 1
-
-
 def _store_for_maintenance(args: argparse.Namespace):
     """The ResultStore targeted by ``repro store`` subcommands.
 
@@ -730,23 +620,16 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
     """Per-stream shape of the artifact store (entries, waste, bytes)."""
     import json
 
-    from pathlib import Path
-
-    from .evaluation.store import cache_dir
-    from .runtime.native import kernel_cache_report
-
     from .storage import INTEGRITY
 
     store = _store_for_maintenance(args)
     artifacts = store.artifacts()
     streams = artifacts.streams()
-    kernels = kernel_cache_report(Path(args.cache_dir or cache_dir()))
     report = {
         "backend": artifacts.name,
         "root": artifacts.root,
         "streams": {name: artifacts.stream_stats(name).to_dict()
                     for name in streams},
-        "kernels": kernels,
         "integrity": INTEGRITY.snapshot(),
     }
     if args.format == "json":
@@ -766,11 +649,6 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
                   f"{s['shards']:7d} {s['bytes']:12d}")
     else:
         print("(empty)")
-    signatures = ", ".join(sorted(kernels["signatures"])) or "-"
-    print(f"# kernels: {kernels['kernels']} compiled "
-          f"({kernels['bytes']} bytes, {kernels['stale']} stale) "
-          f"toolchain={kernels['toolchain'] or 'none'} "
-          f"signatures=[{signatures}]")
     integrity = report["integrity"]
     if integrity:
         cells = " ".join(f"{k}={v}" for k, v in integrity.items())
@@ -783,10 +661,6 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     import json
     import os
 
-    from pathlib import Path
-
-    from .evaluation.store import cache_dir
-    from .runtime.native import kernel_cache_gc
     from .serve.journal import ENV_JOURNAL_KEEP, JOURNAL_STREAM
     from .serve.journal import prune_finished
 
@@ -813,14 +687,10 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
         doc["bytes_after"] = after
         doc["reclaimed_bytes"] = max(0, before - after)
         compacted.append((report, doc))
-    # kernels compiled by a toolchain that no longer matches the current
-    # compiler can never be loaded again under their cache key — GC them
-    kernels = kernel_cache_gc(Path(args.cache_dir or cache_dir()))
     if args.format == "json":
         doc = {"backend": artifacts.name,
                "root": artifacts.root,
-               "compacted": [d for _, d in compacted],
-               "kernels": kernels}
+               "compacted": [d for _, d in compacted]}
         if retention is not None:
             doc["journal_retention"] = retention
         print(json.dumps(doc, indent=2, sort_keys=True))
@@ -840,9 +710,6 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
         print(f"# journal: kept {retention['kept_finished']} finished "
               f"(+{retention['unfinished']} unfinished), dropped "
               f"{retention['dropped']} past --journal-keep {keep}")
-    print(f"# kernels: kept {kernels['kept']}, removed "
-          f"{kernels['removed']} stale-toolchain "
-          f"({kernels['reclaimed_bytes']} bytes reclaimed)")
     return 0
 
 
@@ -850,26 +717,18 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     """fsck for the artifact plane: detect (and repair) corruption."""
     import json
 
-    from pathlib import Path
-
-    from .evaluation.store import cache_dir
-    from .runtime.native import kernels_dir
     from .storage import repair_store, verify_store
 
     store = _store_for_maintenance(args)
     artifacts = store.artifacts()
     streams = ((args.stream,) if args.stream
                else tuple(artifacts.streams()))
-    kernels_root = kernels_dir(Path(args.cache_dir or cache_dir()))
-    report = verify_store(artifacts, streams,
-                          kernels_root=kernels_root)
+    report = verify_store(artifacts, streams)
     repair = None
     if args.repair and not report.clean:
-        repair = repair_store(artifacts, streams,
-                              kernels_root=kernels_root)
+        repair = repair_store(artifacts, streams)
         # the verdict is the post-repair state
-        report = verify_store(artifacts, streams,
-                              kernels_root=kernels_root)
+        report = verify_store(artifacts, streams)
     if args.format == "json":
         doc = report.to_dict()
         if repair is not None:
@@ -879,8 +738,7 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
     _render_verify(report)
     if repair is not None:
         print(f"# repair: {repair.read_repairs} read-repairs, "
-              f"{repair.dropped} damaged lines dropped, "
-              f"{repair.kernels_removed} kernels evicted")
+              f"{repair.dropped} damaged lines dropped")
     print(f"# verdict: {'clean' if report.clean else 'DAMAGED'} "
           f"({report.flagged} issue(s))")
     return 0 if report.clean else 1
@@ -898,11 +756,6 @@ def _render_verify(report, indent: str = "") -> None:
             print(f"{indent}  ! {issue.render()}")
     if not report.streams:
         print(f"{indent}(no streams)")
-    if report.kernels is not None:
-        print(f"{indent}# kernels: {report.kernels['checked']} checked, "
-              f"{report.kernels['flagged']} flagged")
-        for issue in report.kernels.get("issues", []):
-            print(f"{indent}  ! {issue.render()}")
     for replica in report.replicas:
         _render_verify(replica, indent + "  ")
 
@@ -1102,12 +955,10 @@ def build_parser() -> argparse.ArgumentParser:
     per = sub.add_parser(
         "perf", help="engine micro-benchmarks (vectorized vs reference)")
     per.add_argument("--target", default="interpreter",
-                     choices=("interpreter", "analysis", "kernels"),
+                     choices=("interpreter", "analysis"),
                      help="what to benchmark: SCoP execution "
-                          "(interpreter), dependence analysis + "
-                          "legality queries (analysis), or the native "
-                          "compiled-kernel tier vs vectorized vs "
-                          "reference (kernels)")
+                          "(interpreter) or dependence analysis + "
+                          "legality queries (analysis)")
     per.add_argument("--suite", default="polybench",
                      choices=BENCH_SUITES,
                      help="suite to time (default: polybench)")
@@ -1137,8 +988,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_help = {
         "stats": "print per-stream store statistics",
         "compact": "rewrite shards, dropping reclaimable lines",
-        "verify": "fsck: verify record checksums, shard framing and "
-                  "the kernel cache; --repair heals what it can",
+        "verify": "fsck: verify record checksums and shard framing; "
+                  "--repair heals what it can",
     }
     for name, func in (("stats", cmd_store_stats),
                        ("compact", cmd_store_compact),
@@ -1168,8 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
             part.add_argument("--repair", action="store_true",
                               help="heal the damage: read-repair from "
                                    "replicas (mirrored), compact "
-                                   "corrupt lines away, evict broken "
-                                   "kernels")
+                                   "corrupt lines away")
         part.set_defaults(func=func)
 
     ste = sub.add_parser("suites", help="list benchmark suites")

@@ -139,37 +139,3 @@ def render_analysis_perf(report: dict) -> str:
                f"{report['aggregate_speedup']:.1f}x, bit-identical: "
                f"{report['bit_identical']}",))
     return render_table(table)
-
-
-def render_kernels_perf(report: dict) -> str:
-    """Aligned text summary of the native-kernel micro-benchmark.
-
-    ``speedup`` is native-vs-vectorized (the measured gain of compiled
-    C over the NumPy block executor); ``vs_ref`` is native-vs-reference.
-    """
-    def status(row) -> str:
-        if not row["identical"]:
-            return "DIFF!"
-        return row.get("error") or "="
-
-    rows: List[Tuple] = [
-        (row["kernel"], row["instances"], row["reference_ms"],
-         row["vectorized_ms"], row["native_ms"], row["speedup"],
-         row["vs_reference"], status(row))
-        for row in report["kernels"]]
-    toolchain = report.get("toolchain") or {}
-    cc = (toolchain.get("cc") or "none — native degraded to vectorized")
-    table = ExperimentResult(
-        experiment="perf-kernels",
-        title=(f"repro perf --target kernels ({report['suite']}, "
-               f"param={report['param']})"),
-        columns=("kernel", "instances", "reference_ms", "vectorized_ms",
-                 "native_ms", "speedup", "vs_ref", "identical"),
-        rows=tuple(rows),
-        notes=(f"toolchain: {cc}",
-               f"total {report['total_vectorized_s']:.2f}s vectorized "
-               f"-> {report['total_native_s']:.2f}s native, aggregate "
-               f"{report['aggregate_speedup']:.1f}x (vs reference "
-               f"{report['aggregate_vs_reference']:.1f}x), "
-               f"bit-identical: {report['bit_identical']}",))
-    return render_table(table)

@@ -33,14 +33,6 @@ skipped on load and reported by :meth:`ResultStore.stats` separately
 from superseded duplicates.  When the same key appears twice, the last
 record wins.
 
-Migration
----------
-Stores written before the sharded layout (a single
-``<cache-dir>/results.jsonl``) are absorbed on first open: every valid
-line is re-appended to the sharded store — same keys, same payloads, so
-warm hits are byte-identical through the migration — and the legacy
-file is renamed to ``results.jsonl.migrated``.
-
 Environment switches
 --------------------
 ``REPRO_CACHE_DIR``       store directory (default ``.repro_cache/``)
@@ -57,11 +49,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from ..storage import (ArtifactStore, CompactionReport, backend_name,
-                       exclusive_lock, open_store)
+                       open_store)
 
-SCHEMA_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro_cache"
-RESULTS_FILE = "results.jsonl"       # pre-sharding legacy layout
 STORE_DIR = "store"                  # artifact-store root, per cache dir
 RESULTS_STREAM = "results"
 
@@ -84,12 +74,6 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self.writes = 0
-        self.migrated = 0
-
-    @property
-    def path(self) -> Path:
-        """The pre-sharding single-file layout (migration source)."""
-        return self.root / RESULTS_FILE
 
     @property
     def store_root(self) -> Path:
@@ -100,35 +84,15 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def artifacts(self) -> ArtifactStore:
-        """The backing artifact store (opens + migrates on first use).
+        """The backing artifact store (opened on first use).
 
         Shared with the persistent corpus cache
         (``synthesis.dataset.cached_dataset``), which keeps its
         ``"datasets"`` stream in the same store.
         """
         if self._artifacts is None:
-            store = open_store(self.store_root, self.backend)
-            self._migrate(store)
-            self._artifacts = store
+            self._artifacts = open_store(self.store_root, self.backend)
         return self._artifacts
-
-    def _migrate(self, store: ArtifactStore) -> None:
-        """Absorb a pre-sharding ``results.jsonl`` into the store."""
-        legacy = self.path
-        if not legacy.exists():
-            return
-        if not store.on_disk:
-            # non-durable backend: keep the legacy file (it IS the
-            # durable copy) and only absorb into an empty stream
-            if store.open(RESULTS_STREAM).entries == 0:
-                self.migrated += _absorb_legacy(legacy, store)
-            return
-        self.store_root.mkdir(parents=True, exist_ok=True)
-        with exclusive_lock(self.store_root / ".migrate.lock"):
-            if not legacy.exists():  # another process won the race
-                return
-            self.migrated += _absorb_legacy(legacy, store)
-            legacy.rename(legacy.with_name(RESULTS_FILE + ".migrated"))
 
     # ------------------------------------------------------------------
     def get(self, key: Sequence) -> Optional[List[dict]]:
@@ -162,8 +126,6 @@ class ResultStore:
     def clear(self) -> None:
         """Drop every entry (the ``make clean-cache`` path)."""
         self.artifacts().drop(RESULTS_STREAM)
-        if self.path.exists():
-            self.path.unlink()
 
     def compact(self) -> CompactionReport:
         """Reclaim superseded/tombstoned/corrupt records."""
@@ -182,34 +144,6 @@ class ResultStore:
                 "superseded": stream.superseded,
                 "corrupt": stream.corrupt,
                 "entries": stream.entries}
-
-
-def _absorb_legacy(legacy: Path, store: ArtifactStore) -> int:
-    """Re-append every valid legacy line; returns the absorbed count.
-
-    Legacy records are ``{"schema": 1, "key": ..., "results": ...}``;
-    file order is preserved so last-write-wins semantics carry over,
-    and keys/payloads pass through unchanged — a warm hit after
-    migration is byte-identical to one served by the old store.
-    """
-    absorbed = 0
-    with open(legacy) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if record["schema"] != SCHEMA_VERSION:
-                    continue
-                key, results = record["key"], record["results"]
-            except (json.JSONDecodeError, KeyError, TypeError):
-                continue  # corrupt legacy line: dropped by migration
-            if not isinstance(key, str):
-                continue
-            store.append(RESULTS_STREAM, key, results)
-            absorbed += 1
-    return absorbed
 
 
 # ----------------------------------------------------------------------

@@ -11,22 +11,16 @@ The interpreter is deliberately strict: out-of-bounds subscripts raise
 :class:`RuntimeExecutionError` (the paper's RE category) instead of
 wrapping, and an instance budget bounds runaway candidates.
 
-Three engines share these semantics (selected by ``REPRO_ENGINE``):
+Two engines share these semantics (selected by ``REPRO_ENGINE``):
 
 * ``vectorized`` (default) — compiled per-statement kernels plus the
   block executor of :mod:`repro.runtime.vectorized`; bit-identical to
   the reference on outputs, checksums, coverage, instance counts and
   raised error classes, but executes dependence-free runs of instances
   as single NumPy operations;
-* ``native`` — the vectorized driver with eligible work upgraded to
-  real compiled C kernels (:mod:`repro.runtime.native`): IR → C →
-  ``cc`` → ctypes, with a persistent on-disk kernel cache.  Statements
-  without a provably exact lowering run on the vectorized path; with no
-  C toolchain the whole tier degrades to ``vectorized`` after one
-  warning.  Results stay bit-identical either way;
 * ``reference`` — the original strict tree-walking interpreter below,
   kept as the executable specification the equivalence suite pins the
-  other engines against.
+  vectorized engine against.
 """
 
 from __future__ import annotations
@@ -131,10 +125,10 @@ def _instances(program: Program, params: Mapping[str, int],
 def engine_name() -> str:
     """The active execution engine (``REPRO_ENGINE``, default vectorized)."""
     engine = os.environ.get("REPRO_ENGINE", "vectorized")
-    if engine not in ("vectorized", "native", "reference"):
+    if engine not in ("vectorized", "reference"):
         raise ValueError(
             f"unknown REPRO_ENGINE {engine!r}; "
-            f"choose 'vectorized', 'native' or 'reference'")
+            f"choose 'vectorized' or 'reference'")
     return engine
 
 
@@ -172,17 +166,12 @@ def execute(program: Program, params: Mapping[str, int],
     # rejects them; the overflow itself is data, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
         engine = engine_name()
-        if engine in ("vectorized", "native"):
+        if engine == "vectorized":
             from .vectorized import execute_vectorized
 
-            native = None
-            if engine == "native":
-                from .native import native_context
-
-                native = native_context(program)
             return execute_vectorized(
                 program, params, storage, coverage, budget,
-                lambda b: _budget_error(program, b), native=native)
+                lambda b: _budget_error(program, b))
         scalars = program.scalar_values()
         items = _instances(program, params, budget)
         shapes = {name: arr.shape for name, arr in storage.items()}

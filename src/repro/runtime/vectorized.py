@@ -58,7 +58,7 @@ class _StatementState:
     __slots__ = ("cs", "points", "cursor", "dirty", "exec_mask", "all_exec",
                  "epos", "wcols", "wlin", "rcols", "overlap", "cols",
                  "values", "vector_values", "injective", "guard_taken",
-                 "pending", "src_rows", "native_prep")
+                 "pending", "src_rows")
 
     def __init__(self, cs: CompiledStatement) -> None:
         self.cs = cs
@@ -67,7 +67,6 @@ class _StatementState:
         self.values: Optional[np.ndarray] = None
         self.src_rows: Optional[list] = None  # source-order rows (lazy)
         self.pending: Set[Tuple[int, bool]] = set()
-        self.native_prep = None  # native tier's per-execute argument prep
 
 
 def _linear(cols: Tuple[np.ndarray, ...],
@@ -191,17 +190,8 @@ def _record_pending(state: _StatementState, coverage, a: int, b: int,
 def execute_vectorized(program: Program, params: Mapping[str, int],
                        storage: Storage, coverage,
                        budget: int,
-                       exceeded: Callable[[int], Exception],
-                       native=None) -> int:
-    """Run ``program`` on ``storage`` in blocks; returns executed count.
-
-    ``native`` (a ``repro.runtime.native.NativeContext``) upgrades
-    eligible work to compiled C kernels: the whole program as one loop
-    nest when provably exact, else individual runs of guard-passing
-    instances.  Both execute sequentially in global order, so anything
-    the context declines — and everything when it is ``None`` — falls
-    through to the identical NumPy/scalar paths below.
-    """
+                       exceeded: Callable[[int], Exception]) -> int:
+    """Run ``program`` on ``storage`` in blocks; returns executed count."""
     batch = sorted_instances(program, params, budget, exceeded)
     comp = compile_program(program)
     scalars = program.scalar_values()
@@ -215,14 +205,6 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
         _prepare(state, si, batch, params, storage, shapes,
                  scalars, coverage is not None)
         states.append(state)
-
-    if native is not None:
-        # whole-nest fast path: one C call covers every instance, with
-        # coverage and counts recorded from the already-validated states
-        total = native.try_whole(program, params, storage, states,
-                                 coverage)
-        if total is not None:
-            return total
 
     executed = 0
     starts, ends = batch.run_bounds()
@@ -287,14 +269,6 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
             executed += _run_scalar_span(state, ea, eb, storage, shapes,
                                          scalars, env_base, prog)
             continue
-
-        if native is not None:
-            # a compiled kernel walks the run sequentially in schedule
-            # order, so no scatter/reduce aliasing analysis is needed
-            done = native.run_span(si, state, ea, eb, storage, params)
-            if done is not None:
-                executed += done
-                continue
 
         wl = state.wlin[ea:eb]
         mode = None

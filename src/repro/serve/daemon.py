@@ -106,15 +106,6 @@ _RESILIENCE_COUNTERS = {
     "breaker_close": "breaker_closes_total",
 }
 
-#: native kernel-cache events (local or relayed from a worker process)
-#: -> metrics counters; `kernel_cache_hits_total` counts disk hits, the
-#: proof that a restarted worker reused the shared cache
-_KERNEL_COUNTERS = {
-    "kernel_compile": "kernel_compiles_total",
-    "kernel_disk_hit": "kernel_cache_hits_total",
-    "kernel_memory_hit": "kernel_memory_hits_total",
-}
-
 
 class BadRequest(Exception):
     """Client error: malformed body / unknown fields."""
@@ -165,12 +156,6 @@ class ServeDaemon:
         register_fault_backends()
         self._unsub_resilience = RESILIENCE_BUS.subscribe(
             self._on_resilience_event)
-        # in-process executions (workers=0, or tests) report kernel-cache
-        # events directly; supervised workers relay them over the stat
-        # pipe instead (see supervisor._worker_run_job)
-        from ..runtime import native as _native
-        _native.on_cache_event = \
-            lambda kind: self._on_worker_stat("kernel_" + kind)
         self.metrics.gauge("queue_depth", lambda: self.admission.queued)
         self.metrics.gauge("inflight", lambda: self.admission.inflight)
         self.metrics.gauge("sessions", self._session_count)
@@ -266,14 +251,11 @@ class ServeDaemon:
     # the request path (called from handler threads)
     # ------------------------------------------------------------------
     def _on_resilience_event(self, event) -> None:
-        counter = _RESILIENCE_COUNTERS.get(event.kind)
-        if counter is not None:
-            self.metrics.inc(counter)
+        self._on_worker_stat(event.kind)
 
     def _on_worker_stat(self, kind: str) -> None:
-        """Resilience/kernel-cache events relayed from a worker."""
-        counter = (_RESILIENCE_COUNTERS.get(kind)
-                   or _KERNEL_COUNTERS.get(kind))
+        """Resilience events, local or relayed from a worker."""
+        counter = _RESILIENCE_COUNTERS.get(kind)
         if counter is not None:
             self.metrics.inc(counter)
 
@@ -710,8 +692,6 @@ class ServeDaemon:
         if self.supervisor is not None:
             self.supervisor.shutdown()
         self._unsub_resilience()
-        from ..runtime import native as _native
-        _native.on_cache_event = None
 
     def run_forever(self, announce=print) -> int:
         """Foreground serve loop with SIGTERM/SIGINT drain; returns 0."""

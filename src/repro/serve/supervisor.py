@@ -152,15 +152,6 @@ def _worker_run_job(conn, sessions: "OrderedDict",
         conn.send(("stat", event.kind))
 
     unsubscribes.append(RESILIENCE_BUS.subscribe(forward_stat))
-    # kernel-cache events (compile / disk_hit / memory_hit) ride the
-    # same stat pipe so /metrics can prove that a restarted worker
-    # reuses the shared on-disk kernel cache instead of recompiling
-    from ..runtime import native as _native
-    previous_hook = _native.on_cache_event
-    _native.on_cache_event = lambda kind: conn.send(("stat",
-                                                     "kernel_" + kind))
-    unsubscribes.append(
-        lambda: setattr(_native, "on_cache_event", previous_hook))
     if job.get("stream"):
         def forward_event(event) -> None:
             conn.send(("event", {"kind": event.kind, "seq": event.seq,

@@ -27,8 +27,7 @@ from .registry import (DEFAULT_BACKEND, ENV_STORE_BACKEND,
                        ENV_STORE_SHARDS, STORE_BACKENDS, backend_name,
                        open_store)
 from .scrub import (RepairReport, ScrubIssue, StreamScrubReport,
-                    VerifyReport, repair_store, scrub_kernels,
-                    verify_store)
+                    VerifyReport, repair_store, verify_store)
 
 __all__ = [
     "ArtifactStore", "CompactionReport", "StoreError", "StreamStats",
@@ -40,5 +39,5 @@ __all__ = [
     "ENV_STORE_SHARDS", "ENV_STORE_MIRRORS", "backend_name",
     "open_store",
     "ScrubIssue", "StreamScrubReport", "VerifyReport", "RepairReport",
-    "verify_store", "repair_store", "scrub_kernels",
+    "verify_store", "repair_store",
 ]

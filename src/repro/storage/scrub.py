@@ -2,8 +2,8 @@
 
 ``repro store verify`` drives :func:`verify_store` over every stream of
 the active backend (the serve journal is just another stream, so it is
-covered) plus :func:`scrub_kernels` over the compiled-kernel cache, and
-reports each damaged record with shard + byte-offset diagnostics.
+covered) and reports each damaged record with shard + byte-offset
+diagnostics.
 ``--repair`` then drives :func:`repair_store`: for a local store,
 compaction rewrites every shard and the damage is dropped (an earlier
 valid put for the same key survives); for a mirrored store, every key
@@ -18,26 +18,24 @@ compaction can never rewrite a record that fails its crc).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from .base import (ENV_STORE_VERIFY, INTEGRITY, ArtifactStore,
                    record_crc_ok, verify_mode)
-from .local import LocalShardedStore, decode_record, exclusive_lock
+from .local import LocalShardedStore, decode_record
 from .mirrored import MirroredStore
 
 
 @dataclass(frozen=True)
 class ScrubIssue:
-    """One damaged record/file, pinpointed for the operator."""
+    """One damaged record, pinpointed for the operator."""
 
     stream: str
-    location: str          # shard or kernel file name
+    location: str          # shard file name (or "replicas")
     offset: Optional[int]  # byte offset of the damaged line, if any
     kind: str              # corrupt | torn | mismatched | divergent | ...
     detail: str
@@ -85,14 +83,11 @@ class VerifyReport:
     backend: str
     root: str
     streams: List[StreamScrubReport] = field(default_factory=list)
-    kernels: Optional[Dict[str, Any]] = None
     replicas: List["VerifyReport"] = field(default_factory=list)
 
     def issues(self) -> Iterator[ScrubIssue]:
         for report in self.streams:
             yield from report.issues
-        if self.kernels:
-            yield from self.kernels.get("issues", [])
         for replica in self.replicas:
             yield from replica.issues()
 
@@ -109,11 +104,6 @@ class VerifyReport:
             "backend": self.backend, "root": self.root,
             "clean": self.clean, "flagged": self.flagged,
             "streams": [s.to_dict() for s in self.streams]}
-        if self.kernels is not None:
-            kernels = dict(self.kernels)
-            kernels["issues"] = [i.to_dict()
-                                 for i in kernels.get("issues", [])]
-            doc["kernels"] = kernels
         if self.replicas:
             doc["replicas"] = [r.to_dict() for r in self.replicas]
         return doc
@@ -125,12 +115,10 @@ class RepairReport:
 
     read_repairs: int = 0
     dropped: int = 0          # damaged lines compacted away
-    kernels_removed: int = 0
 
     def to_dict(self) -> Dict[str, int]:
         return {"read_repairs": self.read_repairs,
-                "dropped": self.dropped,
-                "kernels_removed": self.kernels_removed}
+                "dropped": self.dropped}
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +207,8 @@ def _divergence(store: MirroredStore,
 
 def verify_store(store: ArtifactStore,
                  streams: Optional[Tuple[str, ...]] = None,
-                 kernels_root: Optional[Path] = None,
                  _count: bool = True) -> VerifyReport:
-    """Verify every stream (and optionally the kernel cache) of a store.
+    """Verify every stream of a store.
 
     Detection only — nothing on disk changes.  For a mirrored store the
     report carries one nested :class:`VerifyReport` per replica plus
@@ -239,8 +226,6 @@ def verify_store(store: ArtifactStore,
         report.streams = [scrub_stream(store, s) for s in streams]
     else:
         report.streams = [_scrub_generic(store, s) for s in streams]
-    if kernels_root is not None:
-        report.kernels = scrub_kernels(kernels_root)
     if _count:
         INTEGRITY.inc("scrub_runs")
         flagged = report.flagged
@@ -269,14 +254,12 @@ def _forced_verification() -> Iterator[None]:
 
 
 def repair_store(store: ArtifactStore,
-                 streams: Optional[Tuple[str, ...]] = None,
-                 kernels_root: Optional[Path] = None) -> RepairReport:
+                 streams: Optional[Tuple[str, ...]] = None) -> RepairReport:
     """Heal what :func:`verify_store` flagged.
 
     Mirrored stores first read-repair every key (restoring damaged
     records from a healthy replica), then every backend compacts, which
     rewrites each shard without its corrupt/torn/mismatched lines.
-    Flagged kernel-cache entries are evicted (they recompile lazily).
     """
     if streams is None:
         streams = store.streams()
@@ -289,97 +272,7 @@ def repair_store(store: ArtifactStore,
             compaction = store.compact(stream)
             report.dropped += (compaction.dropped_corrupt
                                + compaction.dropped_mismatched)
-    if kernels_root is not None:
-        report.kernels_removed = repair_kernels(kernels_root)
-    repaired = (report.read_repairs + report.dropped
-                + report.kernels_removed)
+    repaired = report.read_repairs + report.dropped
     if repaired:
         INTEGRITY.inc("scrub_repaired", repaired)
     return report
-
-
-# ----------------------------------------------------------------------
-# the compiled-kernel cache
-# ----------------------------------------------------------------------
-def _kernel_entries(root: Path) -> List[Path]:
-    if not root.is_dir():
-        return []
-    return sorted(so for so in root.glob("*.so")
-                  if ".tmp." not in so.name)
-
-
-def _kernel_issues(so: Path) -> List[ScrubIssue]:
-    issues: List[ScrubIssue] = []
-
-    def flag(kind: str, detail: str) -> None:
-        issues.append(ScrubIssue("kernels", so.name, None, kind,
-                                 detail))
-
-    src = so.with_suffix(".c")
-    meta_path = so.with_suffix(".json")
-    meta: Dict[str, Any] = {}
-    if not meta_path.exists():
-        flag("incomplete", "missing .json metadata")
-    else:
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            meta = {}
-            flag("corrupt", "unreadable .json metadata")
-    if not src.exists():
-        flag("incomplete", "missing .c source")
-    so_sha = meta.get("so_sha256")
-    if isinstance(so_sha, str):
-        actual = hashlib.sha256(so.read_bytes()).hexdigest()
-        if actual != so_sha:
-            flag("mismatched", "binary hash differs from metadata")
-    signature = meta.get("signature")
-    if src.exists() and isinstance(signature, str):
-        digest = hashlib.sha256()
-        digest.update(src.read_text().encode())
-        digest.update(signature.encode())
-        if digest.hexdigest()[:32] != so.stem:
-            flag("mismatched", "source no longer matches cache key")
-    return issues
-
-
-def scrub_kernels(root: Path) -> Dict[str, Any]:
-    """Verify the compiled-kernel cache under ``root``.
-
-    Every installed ``.so`` must have its ``.c`` source and ``.json``
-    metadata, the recorded binary hash must match the file (metas
-    written before the hash existed are legacy, never flagged), and the
-    source + toolchain signature must still hash to the cache key.
-    """
-    root = Path(root)
-    issues: List[ScrubIssue] = []
-    entries = _kernel_entries(root)
-    for so in entries:
-        issues.extend(_kernel_issues(so))
-    return {"path": str(root), "checked": len(entries),
-            "flagged": len(issues), "issues": issues}
-
-
-def repair_kernels(root: Path) -> int:
-    """Evict every flagged kernel-cache entry; returns entries removed.
-
-    Eviction is safe: a missing kernel recompiles lazily on next use,
-    and removal happens under the entry's install lock.
-    """
-    root = Path(root)
-    removed = 0
-    for so in _kernel_entries(root):
-        if not _kernel_issues(so):
-            continue
-        with exclusive_lock(so.with_suffix(".lock")):
-            for suffix in (".so", ".c", ".json"):
-                try:
-                    so.with_suffix(suffix).unlink()
-                except OSError:
-                    pass
-        try:
-            so.with_suffix(".lock").unlink()
-        except OSError:
-            pass
-        removed += 1
-    return removed

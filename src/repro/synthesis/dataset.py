@@ -125,14 +125,6 @@ def _dataset_cache_key(size: int, seed: int, generator: str) -> str:
     return f"{generator}-n{size}-s{seed}-{sig}"
 
 
-def _legacy_cache_file(size: int, seed: int, generator: str):
-    """The pre-sharding per-corpus JSON file (migration source)."""
-    from ..evaluation.store import cache_dir
-
-    key = _dataset_cache_key(size, seed, generator)
-    return cache_dir() / "datasets" / f"{key}.json"
-
-
 def _load_persistent(size: int, seed: int, generator: str):
     from ..evaluation.store import active_artifacts
 
@@ -141,27 +133,14 @@ def _load_persistent(size: int, seed: int, generator: str):
         return None
     from .store import dataset_from_payload
 
-    key = _dataset_cache_key(size, seed, generator)
-    payload = store.read(DATASETS_STREAM, key)
-    if payload is not None:
-        try:
-            return dataset_from_payload(payload)
-        except Exception:
-            return None  # foreign/damaged payload: rebuild and rewrite
-    # transparent migration: absorb a pre-sharding per-corpus file
-    legacy = _legacy_cache_file(size, seed, generator)
-    if not legacy.exists():
+    payload = store.read(DATASETS_STREAM,
+                         _dataset_cache_key(size, seed, generator))
+    if payload is None:
         return None
-    import json
-
     try:
-        with open(legacy) as handle:
-            payload = json.load(handle)
-        dataset = dataset_from_payload(payload)
+        return dataset_from_payload(payload)
     except Exception:
-        return None  # corrupt/truncated file: rebuild and rewrite
-    store.append(DATASETS_STREAM, key, payload)
-    return dataset
+        return None  # foreign/damaged payload: rebuild and rewrite
 
 
 def _store_persistent(dataset: Dataset, size: int, seed: int,
@@ -192,13 +171,11 @@ def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
     PLuTo-optimization build is paid once per machine, not once per
     process.  ``REPRO_CACHE_DIR`` moves the store,
     ``REPRO_STORE_BACKEND`` swaps its backend, and ``REPRO_NO_CACHE``
-    disables the disk layer, exactly like the result store; corpora
-    persisted by the pre-sharding layout (``<cache-dir>/datasets/``)
-    are absorbed on first load.  Loaded corpora are bit-identical to
-    built ones (exact
-    indexed texts and properties are stored — see
-    ``synthesis.store``), so retrieval ranks and demonstrations don't
-    depend on which level served the corpus.
+    disables the disk layer, exactly like the result store.  Loaded
+    corpora are bit-identical to built ones (exact indexed texts and
+    properties are stored — see ``synthesis.store``), so retrieval
+    ranks and demonstrations don't depend on which level served the
+    corpus.
     """
     key = (size, seed, generator)
     dataset = _DATASET_CACHE.get(key)

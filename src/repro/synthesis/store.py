@@ -22,10 +22,7 @@ recipe replay or property extraction.  This is what lets
 ``cached_dataset`` persist corpora across processes: the document built
 by :func:`dataset_to_payload` is appended to the ``"datasets"`` stream
 of the shared artifact store (``.repro_cache/store/datasets/``; see
-:mod:`repro.storage`), with pre-sharding ``.repro_cache/datasets/*.json``
-files absorbed transparently on first load.  Format-1 files still load
-through the legacy parse-and-replay path; their texts and properties
-are recomputed.
+:mod:`repro.storage`).  Any other format is rejected.
 """
 
 from __future__ import annotations
@@ -34,15 +31,13 @@ import json
 from dataclasses import asdict
 from typing import Any, Dict, List
 
-from ..analysis.properties import LoopProperties, extract_properties
+from ..analysis.properties import LoopProperties
 from ..codegen import scop_body_to_c
-from ..ir.parser import parse_scop
 from ..ir.serialize import program_from_json, program_to_json
 from ..transforms import TransformRecipe, TransformStep
 from .dataset import Dataset, DatasetEntry
 
 FORMAT_VERSION = 2
-_READABLE_FORMATS = (1, 2)
 
 
 def _program_source(entry: DatasetEntry) -> str:
@@ -136,32 +131,20 @@ def load_dataset(path: str) -> Dataset:
 
 
 def dataset_from_payload(payload: Dict[str, Any]) -> Dataset:
-    """Rebuild a :class:`Dataset` from its JSON document (both formats)."""
-    if payload.get("format") not in _READABLE_FORMATS:
+    """Rebuild a :class:`Dataset` from its format-2 JSON document."""
+    if payload.get("format") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported dataset format {payload.get('format')!r}")
     entries: List[DatasetEntry] = []
     for item in payload["entries"]:
-        recipe = _recipe_from_json(item["recipe"])
-        if "program" in item:  # format 2: exact structural round-trip
-            example = program_from_json(item["program"])
-            optimized = program_from_json(item["optimized"])
-        else:  # format 1: parse the pseudo-C, replay the recipe
-            example = parse_scop(item["source"]).renamed(item["name"])
-            optimized = recipe.apply(example)
-        properties = (_properties_from_json(item["properties"])
-                      if "properties" in item
-                      else extract_properties(example))
         entries.append(DatasetEntry(
             name=item["name"],
-            example=example,
-            example_text=item.get("example_text",
-                                  scop_body_to_c(example)),
-            optimized=optimized,
-            optimized_text=item.get("optimized_text",
-                                    scop_body_to_c(optimized)),
-            recipe=recipe,
-            properties=properties,
+            example=program_from_json(item["program"]),
+            example_text=item["example_text"],
+            optimized=program_from_json(item["optimized"]),
+            optimized_text=item["optimized_text"],
+            recipe=_recipe_from_json(item["recipe"]),
+            properties=_properties_from_json(item["properties"]),
         ))
     return Dataset(entries=tuple(entries),
                    generator=payload["generator"],

@@ -5,11 +5,8 @@ shared artifact store (`<cache-dir>/store/`) keyed by
 `dataset_signature()`; a corpus served from the store must be
 indistinguishable from a freshly built one — same signature, same
 indexed texts, same properties, and bit-identical retrieval ranks.
-Pre-sharding per-corpus files (`<cache-dir>/datasets/*.json`) are
-absorbed transparently on first load.
 """
 
-import json
 import os
 
 import pytest
@@ -19,7 +16,7 @@ from repro.evaluation import store as result_store_mod
 from repro.evaluation.store import active_artifacts
 from repro.ir import parse_scop
 from repro.retrieval import Retriever
-from repro.synthesis import cached_dataset, dataset_signature, save_dataset
+from repro.synthesis import cached_dataset, dataset_signature
 from repro.synthesis.dataset import DATASETS_STREAM, _dataset_cache_key
 
 SIZE, SEED = 10, 31
@@ -110,7 +107,6 @@ class TestPersistentCache:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         cached_dataset(SIZE, SEED)
         assert not (isolated_cache / "store").exists()
-        assert not list(isolated_cache.glob("datasets/*.json"))
 
     def test_corrupt_payload_rebuilds(self, isolated_cache):
         cached_dataset(SIZE, SEED)
@@ -126,25 +122,3 @@ class TestPersistentCache:
         assert len(payload["entries"]) == SIZE
         stats = active_artifacts().stream_stats(DATASETS_STREAM)
         assert stats.superseded == 2  # bad overwrite + rebuild
-
-    def test_legacy_corpus_file_absorbed(self, isolated_cache,
-                                         monkeypatch):
-        """A pre-sharding `<cache>/datasets/<key>.json` corpus loads
-        without a rebuild and lands in the datasets stream."""
-        built = cached_dataset(SIZE, SEED)
-        key = _dataset_cache_key(SIZE, SEED, "looprag")
-        legacy_dir = isolated_cache / "datasets"
-        legacy_dir.mkdir()
-        save_dataset(built, legacy_dir / f"{key}.json")
-        active_artifacts().drop(DATASETS_STREAM)
-
-        forget_memory()
-        refuse_build(monkeypatch)
-        loaded = cached_dataset(SIZE, SEED)
-        assert ranks(loaded) == ranks(built)
-        assert active_artifacts().contains(DATASETS_STREAM, key)
-        # absorbed payload round-trips through the store byte-identically
-        stored = active_artifacts().read(DATASETS_STREAM, key)
-        on_disk = json.loads((legacy_dir / f"{key}.json").read_text())
-        assert json.dumps(stored, sort_keys=True) == \
-            json.dumps(on_disk, sort_keys=True)

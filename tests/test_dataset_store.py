@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import repro.synthesis.store as store_mod
 from repro.runtime import run
 from repro.synthesis import build_dataset, load_dataset, save_dataset
+from repro.synthesis.store import dataset_from_payload, dataset_to_payload
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,31 @@ class TestRoundTrip:
         path.write_text('{"format": 99, "entries": []}')
         with pytest.raises(ValueError):
             load_dataset(str(path))
+
+    def test_format_one_rejected(self, dataset):
+        payload = dataset_to_payload(dataset)
+        payload["format"] = 1
+        with pytest.raises(ValueError, match="format 1"):
+            dataset_from_payload(payload)
+
+    def test_load_never_reprints_programs(self, dataset, monkeypatch):
+        """Stored texts are used as-is: loading a corpus must not pay
+        for printing every example and optimized program again."""
+        payload = dataset_to_payload(dataset)
+
+        def refuse(program):
+            raise AssertionError(f"re-printed {program.name}")
+
+        monkeypatch.setattr(store_mod, "scop_body_to_c", refuse)
+        loaded = dataset_from_payload(payload)
+        assert len(loaded) == len(dataset)
+        for original, restored in zip(dataset, loaded):
+            assert (restored.example.fingerprint()
+                    == original.example.fingerprint())
+            assert (restored.optimized.fingerprint()
+                    == original.optimized.fingerprint())
+            assert restored.example_text == original.example_text
+            assert restored.optimized_text == original.optimized_text
 
     def test_file_is_human_readable(self, dataset, tmp_path):
         path = tmp_path / "corpus.json"

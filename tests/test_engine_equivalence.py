@@ -1,17 +1,11 @@
-"""Property-based equivalence: optimized engines vs reference interpreter.
+"""Property-based equivalence: vectorized engine vs reference interpreter.
 
-The vectorized block executor — and the native compiled-kernel tier
-layered on top of it — must be *bit-identical* to the reference
+The vectorized block executor must be *bit-identical* to the reference
 tree-walking interpreter: outputs, checksum, executed-instance count,
 branch-coverage ratio, and the exact exception class on failures.  These
 properties pin that contract across synthesized programs, schedule
 rewrites (legal and illegal), compound assignments, guards, and
 out-of-bounds / budget-exhausted candidates.
-
-Every property here runs against *each* optimized engine: always
-``vectorized``, plus ``native`` whenever a C toolchain is discovered
-(without one the native tier is exercised separately as a fallback in
-``test_native_kernels.py``).
 """
 
 import os
@@ -25,21 +19,11 @@ from repro.ir import parse_scop
 from repro.runtime import (BranchCoverage, allocate, checksum,
                            clone_storage, engine_override, execute)
 from repro.runtime.interpreter import engine_name
-from repro.runtime.native import find_toolchain
 from repro.synthesis.generator import ExampleSynthesizer
 from repro.transforms import TransformError, interchange, skew, tile
 
 _SETTINGS = dict(deadline=None,
                  suppress_health_check=[HealthCheck.too_slow])
-
-#: the engines pinned against the reference specification
-OPTIMIZED_ENGINES = ["vectorized"]
-if find_toolchain() is not None:
-    OPTIMIZED_ENGINES.append("native")
-
-needs_toolchain = pytest.mark.skipif(
-    find_toolchain() is None,
-    reason="no C toolchain discovered (REPRO_CC/cc/gcc/clang)")
 
 
 def observe(program, params, budget=2_000_000, variant=0):
@@ -59,22 +43,20 @@ def observe(program, params, budget=2_000_000, variant=0):
 def assert_engines_agree(program, params, budget=2_000_000, variant=0):
     with engine_override("reference"):
         ref = observe(program, params, budget, variant)
-    for engine in OPTIMIZED_ENGINES:
-        with engine_override(engine):
-            got = observe(program, params, budget, variant)
-        assert ref[0] == got[0], (engine, ref, got)
-        if ref[0] == "error":
-            assert ref == got, engine  # same exception class + coverage
-            continue
-        assert ref[1] == got[1], \
-            f"{engine}: executed-instance counts differ"
-        assert ref[2] == got[2], f"{engine}: checksums differ"
-        assert ref[3] == got[3], f"{engine}: coverage ratios differ"
-        for name, want in ref[4].items():
-            out = got[4][name]
-            assert out.shape == want.shape
-            assert np.array_equal(want, out, equal_nan=True), \
-                f"{engine}: output {name} differs"
+    with engine_override("vectorized"):
+        got = observe(program, params, budget, variant)
+    assert ref[0] == got[0], (ref, got)
+    if ref[0] == "error":
+        assert ref == got  # same exception class + coverage
+        return
+    assert ref[1] == got[1], "executed-instance counts differ"
+    assert ref[2] == got[2], "checksums differ"
+    assert ref[3] == got[3], "coverage ratios differ"
+    for name, want in ref[4].items():
+        out = got[4][name]
+        assert out.shape == want.shape
+        assert np.array_equal(want, out, equal_nan=True), \
+            f"output {name} differs"
 
 
 class TestSynthesizedPrograms:
@@ -259,15 +241,14 @@ class TestEngineSelection:
         """
         program = parse_scop(src)
         messages = {}
-        for engine in ["reference"] + OPTIMIZED_ENGINES:
+        for engine in ("reference", "vectorized"):
             with engine_override(engine):
                 storage = allocate(program, {"N": 5})
                 try:
                     execute(program, {"N": 5}, storage)
                 except Exception as exc:
                     messages[engine] = (type(exc).__name__, str(exc))
-        for engine in OPTIMIZED_ENGINES:
-            assert messages["reference"] == messages[engine]
+        assert messages["reference"] == messages["vectorized"]
 
     def test_partial_writes_before_error_match(self):
         """An OOB mid-stream leaves identical partial state behind."""
@@ -283,7 +264,7 @@ class TestEngineSelection:
         """
         program = parse_scop(src)
         states = {}
-        for engine in ["reference"] + OPTIMIZED_ENGINES:
+        for engine in ("reference", "vectorized"):
             with engine_override(engine):
                 storage = allocate(program, {"N": 6})
                 try:
@@ -291,21 +272,19 @@ class TestEngineSelection:
                 except Exception:
                     pass
                 states[engine] = clone_storage(storage)
-        for engine in OPTIMIZED_ENGINES:
-            for name in states["reference"]:
-                assert np.array_equal(states["reference"][name],
-                                      states[engine][name]), engine
+        for name in states["reference"]:
+            assert np.array_equal(states["reference"][name],
+                                  states["vectorized"][name])
 
-    @needs_toolchain
-    def test_native_engine_selectable(self):
-        """``REPRO_ENGINE=native`` is a first-class registry entry."""
+    def test_native_engine_rejected(self):
+        """A stale ``REPRO_ENGINE=native`` fails loudly, naming the
+        engines that remain, instead of silently running another one."""
+        program = parse_scop(GEMM)
+        params = {"NI": 2, "NJ": 2, "NK": 2}
+        storage = allocate(program, params)
         with engine_override("native"):
-            assert engine_name() == "native"
-            program = parse_scop(GEMM)
-            params = {"NI": 6, "NJ": 5, "NK": 4}
-            native_storage = allocate(program, params, 1)
-            execute(program, params, native_storage)
-        with engine_override("reference"):
-            ref_storage = allocate(program, params, 1)
-            execute(program, params, ref_storage)
-        assert np.array_equal(native_storage["C"], ref_storage["C"])
+            with pytest.raises(ValueError) as info:
+                execute(program, params, storage)
+        message = str(info.value)
+        assert "'native'" in message
+        assert "vectorized" in message and "reference" in message

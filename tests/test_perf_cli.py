@@ -3,15 +3,8 @@
 import json
 import os
 
-import pytest
-
 from repro.cli import main
 from repro.runtime import engine_override
-from repro.runtime import native as native_mod
-
-needs_toolchain = pytest.mark.skipif(
-    native_mod.find_toolchain() is None,
-    reason="no C toolchain available")
 
 
 def test_perf_json_report(tmp_path, capsys):
@@ -72,44 +65,3 @@ def test_perf_analysis_restores_analysis_env(tmp_path):
               "--limit", "1", "--repeat", "1",
               "--json", str(tmp_path / "a.json")])
         assert os.environ["REPRO_ANALYSIS"] == "reference"
-
-
-@needs_toolchain
-def test_perf_kernels_json_report(tmp_path, capsys):
-    out = tmp_path / "BENCH_kernels.json"
-    code = main(["perf", "--target", "kernels", "--suite", "polybench",
-                 "--limit", "2", "--repeat", "1", "--param", "12",
-                 "--json", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["suite"] == "polybench"
-    assert report["target"] == "kernels"
-    assert report["bit_identical"] is True
-    assert report["toolchain"]["available"] is True
-    assert len(report["kernels"]) == 2
-    for row in report["kernels"]:
-        assert row["identical"] is True
-        assert row["instances"] > 0
-        assert row["reference_ms"] > 0
-        assert row["vectorized_ms"] > 0
-        assert row["native_ms"] > 0
-    assert report["aggregate_speedup"] > 0
-    assert report["aggregate_vs_reference"] > 0
-    table = capsys.readouterr().out
-    assert "toolchain" in table and "aggregate" in table
-
-
-def test_perf_kernels_degrades_without_toolchain(tmp_path, monkeypatch):
-    # with the toolchain broken the native engine silently becomes the
-    # vectorized one, so parity still holds and the exit code stays 0
-    monkeypatch.setenv("REPRO_CC", "/nonexistent/cc")
-    native_mod._TOOLCHAIN_CACHE.pop("/nonexistent/cc", None)
-    native_mod._WARNED.discard("/nonexistent/cc")
-    out = tmp_path / "BENCH_kernels.json"
-    code = main(["perf", "--target", "kernels", "--suite", "polybench",
-                 "--limit", "1", "--repeat", "1", "--param", "8",
-                 "--json", str(out)])
-    assert code == 0
-    report = json.loads(out.read_text())
-    assert report["bit_identical"] is True
-    assert report["toolchain"]["available"] is False

@@ -21,8 +21,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.storage import (INTEGRITY, LocalShardedStore, MirroredStore,
                            record_crc, record_crc_ok, repair_store,
-                           scrub_kernels, verify_store)
-from repro.storage.scrub import repair_kernels
+                           verify_store)
 from repro.testing.faults import (FaultClause, FaultPlan, corrupt_data,
                                   install_plan)
 
@@ -298,60 +297,6 @@ class TestScrub:
         daemon = ServeDaemon(ServeConfig(port=0, journal=False))
         snapshot = daemon.metrics.snapshot()
         assert snapshot["gauges"]["integrity"]["scrub_runs"] >= 1
-
-
-# ----------------------------------------------------------------------
-# the kernel cache
-# ----------------------------------------------------------------------
-class TestKernelScrub:
-    def _install(self, root, source="int x;", signature="cc-1.0"):
-        import hashlib
-        root.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256()
-        digest.update(source.encode())
-        digest.update(signature.encode())
-        key = digest.hexdigest()[:32]
-        so = root / f"{key}.so"
-        so.write_bytes(b"\x7fELF-fake-binary")
-        (root / f"{key}.c").write_text(source)
-        meta = {"signature": signature, "cc": "cc", "version": "1.0",
-                "flags": [], "so_sha256": hashlib.sha256(
-                    so.read_bytes()).hexdigest()}
-        (root / f"{key}.json").write_text(json.dumps(meta))
-        return so
-
-    def test_intact_entries_pass(self, tmp_path):
-        self._install(tmp_path)
-        report = scrub_kernels(tmp_path)
-        assert report["checked"] == 1 and report["flagged"] == 0
-
-    def test_binary_bitrot_is_flagged_and_evicted(self, tmp_path):
-        so = self._install(tmp_path)
-        blob = bytearray(so.read_bytes())
-        blob[4] ^= 0x10
-        so.write_bytes(bytes(blob))
-        report = scrub_kernels(tmp_path)
-        assert report["flagged"] == 1
-        assert "hash" in report["issues"][0].detail
-        assert repair_kernels(tmp_path) == 1
-        assert not so.exists()
-        assert scrub_kernels(tmp_path)["checked"] == 0
-
-    def test_missing_source_or_meta_is_flagged(self, tmp_path):
-        so = self._install(tmp_path)
-        so.with_suffix(".c").unlink()
-        assert scrub_kernels(tmp_path)["flagged"] == 1
-        so.with_suffix(".json").unlink()
-        flagged = {i.detail for i in scrub_kernels(tmp_path)["issues"]}
-        assert flagged == {"missing .json metadata",
-                           "missing .c source"}
-
-    def test_legacy_meta_without_hash_never_fails(self, tmp_path):
-        so = self._install(tmp_path)
-        meta = json.loads(so.with_suffix(".json").read_text())
-        del meta["so_sha256"]
-        so.with_suffix(".json").write_text(json.dumps(meta))
-        assert scrub_kernels(tmp_path)["flagged"] == 0
 
 
 # ----------------------------------------------------------------------

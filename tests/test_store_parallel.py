@@ -3,9 +3,8 @@
 Covers the PR-1 harness rebuild on its PR-6 storage rebase: warm-cache
 hits return identical ``BenchResult`` lists through the sharded
 artifact store, ``REPRO_NO_CACHE`` bypasses the store, corrupt and
-superseded lines are counted separately, pre-sharding ``results.jsonl``
-files migrate transparently with byte-identical warm hits, torn shard
-tails are skipped and repaired by compaction, concurrent-process
+superseded lines are counted separately, torn shard tails are skipped
+and repaired by compaction, concurrent-process
 appends never tear, and parallel runs are identical to serial ones on a
 ``REPRO_SUITE_LIMIT=3`` sweep.
 """
@@ -160,84 +159,6 @@ class TestResultStore:
             store.get(("k",))
 
 
-class TestMigration:
-    """Pre-sharding ``results.jsonl`` stores absorb transparently."""
-
-    LEGACY = [
-        {"schema": 1, "key": encode_key(("a",)), "results": [{"v": 1}]},
-        {"schema": 1, "key": encode_key(("b",)),
-         "results": [{"v": 2, "f": 1.5, "n": None}]},
-        {"schema": 1, "key": encode_key(("a",)), "results": [{"v": 3}]},
-    ]
-
-    def _write_legacy(self, root):
-        root.mkdir(parents=True, exist_ok=True)
-        lines = [json.dumps(rec, separators=(",", ":"))
-                 for rec in self.LEGACY]
-        lines.insert(1, "{torn garbag")  # old stores tolerated these
-        (root / "results.jsonl").write_text("\n".join(lines) + "\n")
-
-    def test_absorbs_legacy_file_on_first_open(self, tmp_path):
-        self._write_legacy(tmp_path)
-        store = ResultStore(tmp_path)
-        require_on_disk(store)  # the rename marks on-disk migrations
-        assert store.get(("a",)) == [{"v": 3}]  # last write won
-        assert store.get(("b",)) == [{"v": 2, "f": 1.5, "n": None}]
-        assert store.migrated == 3
-        assert not (tmp_path / "results.jsonl").exists()
-        assert (tmp_path / "results.jsonl.migrated").exists()
-
-    def test_payloads_byte_identical_through_migration(self, tmp_path):
-        self._write_legacy(tmp_path)
-        store = ResultStore(tmp_path)
-        for record in self.LEGACY:
-            expected = json.dumps(record["results"],
-                                  separators=(",", ":"))
-            if record["key"] == encode_key(("a",)) and \
-                    record["results"] == [{"v": 1}]:
-                continue  # superseded by the later write
-            got = store.get(json.loads(record["key"]))
-            assert json.dumps(got, separators=(",", ":")) == expected
-
-    def test_migration_runs_once(self, tmp_path):
-        self._write_legacy(tmp_path)
-        ResultStore(tmp_path).get(("a",))
-        second = ResultStore(tmp_path)
-        assert second.get(("a",)) == [{"v": 3}]
-        assert second.migrated == 0  # nothing left to absorb
-
-    def test_memory_backend_absorbs_but_keeps_file(self, tmp_path):
-        self._write_legacy(tmp_path)
-        store = ResultStore(tmp_path, backend="memory")
-        assert store.get(("a",)) == [{"v": 3}]
-        # the legacy file IS the durable copy for a volatile backend
-        assert (tmp_path / "results.jsonl").exists()
-
-    def test_warm_hit_through_migration_is_identical(self,
-                                                     fresh_harness,
-                                                     monkeypatch,
-                                                     tmp_path_factory):
-        """A store written by the old layout serves byte-identical warm
-        results after migrating to the sharded layout."""
-        require_on_disk(active_store())
-        cold = run_compiler("polybench", "graphite")
-        plan_key = compiler_plan("polybench", "graphite").key()
-        payload = active_store().get(plan_key)
-
-        legacy_dir = tmp_path_factory.mktemp("legacy_cache")
-        record = {"schema": 1, "key": encode_key(plan_key),
-                  "results": payload}
-        (legacy_dir / "results.jsonl").write_text(
-            json.dumps(record, separators=(",", ":")) + "\n")
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(legacy_dir))
-        _forget_memory()
-        warm = run_compiler("polybench", "graphite")
-        assert warm == cold
-        assert active_store().stats()["hits"] == 1
-        assert (legacy_dir / "results.jsonl.migrated").exists()
-
-
 class TestCrashRecovery:
     """A shard torn mid-line loses one record, never the store."""
 
@@ -319,7 +240,6 @@ class TestHarnessStore:
     def test_no_cache_bypasses_store(self, fresh_harness, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         run_compiler("polybench", "graphite")
-        assert not (fresh_harness / "results.jsonl").exists()
         assert not (fresh_harness / "store").exists()
 
     def test_corrupt_store_recomputed(self, fresh_harness):
