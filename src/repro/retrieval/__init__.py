@@ -5,7 +5,7 @@ from .features import (FEATURE_KINDS, StatementFeatures,
                        intersection_count, program_features,
                        statement_features)
 from .lascore import (DEFAULT_PENALTY_WEIGHTS, DEFAULT_REWARD_WEIGHTS,
-                      ScoreBreakdown, feature_score, lascore,
+                      FeatureIndex, ScoreBreakdown, feature_score, lascore,
                       statement_mismatch)
 from .retriever import (DEFAULT_DEMOS, DEFAULT_TOP_N, METHODS,
                         RetrievedDemo, Retriever)
@@ -15,7 +15,8 @@ __all__ = [
     "BM25Index", "ScoredDoc",
     "FEATURE_KINDS", "StatementFeatures", "intersection_count",
     "program_features", "statement_features",
-    "DEFAULT_PENALTY_WEIGHTS", "DEFAULT_REWARD_WEIGHTS", "ScoreBreakdown",
+    "DEFAULT_PENALTY_WEIGHTS", "DEFAULT_REWARD_WEIGHTS", "FeatureIndex",
+    "ScoreBreakdown",
     "feature_score", "lascore", "statement_mismatch",
     "DEFAULT_DEMOS", "DEFAULT_TOP_N", "METHODS", "RetrievedDemo",
     "Retriever",

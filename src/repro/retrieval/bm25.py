@@ -10,9 +10,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .tokenize import tokenize
+
+#: term -> (doc ids, term frequencies), as arrays
+_ArrayPostings = Dict[str, Tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -30,7 +35,10 @@ class BM25Index:
         self._docs: List[Counter] = []
         self._lengths: List[int] = []
         self._postings: Dict[str, List[Tuple[int, int]]] = {}
+        self._total_len = 0
         self._avg_len = 0.0
+        # (length norm per doc, array postings), rebuilt after an add
+        self._arrays: Optional[Tuple[np.ndarray, _ArrayPostings]] = None
 
     def __len__(self) -> int:
         return len(self._docs)
@@ -44,8 +52,9 @@ class BM25Index:
         self._lengths.append(len(tokens))
         for term, tf in counts.items():
             self._postings.setdefault(term, []).append((doc_id, tf))
-        total = sum(self._lengths)
-        self._avg_len = total / len(self._lengths)
+        self._total_len += len(tokens)
+        self._avg_len = self._total_len / len(self._lengths)
+        self._arrays = None
         return doc_id
 
     def idf(self, term: str) -> float:
@@ -74,33 +83,49 @@ class BM25Index:
             score += idf * tf * (self.k1 + 1) / denom
         return score
 
-    def scores(self, query_text: str) -> Dict[int, float]:
-        """BM25 scores of every matching document for one query.
+    def _frozen(self) -> Tuple[np.ndarray, _ArrayPostings]:
+        """Each document's length norm ``k1·(1 − b + b·length/avg_len)``
+        and the postings as arrays."""
+        if self._arrays is None:
+            lengths = np.array(self._lengths, dtype=np.int64)
+            # avg_len is 0 only when no document has a token; then no
+            # posting ever reads the norm
+            norm = self.k1 * (1 - self.b + self.b * lengths
+                              / (self._avg_len or 1.0))
+            postings = {}
+            for term, hits in self._postings.items():
+                ids, tfs = zip(*hits)
+                postings[term] = (np.array(ids, dtype=np.intp),
+                                  np.array(tfs, dtype=np.int64))
+            self._arrays = (norm, postings)
+        return self._arrays
 
-        Tokenizes the query once and walks each query term's postings
-        list — O(|query terms| + total matching postings) — where
-        calling :meth:`score` per document re-tokenizes and re-scores
-        the full query for each of the N documents, O(N · |query|).
-        Documents sharing no term with the query are absent (their BM25
-        score is 0.0).  Terms are visited in sorted order so the
-        floating-point accumulation matches :meth:`score` exactly and
-        is independent of hash seeding.
+    def scores(self, query_text: str) -> np.ndarray:
+        """BM25 scores of every document for one query, as a float64
+        vector indexed by doc id (0.0 where no query term occurs).
+
+        Tokenizes the query once and adds each query term's postings
+        into the vector with one array operation, O(|query terms| +
+        matching postings).  Terms are visited in sorted order and each
+        element goes through the same IEEE operations in the same order
+        as :meth:`score`, so every entry equals :meth:`score` for that
+        document bit for bit, independent of hash seeding.
         """
-        candidates: Dict[int, float] = {}
+        norm, postings = self._frozen()
+        acc = np.zeros(len(self._docs))
         for term in sorted(set(tokenize(query_text))):
-            idf = self.idf(term)
-            if idf == 0.0:
+            hit = postings.get(term)
+            if hit is None:
                 continue
-            for doc_id, tf in self._postings.get(term, ()):
-                length = self._lengths[doc_id]
-                denom = tf + self.k1 * (1 - self.b + self.b * length
-                                        / self._avg_len)
-                candidates[doc_id] = candidates.get(doc_id, 0.0) + \
-                    idf * tf * (self.k1 + 1) / denom
-        return candidates
+            ids, tfs = hit
+            acc[ids] += self.idf(term) * tfs * (self.k1 + 1) / (
+                tfs + norm[ids])
+        return acc
 
     def search(self, query_text: str, top_n: int = 10) -> List[ScoredDoc]:
         """Rank all documents containing at least one query term."""
-        ranked = sorted(self.scores(query_text).items(),
-                        key=lambda kv: (-kv[1], kv[0]))[:top_n]
-        return [ScoredDoc(doc_id, score) for doc_id, score in ranked]
+        acc = self.scores(query_text)
+        hits = np.flatnonzero(acc)  # a matching term always adds > 0
+        order = np.lexsort((hits, -acc[hits]))[:top_n]
+        return [ScoredDoc(int(hits[k]), float(acc[hits[k]]))
+                for k in order]

@@ -13,12 +13,18 @@ Sign convention: Eq 3 writes ``P = (Count(F_T∩F_E) − NF_E) × WP``, which
 is ≤ 0; combined with Eq 4's ``R − P`` the net effect the text describes
 ("penalty applied when the example SCoP has more features") corresponds to
 subtracting ``max(0, NF_E − Count∩) × WP``, which is what we compute.
+
+The scalar :func:`lascore` is the executable specification.
+:class:`FeatureIndex` computes SF and SM for a whole corpus at once and
+must agree with it bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from .features import (FEATURE_KINDS, StatementFeatures, intersection_count)
 
@@ -91,3 +97,82 @@ def lascore(target: Sequence[StatementFeatures],
     sf = feature_score(target, example, reward_weights, penalty_weights)
     return ScoreBreakdown(base=base_score, feature_score=sf, mismatch=sm,
                           n_target_statements=len(target))
+
+
+class FeatureIndex:
+    """Corpus-side LAScore index under the default weights: SF and SM of
+    every document per query.
+
+    For each (statement position i, feature kind j) it keeps a postings
+    map from feature to the (doc ids, counts) of the documents whose
+    i-th statement has it, each document's feature total NF_E, and each
+    document's statement count NS_E.  A query then costs one array pass
+    per target feature, not one :func:`feature_score` call per document.
+    """
+
+    _reward = [DEFAULT_REWARD_WEIGHTS[kind] for kind in FEATURE_KINDS]
+    _penalty = [DEFAULT_PENALTY_WEIGHTS[kind] for kind in FEATURE_KINDS]
+    # summed in FEATURE_KINDS order, as statement_mismatch sums it
+    _total_wp = sum(_penalty)
+
+    def __init__(self, corpus: Sequence[Sequence[StatementFeatures]]
+                 ) -> None:
+        n_docs = len(corpus)
+        self.n_statements = np.array([len(doc) for doc in corpus],
+                                     dtype=np.int64)
+        depth = int(self.n_statements.max(initial=0))
+        # NF_E by (statement position, kind, doc)
+        self._totals = np.zeros((depth, len(FEATURE_KINDS), n_docs),
+                                dtype=np.int64)
+        postings: Dict[tuple, Tuple[List[int], List[int]]] = {}
+        for doc, statements in enumerate(corpus):
+            for i, stmt in enumerate(statements):
+                for j, kind in enumerate(FEATURE_KINDS):
+                    counter = stmt.counter(kind)
+                    self._totals[i, j, doc] = sum(counter.values())
+                    for feature, count in counter.items():
+                        ids, counts = postings.setdefault(
+                            (i, j, feature), ([], []))
+                        ids.append(doc)
+                        counts.append(count)
+        self._postings = {key: (np.array(ids, dtype=np.intp),
+                                np.array(counts, dtype=np.int64))
+                          for key, (ids, counts) in postings.items()}
+
+    def scores(self, target: Sequence[StatementFeatures]
+               ) -> Tuple[np.ndarray, np.ndarray]:
+        """SF (Eqs 2–4) and SM (Eq 1) of every document, as float64
+        vectors indexed by doc id.
+
+        Each element goes through the IEEE operations of
+        :func:`feature_score` and :func:`statement_mismatch` in their
+        order — statement outer, kind inner — so it equals the scalar
+        result bit for bit.  Matched counts are exact integer sums of
+        ``min(count_T, count_E)`` over the target's features.
+
+        The scalar loop skips a (statement, kind) with NF_T = NF_E = 0
+        and stops at the shorter program; here such a term is added as
+        ``(0·WR − 0·WP) / 1 = +0.0``.  Feature counts are positive (as
+        :func:`~.features.statement_features` builds them) and so are
+        the weights, so no term and no partial sum is ever −0.0, and
+        adding +0.0 changes nothing.
+        """
+        n_docs = len(self.n_statements)
+        sf = np.zeros(n_docs)
+        # statements past the longest document match nothing
+        for i, t_feat in enumerate(target[:len(self._totals)]):
+            for j, kind in enumerate(FEATURE_KINDS):
+                t_counter = t_feat.counter(kind)
+                nft = sum(t_counter.values())
+                matched = np.zeros(n_docs, dtype=np.int64)
+                for feature, count in t_counter.items():
+                    hit = self._postings.get((i, j, feature))
+                    if hit is not None:
+                        ids, counts = hit
+                        matched[ids] += np.minimum(counts, count)
+                reward = matched * self._reward[j]
+                penalty = (np.maximum(0, self._totals[i, j] - matched)
+                           * self._penalty[j])
+                sf += (reward - penalty) / max(1, nft)
+        sm = np.abs(len(target) - self.n_statements) * self._total_wp
+        return sf, sm
