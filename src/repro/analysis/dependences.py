@@ -29,9 +29,7 @@ Two engines share these semantics (selected by ``REPRO_ANALYSIS``):
 from __future__ import annotations
 
 import os
-import threading
 import zlib
-from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
@@ -39,6 +37,7 @@ from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
 
 from ..ir.program import Program
 from ..ir.schedule import Schedule
+from ..memo import LRUCache
 
 KIND_RAW = "RAW"
 KIND_WAW = "WAW"
@@ -159,13 +158,13 @@ _LATE_ONSET_SPREAD = max(_PARAM_SIZES)
 def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
     """``(late-onset arrays, scaled binding)`` — see :func:`nonuniform_arrays`.
 
-    Memoized per fingerprint.  The scaled binding is normally
-    ``_NONUNIFORM_PARAM`` (26) but grows with the largest constant
-    offset spread so that constant-offset classes (``X[i]`` vs
-    ``X[i+20]``: uniform distance, late onset) are concretized at a
-    size where they actually occur.
+    Memoized per :meth:`~repro.ir.program.Program.analysis_key`.  The
+    scaled binding is normally ``_NONUNIFORM_PARAM`` (26) but grows with
+    the largest constant offset spread so that constant-offset classes
+    (``X[i]`` vs ``X[i+20]``: uniform distance, late onset) are
+    concretized at a size where they actually occur.
     """
-    cached = _NONUNIFORM_CACHE.get(program.fingerprint())
+    cached = _NONUNIFORM_CACHE.get(program.analysis_key())
     if cached is not None:
         return cached
     params = set(program.params)
@@ -218,7 +217,7 @@ def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
             # for plain offsets; the margin absorbs guards shifting it)
             scaled = max(scaled, spread + _LATE_ONSET_SPREAD)
     result = (frozenset(flagged), scaled)
-    _NONUNIFORM_CACHE.put(program.fingerprint(), result)
+    _NONUNIFORM_CACHE.put(program.analysis_key(), result)
     return result
 
 
@@ -248,7 +247,7 @@ def nonuniform_arrays(program: Program) -> frozenset:
 
     Only *written* arrays matter (read-only arrays generate no
     dependences).  The result drives the scaled third concretization
-    pass in :func:`compute_dependences`; memoized per fingerprint.
+    pass in :func:`compute_dependences`; memoized per analysis key.
     """
     return _nonuniform_profile(program)[0]
 
@@ -518,10 +517,10 @@ def _legality_schedules(program: Program) -> List[Schedule]:
     band permutability), so evaluating with size-2 tiles on the small
     domain checks the same property while actually exercising boundaries.
 
-    Memoized per program fingerprint: every candidate legality query of
+    Memoized per program analysis key: every candidate legality query of
     every persona/compiler pays the schedule rebuild once, not per call.
     """
-    cached = _LEGALITY_CACHE.get(program.fingerprint())
+    cached = _LEGALITY_CACHE.get(program.analysis_key())
     if cached is not None:
         return cached
 
@@ -534,7 +533,7 @@ def _legality_schedules(program: Program) -> List[Schedule]:
             if isinstance(d, TileDim) else d
             for d in sched.dims)
         out.append(Sched(dims))
-    _LEGALITY_CACHE.put(program.fingerprint(), out)
+    _LEGALITY_CACHE.put(program.analysis_key(), out)
     return out
 
 
@@ -626,59 +625,30 @@ def is_parallel_dim(program: Program, deps: Sequence[Dependence],
 # ----------------------------------------------------------------------
 # Bounded, thread-safe memoization
 # ----------------------------------------------------------------------
-class _LRUCache:
-    """A small lock-guarded LRU map.
-
-    The evaluation layer's thread pool (``evaluation.parallel``) shares
-    these caches across workers; eviction drops the least recently used
-    entry instead of wiping the whole cache at capacity, so a long
-    bench run keeps its hot programs memoized.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        self.capacity = capacity
-        self._data: "OrderedDict" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            got = self._data.get(key)
-            if got is not None:
-                self._data.move_to_end(key)
-            return got
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-
-_DEP_CACHE = _LRUCache(4096)
-_LEGALITY_CACHE = _LRUCache(2048)
-_NONUNIFORM_CACHE = _LRUCache(4096)
+_DEP_CACHE = LRUCache(4096)
+_LEGALITY_CACHE = LRUCache(2048)
+_NONUNIFORM_CACHE = LRUCache(4096)
 
 
 def dependences(program: Program,
                 params: Optional[Mapping[str, int]] = None
                 ) -> List[Dependence]:
-    """Memoized :func:`compute_dependences` (keyed by program fingerprint).
+    """Memoized :func:`compute_dependences`, keyed by the program's
+    :meth:`~repro.ir.program.Program.analysis_key`.
+
+    That key covers ``params`` and each statement's name, domain,
+    schedule, guards and body — everything the concretization reads —
+    and nothing else: programs that differ only in parallel/vector
+    marks, tags, name or provenance get the same list object (and with
+    it the same cached witness pack), so a finalized or pragma-marked
+    candidate never re-runs the analysis of its unmarked twin.
 
     The default (``params=None``) concretizes at every ``_PARAM_SIZES``
     binding and memoizes the merged result under its own key, so the
-    two-size hardening costs one extra pass per distinct program, not
-    per legality query.
+    two-size hardening costs one extra pass per distinct analysis key,
+    not per legality query.
     """
-    key = (program.fingerprint(),
+    key = (program.analysis_key(),
            None if params is None else tuple(sorted(params.items())))
     cached = _DEP_CACHE.get(key)
     if cached is None:

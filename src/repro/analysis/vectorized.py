@@ -22,10 +22,17 @@ two-deep read history.  Here the same information is recovered in bulk:
    two-back reads — from which RAW / WAW / WAR pair records follow as
    pure array expressions, including the compound-assignment WAR rule;
 4. records are re-ordered by the position the scalar walk would have
-   issued its ``add`` call and replayed through the same bounded-witness
-   bucket (append below ``_MAX_WITNESSES``, then crc32-slot rotation on
-   the iterator-only instance repr), so every stored witness — and every
-   legality verdict downstream — is identical, not just equivalent.
+   issued its ``add`` call and the bounded-witness bucket is replayed in
+   bulk: the first ``_MAX_WITNESSES`` records append, and each later one
+   overwrites the slot given by the crc32 of its target's iterator-only
+   instance repr, so a slot ends up holding the *last* record mapped to
+   it — one ``np.unique`` over the reversed slot vector, no per-record
+   loop.  The per-point slot tables depend only on the statement index,
+   its domain (iterator names included) and the parameter binding, never
+   on the schedule, so they are memoized across programs: every
+   schedule candidate of a program reuses the tables its source built.
+   Every stored witness — and every legality verdict downstream — is
+   identical to the reference walk's, not just equivalent.
 
 Distance-vector sets are computed exhaustively as array differences over
 the common iterators and deduplicated via integer encoding.
@@ -36,22 +43,24 @@ Legality checking
 all dependences into per-(statement, names) groups (cached per deps list,
 since the memoized dependence lists are reused across thousands of
 candidate queries), evaluate the legality schedules as vectorized affine
-maps over the witness environments, and compare source/target schedule
-keys with one row-wise lexicographic comparison.
+maps over the witness environments (memoized per pack and schedule list,
+so a candidate's schedule, parallel and vector queries share one
+evaluation), and compare source/target schedule keys with one row-wise
+lexicographic comparison.
 """
 
 from __future__ import annotations
 
-import threading
 import zlib
-from collections import OrderedDict
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..ir.affine import affine_column
+from ..ir.domain import Domain
 from ..ir.program import Program
 from ..ir.schedule import Schedule
+from ..memo import LRUCache
 
 KIND_RAW = "RAW"
 KIND_WAW = "WAW"
@@ -267,26 +276,6 @@ def collect_pairs(program: Program, params: Mapping[str, int],
 
     param_items = tuple(sorted(params.items()))
 
-    # lazy per-statement crc32 table over iterator-only instance reprs:
-    # the witness-rotation slot depends only on the target instance, so
-    # one crc per enumerated point serves every overflowing bucket
-    crc_tables: Dict[int, np.ndarray] = {}
-
-    def crc_table(si: int) -> np.ndarray:
-        table = crc_tables.get(si)
-        if table is None:
-            meta = metas[si]
-            pts = batch.points[si]
-            rows = (pts[:, meta.order].tolist() if pts.shape[1]
-                    else [[]] * len(pts))
-            template = meta.slot_template
-            table = np.fromiter(
-                (zlib.crc32((template % tuple(row)).encode())
-                 for row in rows),
-                dtype=np.int64, count=len(rows))
-            crc_tables[si] = table
-        return table
-
     def emit(pairs_out, kind, src_ev, tgt_ev, phase, sub):
         """Replay one kind's ``add`` stream bucket by bucket.
 
@@ -322,15 +311,17 @@ def collect_pairs(program: Program, params: Mapping[str, int],
             _merge_distances(program, distance_sets, kind, key,
                              ssi, tsi, src_pts, tgt_pts)
             # bounded-witness replay: the first _MAX_WITNESSES records
-            # append; later ones overwrite their crc slot, so only the
-            # last record per slot needs materializing
+            # append; later ones overwrite their crc slot, so each slot
+            # keeps the last record mapped to it — the first occurrence
+            # in the reversed slot vector
             k = b - a
             chosen = np.arange(min(k, max_witnesses))
             if k > max_witnesses and rotate:
-                slots = (crc_table(tsi)[tgt_rows[max_witnesses:]]
-                         % max_witnesses)
-                for j, slot in enumerate(slots.tolist()):
-                    chosen[slot] = max_witnesses + j
+                slots = _slot_table(tsi, program.statements[tsi].domain,
+                                    param_items, tmeta, batch.points[tsi],
+                                    max_witnesses)[tgt_rows[max_witnesses:]]
+                used, first_rev = np.unique(slots[::-1], return_index=True)
+                chosen[used] = k - 1 - first_rev
             sel_src = src_pts[chosen][:, smeta.order].tolist()
             sel_tgt = tgt_pts[chosen][:, tmeta.order].tolist()
             pairs_out[key] = [
@@ -352,6 +343,35 @@ def collect_pairs(program: Program, params: Mapping[str, int],
                               np.zeros(len(warc_src), dtype=np.int64)))
     emit(war_pairs, KIND_WAR, war_src, war_tgt, war_phase, war_sub)
     return out
+
+
+_SLOT_CACHE = LRUCache(512)
+
+
+def _slot_table(si: int, domain: Domain,
+                param_items: Tuple[Tuple[str, int], ...], meta: _StmtMeta,
+                points: np.ndarray, max_witnesses: int) -> np.ndarray:
+    """Witness-rotation slot of every enumerated point of one statement.
+
+    ``crc32(repr((si, iterator items))) % max_witnesses`` per row of
+    ``points`` (the statement's domain points in source order), memoized
+    on exactly what determines it: statement index, domain (which fixes
+    the iterator names and the point rows) and parameter binding.  The
+    schedule, and everything else about the program, is irrelevant.
+    """
+    key = (si, str(domain), param_items, max_witnesses)
+    table = _SLOT_CACHE.get(key)
+    if table is None:
+        rows = (points[:, meta.order].tolist() if points.shape[1]
+                else [[]] * len(points))
+        template = meta.slot_template
+        table = np.fromiter(
+            (zlib.crc32((template % tuple(row)).encode()) % max_witnesses
+             for row in rows),
+            dtype=np.int32, count=len(rows))
+        table.flags.writeable = False  # shared across programs/threads
+        _SLOT_CACHE.put(key, table)
+    return table
 
 
 def _merge_distances(program: Program, distance_sets: Dict, kind: str,
@@ -395,11 +415,28 @@ class _WitnessPack:
         self.groups = groups
         #: per dep: (src gid, src slice, tgt gid, tgt slice) or None
         self.per_dep = per_dep
+        #: evaluated schedule keys per (legality schedules, binding), so
+        #: one candidate's schedule, parallel and vector queries evaluate
+        #: each group once
+        self._keys = LRUCache(64)
+
+    def key_cache(self, schedules: Sequence[Schedule],
+                  params: Mapping[str, int]) -> Dict[int, np.ndarray]:
+        """The gid -> keys memo for one schedule list and binding.
+
+        Keyed by the identity of the (memoized, shared) legality schedule
+        list; the entry pins that list, so its id cannot be reused while
+        the entry lives.
+        """
+        memo_key = (id(schedules), tuple(sorted(params.items())))
+        hit = self._keys.get(memo_key)
+        if hit is None:
+            hit = (schedules, {})
+            self._keys.put(memo_key, hit)
+        return hit[1]
 
 
-_PACK_CACHE: "OrderedDict" = OrderedDict()
-_PACK_LOCK = threading.Lock()
-_PACK_CAPACITY = 256
+_PACK_CACHE = LRUCache(256)
 _HETEROGENEOUS = "heterogeneous"
 
 
@@ -452,19 +489,12 @@ def _witness_pack(deps: Sequence) -> Optional[_WitnessPack]:
     compiler pass, so the tuple-to-matrix conversion is paid once.
     """
     key = tuple(map(id, deps))
-    with _PACK_LOCK:
-        hit = _PACK_CACHE.get(key)
-        if hit is not None:
-            _PACK_CACHE.move_to_end(key)
-            return None if hit[1] is _HETEROGENEOUS else hit[1]
-    pack = _build_pack(deps)
-    with _PACK_LOCK:
-        _PACK_CACHE[key] = (tuple(deps),
-                            _HETEROGENEOUS if pack is None else pack)
-        _PACK_CACHE.move_to_end(key)
-        while len(_PACK_CACHE) > _PACK_CAPACITY:
-            _PACK_CACHE.popitem(last=False)
-    return pack
+    hit = _PACK_CACHE.get(key)
+    if hit is None:
+        pack = _build_pack(deps)
+        hit = (tuple(deps), _HETEROGENEOUS if pack is None else pack)
+        _PACK_CACHE.put(key, hit)
+    return None if hit[1] is _HETEROGENEOUS else hit[1]
 
 
 def _group_keys(pack: _WitnessPack, schedules: Sequence[Schedule],
@@ -501,7 +531,7 @@ def schedule_violations_batch(program: Program, deps: Sequence,
     if pack is None:
         return None
     name_to_idx = {s.name: i for i, s in enumerate(program.statements)}
-    key_cache: Dict[int, np.ndarray] = {}
+    key_cache = pack.key_cache(schedules, params)
     violated = []
     for dep, entry in zip(deps, pack.per_dep):
         if dep.source not in name_to_idx or dep.target not in name_to_idx:
@@ -528,7 +558,7 @@ def parallel_violations_batch(program: Program, deps: Sequence, dim: int,
     pack = _witness_pack(deps)
     if pack is None:
         return None
-    key_cache: Dict[int, np.ndarray] = {}
+    key_cache = pack.key_cache(schedules, params)
     violated = []
     for dep, entry in zip(deps, pack.per_dep):
         if entry is None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
+from ..memo import memoized_str
 from .affine import Affine, AffineLike, aff
 
 
@@ -139,6 +140,7 @@ class Domain:
     def rename(self, mapping: Mapping[str, str]) -> "Domain":
         return Domain(tuple(s.rename(mapping) for s in self.iters))
 
+    @memoized_str
     def __str__(self) -> str:
         return "{ " + " and ".join(str(s) for s in self.iters) + " }"
 

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Tuple, Union
 
+from ..memo import memoized_str
 from .affine import Affine
 
 _FUNCS: dict = {
@@ -270,6 +271,7 @@ class Assignment:
         return Assignment(self.lhs.rename_arrays(mapping), self.op,
                           self.rhs.rename_arrays(mapping))
 
+    @memoized_str
     def __str__(self) -> str:
         return f"{self.lhs} {self.op} {self.rhs};"
 

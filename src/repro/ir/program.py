@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from .affine import Affine, AffineLike, aff
 from .schedule import Schedule, align_schedules
@@ -128,21 +129,21 @@ class Program:
         return replace(self, name=name)
 
     # ------------------------------------------------------------------
-    # Identity
+    # Identity: three keys, each covering exactly what its consumers
+    # read, memoized on the instance (the class is frozen, so the content
+    # can never change) so each hash is paid once per program object.
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
-        """Stable content hash — the cache key for testing/cost results.
+        """Stable content hash over everything but name and provenance.
 
-        Memoized on the instance (the class is frozen, so the content can
-        never change): every cache keyed on a fingerprint — dependence
-        memoization, equivalence verdicts, the compiled-kernel cache,
-        branch-coverage registration — pays the hash once per program
-        object instead of once per lookup.
+        The key for whatever reads the ``omp parallel``/``simd`` marks or
+        the tags: equivalence verdicts and checkers (the race audit reads
+        the marks), cost estimates, the result store, the simulated LLM's
+        RNG seeds and branch-coverage registration.  Dependence analysis
+        and kernel compilation read neither, so their memos key on
+        :meth:`analysis_key` and :meth:`kernel_key` instead.
         """
-        cached = self.__dict__.get("_fingerprint")
-        if cached is not None:
-            return cached
-        text = "|".join([
+        return self._memo_key("_fingerprint", lambda: "|".join([
             ",".join(self.params),
             ";".join(str(a) + ":" + a.init for a in self.arrays),
             ";".join(str(s) for s in self.statements),
@@ -151,9 +152,44 @@ class Program:
             ",".join(map(str, sorted(self.parallel_dims))),
             ",".join(map(str, sorted(self.vector_dims))),
             ",".join(sorted(self.tags)),
-        ])
-        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-        object.__setattr__(self, "_fingerprint", digest)
+        ]))
+
+    def analysis_key(self) -> str:
+        """Hash of what dependence analysis reads: ``params`` plus each
+        statement's name, domain, schedule, guards and body.
+
+        ``compute_dependences``, the non-uniform profile and the legality
+        schedules read nothing else, so a candidate that differs from an
+        analyzed program only in its parallel/vector marks, tags, name,
+        provenance, scalars or outputs reuses that program's dependences.
+        """
+        return self._memo_key("_analysis_key", lambda: repr((
+            self.params,
+            tuple((s.name, str(s.domain), str(s.schedule),
+                   tuple(str(g) for g in s.guards), str(s.body))
+                  for s in self.statements))))
+
+    def kernel_key(self) -> str:
+        """Hash of what kernel compilation reads: the array declarations
+        plus each statement's name, domain, guards and body.
+
+        No schedule: generated statement kernels execute one instance (or
+        one batch) wherever the schedule puts it, so every schedule-only
+        candidate of a program shares its compiled kernels.  No marks or
+        tags, and no program name (the kernels take it at run time).
+        """
+        return self._memo_key("_kernel_key", lambda: repr((
+            tuple(str(a) for a in self.arrays),
+            tuple((s.name, str(s.domain),
+                   tuple(str(g) for g in s.guards), str(s.body))
+                  for s in self.statements))))
+
+    def _memo_key(self, slot: str, text: Callable[[], str]) -> str:
+        cached = self.__dict__.get(slot)
+        if cached is not None:
+            return cached
+        digest = hashlib.sha256(text().encode()).hexdigest()[:16]
+        object.__setattr__(self, slot, digest)
         return digest
 
     def __str__(self) -> str:

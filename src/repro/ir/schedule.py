@@ -21,6 +21,7 @@ from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..memo import memoized_str
 from .affine import Affine, aff, affine_column
 
 
@@ -162,6 +163,7 @@ class Schedule:
     def rename(self, mapping: Mapping[str, str]) -> "Schedule":
         return Schedule(tuple(d.rename(mapping) for d in self.dims))
 
+    @memoized_str
     def __str__(self) -> str:
         return "[" + ", ".join(str(d) for d in self.dims) + "]"
 

@@ -24,13 +24,13 @@ problem size, and validated against the trace-driven cache simulator in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.expr import Ref
 from ..ir.program import Program
 from ..ir.statement import Statement
+from ..memo import LRUCache
 from .loopview import LoopInfo, LoopView, build_view, estimate_guard_fraction
 from .model import DEFAULT_MACHINE, MachineModel
 
@@ -299,8 +299,7 @@ def estimate(program: Program, params: Mapping[str, int],
                         cycles=cycles, statements=tuple(costs))
 
 
-_ESTIMATE_CACHE: Dict[Tuple[str, Tuple[Tuple[str, int], ...], str, int],
-                      TimeEstimate] = {}
+_ESTIMATE_CACHE = LRUCache(16384)
 
 
 def estimate_cached(program: Program, params: Mapping[str, int],
@@ -311,7 +310,5 @@ def estimate_cached(program: Program, params: Mapping[str, int],
     hit = _ESTIMATE_CACHE.get(key)
     if hit is None:
         hit = estimate(program, params, machine)
-        if len(_ESTIMATE_CACHE) > 16384:
-            _ESTIMATE_CACHE.clear()
-        _ESTIMATE_CACHE[key] = hit
+        _ESTIMATE_CACHE.put(key, hit)
     return hit

@@ -3,7 +3,7 @@
 The reference interpreter re-walks each statement's guard, subscript and
 RHS expression trees once per instance.  This module lowers every
 statement to generated Python source, compiled once per program
-fingerprint and cached:
+:meth:`~repro.ir.program.Program.kernel_key` and cached:
 
 * a **scalar step** — one function per statement that executes a single
   instance with exactly the reference semantics: same guard/coverage
@@ -22,6 +22,15 @@ declaration (the reference's partial-indexing/IndexError behaviour is
 easier to reproduce one instance at a time), and unknown arrays or
 functions.  Such statements run on the scalar step instead; results stay
 identical either way.
+
+The kernel key covers the array declarations plus each statement's name,
+domain, guards and body — exactly what :func:`compile_statement` reads.
+It leaves out the schedule (a kernel runs one instance, or one batch of
+instances, wherever the schedule puts it), the parallel/vector marks and
+tags (they carry no semantics) and the program name (the kernels take it
+as a run-time argument for their error messages).  So every
+schedule-only or pragma-only candidate of a program runs on the kernels
+compiled for the first one.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ from ..ir.affine import Affine
 from ..ir.expr import (Assignment, Bin, Call, Const, Expr, IterExpr, Neg,
                        Ref, Scalar, _FUNCS)
 from ..ir.program import Program
+from ..memo import LRUCache
 from .instances import affine_column
 from .interpreter import RuntimeExecutionError, _check_bounds
 
@@ -168,7 +178,7 @@ class CompiledStatement:
 
 @dataclass
 class CompiledProgram:
-    fingerprint: str
+    key: str
     statements: Tuple[CompiledStatement, ...]
 
 
@@ -286,19 +296,17 @@ def compile_statement(program: Program, stmt) -> CompiledStatement:
     )
 
 
-_COMPILE_CACHE: Dict[str, CompiledProgram] = {}
+_COMPILE_CACHE = LRUCache(2048)
 
 
 def compile_program(program: Program) -> CompiledProgram:
-    """Memoized lowering of a program (keyed by content fingerprint)."""
-    key = program.fingerprint()
+    """Memoized lowering of a program (keyed by its kernel key)."""
+    key = program.kernel_key()
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
         cached = CompiledProgram(
-            fingerprint=key,
+            key=key,
             statements=tuple(compile_statement(program, stmt)
                              for stmt in program.statements))
-        if len(_COMPILE_CACHE) > 2048:
-            _COMPILE_CACHE.clear()
-        _COMPILE_CACHE[key] = cached
+        _COMPILE_CACHE.put(key, cached)
     return cached

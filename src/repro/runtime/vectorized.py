@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from ..ir.program import Program
+from ..memo import LRUCache
 from .compile import CompiledStatement, compile_program
 from .data import Storage
 from .instances import InstanceBatch, affine_column, sorted_instances
@@ -187,12 +188,36 @@ def _record_pending(state: _StatementState, coverage, a: int, b: int,
         state.pending.discard(key)
 
 
+#: instance batches of recently executed programs, keyed like the
+#: dependence memo (the enumeration reads the domains, schedules and
+#: binding, never the input data): the differential tester runs each
+#: candidate, and each ground truth, over several inputs at one binding.
+#: Batches above ``_BATCH_MEMO_LIMIT`` instances are not held, so large
+#: runs pin no memory (results are identical either way).
+_BATCH_CACHE = LRUCache(16)
+_BATCH_MEMO_LIMIT = 1 << 16
+
+
+def _instance_batch(program: Program, params: Mapping[str, int],
+                    budget: int,
+                    exceeded: Callable[[int], Exception]) -> InstanceBatch:
+    key = (program.analysis_key(), tuple(sorted(params.items())), budget)
+    batch = _BATCH_CACHE.get(key)
+    if batch is None:
+        batch = sorted_instances(program, params, budget, exceeded)
+        if len(batch) <= _BATCH_MEMO_LIMIT:
+            for arr in (batch.si, batch.row, batch.keys) + batch.points:
+                arr.flags.writeable = False  # shared across executions
+            _BATCH_CACHE.put(key, batch)
+    return batch
+
+
 def execute_vectorized(program: Program, params: Mapping[str, int],
                        storage: Storage, coverage,
                        budget: int,
                        exceeded: Callable[[int], Exception]) -> int:
     """Run ``program`` on ``storage`` in blocks; returns executed count."""
-    batch = sorted_instances(program, params, budget, exceeded)
+    batch = _instance_batch(program, params, budget, exceeded)
     comp = compile_program(program)
     scalars = program.scalar_values()
     shapes = {name: arr.shape for name, arr in storage.items()}

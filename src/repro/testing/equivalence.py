@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from ..ir.program import Program
+from ..memo import LRUCache
 from ..runtime.data import Storage, checksum, clone_storage
 from ..runtime.interpreter import (BranchCoverage, BudgetExceededError,
                                    RuntimeExecutionError, execute)
@@ -220,8 +221,7 @@ class EquivalenceChecker:
         return True
 
 
-_CHECKER_CACHE: Dict[Tuple[str, Tuple[Tuple[str, int], ...]],
-                     EquivalenceChecker] = {}
+_CHECKER_CACHE = LRUCache(512)
 
 
 def checker_for(original: Program, params: Mapping[str, int],
@@ -231,7 +231,5 @@ def checker_for(original: Program, params: Mapping[str, int],
     checker = _CHECKER_CACHE.get(key)
     if checker is None:
         checker = EquivalenceChecker(original, params, seed=seed)
-        if len(_CHECKER_CACHE) > 512:
-            _CHECKER_CACHE.clear()
-        _CHECKER_CACHE[key] = checker
+        _CHECKER_CACHE.put(key, checker)
     return checker

@@ -106,6 +106,10 @@ class TestCanonicalKernels:
                 ref, vec = both_engines(
                     lambda: schedule_violations(candidate, deps))
                 assert [id(d) for d in ref] == [id(d) for d in vec]
+                # the candidate's own analysis, after the source's: the
+                # vectorized engine now replays witnesses from the slot
+                # tables the source's pass memoized
+                assert_dependences_identical(candidate)
 
     def test_witness_overflow_rotation_identical(self, gemm):
         """gemm's reduction class overflows the witness bound; the crc
