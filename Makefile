@@ -62,9 +62,9 @@ bench:
 	$(PYTHON) -m repro bench --suite all --system looprag-deepseek \
 	    --system pluto --jobs $(JOBS)
 
+# the end-to-end request benchmark with per-layer traced attribution
 perf:
-	$(PYTHON) -m repro perf --json BENCH_interpreter.json
-	$(PYTHON) -m repro perf --target analysis --json BENCH_analysis.json
+	$(PYTHON) perfbench/run.py --workload tsvc-looprag --seed 1 --trace 1
 
 clean-cache:
 	rm -rf .repro_cache

@@ -12,10 +12,11 @@ import warnings
 
 warnings.filterwarnings("ignore")
 
+from repro.api import OptimizationRequest, OptimizerSession
 from repro.compilers import GCC
 from repro.ir import parse_scop
 from repro.llm import GPT_4O, SimulatedLLM
-from repro.pipeline import BaseLLMOptimizer, FeedbackPipeline, LoopRAG
+from repro.pipeline import FeedbackPipeline
 from repro.retrieval import Retriever
 from repro.synthesis import cached_dataset
 
@@ -42,35 +43,35 @@ CORPUS_SIZE = int(os.environ.get("REPRO_EXAMPLE_SIZE", "300"))
 
 def main() -> None:
     target = parse_scop(SOURCE)
-    dataset = cached_dataset(size=CORPUS_SIZE, seed=0)
-    retriever = Retriever(dataset)
+    retriever = Retriever(cached_dataset(size=CORPUS_SIZE, seed=0))
 
-    rows = []
+    def optimize(session, system):
+        request = OptimizationRequest.make(target, PERF, TEST,
+                                           system=system, persona=GPT_4O)
+        return session.optimize(request, use_store=False).pipeline_result
 
-    base = BaseLLMOptimizer(GPT_4O, seed=3)
-    out = base.optimize(target, PERF, TEST)
-    rows.append(("bare LLM (no demos, no feedback)", out))
-
+    rows = [("bare LLM (no demos, no feedback)",
+             optimize(OptimizerSession(seed=3, use_store=False),
+                      "basellm"))]
     for label, method in (("LOOPRAG, BM25 retrieval", "bm25"),
                           ("LOOPRAG, loop-aware retrieval", "loop-aware")):
-        system = LoopRAG(dataset, GPT_4O, retrieval_method=method,
-                         seed=3, retriever=retriever)
-        rows.append((label, system.optimize(target, PERF, TEST)))
+        session = OptimizerSession(retriever=retriever,
+                                   retrieval_method=method, seed=3)
+        rows.append((label, optimize(session, "looprag")))
 
     no_feedback = FeedbackPipeline(
         retriever=retriever,
         llm_factory=lambda: SimulatedLLM(GPT_4O, 3),
         base_compiler=GCC, use_feedback=False, seed=3)
-    from repro.pipeline.looprag import OptimizeOutcome
     rows.append(("LOOPRAG without feedback rounds",
-                 OptimizeOutcome(no_feedback.run(target, PERF, TEST))))
+                 no_feedback.run(target, PERF, TEST)))
 
     print(f"{'configuration':36s} {'pass':>5s} {'speedup':>9s}  recipe")
-    for label, outcome in rows:
-        recipe = (outcome.best_recipe.describe()[:60]
-                  if outcome.best_recipe else "<none>")
-        print(f"{label:36s} {str(outcome.passed):>5s} "
-              f"{outcome.speedup:8.2f}x  {recipe}")
+    for label, result in rows:
+        recipe = (result.best.response.applied.describe()[:60]
+                  if result.best else "<none>")
+        print(f"{label:36s} {str(result.passed):>5s} "
+              f"{result.speedup:8.2f}x  {recipe}")
 
 
 if __name__ == "__main__":

@@ -210,7 +210,9 @@ def phase2_journal_recovery():
     cache = tempfile.mkdtemp(prefix="repro-chaos-journal-")
     env = base_env(REPRO_CACHE_DIR=cache,
                    REPRO_FAULTS="llm.generate:delay:seconds=0.5:always")
-    body = {"request": {"source": KERNEL}, "use_store": False,
+    # no "use_store": false here: such requests bypass the journal's
+    # short-circuit, and the resubmission below must take it
+    body = {"request": {"source": KERNEL},
             "session": {"llm_backend": "faulty"}}
     try:
         step("phase 2: booting journaling daemon with slow backend")

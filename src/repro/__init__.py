@@ -13,7 +13,7 @@ Public API tour:
 * ``repro.retrieval``     — BM25 + LAScore demonstration retrieval
 * ``repro.llm``           — Appendix-E prompts + simulated LLM personas
 * ``repro.testing``       — mutation + coverage + differential testing
-* ``repro.pipeline``      — the four-step feedback loop (+ old facades)
+* ``repro.pipeline``      — the four-step feedback loop
 * ``repro.api``           — the service API: sessions, registries, events
 * ``repro.suites``        — PolyBench (30) / TSVC (84) / LORE (49)
 * ``repro.evaluation``    — every table and figure of the paper
@@ -33,9 +33,6 @@ Batches reuse the session's corpus/retriever/caches and fan out across
 workers (bit-identical to serial)::
 
     results = session.optimize_many(requests, jobs=4)
-
-``LoopRAG`` / ``BaseLLMOptimizer`` remain as deprecated shims with
-byte-identical outputs.
 """
 
 from .ir import parse_scop
@@ -46,15 +43,12 @@ __version__ = "1.1.0"
 
 
 def __getattr__(name):
-    # the service API and the deprecated facades import lazily, keeping
-    # ``import repro`` light and cycle-free
+    # the service API imports lazily, keeping ``import repro`` light
+    # and cycle-free
     if name in ("OptimizerSession", "OptimizationRequest",
                 "OptimizationResult"):
         from . import api
         return getattr(api, name)
-    if name in ("LoopRAG", "BaseLLMOptimizer"):
-        from . import pipeline
-        return getattr(pipeline, name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
@@ -62,7 +56,6 @@ __all__ = [
     "parse_scop",
     "DEEPSEEK_V3", "GPT_4O", "PERSONAS",
     "OptimizerSession", "OptimizationRequest", "OptimizationResult",
-    "BaseLLMOptimizer", "LoopRAG",
     "build_dataset", "cached_dataset",
     "__version__",
 ]

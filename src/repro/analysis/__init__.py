@@ -8,8 +8,6 @@ from .dependences import (Dependence, KIND_RAW, KIND_WAR, KIND_WAW,
 from .properties import (FIG9_PROPERTIES, LoopProperties,
                          cluster_distribution, distribution_spread,
                          extract_properties, property_cluster)
-from .symbolic import (SymbolicDependence, symbolic_dependences,
-                       uniform_coverage)
 
 __all__ = [
     "Dependence", "KIND_RAW", "KIND_WAR", "KIND_WAW",
@@ -19,5 +17,4 @@ __all__ = [
     "schedule_violations",
     "FIG9_PROPERTIES", "LoopProperties", "cluster_distribution",
     "distribution_spread", "extract_properties", "property_cluster",
-    "SymbolicDependence", "symbolic_dependences", "uniform_coverage",
 ]

@@ -97,9 +97,9 @@ def analysis_engine_name() -> str:
 def analysis_override(engine: Optional[str]):
     """Temporarily select an analysis engine (``None`` = leave as-is).
 
-    The single save/restore point for ``REPRO_ANALYSIS`` — ``repro perf
-    --target analysis`` and the analysis-equivalence tests flip engines
-    through this instead of hand-rolling environment handling.
+    The single save/restore point for ``REPRO_ANALYSIS`` — the
+    analysis-equivalence tests flip engines through this instead of
+    hand-rolling environment handling.
     """
     before = os.environ.get("REPRO_ANALYSIS")
     if engine is not None:

@@ -18,10 +18,9 @@ compilation / testing, round transitions, cache hits.  Subscribe with
 fact; ``repro optimize --json`` and ``repro serve-batch`` expose the
 same records on the command line.
 
-The old facades (``repro.pipeline.LoopRAG``, ``BaseLLMOptimizer``) and
-suite runners (``run_looprag`` / ``run_base_llm`` / ``run_compiler``)
-remain as thin deprecated shims over this API with byte-identical
-outputs; see docs/architecture.md for the migration map.
+Whole suites run through :mod:`repro.evaluation.harness`: build a
+:class:`~repro.evaluation.harness.RunPlan` and call ``results_for`` /
+``run_plans``, which drive one session per plan.
 """
 
 from .events import EventBus, EventLog, SessionEvent

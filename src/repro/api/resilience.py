@@ -358,7 +358,7 @@ def install_resilient_optimizer(name: str,
     """Register (idempotently) and return ``resilient:<name>``.
 
     The wrapper declares the inner optimizer's base compiler so
-    :meth:`OptimizerSession._run_compiler` resolves it exactly as it
+    :meth:`OptimizerSession._compiler_baseline` resolves it exactly as it
     would the unwrapped name.
     """
     from ..compilers import OPTIMIZER_BASE

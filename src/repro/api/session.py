@@ -588,7 +588,7 @@ class OptimizerSession:
                        else None)
         log.emit("request", **request.echo())
         if request.system == "compiler":
-            return self._run_compiler(request, log)
+            return self._compiler_baseline(request, log)
         pipeline = self.pipeline_for(request.system, request.persona,
                                      request.effective_time_limit())
         pr = pipeline.run(request.program, request.perf(), request.test(),
@@ -612,8 +612,8 @@ class OptimizerSession:
             events=log.events(),
             pipeline_result=pr)
 
-    def _run_compiler(self, request: OptimizationRequest,
-                      log: EventLog) -> OptimizationResult:
+    def _compiler_baseline(self, request: OptimizationRequest,
+                           log: EventLog) -> OptimizationResult:
         """One optimizing-compiler baseline; mirrors the harness exactly."""
         name = request.optimizer
         if name is None:

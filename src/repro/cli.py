@@ -14,9 +14,6 @@ serve-batch SPEC  serve a JSON batch of requests through one
 compilers FILE    run every baseline compiler on a SCoP source file
 experiment ID     regenerate one table/figure (tab1..tab7, fig1..fig14)
 bench             run systems over suites (parallel, store-backed)
-perf              engine micro-benchmarks (vectorized vs reference):
-                  --target interpreter (execution) or analysis
-                  (dependences + legality queries)
 store stats       per-stream artifact-store shape (entries, waste)
 store compact     reclaim superseded/tombstoned/corrupt store records
 suites            list the benchmark suites and their kernels
@@ -339,271 +336,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return daemon.run_forever()
 
 
-def _perf_candidates(program):
-    """Deterministic candidate schedules for legality-query benchmarks.
-
-    Interchange/tile/skew over the low schedule columns — the same
-    rewrites personas and compiler passes probe — deduplicated by
-    fingerprint.  Transform construction is engine-independent, so both
-    engines answer the exact same queries.
-    """
-    import itertools
-
-    from .transforms import interchange, skew, tile
-
-    candidates = []
-    seen = set()
-    for col_a, col_b in itertools.combinations((1, 3, 5), 2):
-        for make in (lambda p: interchange(p, col_a, col_b),
-                     lambda p: tile(p, [col_a], 2),
-                     lambda p: skew(p, target_col=col_a,
-                                    source_col=col_b, factor=1)):
-            try:
-                candidate = make(program)
-            except Exception:
-                continue
-            if candidate.fingerprint() not in seen:
-                seen.add(candidate.fingerprint())
-                candidates.append(candidate)
-    return candidates
-
-
-def cmd_perf_analysis(args: argparse.Namespace) -> int:
-    """Micro-benchmark the dependence/legality engines over a suite.
-
-    Per kernel and per ``REPRO_ANALYSIS`` engine: time the (uncached)
-    dependence computation and a sweep of legality + parallelism
-    queries over deterministic candidate schedules, then check the
-    engines agreed on every dependence (witness for witness) and every
-    verdict.
-    """
-    import json
-    import time
-
-    from .analysis.dependences import (analysis_override,
-                                       compute_dependences,
-                                       parallel_violations,
-                                       schedule_violations)
-    from .suites import SUITES
-
-    if args.param is not None:
-        raise SystemExit(
-            "--param only applies to --target interpreter; the analysis "
-            "engines concretize at their fixed witness sizes")
-    suite = SUITES[args.suite]()
-    benchmarks = list(suite)
-    if args.limit is not None:
-        benchmarks = benchmarks[:args.limit]
-    laps = max(1, args.repeat) + 1  # lap 0 warms caches, records results
-
-    def measure_deps(program, engine):
-        with analysis_override(engine):
-            best = float("inf")
-            deps = None
-            for lap in range(laps):
-                t0 = time.perf_counter()
-                try:
-                    result = compute_dependences(program)
-                except Exception as exc:
-                    return 0.0, None, ("error", type(exc).__name__,
-                                       str(exc))
-                elapsed = time.perf_counter() - t0
-                if lap == 0:
-                    deps = result
-                else:
-                    best = min(best, elapsed)
-        return best, deps, ("ok",)
-
-    def measure_legality(program, candidates, deps, engine):
-        dims = range(program.schedule_width)
-        position = {id(dep): i for i, dep in enumerate(deps)}
-        with analysis_override(engine):
-            best = float("inf")
-            verdicts = None
-            for lap in range(laps):
-                t0 = time.perf_counter()
-                observed = []
-                for candidate in candidates:
-                    observed.append(tuple(
-                        position[id(d)]
-                        for d in schedule_violations(candidate, deps)))
-                for dim in dims:
-                    observed.append(tuple(
-                        position[id(d)]
-                        for d in parallel_violations(program, deps, dim)))
-                elapsed = time.perf_counter() - t0
-                if lap == 0:
-                    verdicts = tuple(observed)
-                else:
-                    best = min(best, elapsed)
-        return best, verdicts
-
-    rows = []
-    total_ref = total_vec = 0.0
-    identical = True
-    for bench in benchmarks:
-        program = bench.program
-        candidates = _perf_candidates(program)
-        queries = len(candidates) + program.schedule_width
-        ref_dep_s, ref_deps, ref_obs = measure_deps(program, "reference")
-        vec_dep_s, vec_deps, vec_obs = measure_deps(program, "vectorized")
-        failed = "error" in (ref_obs[0], vec_obs[0])
-        match = ref_obs == vec_obs and ref_deps == vec_deps
-        ref_leg_s = vec_leg_s = 0.0
-        if not failed:
-            ref_leg_s, ref_verdicts = measure_legality(
-                program, candidates, ref_deps, "reference")
-            vec_leg_s, vec_verdicts = measure_legality(
-                program, candidates, vec_deps, "vectorized")
-            match &= ref_verdicts == vec_verdicts
-        identical &= match
-        ref_s = ref_dep_s + ref_leg_s
-        vec_s = vec_dep_s + vec_leg_s
-        total_ref += ref_s
-        total_vec += vec_s
-        if not failed:
-            error = None
-        elif ref_obs == vec_obs:  # both engines raised identically
-            error = ref_obs[1]
-        else:  # one-sided failure: name the engine and the exception
-            error = (f"ref={ref_obs[1] if ref_obs[0] == 'error' else 'ok'} "
-                     f"vec={vec_obs[1] if vec_obs[0] == 'error' else 'ok'}")
-        rows.append({
-            "kernel": bench.name,
-            "deps": 0 if failed else len(ref_deps),
-            "queries": 0 if failed else queries,
-            "reference_dep_ms": round(ref_dep_s * 1000, 3),
-            "vectorized_dep_ms": round(vec_dep_s * 1000, 3),
-            "reference_legality_ms": round(ref_leg_s * 1000, 3),
-            "vectorized_legality_ms": round(vec_leg_s * 1000, 3),
-            "speedup": round(ref_s / vec_s, 2) if vec_s > 0 else 0.0,
-            "identical": match,
-            "error": error,
-        })
-
-    report = {
-        "suite": args.suite,
-        "target": "analysis",
-        "repeat": args.repeat,
-        "kernels": rows,
-        "total_reference_s": round(total_ref, 4),
-        "total_vectorized_s": round(total_vec, 4),
-        "aggregate_speedup": (round(total_ref / total_vec, 2)
-                              if total_vec > 0 else 0.0),
-        "bit_identical": identical,
-    }
-    from .evaluation.reporting import render_analysis_perf
-
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_analysis_perf(report))
-    return 0 if identical else 1
-
-
-def cmd_perf(args: argparse.Namespace) -> int:
-    """Micro-benchmark the execution engines over a suite.
-
-    Every kernel runs under both ``REPRO_ENGINE`` settings at a uniform
-    parameter binding; the report records per-kernel wall times (best of
-    ``--repeat``), the aggregate speedup, and whether results stayed
-    bit-identical (checksum + executed-instance count).
-    """
-    import json
-    import time
-
-    if args.target == "analysis":
-        return cmd_perf_analysis(args)
-    if args.param is None:
-        args.param = 20
-
-    from .runtime import (allocate, checksum, clone_storage,
-                          engine_override, execute)
-    from .suites import SUITES
-
-    suite = SUITES[args.suite]()
-    benchmarks = list(suite)
-    if args.limit is not None:
-        benchmarks = benchmarks[:args.limit]
-
-    def measure(program, params, engine):
-        """(best seconds, observed result) — errors become the result.
-
-        A kernel that exceeds the budget (or fails at runtime) reports
-        its exception class as the observation, so both engines raising
-        the same error still count as identical instead of killing the
-        whole run with a traceback.
-        """
-        with engine_override(engine):
-            pristine = allocate(program, params)
-            best = float("inf")
-            result = None
-            for _ in range(max(1, args.repeat) + 1):  # lap 0 warms caches
-                storage = clone_storage(pristine)
-                t0 = time.perf_counter()
-                try:
-                    instances = execute(program, params, storage,
-                                        budget=args.budget)
-                except Exception as exc:
-                    return 0.0, ("error", type(exc).__name__)
-                elapsed = time.perf_counter() - t0
-                if result is None:  # warmup lap: record result, not time
-                    result = (checksum(storage, program.outputs),
-                              instances)
-                    continue
-                best = min(best, elapsed)
-        return best, result
-
-    rows = []
-    total_ref = total_vec = 0.0
-    identical = True
-    for bench in benchmarks:
-        params = {name: args.param for name in bench.program.params}
-        ref_s, ref_out = measure(bench.program, params, "reference")
-        vec_s, vec_out = measure(bench.program, params, "vectorized")
-        match = ref_out == vec_out
-        identical &= match
-        failed = ref_out[0] == "error"
-        total_ref += ref_s
-        total_vec += vec_s
-        rows.append({
-            "kernel": bench.name,
-            "instances": 0 if failed else ref_out[1],
-            "reference_ms": round(ref_s * 1000, 3),
-            "vectorized_ms": round(vec_s * 1000, 3),
-            "speedup": round(ref_s / vec_s, 2) if vec_s > 0 else 0.0,
-            "identical": match,
-            "error": ref_out[1] if failed else None,
-        })
-
-    report = {
-        "suite": args.suite,
-        "param": args.param,
-        "repeat": args.repeat,
-        "kernels": rows,
-        "total_reference_s": round(total_ref, 4),
-        "total_vectorized_s": round(total_vec, 4),
-        "aggregate_speedup": (round(total_ref / total_vec, 2)
-                              if total_vec > 0 else 0.0),
-        "bit_identical": identical,
-    }
-    from .evaluation.reporting import render_perf
-
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=False)
-            handle.write("\n")
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_perf(report))
-    return 0 if identical else 1
-
-
 def _store_for_maintenance(args: argparse.Namespace):
     """The ResultStore targeted by ``repro store`` subcommands.
 
@@ -749,8 +481,8 @@ def _render_verify(report, indent: str = "") -> None:
     for stream in report.streams:
         status = "ok" if stream.clean else "DAMAGED"
         print(f"{indent}{stream.stream:12s} {status:8s} "
-              f"{stream.records} records ({stream.live} live, "
-              f"{stream.legacy} legacy), {stream.corrupt} corrupt, "
+              f"{stream.records} records ({stream.live} live), "
+              f"{stream.corrupt} corrupt, "
               f"{stream.torn} torn, {stream.mismatched} mismatched")
         for issue in stream.issues:
             print(f"{indent}  ! {issue.render()}")
@@ -951,35 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stream session events to stderr as they "
                           "happen")
     ser.set_defaults(func=cmd_serve_batch)
-
-    per = sub.add_parser(
-        "perf", help="engine micro-benchmarks (vectorized vs reference)")
-    per.add_argument("--target", default="interpreter",
-                     choices=("interpreter", "analysis"),
-                     help="what to benchmark: SCoP execution "
-                          "(interpreter) or dependence analysis + "
-                          "legality queries (analysis)")
-    per.add_argument("--suite", default="polybench",
-                     choices=BENCH_SUITES,
-                     help="suite to time (default: polybench)")
-    per.add_argument("--param", type=int, default=None,
-                     help="uniform parameter binding for the interpreter "
-                          "target (default: 20; rejected for --target "
-                          "analysis, which concretizes at the fixed "
-                          "witness sizes)")
-    per.add_argument("--repeat", type=int, default=3,
-                     help="timed laps per engine, best-of (default: 3)")
-    per.add_argument("--budget", type=int, default=2_000_000,
-                     help="instance budget per run")
-    per.add_argument("--limit", type=int, metavar="N",
-                     help="only the first N kernels")
-    per.add_argument("--json", metavar="FILE",
-                     help="write the JSON report to FILE (e.g. "
-                          "BENCH_interpreter.json / BENCH_analysis.json)")
-    per.add_argument("--format", default="table",
-                     choices=("table", "json"),
-                     help="stdout format (default: table)")
-    per.set_defaults(func=cmd_perf)
 
     sto = sub.add_parser(
         "store", help="artifact-store maintenance "

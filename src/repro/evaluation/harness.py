@@ -14,12 +14,11 @@ Execution is organized around :class:`RunPlan` — one (system, suite)
 description — and the generic driver :func:`run_plans`, which consults
 store → pool → store.  Each plan's benchmarks run through a
 :class:`repro.api.OptimizerSession` (one per plan, request-level store
-off — the plan-level store is authoritative here).  ``run_looprag`` /
-``run_base_llm`` / ``run_compiler`` are deprecated shims; use
-:func:`results_for` with a plan, or the session API directly.  Cache
-misses fan out per-benchmark across a :mod:`repro.evaluation.parallel`
-pool; each pipeline run seeds its RNG from ``(seed, program
-fingerprint)``, so parallel results are bit-identical to serial ones.
+off — the plan-level store is authoritative here); :func:`results_for`
+runs one plan.  Cache misses fan out per-benchmark across a
+:mod:`repro.evaluation.parallel` pool; each pipeline run seeds its RNG
+from ``(seed, program fingerprint)``, so parallel results are
+bit-identical to serial ones.
 
 Environment switches: ``REPRO_SUITE_LIMIT=<n>`` subsamples suites for
 quick iteration (benches run the full suites); ``REPRO_JOBS=<n>`` sets
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -393,70 +391,26 @@ def run_plans(plans: Sequence[RunPlan], jobs: Optional[int] = None,
 
 def results_for(plan: RunPlan, jobs: Optional[int] = None
                 ) -> List[BenchResult]:
-    """Results of one plan (store-backed; the non-deprecated spelling)."""
+    """Results of one plan (store-backed)."""
     return run_plans([plan], jobs=jobs)[0]
-
-
-_run_system = results_for  # old private alias
-
-
-# ----------------------------------------------------------------------
-# the three run_* entry points (deprecated shims over the session API)
-# ----------------------------------------------------------------------
-def _deprecated_runner(old: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; build a RunPlan and use run_plans / "
-        f"OptimizerSession.run_plans (see docs/architecture.md, "
-        f"'Service API')", DeprecationWarning, stacklevel=3)
-
-
-def run_looprag(suite_name: str, persona: Persona, base: str = "gcc",
-                retrieval_method: str = "loop-aware",
-                generator: str = "looprag",
-                dataset_size: int = DEFAULT_DATASET_SIZE,
-                seed: int = DEFAULT_SEED) -> List[BenchResult]:
-    """Run the full LOOPRAG pipeline over one suite (deprecated shim)."""
-    _deprecated_runner("run_looprag")
-    return results_for(looprag_plan(
-        suite_name, persona, base, retrieval_method, generator,
-        dataset_size, seed))
-
-
-def run_base_llm(suite_name: str, persona: Persona, base: str = "gcc",
-                 seed: int = DEFAULT_SEED) -> List[BenchResult]:
-    """Run the bare-LLM baseline over one suite (deprecated shim)."""
-    _deprecated_runner("run_base_llm")
-    return results_for(base_llm_plan(suite_name, persona, base, seed))
-
-
-def run_compiler(suite_name: str, optimizer_name: str,
-                 time_limit: float = BASELINE_TIME_LIMIT
-                 ) -> List[BenchResult]:
-    """Run one optimizing compiler over one suite (deprecated shim)."""
-    _deprecated_runner("run_compiler")
-    return results_for(compiler_plan(suite_name, optimizer_name,
-                                     time_limit))
 
 
 def evaluate_suite(optimize: Callable, suite_name: str,
                    system_label: str) -> List[BenchResult]:
     """Run an ad-hoc per-benchmark callable over a suite.
 
-    ``optimize`` may return an :class:`OptimizationResult` (session
-    API) or a legacy ``OptimizeOutcome``.  Uncached — for one-off
-    configurations (the ablations) that don't correspond to a stable
-    :class:`RunPlan`.
+    ``optimize`` returns an :class:`OptimizationResult`.  Uncached — for
+    one-off configurations (the ablations) that don't correspond to a
+    stable :class:`RunPlan`.
     """
     results = []
     for bench in _plan_suite(suite_name):
         outcome = optimize(bench)
-        stages = (outcome if hasattr(outcome, "stage_pass")
-                  else outcome.result)
         results.append(BenchResult(
             suite=suite_name, benchmark=bench.name, system=system_label,
             passed=outcome.passed, speedup=outcome.speedup,
-            stage_pass=stages.stage_pass,
-            stage_speedup=stages.stage_speedup))
+            stage_pass=outcome.stage_pass,
+            stage_speedup=outcome.stage_speedup))
     return results
 
 

@@ -86,56 +86,3 @@ def render_bench(report: dict) -> str:
         columns=("system", "suite", "n", "pass_at_k", "avg_speedup"),
         rows=tuple(rows))
     return render_table(table)
-
-
-# ----------------------------------------------------------------------
-# `repro perf` reports
-# ----------------------------------------------------------------------
-def render_perf(report: dict) -> str:
-    """Aligned text summary of an engine micro-benchmark report."""
-    def status(row) -> str:
-        if not row["identical"]:
-            return "DIFF!"
-        return row.get("error") or "="
-
-    rows: List[Tuple] = [
-        (row["kernel"], row["instances"], row["reference_ms"],
-         row["vectorized_ms"], row["speedup"], status(row))
-        for row in report["kernels"]]
-    table = ExperimentResult(
-        experiment="perf",
-        title=f"repro perf ({report['suite']}, param={report['param']})",
-        columns=("kernel", "instances", "reference_ms", "vectorized_ms",
-                 "speedup", "identical"),
-        rows=tuple(rows),
-        notes=(f"total {report['total_reference_s']:.2f}s -> "
-               f"{report['total_vectorized_s']:.2f}s, aggregate "
-               f"{report['aggregate_speedup']:.1f}x, bit-identical: "
-               f"{report['bit_identical']}",))
-    return render_table(table)
-
-
-def render_analysis_perf(report: dict) -> str:
-    """Aligned text summary of an analysis-engine micro-benchmark."""
-    def status(row) -> str:
-        if not row["identical"]:
-            return "DIFF!"
-        return row.get("error") or "="
-
-    rows: List[Tuple] = [
-        (row["kernel"], row["deps"], row["queries"],
-         row["reference_dep_ms"], row["vectorized_dep_ms"],
-         row["reference_legality_ms"], row["vectorized_legality_ms"],
-         row["speedup"], status(row))
-        for row in report["kernels"]]
-    table = ExperimentResult(
-        experiment="perf-analysis",
-        title=f"repro perf --target analysis ({report['suite']})",
-        columns=("kernel", "deps", "queries", "ref_dep_ms", "vec_dep_ms",
-                 "ref_leg_ms", "vec_leg_ms", "speedup", "identical"),
-        rows=tuple(rows),
-        notes=(f"total {report['total_reference_s']:.2f}s -> "
-               f"{report['total_vectorized_s']:.2f}s, aggregate "
-               f"{report['aggregate_speedup']:.1f}x, bit-identical: "
-               f"{report['bit_identical']}",))
-    return render_table(table)

@@ -136,8 +136,8 @@ def engine_name() -> str:
 def engine_override(engine: Optional[str]):
     """Temporarily select an execution engine (``None`` = leave as-is).
 
-    The single save/restore point for ``REPRO_ENGINE`` — ``repro perf``
-    and the engine-equivalence tests flip engines through this instead of
+    The single save/restore point for ``REPRO_ENGINE`` — the
+    engine-equivalence tests flip engines through this instead of
     hand-rolling environment handling.
     """
     before = os.environ.get("REPRO_ENGINE")

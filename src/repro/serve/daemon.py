@@ -318,7 +318,10 @@ class ServeDaemon:
         signature = request_signature(body)
         stream = bool(body.get("stream"))
         include_events = bool(body.get("include_events", True))
-        if self.journal is not None and not stream:
+        # use_store: false bypasses every memo, the journal included;
+        # the request is still journaled below
+        if (self.journal is not None and not stream
+                and body.get("use_store") is not False):
             hit = self.journal.result(signature)
             if hit is not None:
                 self.metrics.inc("journal_hits_total")

@@ -11,7 +11,8 @@ which buys two things a crash-prone world needs:
 
 * **idempotent resubmission** — a duplicate of a ``completed`` request
   short-circuits to the journaled result document (byte-identical to
-  the original response, by the daemon's canonical-JSON rendering);
+  the original response, by the daemon's canonical-JSON rendering),
+  unless it asks for ``use_store: false``, which bypasses every memo;
 * **crash recovery** — ``repro serve --recover`` replays every
   ``admitted``/``started`` record through the normal execution path at
   startup, so requests that were in flight when the daemon died are
@@ -36,6 +37,7 @@ import json
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..evaluation.store import code_signature
 from ..storage import ArtifactStore, StreamStats
 
 #: stream name on the artifact store (shows up in ``repro store stats``)
@@ -60,11 +62,14 @@ class JournalUnavailable(RuntimeError):
 def request_signature(body: Any) -> str:
     """Idempotency key: a content hash of what the request *computes*.
 
-    Covers the kernel/request entry, the session spec, and the
-    ``use_store`` toggle — and deliberately excludes delivery options
-    (``deadline_s``, ``stream``, ``include_events``) so the same
-    computation submitted with a different timeout or event verbosity
-    still deduplicates onto one journal record.
+    Covers the kernel/request entry, the session spec, the
+    ``use_store`` toggle and the code signature — the invalidation rule
+    the session's request store applies, so a daemon restarted on new
+    code never answers a duplicate with a document old code computed.
+    Delivery options (``deadline_s``, ``stream``, ``include_events``)
+    are deliberately excluded, so the same computation submitted with a
+    different timeout or event verbosity still deduplicates onto one
+    journal record.
     """
     if not isinstance(body, dict):
         body = {"request": body}
@@ -72,6 +77,7 @@ def request_signature(body: Any) -> str:
         "request": body.get("request"),
         "session": body.get("session") or {},
         "use_store": body.get("use_store"),
+        "code": code_signature(),
     }
     canonical = json.dumps(core, sort_keys=True, separators=(",", ":"),
                            default=str)

@@ -74,12 +74,10 @@ def record_crc(key: str, payload: Any = None,
 def record_crc_ok(record: Dict[str, Any]) -> bool:
     """Does a decoded record's ``crc`` match its contents?
 
-    Records without a ``crc`` field are legacy (written before the
-    integrity envelope existed) and never fail verification.
+    Every writer stamps the envelope, so a record without a ``crc``
+    field (one whose field was lost to damage) fails verification.
     """
     stored = record.get("crc")
-    if stored is None:
-        return True
     if not isinstance(stored, int):
         return False
     if record.get("tombstone"):

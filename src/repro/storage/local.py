@@ -9,12 +9,12 @@ Layout (one directory per stream under the store root)::
 Each record is one JSON line — ``{"schema": 1, "key": ..., "payload":
 ..., "crc": ...}`` for a put, ``{"schema": 1, "key": ...,
 "tombstone": true, "crc": ...}`` for a delete.  ``crc`` is the crc32
-integrity envelope from :func:`repro.storage.base.record_crc`; lines
-written before it existed simply lack the field and are accepted as
-legacy.  A key always lands in the shard named by a prefix of its
-SHA-256 digest (mod the stream's shard count, pinned in ``meta.json``
-so reconfigured stores keep finding old keys), which means last-write-
-wins ordering only ever needs the order *within* one file.
+integrity envelope from :func:`repro.storage.base.record_crc`; a line
+without one fails verification like any other damaged record.  A key
+always lands in the shard named by a prefix of its SHA-256 digest (mod
+the stream's shard count, pinned in ``meta.json`` so reconfigured
+stores keep finding old keys), which means last-write-wins ordering
+only ever needs the order *within* one file.
 
 Safety model
 ------------

@@ -58,7 +58,6 @@ class StreamScrubReport:
     stream: str
     records: int = 0     # decodable record lines seen
     live: int = 0        # keys a reader would serve
-    legacy: int = 0      # valid records without a crc field
     corrupt: int = 0
     torn: int = 0
     mismatched: int = 0
@@ -70,9 +69,8 @@ class StreamScrubReport:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"stream": self.stream, "records": self.records,
-                "live": self.live, "legacy": self.legacy,
-                "corrupt": self.corrupt, "torn": self.torn,
-                "mismatched": self.mismatched,
+                "live": self.live, "corrupt": self.corrupt,
+                "torn": self.torn, "mismatched": self.mismatched,
                 "issues": [i.to_dict() for i in self.issues]}
 
 
@@ -159,9 +157,7 @@ def scrub_stream(store: LocalShardedStore,
                     f"undecodable line ({len(raw)} bytes)"))
                 continue
             report.records += 1
-            if "crc" not in record:
-                report.legacy += 1
-            elif not record_crc_ok(record):
+            if not record_crc_ok(record):
                 report.mismatched += 1
                 report.issues.append(ScrubIssue(
                     stream, path.name, line_at, "mismatched",

@@ -21,6 +21,7 @@ from repro.analysis.dependences import (analysis_engine_name,
                                         parallel_violations,
                                         schedule_violations)
 from repro.ir import parse_scop
+from repro.suites import polybench
 from repro.synthesis.generator import ExampleSynthesizer
 from repro.transforms import interchange, skew, tile
 
@@ -110,6 +111,22 @@ class TestCanonicalKernels:
                 # vectorized engine now replays witnesses from the slot
                 # tables the source's pass memoized
                 assert_dependences_identical(candidate)
+
+    @pytest.mark.parametrize(
+        "name", [bench.name for bench in polybench()][:8])
+    def test_polybench_kernels(self, name):
+        """The first eight PolyBench kernels: dependences witness for
+        witness, then every legality and parallelism verdict."""
+        program = polybench().get(name).program
+        deps = assert_dependences_identical(program)
+        for candidate in candidate_schedules(program):
+            ref, vec = both_engines(
+                lambda: schedule_violations(candidate, deps))
+            assert [id(d) for d in ref] == [id(d) for d in vec]
+        for dim in range(program.schedule_width):
+            ref, vec = both_engines(
+                lambda: parallel_violations(program, deps, dim))
+            assert [id(d) for d in ref] == [id(d) for d in vec]
 
     def test_witness_overflow_rotation_identical(self, gemm):
         """gemm's reduction class overflows the witness bound; the crc

@@ -1,13 +1,9 @@
-"""Service-API tests: session/shim equivalence, registries, events.
+"""Service-API tests: session/pipeline equivalence, registries, events.
 
-The acceptance bar for the API redesign: ``optimize_many`` over a
-4-kernel suite is bit-identical to per-request serial
-``LoopRAG.optimize``, and the deprecated shims reproduce the old
-wiring's outputs exactly (the old wiring being a hand-built
-``FeedbackPipeline``, which is unchanged).
+The acceptance bar for the API: ``optimize_many`` over a 4-kernel suite
+is bit-identical to per-request serial ``optimize``, and a session
+request reproduces a hand-built ``FeedbackPipeline`` exactly.
 """
-
-import warnings
 
 import pytest
 
@@ -17,7 +13,7 @@ from repro.api import (LLM_BACKENDS, OptimizationRequest,
 from repro.api.events import EventBus, EventLog, SessionEvent
 from repro.compilers import GCC
 from repro.llm import DEEPSEEK_V3, GPT_4O, SimulatedLLM
-from repro.pipeline import (BaseLLMOptimizer, FeedbackPipeline, LoopRAG)
+from repro.pipeline import FeedbackPipeline
 from repro.pipeline.generation import (BASELINE_TIME_LIMIT,
                                        LOOPRAG_TIME_LIMIT)
 from repro.retrieval import Retriever
@@ -47,30 +43,28 @@ def _result_tuple(result: OptimizationResult):
 
 class TestOptimizeManyEquivalence:
     def test_batch_matches_serial_shim(self, retriever, benches):
-        """optimize_many == per-request serial LoopRAG.optimize,
-        bit for bit, over a 4-kernel suite."""
+        """optimize_many == per-request serial optimize on a fresh
+        session, bit for bit, over a 4-kernel suite."""
         session = OptimizerSession(retriever=retriever, seed=0)
         requests = [OptimizationRequest.make(
             bench.program, bench.perf, bench.test, persona="deepseek")
             for bench in benches]
         batch = session.optimize_many(requests, jobs=2)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = LoopRAG(retriever.dataset, DEEPSEEK_V3, seed=0,
-                           retriever=retriever)
-        for bench, result in zip(benches, batch):
-            outcome = shim.optimize(bench.program, bench.perf, bench.test)
+        serial = OptimizerSession(retriever=retriever, seed=0)
+        for request, result in zip(requests, batch):
+            outcome = serial.optimize(request, use_store=False) \
+                .pipeline_result
             assert result.passed == outcome.passed
             assert result.speedup == outcome.speedup
-            assert result.stage_pass == outcome.result.stage_pass
-            assert result.stage_speedup == outcome.result.stage_speedup
-            if outcome.best_program is None:
+            assert result.stage_pass == outcome.stage_pass
+            assert result.stage_speedup == outcome.stage_speedup
+            if outcome.best is None:
                 assert result.best_program is None
             else:
-                assert result.best_program == outcome.best_program
+                assert result.best_program == outcome.best.response.program
                 assert result.recipe == \
-                    outcome.best_recipe.describe()
+                    outcome.best.response.applied.describe()
 
     def test_parallel_matches_serial(self, retriever, benches):
         requests = [OptimizationRequest.make(
@@ -97,7 +91,7 @@ class TestOptimizeManyEquivalence:
 
 
 class TestShimEquivalence:
-    """The deprecated facades against the unchanged pipeline core."""
+    """A session request against a hand-built pipeline core."""
 
     def test_looprag_shim_matches_pipeline(self, retriever, benches):
         bench = benches[0]
@@ -108,12 +102,11 @@ class TestShimEquivalence:
             time_limit=LOOPRAG_TIME_LIMIT,
             use_feedback=True,
             seed=7).run(bench.program, bench.perf, bench.test)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = LoopRAG(retriever.dataset, DEEPSEEK_V3, seed=7,
-                           retriever=retriever)
-        outcome = shim.optimize(bench.program, bench.perf, bench.test)
-        assert outcome.result == reference
+        session = OptimizerSession(retriever=retriever, seed=7)
+        result = session.optimize(OptimizationRequest.make(
+            bench.program, bench.perf, bench.test, system="looprag",
+            persona=DEEPSEEK_V3), use_store=False)
+        assert result.pipeline_result == reference
 
     def test_basellm_shim_matches_pipeline(self, benches):
         bench = benches[1]
@@ -124,32 +117,11 @@ class TestShimEquivalence:
             time_limit=BASELINE_TIME_LIMIT,
             use_feedback=False,
             seed=3).run(bench.program, bench.perf, bench.test)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            shim = BaseLLMOptimizer(GPT_4O, seed=3)
-        outcome = shim.optimize(bench.program, bench.perf, bench.test)
-        assert outcome.result == reference
-
-    def test_shims_warn(self, retriever):
-        with pytest.warns(DeprecationWarning):
-            LoopRAG(retriever.dataset, DEEPSEEK_V3, retriever=retriever)
-        with pytest.warns(DeprecationWarning):
-            BaseLLMOptimizer(GPT_4O)
-
-    def test_run_compiler_shim_matches_plans(self):
-        import os
-
-        from repro.evaluation.harness import (compiler_plan, results_for,
-                                              run_compiler)
-
-        os.environ["REPRO_SUITE_LIMIT"] = "3"
-        try:
-            direct = results_for(compiler_plan("polybench", "pluto"))
-            with pytest.warns(DeprecationWarning):
-                shim = run_compiler("polybench", "pluto")
-            assert shim == direct
-        finally:
-            os.environ.pop("REPRO_SUITE_LIMIT", None)
+        session = OptimizerSession(seed=3, use_store=False)
+        result = session.optimize(OptimizationRequest.make(
+            bench.program, bench.perf, bench.test, system="basellm",
+            persona=GPT_4O), use_store=False)
+        assert result.pipeline_result == reference
 
 
 class TestRequestStore:

@@ -19,6 +19,7 @@ from repro.ir import parse_scop
 from repro.runtime import (BranchCoverage, allocate, checksum,
                            clone_storage, engine_override, execute)
 from repro.runtime.interpreter import engine_name
+from repro.suites import polybench
 from repro.synthesis.generator import ExampleSynthesizer
 from repro.transforms import TransformError, interchange, skew, tile
 
@@ -211,6 +212,18 @@ class TestErrorClasses:
         }}
         """
         assert_engines_agree(parse_scop(src), {"N": size})
+
+
+class TestPolybenchKernels:
+    """Real kernels, not just synthesized ones: the first eight PolyBench
+    kernels at a uniform ``N = 20`` binding."""
+
+    @pytest.mark.parametrize(
+        "name", [bench.name for bench in polybench()][:8])
+    def test_polybench_kernels(self, name):
+        program = polybench().get(name).program
+        assert_engines_agree(program,
+                             {param: 20 for param in program.params})
 
 
 class TestEngineSelection:

@@ -61,9 +61,9 @@ class TestReporting:
 class TestHarnessCaching:
     def test_run_cache_hits(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_LIMIT", "3")
-        from repro.evaluation.harness import run_compiler
-        a = run_compiler("polybench", "graphite")
-        b = run_compiler("polybench", "graphite")
+        from repro.evaluation.harness import compiler_plan, results_for
+        a = results_for(compiler_plan("polybench", "graphite"))
+        b = results_for(compiler_plan("polybench", "graphite"))
         assert a is b
 
     def test_suite_limit_respected(self, monkeypatch):

@@ -2,16 +2,24 @@
 
 import pytest
 
+from repro.api import OptimizationRequest, OptimizerSession
 from repro.compilers import GCC
 from repro.ir import parse_scop
 from repro.llm import DEEPSEEK_V3, GPT_4O, SimulatedLLM
-from repro.pipeline import (BaseLLMOptimizer, FeedbackPipeline, LoopRAG,
-                            STAGES)
+from repro.pipeline import FeedbackPipeline, STAGES
 from repro.retrieval import Retriever
 from repro.synthesis import build_dataset
 
 PERF = {"NI": 1200, "NJ": 1200, "NK": 1200}
 TEST = {"NI": 7, "NJ": 6, "NK": 5}
+
+
+def run(session, program, system, persona):
+    """One store-free request; the pipeline's own result."""
+    return session.optimize(
+        OptimizationRequest.make(program, PERF, TEST, system=system,
+                                 persona=persona),
+        use_store=False).pipeline_result
 
 
 @pytest.fixture(scope="module")
@@ -21,61 +29,60 @@ def retriever():
 
 @pytest.fixture(scope="module")
 def looprag(retriever):
-    return LoopRAG(retriever.dataset, DEEPSEEK_V3, seed=2,
-                   retriever=retriever)
+    session = OptimizerSession(retriever=retriever, seed=2)
+    return lambda program: run(session, program, "looprag", DEEPSEEK_V3)
 
 
-class TestLoopRAG:
+def base_llm(program):
+    return run(OptimizerSession(seed=2, use_store=False), program,
+               "basellm", GPT_4O)
+
+
+class TestLoopragSystem:
     def test_gemm_passes_and_speeds_up(self, looprag, gemm):
-        out = looprag.optimize(gemm, PERF, TEST)
+        out = looprag(gemm)
         assert out.passed
         assert out.speedup > 3.0
 
     def test_best_program_verified(self, looprag, gemm):
         import numpy as np
-        from repro.runtime import run
-        out = looprag.optimize(gemm, PERF, TEST)
-        a = run(gemm, TEST)
-        b = run(out.best_program, TEST)
+        from repro.runtime import run as execute
+        out = looprag(gemm)
+        a = execute(gemm, TEST)
+        b = execute(out.best.response.program, TEST)
         for name in a.outputs:
             assert np.allclose(a.outputs[name], b.outputs[name],
                                rtol=1e-6, atol=1e-9)
 
     def test_deterministic(self, retriever, gemm):
-        a = LoopRAG(retriever.dataset, DEEPSEEK_V3, seed=7,
-                    retriever=retriever).optimize(gemm, PERF, TEST)
-        b = LoopRAG(retriever.dataset, DEEPSEEK_V3, seed=7,
-                    retriever=retriever).optimize(gemm, PERF, TEST)
+        a, b = (run(OptimizerSession(retriever=retriever, seed=7), gemm,
+                    "looprag", DEEPSEEK_V3) for _ in range(2))
         assert a.speedup == b.speedup
         assert a.passed == b.passed
 
     def test_stage_snapshots_monotone(self, looprag, gemm):
-        out = looprag.optimize(gemm, PERF, TEST)
-        stages = dict(out.result.stage_pass)
+        stages = dict(looprag(gemm).stage_pass)
         order = [stages[s] for s in STAGES]
         # once passing, later stages never regress
         for earlier, later in zip(order, order[1:]):
             assert later >= earlier
 
     def test_candidates_recorded(self, looprag, gemm):
-        out = looprag.optimize(gemm, PERF, TEST)
-        assert len(out.result.candidates) >= 14  # two rounds of K=7
+        assert len(looprag(gemm).candidates) >= 14  # two rounds of K=7
 
     def test_demos_attached(self, looprag, gemm):
-        out = looprag.optimize(gemm, PERF, TEST)
-        assert len(out.result.demos) == 3
+        assert len(looprag(gemm).demos) == 3
 
 
 class TestBaseLLM:
     def test_runs_without_retrieval(self, gemm):
-        out = BaseLLMOptimizer(GPT_4O, seed=2).optimize(gemm, PERF, TEST)
-        assert out.result.candidates
+        out = base_llm(gemm)
+        assert out.candidates
         # no feedback: only the first round of candidates exists
-        assert len(out.result.candidates) == 7
+        assert len(out.candidates) == 7
 
     def test_stage_snapshots_flat(self, gemm):
-        out = BaseLLMOptimizer(GPT_4O, seed=2).optimize(gemm, PERF, TEST)
-        stages = dict(out.result.stage_pass)
+        stages = dict(base_llm(gemm).stage_pass)
         assert len({stages[s] for s in STAGES}) == 1
 
 

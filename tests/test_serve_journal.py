@@ -2,9 +2,10 @@
 
 Contract: every admitted non-streaming request is journaled
 (admitted → started → completed/failed) on the artifact store's
-``"journal"`` stream under a content-hash idempotency signature.
-Duplicates of a completed request short-circuit to the journaled,
-byte-identical result; ``--recover`` replays unfinished records after a
+``"journal"`` stream under a content-hash idempotency signature that
+includes the code signature.  Duplicates of a completed request
+short-circuit to the journaled, byte-identical result unless they ask
+for ``use_store: false``; ``--recover`` replays unfinished records after a
 daemon crash; volatile (memory) backends are refused unless the
 operator explicitly serves with ``--no-journal``.
 """
@@ -35,6 +36,9 @@ scop axpyish(N) {
 """
 
 BODY = {"request": {"source": KERNEL}, "use_store": False}
+#: the same computation with the result store on: only such requests
+#: may be answered from the journal
+STORED_BODY = {"request": {"source": KERNEL}}
 
 
 def _post(addr, body, timeout=120):
@@ -190,27 +194,61 @@ class TestDaemonJournal:
     def test_duplicates_short_circuit_byte_identically(self,
                                                        make_daemon):
         daemon = make_daemon()
-        status, first = _post(daemon.address, BODY)
+        status, first = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert first == _expected_bytes()
         assert daemon.metrics.get("journal_hits_total") == 0
 
-        status, second = _post(daemon.address, BODY)
+        status, second = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert second == first
         assert daemon.metrics.get("journal_hits_total") == 1
 
         # different delivery options are still the same computation
-        status, third = _post(daemon.address, dict(BODY, deadline_s=90))
+        status, third = _post(daemon.address,
+                              dict(STORED_BODY, deadline_s=90))
         assert third == first
         assert daemon.metrics.get("journal_hits_total") == 2
 
         # ... and event verbosity is applied to the journaled hit
         status, slim = _post(daemon.address,
-                             dict(BODY, include_events=False))
+                             dict(STORED_BODY, include_events=False))
         assert slim == _expected_bytes(include_events=False)
         assert daemon.metrics.get("journal_hits_total") == 3
         assert daemon.metrics.get("completed_total") == 4
+
+    def test_changed_code_signature_misses_and_recomputes(
+            self, make_daemon, monkeypatch):
+        daemon = make_daemon()
+        before = request_signature(STORED_BODY)
+        status, first = _post(daemon.address, STORED_BODY)
+        assert status == 200
+        assert daemon.journal.record(before)["status"] == "completed"
+
+        # the daemon restarts on new code over the same cache dir
+        monkeypatch.setattr("repro.evaluation.store._CODE_SIGNATURE",
+                            "0" * 16)
+        after = request_signature(STORED_BODY)
+        assert after != before
+        status, second = _post(daemon.address, STORED_BODY)
+        assert status == 200
+        assert second == first
+        assert daemon.metrics.get("journal_hits_total") == 0
+        assert daemon.journal.record(after)["status"] == "completed"
+
+    def test_use_store_false_duplicates_are_recomputed(self,
+                                                       make_daemon):
+        daemon = make_daemon()
+        signature = request_signature(BODY)
+        for _ in range(2):
+            status, text = _post(daemon.address, BODY)
+            assert status == 200
+            assert text == _expected_bytes()
+        assert daemon.metrics.get("journal_hits_total") == 0
+        # still journaled: each duplicate walked the state machine
+        record = daemon.journal.record(signature)
+        assert record["status"] == "completed"
+        assert record["attempts"] == 2
 
     def test_failures_are_journaled_but_re_executed(self, make_daemon):
         daemon = make_daemon()
@@ -234,10 +272,10 @@ class TestDaemonJournal:
 
     def test_recover_replays_unfinished_requests(self, make_daemon):
         # a daemon died mid-request: the journal holds a started record
-        signature = request_signature(BODY)
+        signature = request_signature(STORED_BODY)
         journal = RequestJournal(
             open_store(Path(cache_dir()) / STORE_DIR))
-        journal.admitted(signature, BODY)
+        journal.admitted(signature, STORED_BODY)
         journal.started(signature)
 
         daemon = make_daemon(recover=True)  # replays during boot
@@ -246,7 +284,7 @@ class TestDaemonJournal:
         assert record["status"] == "completed"
 
         # the original client resubmits: instant, byte-identical
-        status, text = _post(daemon.address, BODY)
+        status, text = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert text == _expected_bytes()
         assert daemon.metrics.get("journal_hits_total") == 1

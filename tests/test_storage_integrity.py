@@ -77,7 +77,9 @@ class TestEnvelope:
                                                    tombstone=True)
         assert record_crc("k", {"a": 1}) != record_crc("k", {"a": 2})
 
-    def test_legacy_lines_without_crc_are_served(self, tmp_path):
+    def test_lines_without_crc_are_rejected(self, tmp_path):
+        # every writer stamps the envelope: a line without one has lost
+        # its crc to damage and must not be served
         store = LocalShardedStore(tmp_path, shards=1)
         store.append("s", "anchor", 0)  # creates the stream dir
         path = store.shard_path("s", 0)
@@ -85,11 +87,13 @@ class TestEnvelope:
             handle.write(json.dumps({"schema": 1, "key": "old",
                                      "payload": [1, 2]}) + "\n")
         store.refresh("s")
-        assert store.read("s", "old") == [1, 2]
-        assert store.stream_stats("s").mismatched == 0
+        assert store.read("s", "old") is None
+        assert store.stream_stats("s").mismatched == 1
+        assert store.read("s", "anchor") == 0
         report = verify_store(store)
-        assert report.clean
-        assert report.streams[0].legacy == 1
+        assert not report.clean
+        assert report.streams[0].mismatched == 1
+        assert [i.kind for i in report.issues()] == ["mismatched"]
 
     def test_crc_survives_compaction(self, tmp_path):
         store = LocalShardedStore(tmp_path, shards=2)

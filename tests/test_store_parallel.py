@@ -18,7 +18,7 @@ import pytest
 from repro.evaluation import harness
 from repro.evaluation import store as store_module
 from repro.evaluation.harness import (base_llm_plan, compiler_plan,
-                                      looprag_plan, run_compiler,
+                                      looprag_plan, results_for,
                                       run_plans)
 from repro.evaluation.parallel import map_items, resolve_pool
 from repro.evaluation.store import (RESULTS_STREAM, ResultStore,
@@ -26,6 +26,9 @@ from repro.evaluation.store import (RESULTS_STREAM, ResultStore,
 from repro.llm.personas import DEEPSEEK_V3, GPT_4O
 from repro.registry import UnknownComponentError
 from repro.storage import STORAGE_SCHEMA
+
+#: the cheap plan the store tests round-trip
+GRAPHITE = compiler_plan("polybench", "graphite")
 
 
 @pytest.fixture
@@ -164,7 +167,7 @@ class TestCrashRecovery:
 
     def test_torn_tail_skipped_compacted_and_warm_identical(
             self, fresh_harness):
-        cold = run_compiler("polybench", "graphite")
+        cold = results_for(GRAPHITE)
         store = active_store()
         replicated = hasattr(store.artifacts(), "children")
         [shard] = shard_files(store)  # the primary's, when replicated
@@ -172,7 +175,7 @@ class TestCrashRecovery:
         shard.write_bytes(data[:-9])  # crash mid-record
 
         _forget_memory()
-        recomputed = run_compiler("polybench", "graphite")
+        recomputed = results_for(GRAPHITE)
         assert recomputed == cold  # the torn entry is never served
         stats = active_store().stats()
         assert stats["corrupt"] == 1
@@ -187,7 +190,7 @@ class TestCrashRecovery:
         assert report.dropped_corrupt == 1
 
         _forget_memory()
-        warm = run_compiler("polybench", "graphite")
+        warm = results_for(GRAPHITE)
         assert warm == cold
         stats = active_store().stats()
         assert stats["hits"] == 1
@@ -231,24 +234,24 @@ class TestAtomicAppends:
 
 class TestHarnessStore:
     def test_warm_hit_identical(self, fresh_harness):
-        cold = run_compiler("polybench", "graphite")
+        cold = results_for(GRAPHITE)
         _forget_memory()
-        warm = run_compiler("polybench", "graphite")
+        warm = results_for(GRAPHITE)
         assert warm == cold
         assert active_store().stats()["hits"] == 1
 
     def test_no_cache_bypasses_store(self, fresh_harness, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        run_compiler("polybench", "graphite")
+        results_for(GRAPHITE)
         assert not (fresh_harness / "store").exists()
 
     def test_corrupt_store_recomputed(self, fresh_harness):
-        cold = run_compiler("polybench", "graphite")
+        cold = results_for(GRAPHITE)
         [shard] = shard_files(active_store())
         shard.write_text(shard.read_text().replace('"payload":[{',
                                                    '"payload":[{"bad":1,'))
         _forget_memory()
-        assert run_compiler("polybench", "graphite") == cold
+        assert results_for(GRAPHITE) == cold
 
     def test_code_change_invalidates_key(self, fresh_harness,
                                          monkeypatch):
