@@ -14,13 +14,12 @@ test:
 test-quick:
 	REPRO_SUITE_LIMIT=3 $(PYTHON) -m pytest -x -q
 
-# artifact-store contract: backend conformance + spec-equivalence
-# properties + concurrency/crash-recovery stress, with enough workers
-# to make append races real, then checksums/scrub/repair and the
-# bit-rot property, then the subprocess smoke that corrupts a live
-# store and proves verify/--repair restore byte-identical warm hits.
-# REPRO_STORE_BACKEND selects the backend the harness-level tests and
-# the smoke exercise (conformance always runs them all).
+# artifact-store contract: conformance + spec-equivalence properties
+# (the local store against the in-memory spec) + concurrency/crash-
+# recovery stress, with enough workers to make append races real, then
+# checksums/scrub/repair and the bit-rot property, then the subprocess
+# smoke that corrupts a live store and proves verify/--repair restore
+# byte-identical warm hits.
 test-store:
 	REPRO_JOBS=$(JOBS) $(PYTHON) -m pytest -x -q \
 	    tests/test_artifact_store_conformance.py \

@@ -12,16 +12,18 @@ Phase 1 — crash containment (``--workers 1``, ``--no-journal``):
 4. an injected hang must be reaped by the watchdog (``500``/``hang``)
    and again recover byte-identically;
 5. one more crash quarantines the signature (``422``) until
-   ``POST /quarantine/clear`` releases it — then it completes.
+   ``POST /quarantine/clear`` releases it — then it completes;
+6. SIGKILL of the daemon takes its workers down with it: none of the
+   daemon's child processes is alive 5 s later.
 
 Phase 2 — durable journal (journal on, fresh cache dir):
-6. SIGKILL the *daemon* while a request is in flight — the journal
+7. SIGKILL the *daemon* while a request is in flight — the journal
    holds an unfinished record;
-7. a fresh ``repro serve --recover`` replays it to completion during
+8. a fresh ``repro serve --recover`` replays it to completion during
    boot, the client's resubmit short-circuits to the journaled result,
    and those bytes match a no-journal daemon executing the same
    request from scratch;
-8. ``repro store stats`` reports the ``journal`` stream.
+9. ``repro store stats`` reports the ``journal`` stream.
 
 Stdlib only; exits non-zero with a readable message on any violation.
 Run directly or via ``make test-chaos``.
@@ -32,6 +34,7 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -94,6 +97,31 @@ def wait_until(predicate, timeout=30.0, message="condition"):
             return
         time.sleep(0.02)
     fail(f"timed out waiting for {message}")
+
+
+def _proc_stat(pid):
+    """(state, ppid) of ``pid`` from /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+    return fields[0], int(fields[1])
+
+
+def child_pids(parent):
+    """Running direct children of ``parent``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        stat = _proc_stat(entry) if entry.isdigit() else None
+        if stat and stat[0] != "Z" and stat[1] == parent:
+            found.append(int(entry))
+    return found
+
+
+def running(pid):
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 def boot(args, env):
@@ -202,8 +230,20 @@ def phase1_crash_containment():
              f"{workers['restarts_total']} restarts, "
              f"{workers['hangs_total']} hang")
     finally:
+        children = child_pids(proc.pid)
         proc.kill()
         proc.wait()
+        end = time.monotonic() + 5.0
+        while any(map(running, children)) and time.monotonic() < end:
+            time.sleep(0.05)
+        orphans = [pid for pid in children if running(pid)]
+        for pid in orphans:
+            os.kill(pid, signal.SIGKILL)
+    if not children:
+        fail("found no worker process under the daemon")
+    if orphans:
+        fail(f"worker(s) {orphans} outlived the SIGKILLed daemon")
+    step(f"daemon SIGKILL took its {len(children)} worker(s) down")
 
 
 def phase2_journal_recovery():

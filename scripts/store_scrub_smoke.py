@@ -10,16 +10,11 @@ sees only what the disk holds:
 2. a fault-injected write (``REPRO_FAULTS=store.append:bitflip``)
    rots the *live* record for that result on disk;
 3. ``repro store verify`` must detect the damage (nonzero exit);
-4. ``repro store verify --repair`` must heal it (exit 0: the local
-   backend compacts the rotten line away and falls back to the valid
-   superseded copy; the mirrored backend read-repairs from a healthy
-   replica) and a re-verify must come back clean;
+4. ``repro store verify --repair`` must heal it (exit 0: compaction
+   drops the rotten line and the valid superseded copy wins again) and
+   a re-verify must come back clean;
 5. a warm run must now hit the store and be byte-identical to the
    cold reference.
-
-Backend comes from ``REPRO_STORE_BACKEND`` (default ``local``).  The
-``memory`` backend holds nothing between processes, so it runs a
-reduced flow: clean verify + cold/cold byte equality (determinism).
 
 Stdlib only; exits non-zero with a readable message on any violation.
 Run directly or via ``make test-store``.
@@ -83,13 +78,11 @@ def step(message):
     print(f"scrub-smoke: {message}", flush=True)
 
 
-def child_env(cache, backend, **extra):
+def child_env(cache, **extra):
     env = dict(os.environ)
-    for stale in ("REPRO_FAULTS", "REPRO_STORE_VERIFY",
-                  "REPRO_NO_CACHE", "REPRO_STORE_MIRRORS"):
+    for stale in ("REPRO_FAULTS", "REPRO_STORE_VERIFY", "REPRO_NO_CACHE"):
         env.pop(stale, None)
-    env.update(PYTHONPATH="src", REPRO_CACHE_DIR=cache,
-               REPRO_STORE_BACKEND=backend, **extra)
+    env.update(PYTHONPATH="src", REPRO_CACHE_DIR=cache, **extra)
     return env
 
 
@@ -120,32 +113,18 @@ def verify(env, repair=False):
 
 
 def main():
-    backend = os.environ.get("REPRO_STORE_BACKEND") or "local"
     cache = tempfile.mkdtemp(prefix="repro-scrub-smoke-")
-    env = child_env(cache, backend)
+    env = child_env(cache)
     try:
-        step(f"backend={backend} cache={cache}")
+        step(f"cache={cache}")
         step("cold run (populates the store)...")
         reference, stats = optimize_once(env)
         if stats["writes"] < 1:
             fail(f"cold run never wrote to the store: {stats}")
 
-        if backend == "memory":
-            # nothing survives the process: reduced flow
-            if verify(env).returncode != 0:
-                fail("verify of an empty volatile store was not clean")
-            again, _ = optimize_once(env)
-            if again != reference:
-                fail("two cold runs disagree byte-for-byte")
-            step("PASS (reduced volatile flow)")
-            return
-
-        site = ("store.append.0" if backend == "mirrored"
-                else "store.append")
-        step(f"rotting the live record via REPRO_FAULTS at {site}...")
+        step("rotting the live record via REPRO_FAULTS...")
         run([sys.executable, "-c", CORRUPT_CHILD],
-            child_env(cache, backend,
-                      REPRO_FAULTS=f"{site}:bitflip:times=1"))
+            child_env(cache, REPRO_FAULTS="store.append:bitflip:times=1"))
 
         step("store verify must detect the damage...")
         proc = verify(env)

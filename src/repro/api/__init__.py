@@ -25,8 +25,7 @@ Whole suites run through :mod:`repro.evaluation.harness`: build a
 
 from .events import EventBus, EventLog, SessionEvent
 from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
-                       OPTIMIZER_REGISTRY, RETRIEVAL_METHODS,
-                       STORE_BACKENDS, TRANSFORMS,
+                       OPTIMIZER_REGISTRY, RETRIEVAL_METHODS, TRANSFORMS,
                        DuplicateComponentError, Registry,
                        UnknownComponentError)
 from .resilience import (RESILIENCE_BUS, CircuitBreaker,
@@ -40,7 +39,7 @@ from .session import (OptimizationRequest, OptimizationResult,
 __all__ = [
     "EventBus", "EventLog", "SessionEvent",
     "BASE_COMPILER_REGISTRY", "LLM_BACKENDS", "OPTIMIZER_REGISTRY",
-    "RETRIEVAL_METHODS", "STORE_BACKENDS", "TRANSFORMS",
+    "RETRIEVAL_METHODS", "TRANSFORMS",
     "DuplicateComponentError", "Registry", "UnknownComponentError",
     "RESILIENCE_BUS", "CircuitBreaker", "CircuitOpenError",
     "ResilientCall", "RetryPolicy", "breaker_for", "breaker_states",

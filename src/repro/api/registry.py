@@ -16,12 +16,9 @@ transforms themselves):
   ``name -> strategy(retriever, target, rng) -> [RetrievedDemo]``.
   The built-ins delegate to :meth:`repro.retrieval.Retriever.rank`'s
   three methods (loop-aware / bm25 / weighted, the Table 6 ablation).
-* ``STORE_BACKENDS`` (re-exported from :mod:`repro.storage`) —
-  artifact-store backends: ``name -> factory(root) -> ArtifactStore``.
-  ``"local"`` (sharded, compacting files) and ``"memory"`` (the
-  executable spec) are built in; a remote/object backend registers here
-  and is picked up by ``REPRO_STORE_BACKEND`` — and by the backend
-  conformance suite — without touching the stores' clients.
+
+The artifact store is not a registry family: every store client opens
+:class:`repro.storage.LocalShardedStore`.
 
 Unknown names raise :class:`repro.registry.UnknownComponentError`,
 whose message lists every registered name.
@@ -39,12 +36,11 @@ from ..llm.simulated import SimulatedLLM
 from ..registry import (DuplicateComponentError, Registry,
                         UnknownComponentError)
 from ..retrieval.retriever import METHODS, RetrievedDemo, Retriever
-from ..storage import STORE_BACKENDS
 from ..transforms import TRANSFORMS
 
 __all__ = [
     "LLM_BACKENDS", "BASE_COMPILER_REGISTRY", "OPTIMIZER_REGISTRY",
-    "RETRIEVAL_METHODS", "STORE_BACKENDS", "TRANSFORMS",
+    "RETRIEVAL_METHODS", "TRANSFORMS",
     "DuplicateComponentError", "Registry", "UnknownComponentError",
 ]
 

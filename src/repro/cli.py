@@ -309,7 +309,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .serve import JournalUnavailable, ServeConfig, ServeDaemon
+    from .serve import ServeConfig, ServeDaemon
 
     default_session = {}
     if args.session:
@@ -329,11 +329,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         journal=(False if args.no_journal else None),
         recover=(True if args.recover else None),
         default_session=(default_session or None))
-    try:
-        daemon = ServeDaemon(config)
-    except JournalUnavailable as exc:
-        raise SystemExit(f"repro serve: {exc}")
-    return daemon.run_forever()
+    return ServeDaemon(config).run_forever()
 
 
 def _store_for_maintenance(args: argparse.Namespace):
@@ -345,7 +341,7 @@ def _store_for_maintenance(args: argparse.Namespace):
     from .evaluation.store import ResultStore, cache_dir
 
     root = args.cache_dir or str(cache_dir())
-    return ResultStore(root, backend=args.backend)
+    return ResultStore(root)
 
 
 def cmd_store_stats(args: argparse.Namespace) -> int:
@@ -469,27 +465,24 @@ def cmd_store_verify(args: argparse.Namespace) -> int:
         return 0 if report.clean else 1
     _render_verify(report)
     if repair is not None:
-        print(f"# repair: {repair.read_repairs} read-repairs, "
-              f"{repair.dropped} damaged lines dropped")
+        print(f"# repair: {repair.dropped} damaged lines dropped")
     print(f"# verdict: {'clean' if report.clean else 'DAMAGED'} "
           f"({report.flagged} issue(s))")
     return 0 if report.clean else 1
 
 
-def _render_verify(report, indent: str = "") -> None:
-    print(f"{indent}# store: {report.backend}")
+def _render_verify(report) -> None:
+    print(f"# store: {report.backend}")
     for stream in report.streams:
         status = "ok" if stream.clean else "DAMAGED"
-        print(f"{indent}{stream.stream:12s} {status:8s} "
+        print(f"{stream.stream:12s} {status:8s} "
               f"{stream.records} records ({stream.live} live), "
               f"{stream.corrupt} corrupt, "
               f"{stream.torn} torn, {stream.mismatched} mismatched")
         for issue in stream.issues:
-            print(f"{indent}  ! {issue.render()}")
+            print(f"  ! {issue.render()}")
     if not report.streams:
-        print(f"{indent}(no streams)")
-    for replica in report.replicas:
-        _render_verify(replica, indent + "  ")
+        print("(no streams)")
 
 
 def cmd_suites(args: argparse.Namespace) -> int:
@@ -701,9 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
         part.add_argument("--cache-dir", metavar="DIR",
                           help="store location (default "
                                "REPRO_CACHE_DIR or .repro_cache/)")
-        part.add_argument("--backend", default=None,
-                          help="artifact-store backend (default: "
-                               "REPRO_STORE_BACKEND or local)")
         part.add_argument("--format", default="table",
                           choices=("table", "json"),
                           help="output format (default: table)")
@@ -720,8 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "admitted/started are never touched)")
         if name == "verify":
             part.add_argument("--repair", action="store_true",
-                              help="heal the damage: read-repair from "
-                                   "replicas (mirrored), compact "
+                              help="heal the damage: compact "
                                    "corrupt lines away")
         part.set_defaults(func=func)
 

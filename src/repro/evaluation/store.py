@@ -7,15 +7,13 @@ warm reruns are near-no-ops.
 
 Layout
 ------
-Results live in the ``"results"`` stream of a pluggable
-:class:`repro.storage.ArtifactStore` rooted at ``<cache-dir>/store/``.
-The default backend (:class:`repro.storage.LocalShardedStore`) shards
-entries by key digest into per-shard append-only JSON-lines files with
-an in-memory key index and per-shard file locks, so any number of
-concurrent sessions and fork-pool workers append whole records safely;
-``repro store compact`` reclaims superseded and corrupt lines.  Set
-``REPRO_STORE_BACKEND`` to swap the backend (every registered backend
-passes the same conformance suite).
+Results live in the ``"results"`` stream of a
+:class:`repro.storage.LocalShardedStore` rooted at
+``<cache-dir>/store/``.  It shards entries by key digest into per-shard
+append-only JSON-lines files with an in-memory key index and per-shard
+file locks, so any number of concurrent sessions and fork-pool workers
+append whole records safely; ``repro store compact`` reclaims
+superseded and corrupt lines.
 
 Each stored record maps an encoded cache key to one completed plan's
 payload:
@@ -37,7 +35,6 @@ Environment switches
 --------------------
 ``REPRO_CACHE_DIR``       store directory (default ``.repro_cache/``)
 ``REPRO_NO_CACHE``        any non-empty value disables the store
-``REPRO_STORE_BACKEND``   artifact-store backend (default ``local``)
 """
 
 from __future__ import annotations
@@ -48,8 +45,7 @@ import os
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-from ..storage import (ArtifactStore, CompactionReport, backend_name,
-                       open_store)
+from ..storage import CompactionReport, LocalShardedStore
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 STORE_DIR = "store"                  # artifact-store root, per cache dir
@@ -65,12 +61,11 @@ def encode_key(key: Sequence) -> str:
 
 
 class ResultStore:
-    """Cache-key -> payload store over a pluggable artifact backend."""
+    """Cache-key -> payload store over the local artifact store."""
 
-    def __init__(self, root, backend: Optional[str] = None) -> None:
+    def __init__(self, root) -> None:
         self.root = Path(root)
-        self.backend = backend or backend_name()
-        self._artifacts: Optional[ArtifactStore] = None
+        self._artifacts: Optional[LocalShardedStore] = None
         self.hits = 0
         self.misses = 0
         self.writes = 0
@@ -83,7 +78,7 @@ class ResultStore:
         return self.artifacts().describe()
 
     # ------------------------------------------------------------------
-    def artifacts(self) -> ArtifactStore:
+    def artifacts(self) -> LocalShardedStore:
         """The backing artifact store (opened on first use).
 
         Shared with the persistent corpus cache
@@ -91,7 +86,7 @@ class ResultStore:
         ``"datasets"`` stream in the same store.
         """
         if self._artifacts is None:
-            self._artifacts = open_store(self.store_root, self.backend)
+            self._artifacts = LocalShardedStore(str(self.store_root))
         return self._artifacts
 
     # ------------------------------------------------------------------
@@ -111,10 +106,10 @@ class ResultStore:
     def put(self, key: Sequence, payload: List[dict]) -> None:
         """Persist one plan's payload.
 
-        The backend contract makes this a single atomic append (one
-        ``write()`` on an ``O_APPEND`` descriptor under the shard lock
-        for the local backend), so concurrent processes sharing a cache
-        dir interleave whole records instead of torn fragments.
+        The store contract makes this a single atomic append (one
+        ``write()`` on an ``O_APPEND`` descriptor under the shard lock),
+        so concurrent processes sharing a cache dir interleave whole
+        records instead of torn fragments.
         """
         self.artifacts().append(RESULTS_STREAM, encode_key(key), payload)
         self.writes += 1
@@ -171,7 +166,7 @@ def active_store() -> Optional[ResultStore]:
     return _STORES[root]
 
 
-def active_artifacts() -> Optional[ArtifactStore]:
+def active_artifacts() -> Optional[LocalShardedStore]:
     """The shared artifact store, or None when caching is disabled."""
     store = active_store()
     return None if store is None else store.artifacts()
@@ -192,7 +187,8 @@ def cache_stats() -> Dict[str, int]:
 # them changes
 # ----------------------------------------------------------------------
 #: modules whose source does NOT affect run results: presentation,
-#: batching/aggregation and the store/pool plumbing.  evaluation/harness.py
+#: batching/aggregation and the store/pool plumbing.  An entry ending in
+#: "/" covers every module under that package.  evaluation/harness.py
 #: is deliberately NOT listed — it computes the compiler baselines,
 #: timeouts and speedups that end up inside stored BenchResults.
 _NON_RESULT_MODULES = (
@@ -204,13 +200,7 @@ _NON_RESULT_MODULES = (
     "evaluation/parallel.py",
     "evaluation/reporting.py",
     "evaluation/store.py",
-    "storage/__init__.py",
-    "storage/base.py",
-    "storage/local.py",
-    "storage/memory.py",
-    "storage/mirrored.py",
-    "storage/registry.py",
-    "storage/scrub.py",
+    "storage/",
 )
 
 _CODE_SIGNATURE: Optional[str] = None
@@ -231,7 +221,7 @@ def code_signature() -> str:
     digest = hashlib.sha256()
     for path in sorted(package_root.rglob("*.py")):
         rel = path.relative_to(package_root).as_posix()
-        if rel in _NON_RESULT_MODULES:
+        if rel.startswith(_NON_RESULT_MODULES):
             continue
         digest.update(rel.encode())
         digest.update(path.read_bytes())

@@ -82,7 +82,7 @@ from ..cancellation import (Cancelled, CancelToken, DeadlineExceeded,
                             cancel_scope)
 from ..evaluation.store import STORE_DIR, cache_dir
 from ..ir import parse_scop
-from ..storage import open_store
+from ..storage import LocalShardedStore
 from ..testing.faults import register_fault_backends
 from .admission import AdmissionController, Rejected
 from .config import ServeConfig
@@ -149,10 +149,8 @@ class ServeDaemon:
                 restart_cap=self.config.worker_restart_cap)
         self.journal: Optional[RequestJournal] = None
         if self.config.journal:
-            # raises JournalUnavailable on a volatile backend — the
-            # operator must opt out explicitly with --no-journal
             self.journal = RequestJournal(
-                open_store(Path(cache_dir()) / STORE_DIR))
+                LocalShardedStore(str(Path(cache_dir()) / STORE_DIR)))
         register_fault_backends()
         self._unsub_resilience = RESILIENCE_BUS.subscribe(
             self._on_resilience_event)

@@ -22,12 +22,10 @@ which buys two things a crash-prone world needs:
 deadline, backend exhaustion) is re-executed when resubmitted, because
 failure is circumstance, not content.
 
-The journal opens the artifact store directly (same root/backend as the
-result cache) and deliberately ignores ``REPRO_NO_CACHE`` — that knob
-disables the *result memo*, while the journal is the daemon's write-ahead
-log.  Volatile backends make a write-ahead log a lie, which is why the
-daemon refuses to start with journaling on a backend whose entries do
-not live on disk (see :class:`JournalUnavailable`).
+The daemon opens the journal's :class:`~repro.storage.LocalShardedStore`
+directly (same root as the result cache) and deliberately ignores
+``REPRO_NO_CACHE`` — that knob disables the *result memo*, while the
+journal is the daemon's write-ahead log.
 """
 
 from __future__ import annotations
@@ -53,10 +51,6 @@ UNFINISHED = ("admitted", "started")
 #: retention for finished journal records (``repro store compact
 #: --journal-keep N`` falls back to this)
 ENV_JOURNAL_KEEP = "REPRO_JOURNAL_KEEP"
-
-
-class JournalUnavailable(RuntimeError):
-    """Journaling requested on a store that cannot durably hold it."""
 
 
 def request_signature(body: Any) -> str:
@@ -94,12 +88,6 @@ class RequestJournal:
     """
 
     def __init__(self, store: ArtifactStore) -> None:
-        if not store.on_disk:
-            raise JournalUnavailable(
-                f"refusing to journal onto volatile store backend "
-                f"{store.name!r} ({store.describe()}): a write-ahead "
-                f"log that evaporates with the process cannot recover "
-                f"anything; pass --no-journal to serve without one")
         self._store = store
         self._lock = threading.Lock()
         self._seq: Optional[int] = None  # resolved on first transition

@@ -168,9 +168,14 @@ def _worker_run_job(conn, sessions: "OrderedDict",
     conn.send(("ok", result.to_json_dict(include_events=True)))
 
 
-def _worker_main(conn, memory_mb: int, cpu_s: int,
+def _worker_main(conn, inherited, memory_mb: int, cpu_s: int,
                  max_sessions: int) -> None:
     from ..api.resilience import CircuitOpenError
+    # fork copied the parent-side ends of this worker's pipe and of
+    # every earlier worker's; while the child holds them, its own recv()
+    # never sees EOF when the daemon dies, and the worker outlives it
+    for parent_end in inherited:
+        parent_end.close()
     # Ctrl+C belongs to the daemon's drain logic, not to the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     applied = _apply_rlimits(memory_mb, cpu_s)
@@ -338,9 +343,12 @@ class WorkerSupervisor:
         generation = self._generations.get(index, -1) + 1
         self._generations[index] = generation
         parent_conn, child_conn = _CTX.Pipe(duplex=True)
+        with self._lock:
+            inherited = [parent_conn] + [
+                h.conn for h in self._workers.values()]
         proc = _CTX.Process(
             target=_worker_main,
-            args=(child_conn, self.memory_mb, self.cpu_s,
+            args=(child_conn, inherited, self.memory_mb, self.cpu_s,
                   self.max_sessions),
             name=f"repro-worker-{index}", daemon=True)
         proc.start()

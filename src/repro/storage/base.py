@@ -8,15 +8,15 @@ final record per key.  Appends never rewrite existing data, so any
 number of writers can share a store; :meth:`ArtifactStore.compact`
 reclaims the space superseded records leave behind.
 
-The contract is executable: every backend registered in
-:data:`repro.storage.STORE_BACKENDS` runs through the same conformance
-suite (``tests/test_artifact_store_conformance.py``), with the
-in-memory backend acting as the specification the file-backed ones are
-compared against.
+The contract is executable: the conformance suite
+(``tests/test_artifact_store_conformance.py``) runs every scenario
+against :class:`~repro.storage.LocalShardedStore` and against
+:class:`~repro.storage.InMemoryStore`, the specification the file
+store is compared with.
 
-Payloads must be JSON-serializable; a backend may hand back an equal
+Payloads must be JSON-serializable; a store may hand back an equal
 copy rather than the object that was appended (they round-trip through
-JSON), which keeps every backend observationally identical to the
+JSON), which keeps the file store observationally identical to the
 in-memory spec.
 """
 
@@ -30,21 +30,22 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-#: stored-line format version shared by the file backends; lines with a
+#: stored-line format version of the file store; lines with a
 #: different version are treated as corrupt (skipped + counted) instead
 #: of mis-read
 STORAGE_SCHEMA = 1
 
 #: how aggressively readers check record checksums (see verify_mode())
 ENV_STORE_VERIFY = "REPRO_STORE_VERIFY"
-VERIFY_MODES = ("off", "read", "paranoid")
+VERIFY_MODES = ("read", "paranoid")
 
 
 def verify_mode() -> str:
     """Checksum-verification mode for file-backed reads.
 
-    ``off``       never recompute crcs (fastest; corruption containment
-                  falls back to JSON/torn-line detection only).
+    A record that fails its crc is never served, in either mode; any
+    other value of ``REPRO_STORE_VERIFY`` means ``read``.
+
     ``read``      verify the record served by every ``read()`` and every
                   record rewritten by compaction (the default).
     ``paranoid``  additionally verify every line during index scans, so
@@ -113,13 +114,12 @@ class IntegrityCounters:
 
 
 #: shared by every store instance in the process: crc mismatches seen
-#: by readers, read-repairs performed by the mirrored backend, scrub
-#: runs/findings/repairs
+#: by readers, scrub runs/findings/repairs
 INTEGRITY = IntegrityCounters()
 
 
 class StoreError(Exception):
-    """A backend violated its own invariants (torn append, bad shard)."""
+    """A store violated its own invariants (torn append, bad shard)."""
 
 
 @dataclass(frozen=True)
@@ -175,19 +175,12 @@ class CompactionReport:
 class ArtifactStore(abc.ABC):
     """Open/append/read/list/delete over named streams (see module doc).
 
-    Class attributes describe backend capabilities, which the
-    conformance suite keys scenarios on:
-
-    ``persistent``
-        a second instance over the same root observes the first one's
-        data (within one process at minimum).
-    ``on_disk``
-        entries live in real files — crash/corruption scenarios (torn
-        tails, hand-edited shards, cross-process writers) apply.
+    ``on_disk`` says whether entries live in real files, which the
+    conformance suite keys its crash/corruption scenarios (torn tails,
+    hand-edited shards, cross-process writers) on.
     """
 
     name: str = "?"
-    persistent: bool = False
     on_disk: bool = False
 
     def __init__(self, root: str) -> None:
@@ -234,9 +227,9 @@ class ArtifactStore(abc.ABC):
     def refresh(self, stream: str) -> None:
         """Invalidate any cached index so the next access rescans."""
 
-    # -- conveniences shared by every backend --------------------------
+    # -- conveniences shared by every store ----------------------------
     def contains(self, stream: str, key: str) -> bool:
-        """Key liveness.  Backends whose payloads may be JSON null must
+        """Key liveness.  Stores whose payloads may be JSON null must
         override this to answer from key membership, not read()."""
         return key in self.list(stream)
 

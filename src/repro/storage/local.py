@@ -1,4 +1,9 @@
-"""The default artifact store: sharded, append-only, compacting files.
+"""The artifact store: sharded, append-only, compacting files.
+
+:class:`LocalShardedStore` is the only store production code opens (the
+result cache, the corpus cache and the serve journal all live in one);
+:class:`~repro.storage.InMemoryStore` is the specification it is
+conformance-tested against.
 
 Layout (one directory per stream under the store root)::
 
@@ -34,7 +39,7 @@ Safety model
   counted, never served.  Records that parse but fail their crc are
   counted as ``mismatched`` and reported missing rather than served
   (``REPRO_STORE_VERIFY``: verify on every read by default, on every
-  scanned line under ``paranoid``, never under ``off``).
+  scanned line under ``paranoid``).
 * **Compaction repairs.**  :meth:`LocalShardedStore.compact` rewrites
   each shard under its lock via write-temp-then-rename, keeping only
   the winning put per live key (byte-identical lines) and dropping
@@ -59,9 +64,7 @@ from .base import (INTEGRITY, STORAGE_SCHEMA, ArtifactStore,
 DEFAULT_SHARDS = 16
 META_FILE = "meta.json"
 
-#: default fault-injection site for appends; the mirrored backend
-#: overrides per replica (``store.append.0``, ``store.append.1``, ...)
-#: so a test can corrupt exactly one copy
+#: fault-injection site for appends (see repro.testing.faults)
 APPEND_FAULT_SITE = "store.append"
 
 _corrupt_bytes = None  # resolved lazily; see _apply_write_faults
@@ -135,10 +138,9 @@ class _StreamState:
 
 
 class LocalShardedStore(ArtifactStore):
-    """Sharded append-only file backend (see module docstring)."""
+    """Sharded append-only file store (see module docstring)."""
 
     name = "local"
-    persistent = True
     on_disk = True
 
     def __init__(self, root: str, shards: int = DEFAULT_SHARDS) -> None:
@@ -306,9 +308,8 @@ class LocalShardedStore(ArtifactStore):
                              f"lines; not appendable")
         # scheduled corruption faults (bitflip/truncate/garbage) hit the
         # encoded line here, before it reaches the shard, so scrub and
-        # read-repair paths are exercised against real on-disk damage
-        data = _apply_write_faults(
-            getattr(self, "fault_site", APPEND_FAULT_SITE), data)
+        # repair paths are exercised against real on-disk damage
+        data = _apply_write_faults(APPEND_FAULT_SITE, data)
         with self._lock:
             state = self._state(stream)
             # the first append pins the shard count; later appends
@@ -354,8 +355,7 @@ class LocalShardedStore(ArtifactStore):
                 record = self._record_at(stream, loc)
                 if (record is not None and record["key"] == key
                         and not record.get("tombstone")):
-                    if (verify_mode() != "off"
-                            and not record_crc_ok(record)):
+                    if not record_crc_ok(record):
                         # damaged payload: report the key missing and
                         # count it rather than serve altered data
                         state.mismatched += 1
@@ -401,7 +401,6 @@ class LocalShardedStore(ArtifactStore):
 
     def compact(self, stream: str) -> CompactionReport:
         kept = superseded = tombstones = corrupt = mismatched = 0
-        verify = verify_mode() != "off"
         with self._lock:
             state = self._state(stream)
             for shard in range(state.shards):
@@ -409,7 +408,7 @@ class LocalShardedStore(ArtifactStore):
                 if not path.exists():
                     continue
                 with exclusive_lock(self._lock_path(stream, shard)):
-                    k, s, t, c, m = self._compact_shard(path, verify)
+                    k, s, t, c, m = self._compact_shard(path)
                 kept += k
                 superseded += s
                 tombstones += t
@@ -424,15 +423,13 @@ class LocalShardedStore(ArtifactStore):
                                 dropped_mismatched=mismatched)
 
     @staticmethod
-    def _compact_shard(path: Path,
-                       verify: bool = True) -> Tuple[int, int, int,
-                                                     int, int]:
+    def _compact_shard(path: Path) -> Tuple[int, int, int, int, int]:
         """Rewrite one shard keeping only winning puts (byte-identical).
 
         Caller holds the shard lock.  Returns (kept, superseded,
-        tombstones, corrupt, mismatched) line counts.  With ``verify``
-        a record whose crc fails is dropped like a corrupt line — an
-        earlier valid put for the same key survives the rewrite.
+        tombstones, corrupt, mismatched) line counts.  A record whose
+        crc fails is dropped like a corrupt line — an earlier valid put
+        for the same key survives the rewrite.
         """
         superseded = tombstones = corrupt = mismatched = 0
         live: "Dict[str, bytes]" = {}
@@ -450,7 +447,7 @@ class LocalShardedStore(ArtifactStore):
                 if raw.strip():
                     corrupt += 1
                 continue
-            if verify and not record_crc_ok(record):
+            if not record_crc_ok(record):
                 mismatched += 1  # damage compacted away, not kept
                 continue
             key = record["key"]

@@ -1,20 +1,19 @@
 """The in-memory artifact store: the executable specification.
 
-Every conformance scenario that does not require real files runs the
-file-backed backends *and* this one and expects identical observations
+Production code never opens this store.  Every conformance scenario
+that does not require real files runs :class:`LocalShardedStore` *and*
+this one and expects identical observations
 (``tests/test_artifact_store_conformance.py``; the hypothesis suite in
 ``tests/test_storage_property.py`` drives random op interleavings
-through both).  To keep the semantics honest the backend stores each
+through both).  To keep the semantics honest the store keeps each
 payload as its canonical JSON encoding and decodes on read — appends
 fail on non-serializable payloads and reads return fresh copies,
-exactly like a backend with real I/O.
+exactly like a store with real I/O.
 
 Worlds are shared per root *within the process* (a class-level table),
 so two instances over the same root observe each other — the same
-visibility a file backend provides — while distinct roots stay
-isolated.  Nothing survives the process; selecting this backend
-(``REPRO_STORE_BACKEND=memory``) trades durability for zero disk I/O,
-which is also what makes it the fastest honest double in tests.
+visibility the file store provides — while distinct roots stay
+isolated.  Nothing survives the process.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ class InMemoryStore(ArtifactStore):
     """Process-local :class:`ArtifactStore` (see module docstring)."""
 
     name = "memory"
-    persistent = True   # per root, within this process
     on_disk = False
 
     _WORLDS: Dict[str, Dict[str, _Stream]] = {}
@@ -89,7 +87,7 @@ class InMemoryStore(ArtifactStore):
 
     def contains(self, stream: str, key: str) -> bool:
         # key membership, not read() is None — a stored JSON null is a
-        # live entry (the sharded backend answers from its index too)
+        # live entry (the sharded store answers from its index too)
         with self._LOCK:
             state = self._stream(stream, create=False)
             return bool(state) and key in state.entries

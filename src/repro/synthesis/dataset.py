@@ -169,9 +169,9 @@ def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
     shared artifact store (``<cache-dir>/store/``) keyed by
     :func:`dataset_signature` — the ~tens-of-seconds synthesis +
     PLuTo-optimization build is paid once per machine, not once per
-    process.  ``REPRO_CACHE_DIR`` moves the store,
-    ``REPRO_STORE_BACKEND`` swaps its backend, and ``REPRO_NO_CACHE``
-    disables the disk layer, exactly like the result store.  Loaded
+    process.  ``REPRO_CACHE_DIR`` moves the store and
+    ``REPRO_NO_CACHE`` disables the disk layer, exactly like the result
+    store.  Loaded
     corpora are bit-identical to built ones (exact indexed texts and
     properties are stored — see ``synthesis.store``), so retrieval
     ranks and demonstrations don't depend on which level served the

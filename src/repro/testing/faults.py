@@ -37,10 +37,8 @@ flight rather than failing a call: store-write sites pass each encoded
 record through :func:`corrupt_bytes` so a scheduled ``bitflip`` /
 ``truncate`` / ``garbage`` clause damages exactly the bytes that reach
 the shard file — deterministically (the flip offset derives from the
-record's own crc32), which is how the scrub/read-repair paths are
-exercised end to end.  The mirrored store backend gives each replica
-its own site (``store.append.0``, ``store.append.1``, ...) so a test
-can corrupt a single copy.
+record's own crc32), which is how the scrub/repair paths are exercised
+end to end.
 
 Faults raised here carry ``transient = True`` so the resilience layer
 (:mod:`repro.api.resilience`) retries them; ``delay`` sleeps through

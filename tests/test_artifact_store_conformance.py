@@ -1,12 +1,11 @@
-"""Backend conformance suite for the artifact-store contract.
+"""Conformance suite for the artifact-store contract.
 
-One suite, every backend (zenml-style): each scenario is parametrized
-over every backend registered in ``repro.storage.STORE_BACKENDS``, so
-the in-memory executable spec and the sharded local store — and any
-backend a plugin registers — must answer put/get/overwrite/delete/
-compaction/corruption/concurrency questions identically.  Scenarios
-that require real files (corruption injection, cross-process writers,
-external compaction) key off the backend's ``on_disk`` capability flag.
+One suite, two stores: each scenario is parametrized over the sharded
+local store production code opens and the in-memory executable spec,
+so both must answer put/get/overwrite/delete/compaction/corruption/
+concurrency questions identically.  Scenarios that require real files
+(corruption injection, cross-process writers, external compaction) key
+off the store's ``on_disk`` capability flag.
 """
 
 from __future__ import annotations
@@ -17,36 +16,32 @@ import threading
 
 import pytest
 
-from repro.storage import (STORAGE_SCHEMA, STORE_BACKENDS,
-                           LocalShardedStore, StoreError, open_store,
-                           shard_of)
+from repro.storage import (STORAGE_SCHEMA, InMemoryStore,
+                           LocalShardedStore, StoreError, shard_of)
 
-BACKENDS = STORE_BACKENDS.names()
+#: store name -> factory(root); ``local`` is checked against ``memory``
+FACTORIES = {"local": LocalShardedStore, "memory": InMemoryStore}
 
 
-@pytest.fixture(params=BACKENDS)
+@pytest.fixture(params=sorted(FACTORIES))
 def backend(request):
     return request.param
 
 
 @pytest.fixture
 def store(backend, tmp_path):
-    return open_store(tmp_path / "store", backend)
+    return FACTORIES[backend](str(tmp_path / "store"))
 
 
 def reopen(store):
     """A second instance over the same root (fresh index, same data)."""
-    return open_store(store.root, store.name)
+    return FACTORIES[store.name](store.root)
 
 
 # ----------------------------------------------------------------------
 # basic stream semantics
 # ----------------------------------------------------------------------
 class TestBasics:
-    def test_registry_has_both_builtins(self):
-        assert "local" in BACKENDS
-        assert "memory" in BACKENDS
-
     def test_roundtrip(self, store):
         store.append("s", "k", {"x": 1})
         assert store.read("s", "k") == {"x": 1}
@@ -165,8 +160,8 @@ class TestPersistence:
         assert fresh.stream_stats("s").tombstones == 1
 
     def test_distinct_roots_isolated(self, backend, tmp_path):
-        a = open_store(tmp_path / "a", backend)
-        b = open_store(tmp_path / "b", backend)
+        a = FACTORIES[backend](str(tmp_path / "a"))
+        b = FACTORIES[backend](str(tmp_path / "b"))
         a.append("s", "k", "a")
         assert b.read("s", "k") is None
 
@@ -356,7 +351,7 @@ class TestSharding:
 # concurrency
 # ----------------------------------------------------------------------
 def _mp_writer(root, backend, worker, rounds):
-    store = open_store(root, backend)
+    store = FACTORIES[backend](root)
     for i in range(rounds):
         # every worker hammers the SAME keys: the lost-update scenario
         store.append("s", f"key-{i % 4}", {"worker": worker, "i": i})

@@ -204,11 +204,12 @@ class TestStoreMaintenance:
         doc = json.loads(capsys.readouterr().out)
         assert doc["streams"]["results"]["superseded"] == 0
 
-    def test_explicit_cache_dir_and_backend(self, tmp_path, capsys):
+    def test_explicit_cache_dir(self, tmp_path, capsys):
         main(["store", "stats", "--cache-dir", str(tmp_path / "empty"),
-              "--backend", "memory", "--format", "json"])
+              "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["backend"] == "memory"
+        assert doc["backend"] == "local"
+        assert doc["root"] == str(tmp_path / "empty" / "store")
         assert doc["streams"] == {}
 
     def test_maintenance_ignores_no_cache(self, populated_cache,

@@ -7,7 +7,6 @@ indistinguishable from a freshly built one — same signature, same
 indexed texts, same properties, and bit-identical retrieval ranks.
 """
 
-import os
 
 import pytest
 
@@ -26,10 +25,6 @@ SIZE, SEED = 10, 31
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    # every scenario here is backend-agnostic: inherit an ambient
-    # REPRO_STORE_BACKEND (the CI store-stress matrix sets it)
-    monkeypatch.setenv("REPRO_STORE_BACKEND",
-                       os.environ.get("REPRO_STORE_BACKEND") or "local")
     monkeypatch.setattr(dataset_mod, "_DATASET_CACHE", {})
     result_store_mod._STORES.clear()
     yield tmp_path

@@ -6,8 +6,7 @@ Contract: every admitted non-streaming request is journaled
 includes the code signature.  Duplicates of a completed request
 short-circuit to the journaled, byte-identical result unless they ask
 for ``use_store: false``; ``--recover`` replays unfinished records after a
-daemon crash; volatile (memory) backends are refused unless the
-operator explicitly serves with ``--no-journal``.
+daemon crash; ``--no-journal`` serves without one.
 """
 
 import http.client
@@ -20,10 +19,9 @@ from repro.api import OptimizationRequest, OptimizerSession
 from repro.api.resilience import reset_resilience
 from repro.evaluation.store import STORE_DIR, cache_dir
 from repro.ir import parse_scop
-from repro.serve import (JOURNAL_STREAM, JournalUnavailable,
-                         RequestJournal, ServeConfig, ServeDaemon,
-                         prune_finished, request_signature)
-from repro.storage import InMemoryStore, open_store
+from repro.serve import (JOURNAL_STREAM, RequestJournal, ServeConfig,
+                         ServeDaemon, prune_finished, request_signature)
+from repro.storage import LocalShardedStore
 from repro.testing.faults import FaultPlan, install_plan
 
 KERNEL = """
@@ -142,7 +140,7 @@ class TestRequestSignature:
 # ----------------------------------------------------------------------
 class TestRequestJournal:
     def test_lifecycle_admitted_started_completed(self, tmp_path):
-        journal = RequestJournal(open_store(tmp_path / "store", "local"))
+        journal = RequestJournal(LocalShardedStore(tmp_path / "store"))
         signature = request_signature(BODY)
 
         journal.admitted(signature, BODY)
@@ -163,7 +161,7 @@ class TestRequestJournal:
         assert journal.describe().startswith(f"{JOURNAL_STREAM}@")
 
     def test_failed_records_do_not_short_circuit(self, tmp_path):
-        journal = RequestJournal(open_store(tmp_path / "store", "local"))
+        journal = RequestJournal(LocalShardedStore(tmp_path / "store"))
         signature = request_signature(BODY)
         journal.admitted(signature, BODY)
         journal.started(signature)
@@ -180,11 +178,6 @@ class TestRequestJournal:
         record = journal.record(signature)
         assert record["attempts"] == 2
         assert "error" not in record
-
-    def test_volatile_backend_is_refused(self, tmp_path):
-        with pytest.raises(JournalUnavailable) as excinfo:
-            RequestJournal(InMemoryStore(tmp_path))
-        assert "--no-journal" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +267,7 @@ class TestDaemonJournal:
         # a daemon died mid-request: the journal holds a started record
         signature = request_signature(STORED_BODY)
         journal = RequestJournal(
-            open_store(Path(cache_dir()) / STORE_DIR))
+            LocalShardedStore(Path(cache_dir()) / STORE_DIR))
         journal.admitted(signature, STORED_BODY)
         journal.started(signature)
 
@@ -292,7 +285,7 @@ class TestDaemonJournal:
     def test_recover_survives_an_unreplayable_record(self, make_daemon):
         signature = "deadbeef" * 8
         journal = RequestJournal(
-            open_store(Path(cache_dir()) / STORE_DIR))
+            LocalShardedStore(Path(cache_dir()) / STORE_DIR))
         journal.admitted(signature, {"request": {"source": "not a scop"}})
 
         daemon = make_daemon(recover=True)  # boots anyway
@@ -305,7 +298,7 @@ class TestDaemonJournal:
                                                       make_daemon):
         # the stored line rots on disk: valid JSON, stale crc
         signature = request_signature(BODY)
-        store = open_store(Path(cache_dir()) / STORE_DIR)
+        store = LocalShardedStore(Path(cache_dir()) / STORE_DIR)
         journal = RequestJournal(store)
         journal.admitted(signature, BODY)
         journal.started(signature)
@@ -324,20 +317,12 @@ class TestDaemonJournal:
         assert text == _expected_bytes()
         assert daemon.journal.record(signature)["status"] == "completed"
 
-    def test_volatile_backend_refused_unless_no_journal(
-            self, monkeypatch, tmp_path):
+    def test_no_journal_opts_out(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "memory")
-        with pytest.raises(JournalUnavailable):
-            ServeDaemon(ServeConfig(port=0, journal=True))
+        daemon = ServeDaemon(ServeConfig(port=0, journal=True))
+        assert daemon.journal is not None
         daemon = ServeDaemon(ServeConfig(port=0, journal=False))
         assert daemon.journal is None  # explicit opt-out works
-
-        # the CLI surfaces the refusal as a clean exit, not a traceback
-        from repro.cli import main
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--port", "0"])
-        assert "journal" in str(excinfo.value)
 
     def test_store_stats_reports_the_journal_stream(self, make_daemon,
                                                     capsys):
@@ -357,7 +342,7 @@ class TestDaemonJournal:
 # ----------------------------------------------------------------------
 class TestJournalRetention:
     def _journal_with_history(self, root):
-        store = open_store(root / "store", "local")
+        store = LocalShardedStore(root / "store")
         journal = RequestJournal(store)
         for i in range(5):
             journal.admitted(f"sig-{i}", {"request": i})
@@ -392,7 +377,7 @@ class TestJournalRetention:
     def test_seq_resumes_across_journal_lifetimes(self, tmp_path):
         store, journal = self._journal_with_history(tmp_path)
         high = journal.record("sig-bad")["seq"]
-        reborn = RequestJournal(open_store(tmp_path / "store", "local"))
+        reborn = RequestJournal(LocalShardedStore(tmp_path / "store"))
         reborn.admitted("later", {"request": "later"})
         assert reborn.record("later")["seq"] == high + 1
 
@@ -402,14 +387,14 @@ class TestJournalRetention:
         self._journal_with_history(tmp_path)
         from repro.cli import main
         assert main(["store", "compact", "--cache-dir", str(tmp_path),
-                     "--backend", "local", "--journal-keep", "2",
+                     "--journal-keep", "2",
                      "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["journal_retention"]["dropped"] == 4
         assert doc["journal_retention"]["kept_finished"] == 2
 
         # the tombstoned bytes are really gone after the compaction
-        fresh = open_store(tmp_path / "store", "local")
+        fresh = LocalShardedStore(tmp_path / "store")
         stats = fresh.stream_stats(JOURNAL_STREAM)
         assert stats.entries == 4  # 2 finished survivors + 2 pending
         assert stats.tombstones == 0
@@ -417,7 +402,7 @@ class TestJournalRetention:
         # the env knob is the fallback when the flag is absent
         monkeypatch.setenv("REPRO_JOURNAL_KEEP", "1")
         assert main(["store", "compact", "--cache-dir", str(tmp_path),
-                     "--backend", "local", "--format", "json"]) == 0
+                     "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["journal_retention"]["dropped"] == 1
         assert doc["journal_retention"]["kept_finished"] == 1

@@ -14,8 +14,13 @@ on the parent side so the plan survives worker restarts.
 
 import http.client
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +51,19 @@ def _request(addr, method, path, body=None, timeout=120):
         return resp.status, resp.read().decode(), dict(resp.getheaders())
     finally:
         conn.close()
+
+
+def _pid_alive(pid):
+    """True while ``pid`` runs (a zombie awaiting its reaper is dead)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return True
 
 
 def _post(addr, body, timeout=120):
@@ -361,3 +379,34 @@ class TestSupervisorPool:
             assert 0.3 < delta < 0.7  # 1.0s vs 0.5s backoff
         finally:
             supervisor.shutdown()
+
+    def test_workers_die_with_a_sigkilled_supervisor(self):
+        """No cleanup code runs on SIGKILL: each worker must notice on
+        its own that the parent end of its pipe is gone."""
+        script = ("import time\n"
+                  "from repro.serve import WorkerSupervisor\n"
+                  "pool = WorkerSupervisor(workers=2)\n"
+                  "pool.start()\n"
+                  "print(*(h.proc.pid for h in pool._workers.values()),"
+                  " flush=True)\n"
+                  "time.sleep(120)\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait(10.0)
+            assert _wait_until(
+                lambda: not any(_pid_alive(pid) for pid in pids),
+                timeout=5.0), "workers outlived their supervisor"
+        finally:
+            proc.kill()
+            proc.wait(10.0)
+            proc.stdout.close()
+            for pid in pids:
+                if _pid_alive(pid):
+                    os.kill(pid, signal.SIGKILL)

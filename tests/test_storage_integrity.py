@@ -4,10 +4,9 @@ Contract under test: every stored record carries a crc32 envelope;
 readers never serve a record whose checksum fails (the key reads as
 missing and the damage is counted); ``repro store verify`` pinpoints
 corrupt/torn/mismatched lines with shard+offset diagnostics and
-``--repair`` heals them — by compaction for a local store, by
-read-repair from a healthy replica for a mirrored one.  The hypothesis
-bit-rot property at the bottom is the headline: flip any single bit of
-any shard and no reader ever returns altered data.
+``--repair`` heals them by compaction.  The hypothesis bit-rot property
+at the bottom is the headline: flip any single bit of any shard and no
+reader ever returns altered data.
 """
 
 import json
@@ -19,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.storage import (INTEGRITY, LocalShardedStore, MirroredStore,
-                           record_crc, record_crc_ok, repair_store,
-                           verify_store)
+from repro.storage import (INTEGRITY, LocalShardedStore, record_crc,
+                           record_crc_ok, verify_store)
 from repro.testing.faults import (FaultClause, FaultPlan, corrupt_data,
                                   install_plan)
 
@@ -122,12 +120,14 @@ class TestVerifyModes:
         assert store.read("s", "k") is None  # never the tampered value
         assert store.stream_stats("s").mismatched == 1
 
-    def test_off_mode_serves_without_checking(self, tmp_path,
-                                              monkeypatch):
+    def test_retired_off_mode_still_verifies(self, tmp_path,
+                                             monkeypatch):
+        """Only ``read`` and ``paranoid`` exist; anything else reads
+        like ``read``, so no setting serves an unchecked record."""
         store = self._tampered_store(tmp_path)
         monkeypatch.setenv("REPRO_STORE_VERIFY", "off")
         store.refresh("s")
-        assert store.read("s", "k") == ["tampered"]
+        assert store.read("s", "k") is None
 
     def test_paranoid_mode_resurrects_the_previous_put(self, tmp_path,
                                                        monkeypatch):
@@ -205,20 +205,6 @@ class TestCorruptionFaults:
         assert fresh.read("s", "healthy") == {"x": 2}
         assert not verify_store(fresh).clean
 
-    def test_per_replica_sites_corrupt_one_copy(self, tmp_path):
-        install_plan(FaultPlan.parse("store.append.1:garbage:times=1"))
-        store = MirroredStore(str(tmp_path))
-        store.append("s", "k", "value")
-        install_plan(None)
-        report = verify_store(store)
-        assert not report.clean
-        assert report.replicas[0].clean  # the primary never saw it
-        assert not report.replicas[1].clean
-        assert store.read("s", "k") == "value"  # served and healed
-        repair_store(store)
-        assert verify_store(store).clean
-
-
 # ----------------------------------------------------------------------
 # the scrubber and `repro store verify`
 # ----------------------------------------------------------------------
@@ -243,30 +229,13 @@ class TestScrub:
         assert (stream.mismatched, stream.corrupt, stream.torn) \
             == (1, 1, 1)
 
-    def test_mirrored_repair_restores_byte_identical_reads(self,
-                                                           tmp_path):
-        store = MirroredStore(str(tmp_path))
-        expected = {}
-        for i in range(6):
-            expected[f"k{i}"] = {"value": i, "blob": "x" * i}
-            store.append("s", f"k{i}", expected[f"k{i}"])
-        _stale_crc(store.children[0], "s", "k3")
-        assert not verify_store(store).clean
-        report = repair_store(store)
-        assert report.read_repairs >= 1
-        fresh = MirroredStore(str(tmp_path))
-        assert verify_store(fresh).clean
-        for key, value in expected.items():
-            assert fresh.read("s", key) == value
-
     def test_cli_verify_detects_and_repairs(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         store_root = cache / "store"
         store = LocalShardedStore(store_root, shards=1)
         store.append("results", "k", "v1")
         store.append("results", "k", "v2")
-        args = ["store", "verify", "--cache-dir", str(cache),
-                "--backend", "local"]
+        args = ["store", "verify", "--cache-dir", str(cache)]
         assert main(args) == 0
         capsys.readouterr()
         _stale_crc(store, "results", "k")
@@ -288,10 +257,9 @@ class TestScrub:
         store = LocalShardedStore(tmp_path / "store", shards=1)
         store.append("results", "k", "v")
         _stale_crc(store, "results", "k")
-        assert main(["store", "verify", "--backend", "local"]) == 1
+        assert main(["store", "verify"]) == 1
         capsys.readouterr()
-        assert main(["store", "stats", "--backend", "local",
-                     "--format", "json"]) == 0
+        assert main(["store", "stats", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["integrity"]["scrub_runs"] >= 1
         assert doc["integrity"]["scrub_flagged"] >= 1
@@ -313,7 +281,7 @@ class TestCompactReporting:
         for i in range(20):
             store.append("results", "hot", {"round": i})
         assert main(["store", "compact", "--cache-dir", str(cache),
-                     "--backend", "local", "--format", "json"]) == 0
+                     "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         (entry,) = doc["compacted"]
         assert entry["reclaimed_bytes"] > 0
@@ -321,8 +289,7 @@ class TestCompactReporting:
             == entry["reclaimed_bytes"]
         for i in range(10):
             store.append("results", "hot", {"round": i})
-        assert main(["store", "compact", "--cache-dir", str(cache),
-                     "--backend", "local"]) == 0
+        assert main(["store", "compact", "--cache-dir", str(cache)]) == 0
         out = capsys.readouterr().out
         assert "reclaimed" in out and "->" in out
 
@@ -382,34 +349,6 @@ def test_bitrot_local_never_serves_altered_data(tmp_path_factory, data):
         # mutated key: the read path sees a plain miss, but the crc
         # covers the key so the scrubber always flags the damage
         assert not verify_store(fresh).clean
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_bitrot_mirrored_heals_and_serves_originals(tmp_path_factory,
-                                                    data):
-    """Same flip, mirrored store: every key still reads back exactly,
-    and the heal persists across a reopen."""
-    root = tmp_path_factory.mktemp("bitrot-mir")
-    store = MirroredStore(str(root))
-    for key, payload in FIXED_PAYLOADS.items():
-        store.append("s", key, payload)
-    for stream in store.streams():
-        store.compact(stream)
-    victim = data.draw(st.sampled_from((0, 1)), label="replica")
-    shards = store.children[victim].shard_paths("s")
-    path = data.draw(st.sampled_from(shards), label="shard")
-    offset = data.draw(st.integers(0, path.stat().st_size - 1),
-                       label="offset")
-    _flip(path, offset, data.draw(
-        st.sampled_from((0x01, 0x40)), label="mask"))
-
-    fresh = MirroredStore(str(root))
-    for key, expected in FIXED_PAYLOADS.items():
-        assert fresh.read("s", key) == expected
-    again = MirroredStore(str(root))
-    for key, expected in FIXED_PAYLOADS.items():
-        assert again.read("s", key) == expected
 
 
 if __name__ == "__main__":  # pragma: no cover

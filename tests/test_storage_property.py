@@ -1,11 +1,10 @@
-"""Property-based equivalence: file-backed backends vs in-memory spec.
+"""Property-based equivalence: the local store vs the in-memory spec.
 
 Hypothesis drives arbitrary interleavings of put/get/delete/compact/
 reopen/list over the same keyspace through a :class:`LocalShardedStore`
-(and a :class:`MirroredStore` over two of them) and the
-:class:`InMemoryStore` executable specification and requires
+and the :class:`InMemoryStore` executable specification and requires
 observationally identical answers — including the waste counters
-(superseded / tombstones), which both backends must account the same
+(superseded / tombstones), which both stores must account the same
 way for ``repro store stats`` to mean anything.  ``reopen`` swaps in a
 fresh instance over the same root, so index rebuilds from shard files
 are exercised mid-sequence, not just at the end.
@@ -17,22 +16,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage import InMemoryStore, LocalShardedStore, MirroredStore
+from repro.storage import InMemoryStore, LocalShardedStore
 
 
 def _local(root):
     return LocalShardedStore(root / "local", shards=4)
 
 
-def _mirrored(root):
-    # deliberately different shard counts per replica: key placement
-    # must never leak into observable behaviour
-    return MirroredStore(str(root / "mir"), children=[
-        LocalShardedStore(root / "mir" / "replica-0", shards=2),
-        LocalShardedStore(root / "mir" / "replica-1", shards=4)])
+def _memory(root):
+    return InMemoryStore(str(root / "memory"))
 
 
-FACTORIES = {"local": _local, "mirrored": _mirrored}
+FACTORIES = {"local": _local, "memory": _memory}
 
 KEYS = ("alpha", "beta", "gamma", "delta", "")
 STREAMS = ("s1", "s2")

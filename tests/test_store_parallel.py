@@ -11,7 +11,6 @@ appends never tear, and parallel runs are identical to serial ones on a
 
 import json
 import multiprocessing
-import os
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.evaluation.parallel import map_items, resolve_pool
 from repro.evaluation.store import (RESULTS_STREAM, ResultStore,
                                     active_store, encode_key)
 from repro.llm.personas import DEEPSEEK_V3, GPT_4O
-from repro.registry import UnknownComponentError
 from repro.storage import STORAGE_SCHEMA
 
 #: the cheap plan the store tests round-trip
@@ -36,10 +34,6 @@ def fresh_harness(monkeypatch, tmp_path):
     """Empty store in a tmp dir + cleared in-memory caches."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    # inherit an ambient REPRO_STORE_BACKEND (the CI store-stress matrix
-    # sets it); default to the sharded on-disk backend
-    monkeypatch.setenv("REPRO_STORE_BACKEND",
-                       os.environ.get("REPRO_STORE_BACKEND") or "local")
     monkeypatch.setenv("REPRO_SUITE_LIMIT", "3")
     harness._RUN_CACHE.clear()
     harness._RUNNER_CACHE.clear()
@@ -57,16 +51,8 @@ def _forget_memory():
     store_module._STORES.clear()
 
 
-def require_on_disk(store: ResultStore) -> None:
-    """Skip scenarios that hand-edit shard files or cross processes
-    when the configured backend keeps entries in memory."""
-    if not store.artifacts().on_disk:
-        pytest.skip("scenario needs the on-disk sharded backend")
-
-
 def shard_files(store: ResultStore):
     """Non-empty shard files behind the results stream."""
-    require_on_disk(store)
     return [path for path in
             store.artifacts().shard_paths(RESULTS_STREAM)
             if path.stat().st_size]
@@ -147,20 +133,6 @@ class TestResultStore:
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         assert active_store() is None
 
-    def test_memory_backend(self, tmp_path):
-        store = ResultStore(tmp_path, backend="memory")
-        store.put(("k",), [{"a": 1}])
-        assert store.get(("k",)) == [{"a": 1}]
-        assert not (tmp_path / "store").exists()  # nothing on disk
-        # per-root world: a second instance over the same root sees it
-        assert ResultStore(tmp_path, backend="memory").get(
-            ("k",)) == [{"a": 1}]
-
-    def test_unknown_backend_rejected(self, tmp_path):
-        store = ResultStore(tmp_path, backend="s3-someday")
-        with pytest.raises(UnknownComponentError, match="local"):
-            store.get(("k",))
-
 
 class TestCrashRecovery:
     """A shard torn mid-line loses one record, never the store."""
@@ -168,9 +140,7 @@ class TestCrashRecovery:
     def test_torn_tail_skipped_compacted_and_warm_identical(
             self, fresh_harness):
         cold = results_for(GRAPHITE)
-        store = active_store()
-        replicated = hasattr(store.artifacts(), "children")
-        [shard] = shard_files(store)  # the primary's, when replicated
+        [shard] = shard_files(active_store())
         data = shard.read_bytes()
         shard.write_bytes(data[:-9])  # crash mid-record
 
@@ -179,12 +149,7 @@ class TestCrashRecovery:
         assert recomputed == cold  # the torn entry is never served
         stats = active_store().stats()
         assert stats["corrupt"] == 1
-        if replicated:
-            # a healthy replica serves the value and read-repairs the
-            # torn primary — recovery without recomputation
-            assert stats["hits"] == 1
-        else:
-            assert stats["hits"] == 0  # recomputed, not served
+        assert stats["hits"] == 0  # recomputed, not served
 
         report = active_store().compact()
         assert report.dropped_corrupt == 1
@@ -209,7 +174,6 @@ class TestAtomicAppends:
         """Satellite: the ``put`` lost-update race.  Concurrent
         processes appending the same key must produce whole lines only
         — one writer wins, none interleave fragments."""
-        require_on_disk(ResultStore(tmp_path))
         workers = [multiprocessing.get_context().Process(
             target=_stress_writer, args=(str(tmp_path), w, 15))
             for w in range(4)]
