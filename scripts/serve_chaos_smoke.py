@@ -20,9 +20,9 @@ Phase 2 — durable journal (journal on, fresh cache dir):
 7. SIGKILL the *daemon* while a request is in flight — the journal
    holds an unfinished record;
 8. a fresh ``repro serve --recover`` replays it to completion during
-   boot, the client's resubmit short-circuits to the journaled result,
-   and those bytes match a no-journal daemon executing the same
-   request from scratch;
+   boot, the client's resubmit is answered from the result store the
+   replay filled, and those bytes match a no-journal daemon executing
+   the same request from scratch;
 9. ``repro store stats`` reports the ``journal`` stream.
 
 Stdlib only; exits non-zero with a readable message on any violation.
@@ -248,10 +248,12 @@ def phase1_crash_containment():
 
 def phase2_journal_recovery():
     cache = tempfile.mkdtemp(prefix="repro-chaos-journal-")
-    env = base_env(REPRO_CACHE_DIR=cache,
+    # the result store is on in this phase (an empty REPRO_NO_CACHE):
+    # it, not the journal, answers the resubmission below
+    env = base_env(REPRO_CACHE_DIR=cache, REPRO_NO_CACHE="",
                    REPRO_FAULTS="llm.generate:delay:seconds=0.5:always")
-    # no "use_store": false here: such requests bypass the journal's
-    # short-circuit, and the resubmission below must take it
+    # no "use_store": false here: such requests bypass the result
+    # store, and the resubmission below must be answered from it
     body = {"request": {"source": KERNEL},
             "session": {"llm_backend": "faulty"}}
     try:
@@ -276,7 +278,7 @@ def phase2_journal_recovery():
             proc.wait()
         step("daemon SIGKILLed mid-request")
 
-        recover_env = base_env(REPRO_CACHE_DIR=cache)
+        recover_env = base_env(REPRO_CACHE_DIR=cache, REPRO_NO_CACHE="")
         proc, addr = boot(["--recover"], recover_env)
         try:
             status, metrics = get_json(addr, "/metrics")
@@ -288,9 +290,9 @@ def phase2_journal_recovery():
             if status != 200:
                 fail(f"resubmit after recovery: {status}")
             status, metrics = get_json(addr, "/metrics")
-            if metrics["counters"].get("journal_hits_total") != 1:
-                fail("resubmit did not short-circuit to the journal")
-            step("resubmit short-circuited to the journaled result")
+            if metrics["counters"].get("store_hits_total") != 1:
+                fail("resubmit was not answered from the result store")
+            step("resubmit answered from the replay's stored result")
         finally:
             proc.kill()
             proc.wait()
@@ -303,7 +305,7 @@ def phase2_journal_recovery():
                 fail(f"from-scratch baseline: {status}")
             if replayed != scratch:
                 fail("replayed result differs from from-scratch result")
-            step("journaled result byte-identical to from-scratch run")
+            step("replayed result byte-identical to from-scratch run")
         finally:
             proc.kill()
             proc.wait()

@@ -47,7 +47,7 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
                                    PipelineResult)
 from ..registry import UnknownComponentError
 from ..retrieval.retriever import Retriever
-from ..synthesis.dataset import Dataset, dataset_signature
+from ..synthesis.dataset import Dataset
 from .events import EventBus, EventLog, SessionEvent
 from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
                        OPTIMIZER_REGISTRY, RETRIEVAL_METHODS)
@@ -440,27 +440,21 @@ class OptimizerSession:
         return active_store()
 
     def _request_key(self, request: OptimizationRequest) -> Tuple:
-        from ..evaluation.store import code_signature
+        """Store key: the echoed request, the session spec and the code.
 
-        fingerprint = request.program.fingerprint()
-        if request.system == "compiler":
-            core: Tuple = ("api/compiler", request.optimizer,
-                           request.effective_time_limit(), fingerprint,
-                           request.perf_params)
-        elif request.system == "basellm":
-            core = ("api/basellm", request.persona_name(), self.base_name,
-                    self.llm_backend, self.seed, self.k,
-                    request.effective_time_limit(), fingerprint,
-                    request.perf_params, request.test_params)
-        else:
-            core = ("api/looprag", request.persona_name(), self.base_name,
-                    self.retrieval_method, self.llm_backend,
-                    self.generator, self.dataset_size, self.seed, self.k,
-                    request.effective_time_limit(), fingerprint,
-                    request.perf_params, request.test_params,
-                    dataset_signature(self.dataset_size, self.seed,
-                                      self.generator))
-        return core + (code_signature(),)
+        ``request.echo()`` is the request object the result document
+        prints, so every request field that reaches the document is in
+        the key by construction (two kernels sharing a fingerprint
+        still differ in their echoed name).
+        """
+        from ..evaluation.store import code_signature
+        spec = {"base_compiler": self.base_name,
+                "retrieval_method": self.retrieval_method,
+                "llm_backend": self.llm_backend,
+                "generator": self.generator,
+                "dataset_size": self.dataset_size,
+                "seed": self.seed, "k": self.k}
+        return (request.echo(), spec, code_signature())
 
     # ------------------------------------------------------------------
     # execution

@@ -42,7 +42,7 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT,
                                    LOOPRAG_TIME_LIMIT)
 from ..retrieval.retriever import Retriever
 from ..suites import Suite, lore, polybench, tsvc
-from ..synthesis.dataset import cached_dataset, dataset_signature
+from ..synthesis.dataset import cached_dataset
 from .parallel import default_jobs, make_executor
 from .store import active_store, code_signature
 
@@ -174,14 +174,12 @@ class RunPlan:
 
     def key(self) -> Tuple:
         """Cache key: the run-determining fields plus the environment's
-        suite subsampling and the dataset/code signatures."""
+        suite subsampling and the code signature."""
         if self.kind == "looprag":
             core: Tuple = ("looprag", self.suite, self.persona, self.base,
                            self.retrieval_method, self.generator,
                            self.dataset_size, self.seed,
-                           self.effective_time_limit(),
-                           dataset_signature(self.dataset_size, self.seed,
-                                             self.generator))
+                           self.effective_time_limit())
         elif self.kind == "basellm":
             core = ("basellm", self.suite, self.persona, self.base,
                     self.seed, self.effective_time_limit())

@@ -1,9 +1,10 @@
-"""Persistent, content-keyed result store for the evaluation harness.
+"""Persistent, content-keyed result store.
 
-The session-local ``_RUN_CACHE`` memoization in ``harness.py`` only
-lives for one process; every pytest/bench invocation used to recompute
-the world from scratch.  This module persists finished runs to disk so
-warm reruns are near-no-ops.
+The one result memo: suite-level plans (``harness.py``, whose
+in-process memo only lives for one process) and single optimization
+requests (``OptimizerSession``) persist their finished results here,
+so warm reruns are near-no-ops and ``repro serve`` answers duplicate
+requests without recomputing them.
 
 Layout
 ------
@@ -15,16 +16,17 @@ file locks, so any number of concurrent sessions and fork-pool workers
 append whole records safely; ``repro store compact`` reclaims
 superseded and corrupt lines.
 
-Each stored record maps an encoded cache key to one completed plan's
-payload:
+Each stored record maps an encoded cache key to one payload:
 
-* the key is the JSON-encoded tuple the in-memory cache uses (plan
-  kind, suite, system parameters, ``REPRO_SUITE_LIMIT``) plus a dataset
-  signature (see ``synthesis.dataset.dataset_signature``) and a code
-  signature over the result-determining packages, so edits to the
-  pipeline/transforms/compilers invalidate stale entries;
-* the payload is the serialized ``BenchResult`` list (the store is
-  payload-agnostic; ``harness.py`` owns the (de)serialization).
+* the key is a JSON-encoded tuple of every field that shapes the
+  result — a plan's kind, suite, system parameters and
+  ``REPRO_SUITE_LIMIT`` (``RunPlan.key``), or a request's echo and
+  its session spec (``OptimizerSession._request_key``) — plus a code
+  signature over the result-determining modules, so edits to the
+  pipeline/transforms/compilers/corpus synthesis invalidate stale
+  entries;
+* the payload is the serialized result (the store is
+  payload-agnostic; its callers own the (de)serialization).
 
 Corrupt lines (truncated writes, hand edits, non-JSON garbage) are
 skipped on load and reported by :meth:`ResultStore.stats` separately
@@ -114,10 +116,6 @@ class ResultStore:
         self.artifacts().append(RESULTS_STREAM, encode_key(key), payload)
         self.writes += 1
 
-    def delete(self, key: Sequence) -> bool:
-        """Tombstone one entry (rarely needed; compaction reclaims it)."""
-        return self.artifacts().delete(RESULTS_STREAM, encode_key(key))
-
     def clear(self) -> None:
         """Drop every entry (the ``make clean-cache`` path)."""
         self.artifacts().drop(RESULTS_STREAM)
@@ -187,10 +185,12 @@ def cache_stats() -> Dict[str, int]:
 # them changes
 # ----------------------------------------------------------------------
 #: modules whose source does NOT affect run results: presentation,
-#: batching/aggregation and the store/pool plumbing.  An entry ending in
-#: "/" covers every module under that package.  evaluation/harness.py
-#: is deliberately NOT listed — it computes the compiler baselines,
-#: timeouts and speedups that end up inside stored BenchResults.
+#: batching/aggregation, the store/pool plumbing and the serve daemon
+#: (its defaults reach a result only through the echoed request and the
+#: session spec, both in the key).  An entry ending in "/" covers every
+#: module under that package.  evaluation/harness.py is deliberately NOT
+#: listed — it computes the compiler baselines, timeouts and speedups
+#: that end up inside stored BenchResults.
 _NON_RESULT_MODULES = (
     "cli.py",
     "evaluation/__init__.py",
@@ -200,6 +200,7 @@ _NON_RESULT_MODULES = (
     "evaluation/parallel.py",
     "evaluation/reporting.py",
     "evaluation/store.py",
+    "serve/",
     "storage/",
 )
 

@@ -138,10 +138,12 @@ class Program:
 
         The key for whatever reads the ``omp parallel``/``simd`` marks or
         the tags: equivalence verdicts and checkers (the race audit reads
-        the marks), cost estimates, the result store, the simulated LLM's
-        RNG seeds and branch-coverage registration.  Dependence analysis
-        and kernel compilation read neither, so their memos key on
-        :meth:`analysis_key` and :meth:`kernel_key` instead.
+        the marks), cost estimates, the simulated LLM's RNG seeds and
+        branch-coverage registration.  It is not a result key: kernels
+        that differ only in name share it, so the result store keys on
+        the echoed request, which carries the name as well.  Dependence
+        analysis and kernel compilation read neither marks nor tags, so
+        their memos key on :meth:`analysis_key` and :meth:`kernel_key`.
         """
         return self._memo_key("_fingerprint", lambda: "|".join([
             ",".join(self.params),

@@ -54,9 +54,9 @@ class ServeConfig:
     crashes workers ``worker_crash_limit`` times is quarantined (422).
 
     ``journal`` write-ahead-logs every non-streaming request to the
-    artifact store's "journal" stream: duplicates short-circuit to the
-    journaled result and ``repro serve --recover`` (``recover=True``)
-    replays admitted-but-unfinished requests after a daemon crash.
+    artifact store's "journal" stream so that ``repro serve --recover``
+    (``recover=True``) replays admitted-but-unfinished requests after a
+    daemon crash.  Duplicates are answered by the result store.
     """
 
     host: str = "127.0.0.1"

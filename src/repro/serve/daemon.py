@@ -23,9 +23,9 @@ Stdlib only (:mod:`http.server` + threads).  One
   :mod:`repro.serve.supervisor`): a crashing request answers ``500``
   and never takes the daemon down;
 * unless ``--no-journal``, a **write-ahead request journal** on the
-  artifact store (see :mod:`repro.serve.journal`): duplicates
-  short-circuit to the journaled result, ``--recover`` replays
-  unfinished requests after a crash;
+  artifact store (see :mod:`repro.serve.journal`): ``--recover``
+  replays unfinished requests after a crash (duplicates are answered
+  by the sessions' result store, not the journal);
 * ``/healthz``, ``/metrics`` and ``/quarantine`` endpoints.
 
 Endpoints
@@ -43,7 +43,8 @@ Endpoints
 ``GET /metrics``
     queue depth, in-flight, totals (completed / failed / rejected /
     cancelled / retries / breaker trips), breaker states, worker-pool
-    and quarantine state, journal hits/replays, p50/p95 latency.
+    and quarantine state, result-store hits, journal replays, p50/p95
+    latency.
 ``GET /quarantine``
     quarantined request signatures with crash diagnostics.
 ``POST /quarantine/clear``
@@ -97,8 +98,9 @@ logger = logging.getLogger("repro.serve")
 SESSION_KEYS = ("dataset_size", "seed", "generator", "retrieval_method",
                 "llm_backend", "base_compiler", "k", "use_store")
 
-#: resilience event kinds -> metrics counters
-_RESILIENCE_COUNTERS = {
+#: resilience event kinds (and the store-hit stat) -> metrics counters
+_STAT_COUNTERS = {
+    "store_hit": "store_hits_total",
     "retry": "retries_total",
     "retry_give_up": "retry_give_ups_total",
     "breaker_open": "breaker_opens_total",
@@ -252,8 +254,9 @@ class ServeDaemon:
         self._on_worker_stat(event.kind)
 
     def _on_worker_stat(self, kind: str) -> None:
-        """Resilience events, local or relayed from a worker."""
-        counter = _RESILIENCE_COUNTERS.get(kind)
+        """Resilience events and store hits, local or relayed from a
+        worker."""
+        counter = _STAT_COUNTERS.get(kind)
         if counter is not None:
             self.metrics.inc(counter)
 
@@ -289,6 +292,8 @@ class ServeDaemon:
         session = self.session_for(spec)
         result = session.optimize(request, use_store=use_store,
                                   cancel=token)
+        if result.from_cache:
+            self._on_worker_stat("store_hit")
         return result.to_json_dict(include_events=True)
 
     def _journal_failed(self, journaled: bool, signature: str,
@@ -316,18 +321,6 @@ class ServeDaemon:
         signature = request_signature(body)
         stream = bool(body.get("stream"))
         include_events = bool(body.get("include_events", True))
-        # use_store: false bypasses every memo, the journal included;
-        # the request is still journaled below
-        if (self.journal is not None and not stream
-                and body.get("use_store") is not False):
-            hit = self.journal.result(signature)
-            if hit is not None:
-                self.metrics.inc("journal_hits_total")
-                self.metrics.inc("completed_total")
-                self.metrics.observe_latency(time.monotonic() - started)
-                _send_json(handler, 200,
-                           _strip_events(hit, include_events))
-                return
         poisoned = self.quarantine.lookup(signature)
         if poisoned is not None:
             self.metrics.inc("rejected_total")
@@ -385,7 +378,7 @@ class ServeDaemon:
                 doc = self._execute_doc(request, spec, use_store,
                                         token, signature)
                 if journaled:
-                    self.journal.completed(signature, doc)
+                    self.journal.completed(signature)
                 self.quarantine.note_success(signature)
                 reply = partial(_send_json, handler, 200,
                                 _strip_events(doc, include_events))
@@ -548,6 +541,8 @@ class ServeDaemon:
         try:
             result = session.optimize(request, use_store=use_store,
                                       cancel=token)
+            if result.from_cache:
+                self._on_worker_stat("store_hit")
             doc = result.to_json_dict(include_events=False)
             doc["kind"] = "result"
             write_line(doc)
@@ -598,10 +593,9 @@ class ServeDaemon:
         Each is re-materialized from its journaled body and executed
         through the normal path (workers included) with no deadline —
         the original client is gone; the point is that the work
-        admitted before the crash ends up completed in the journal,
-        byte-identical to what the original request would have
-        returned, ready for the client's resubmission to short-circuit
-        onto.
+        admitted before the crash ends up completed, its result in the
+        result store, ready for the client's resubmission to be
+        answered from there byte-identically.
         """
         if self.journal is None:
             return 0
@@ -630,12 +624,12 @@ class ServeDaemon:
                 self._register_token(token)
                 try:
                     self.journal.started(signature)
-                    doc = self._execute_doc(request, spec,
-                                            body.get("use_store"),
-                                            token, signature)
+                    self._execute_doc(request, spec,
+                                      body.get("use_store"), token,
+                                      signature)
                 finally:
                     self._unregister_token(token)
-                self.journal.completed(signature, doc)
+                self.journal.completed(signature)
                 self.metrics.inc("journal_replayed_total")
                 replayed += 1
             except Exception as exc:
@@ -812,7 +806,7 @@ def _strip_events(doc: Dict[str, Any],
                   include_events: bool) -> Dict[str, Any]:
     """The full result document, minus "events" when not requested.
 
-    Journaled and worker-produced documents always carry events;
+    Executed and worker-produced documents always carry events;
     popping the key yields exactly the bytes
     ``to_json_dict(include_events=False)`` would have produced.
     """

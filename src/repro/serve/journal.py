@@ -2,30 +2,26 @@
 
 Every non-streaming request the daemon admits is journaled to the
 artifact store's ``"journal"`` stream *before* it executes, keyed by an
-idempotency signature derived from the request content.  A record walks
-a tiny state machine::
+idempotency signature derived from the request body.  A record holds
+the status, the body, the attempt count, a sequence number and the
+last error — never a result document — and walks a tiny state
+machine::
 
     admitted -> started -> completed | failed
 
-which buys two things a crash-prone world needs:
+so ``repro serve --recover`` can replay every ``admitted``/``started``
+record through the normal execution path at startup: requests that
+were in flight when the daemon died are finished rather than lost.
+The signature also names a body for the supervisor's quarantine.
 
-* **idempotent resubmission** — a duplicate of a ``completed`` request
-  short-circuits to the journaled result document (byte-identical to
-  the original response, by the daemon's canonical-JSON rendering),
-  unless it asks for ``use_store: false``, which bypasses every memo;
-* **crash recovery** — ``repro serve --recover`` replays every
-  ``admitted``/``started`` record through the normal execution path at
-  startup, so requests that were in flight when the daemon died are
-  finished rather than lost.
-
-``failed`` records do *not* short-circuit: a request that failed (crash,
-deadline, backend exhaustion) is re-executed when resubmitted, because
-failure is circumstance, not content.
-
-The daemon opens the journal's :class:`~repro.storage.LocalShardedStore`
-directly (same root as the result cache) and deliberately ignores
-``REPRO_NO_CACHE`` — that knob disables the *result memo*, while the
-journal is the daemon's write-ahead log.
+The journal is not a result memo.  A duplicate of a completed request
+is answered by the session's result store (``OptimizerSession``'s
+request key), byte-identical to the first answer; the store's
+``REPRO_NO_CACHE`` and ``use_store: false`` switches apply to it as to
+any request.  The daemon opens the journal's
+:class:`~repro.storage.LocalShardedStore` directly (same root as the
+result store) and deliberately ignores ``REPRO_NO_CACHE``: the journal
+is a write-ahead log, not a cache.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ import json
 import threading
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..evaluation.store import code_signature
 from ..storage import ArtifactStore, StreamStats
 
 #: stream name on the artifact store (shows up in ``repro store stats``)
@@ -54,16 +49,13 @@ ENV_JOURNAL_KEEP = "REPRO_JOURNAL_KEEP"
 
 
 def request_signature(body: Any) -> str:
-    """Idempotency key: a content hash of what the request *computes*.
+    """Idempotency key: a content hash of the request body.
 
-    Covers the kernel/request entry, the session spec, the
-    ``use_store`` toggle and the code signature — the invalidation rule
-    the session's request store applies, so a daemon restarted on new
-    code never answers a duplicate with a document old code computed.
-    Delivery options (``deadline_s``, ``stream``, ``include_events``)
-    are deliberately excluded, so the same computation submitted with a
-    different timeout or event verbosity still deduplicates onto one
-    journal record.
+    Covers the kernel/request entry, the session spec and the
+    ``use_store`` toggle.  Delivery options (``deadline_s``, ``stream``,
+    ``include_events``) are deliberately excluded, so the same
+    computation submitted with a different timeout or event verbosity
+    maps onto one journal record and one quarantine entry.
     """
     if not isinstance(body, dict):
         body = {"request": body}
@@ -71,7 +63,6 @@ def request_signature(body: Any) -> str:
         "request": body.get("request"),
         "session": body.get("session") or {},
         "use_store": body.get("use_store"),
-        "code": code_signature(),
     }
     canonical = json.dumps(core, sort_keys=True, separators=(",", ":"),
                            default=str)
@@ -96,13 +87,6 @@ class RequestJournal:
     # -- record access -------------------------------------------------
     def record(self, signature: str) -> Optional[Dict[str, Any]]:
         return self._store.read(JOURNAL_STREAM, signature)
-
-    def result(self, signature: str) -> Optional[Dict[str, Any]]:
-        """The journaled result document iff the record is completed."""
-        record = self.record(signature)
-        if record and record.get("status") == "completed":
-            return record.get("result")
-        return None
 
     def unfinished(self) -> List[Tuple[str, Optional[Dict[str, Any]]]]:
         """(signature, record) for every admitted/started record.
@@ -147,11 +131,9 @@ class RequestJournal:
         self._transition(
             signature, lambda record: record.update(status="started"))
 
-    def completed(self, signature: str,
-                  result_doc: Dict[str, Any]) -> None:
+    def completed(self, signature: str) -> None:
         def update(record: Dict[str, Any]) -> None:
             record["status"] = "completed"
-            record["result"] = result_doc
             record.pop("error", None)
         self._transition(signature, update)
 

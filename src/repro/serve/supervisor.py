@@ -165,6 +165,8 @@ def _worker_run_job(conn, sessions: "OrderedDict",
     finally:
         for unsubscribe in unsubscribes:
             unsubscribe()
+    if result.from_cache:
+        conn.send(("stat", "store_hit"))
     conn.send(("ok", result.to_json_dict(include_events=True)))
 
 

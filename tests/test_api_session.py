@@ -143,6 +143,27 @@ class TestRequestStore:
         # byte-stable JSON document, warm or cold
         assert cached.to_json_dict() == live.to_json_dict()
 
+    def test_fingerprint_aliases_get_their_own_documents(self, tmp_path,
+                                                         monkeypatch):
+        # s121 and s131 share a Program.fingerprint() but not a name,
+        # and the document echoes the name: one store must not serve
+        # the first alias's document to the second
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        tsvc = SUITES["tsvc"]()
+        aliases = [tsvc.get(name) for name in ("s121", "s131")]
+        assert aliases[0].program.fingerprint() \
+            == aliases[1].program.fingerprint()
+        session = OptimizerSession(dataset_size=40)
+        for bench in aliases:
+            request = OptimizationRequest.make(bench.program, bench.perf,
+                                               bench.test)
+            stored = session.optimize(request)
+            fresh = session.optimize(request, use_store=False)
+            assert stored.to_json_dict() == fresh.to_json_dict()
+            assert not stored.from_cache
+            assert session.optimize(request).from_cache
+
     def test_injected_corpus_skips_store(self, retriever, benches,
                                          tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -2,10 +2,11 @@
 
 Contract: every admitted non-streaming request is journaled
 (admitted → started → completed/failed) on the artifact store's
-``"journal"`` stream under a content-hash idempotency signature that
-includes the code signature.  Duplicates of a completed request
-short-circuit to the journaled, byte-identical result unless they ask
-for ``use_store: false``; ``--recover`` replays unfinished records after a
+``"journal"`` stream under a content-hash idempotency signature of its
+body.  Records hold status, body, attempts, seq and error — never a
+result.  Duplicates of a completed request are answered by the result
+store, byte-identical to the first answer, unless they ask for
+``use_store: false``; ``--recover`` replays unfinished records after a
 daemon crash; ``--no-journal`` serves without one.
 """
 
@@ -34,8 +35,8 @@ scop axpyish(N) {
 """
 
 BODY = {"request": {"source": KERNEL}, "use_store": False}
-#: the same computation with the result store on: only such requests
-#: may be answered from the journal
+#: the same computation with the result store on: only duplicates of
+#: such requests are answered from the store
 STORED_BODY = {"request": {"source": KERNEL}}
 
 
@@ -85,6 +86,7 @@ def _expected_bytes(include_events=True):
 @pytest.fixture()
 def make_daemon(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.setenv("REPRO_RETRY_BASE", "0.001")
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     reset_resilience()
@@ -148,14 +150,17 @@ class TestRequestJournal:
         assert record["status"] == "admitted"
         assert record["attempts"] == 1
         assert record["body"] == BODY
-        assert journal.result(signature) is None
 
         journal.started(signature)
         assert journal.record(signature)["status"] == "started"
         assert [sig for sig, _ in journal.unfinished()] == [signature]
 
-        journal.completed(signature, {"verdict": "ok"})
-        assert journal.result(signature) == {"verdict": "ok"}
+        journal.completed(signature)
+        record = journal.record(signature)
+        assert record["status"] == "completed"
+        # a pure write-ahead log: no result document is journaled
+        assert set(record) == {"schema", "status", "body", "attempts",
+                               "seq"}
         assert journal.unfinished() == []
         assert journal.stats().entries >= 1
         assert journal.describe().startswith(f"{JOURNAL_STREAM}@")
@@ -170,7 +175,6 @@ class TestRequestJournal:
         record = journal.record(signature)
         assert record["status"] == "failed"
         assert record["error"]["kind"] == "backend"
-        assert journal.result(signature) is None  # must re-execute
         assert journal.unfinished() == []  # failure is a definite state
 
         # resubmission re-admits: attempts bumps, the error clears
@@ -187,47 +191,55 @@ class TestDaemonJournal:
     def test_duplicates_short_circuit_byte_identically(self,
                                                        make_daemon):
         daemon = make_daemon()
+        signature = request_signature(STORED_BODY)
         status, first = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert first == _expected_bytes()
-        assert daemon.metrics.get("journal_hits_total") == 0
+        assert daemon.metrics.get("store_hits_total") == 0
 
         status, second = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert second == first
-        assert daemon.metrics.get("journal_hits_total") == 1
+        assert daemon.metrics.get("store_hits_total") == 1
 
         # different delivery options are still the same computation
         status, third = _post(daemon.address,
                               dict(STORED_BODY, deadline_s=90))
         assert third == first
-        assert daemon.metrics.get("journal_hits_total") == 2
+        assert daemon.metrics.get("store_hits_total") == 2
 
-        # ... and event verbosity is applied to the journaled hit
+        # ... and event verbosity is applied to the store hit
         status, slim = _post(daemon.address,
                              dict(STORED_BODY, include_events=False))
         assert slim == _expected_bytes(include_events=False)
-        assert daemon.metrics.get("journal_hits_total") == 3
+        assert daemon.metrics.get("store_hits_total") == 3
         assert daemon.metrics.get("completed_total") == 4
+        # every duplicate still walked the write-ahead log
+        record = daemon.journal.record(signature)
+        assert record["status"] == "completed"
+        assert record["attempts"] == 4
+        assert "result" not in record
 
     def test_changed_code_signature_misses_and_recomputes(
             self, make_daemon, monkeypatch):
         daemon = make_daemon()
-        before = request_signature(STORED_BODY)
+        signature = request_signature(STORED_BODY)
         status, first = _post(daemon.address, STORED_BODY)
         assert status == 200
-        assert daemon.journal.record(before)["status"] == "completed"
+        assert daemon.journal.record(signature)["status"] == "completed"
 
-        # the daemon restarts on new code over the same cache dir
+        # the daemon restarts on new code over the same cache dir: the
+        # body keeps its journal signature, but the result store misses
         monkeypatch.setattr("repro.evaluation.store._CODE_SIGNATURE",
                             "0" * 16)
-        after = request_signature(STORED_BODY)
-        assert after != before
+        assert request_signature(STORED_BODY) == signature
         status, second = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert second == first
-        assert daemon.metrics.get("journal_hits_total") == 0
-        assert daemon.journal.record(after)["status"] == "completed"
+        assert daemon.metrics.get("store_hits_total") == 0
+        record = daemon.journal.record(signature)
+        assert record["status"] == "completed"
+        assert record["attempts"] == 2
 
     def test_use_store_false_duplicates_are_recomputed(self,
                                                        make_daemon):
@@ -237,11 +249,33 @@ class TestDaemonJournal:
             status, text = _post(daemon.address, BODY)
             assert status == 200
             assert text == _expected_bytes()
-        assert daemon.metrics.get("journal_hits_total") == 0
+        assert daemon.metrics.get("store_hits_total") == 0
         # still journaled: each duplicate walked the state machine
         record = daemon.journal.record(signature)
         assert record["status"] == "completed"
         assert record["attempts"] == 2
+
+    def test_daemon_default_session_is_part_of_the_result_key(
+            self, make_daemon):
+        # two daemons over one cache dir, differing only in the
+        # --session defaults merged into a body that names no seed
+        first = make_daemon(default_session={"dataset_size": 40,
+                                             "seed": 0})
+        status, seed0 = _post(first.address, STORED_BODY)
+        assert status == 200
+
+        second = make_daemon(default_session={"dataset_size": 40,
+                                              "seed": 3})
+        status, seed3 = _post(second.address, STORED_BODY)
+        assert status == 200
+        assert second.metrics.get("store_hits_total") == 0  # recomputed
+        request = OptimizationRequest.make(
+            parse_scop(KERNEL), {"N": 1500}, {"N": 8})
+        fresh = OptimizerSession(dataset_size=40, seed=3).optimize(
+            request, use_store=False)
+        assert seed3 == json.dumps(fresh.to_json_dict(), indent=2,
+                                   sort_keys=True)
+        assert seed3 != seed0
 
     def test_failures_are_journaled_but_re_executed(self, make_daemon):
         daemon = make_daemon()
@@ -261,7 +295,7 @@ class TestDaemonJournal:
         record = daemon.journal.record(signature)
         assert record["status"] == "completed"
         assert record["attempts"] == 2
-        assert daemon.metrics.get("journal_hits_total") == 0
+        assert daemon.metrics.get("store_hits_total") == 0
 
     def test_recover_replays_unfinished_requests(self, make_daemon):
         # a daemon died mid-request: the journal holds a started record
@@ -275,12 +309,13 @@ class TestDaemonJournal:
         assert daemon.metrics.get("journal_replayed_total") == 1
         record = daemon.journal.record(signature)
         assert record["status"] == "completed"
+        assert "result" not in record
 
-        # the original client resubmits: instant, byte-identical
+        # the original client resubmits: a byte-identical store hit
         status, text = _post(daemon.address, STORED_BODY)
         assert status == 200
         assert text == _expected_bytes()
-        assert daemon.metrics.get("journal_hits_total") == 1
+        assert daemon.metrics.get("store_hits_total") == 1
 
     def test_recover_survives_an_unreplayable_record(self, make_daemon):
         signature = "deadbeef" * 8
@@ -346,7 +381,7 @@ class TestJournalRetention:
         journal = RequestJournal(store)
         for i in range(5):
             journal.admitted(f"sig-{i}", {"request": i})
-            journal.completed(f"sig-{i}", {"verdict": i})
+            journal.completed(f"sig-{i}")
         journal.admitted("pending-a", {"request": "a"})
         journal.admitted("pending-b", {"request": "b"})
         journal.started("pending-b")

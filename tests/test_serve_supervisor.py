@@ -159,6 +159,22 @@ class TestEquivalence:
         assert worker_text == inproc_text
         assert worker_text == _expected_bytes()
 
+    def test_worker_store_hits_are_relayed(self, make_daemon,
+                                           monkeypatch, tmp_path):
+        # the worker answers the duplicate from the result store and
+        # reports the hit over the stat pipe
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        daemon = make_daemon(workers=1)
+        stored = {"request": {"source": KERNEL}}
+        status, first, _ = _post(daemon.address, stored)
+        assert status == 200
+        assert daemon.metrics.get("store_hits_total") == 0
+        status, second, _ = _post(daemon.address, stored)
+        assert status == 200
+        assert second == first == _expected_bytes()
+        assert daemon.metrics.get("store_hits_total") == 1
+
     def test_streaming_routes_through_workers(self, make_daemon):
         daemon = make_daemon(workers=1)
         status, lines = _stream(daemon.address,

@@ -11,6 +11,7 @@ appends never tear, and parallel runs are identical to serial ones on a
 
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -222,6 +223,24 @@ class TestHarnessStore:
         key_before = compiler_plan("polybench", "graphite").key()
         monkeypatch.setattr(store_module, "_CODE_SIGNATURE", "deadbeef")
         assert compiler_plan("polybench", "graphite").key() != key_before
+
+    def test_serve_modules_do_not_feed_code_signature(self,
+                                                      monkeypatch):
+        # daemon defaults reach a result only through the echoed
+        # request and the session spec, both in the request key
+        hashed = []
+        read_bytes = Path.read_bytes
+
+        def recording(path):
+            hashed.append(path.as_posix())
+            return read_bytes(path)
+
+        monkeypatch.setattr(store_module, "_CODE_SIGNATURE", None)
+        monkeypatch.setattr(Path, "read_bytes", recording)
+        store_module.code_signature()
+        assert any(p.endswith("/repro/pipeline/generation.py")
+                   for p in hashed)
+        assert not [p for p in hashed if "/repro/serve/" in p]
 
     def test_suite_limit_part_of_key(self, fresh_harness, monkeypatch):
         key_3 = compiler_plan("polybench", "graphite").key()
