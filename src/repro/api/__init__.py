@@ -5,7 +5,9 @@ One :class:`OptimizerSession` owns every piece of expensive shared state
 compiled-kernel caches, the machine model) exactly once, and serves
 typed :class:`OptimizationRequest` → :class:`OptimizationResult`
 objects — one at a time (:meth:`OptimizerSession.optimize`) or in
-store-backed parallel batches (:meth:`OptimizerSession.optimize_many`).
+store-backed parallel batches (:meth:`OptimizerSession.optimize_many`,
+or :func:`~repro.api.session.optimize_batch` over
+``(session, request)`` pairs).
 
 Components are assembled from *registries* (:mod:`repro.api.registry`):
 LLM backends, base compilers, optimizing compilers, retrieval methods
@@ -20,7 +22,9 @@ same records on the command line.
 
 Whole suites run through :mod:`repro.evaluation.harness`: build a
 :class:`~repro.evaluation.harness.RunPlan` and call ``results_for`` /
-``run_plans``, which drive one session per plan.
+``run_plans``, which turn each plan into one request per benchmark and
+serve the batch through ``optimize_batch`` — the same store records
+and the same pool as any other request.
 """
 
 from .events import EventBus, EventLog, SessionEvent

@@ -11,10 +11,12 @@ system, and the machine model — and serves typed
 * :meth:`OptimizerSession.optimize` runs one request, streaming
   :class:`~repro.api.events.SessionEvent` records to the session's
   :class:`~repro.api.events.EventBus` and returning them on the result.
-* :meth:`OptimizerSession.optimize_many` runs a batch: persistent-store
-  hits are resolved first, misses fan out across the PR-1 parallel
-  runner (``repro.evaluation.parallel``), and results are reassembled
-  in request order — bit-identical to running each request serially.
+* :func:`optimize_batch` runs a batch of ``(session, request)`` pairs:
+  persistent-store hits are resolved first, misses fan out across one
+  ``repro.evaluation.parallel`` pool, and results are reassembled in
+  item order — bit-identical to running each request serially.
+  :meth:`OptimizerSession.optimize_many` is one session's batch, and
+  the evaluation harness runs whole suites through the same driver.
 
 Components are resolved from the registries in
 :mod:`repro.api.registry`; unknown names raise
@@ -265,13 +267,14 @@ class OptimizationResult:
 
 
 # ----------------------------------------------------------------------
-# worker plumbing for optimize_many pools: each *batch* registers its
-# session under a fresh token before the pool is created (forked
-# workers inherit the mapping copy-on-write, thread workers share it)
-# and every submitted item carries that token — concurrent
-# optimize_many calls, including several on ONE session, neither
-# cross-wire nor unregister each other (each batch pops only its own
-# token in its `finally`).
+# the batch driver: store hits first, misses across one pool, every
+# completed result persisted.  Each batch registers its sessions (one
+# per submitted item) under a fresh token before the pool is created
+# (forked workers inherit the mapping copy-on-write, thread workers
+# share it) and every submitted item carries that token plus its
+# position — concurrent batches, including several on ONE session,
+# neither cross-wire nor unregister each other (each batch pops only
+# its own token in its `finally`).
 #
 # ``forked`` tells the worker whether it runs in a forked process: if
 # so it must NOT forward events to its (inherited copy of the) bus —
@@ -279,25 +282,112 @@ class OptimizationResult:
 # in both places would double-deliver every event to subscribers.
 # Thread-pool workers share the real bus and forward live.
 # ----------------------------------------------------------------------
-_WORKER_SESSIONS: Dict[int, "OptimizerSession"] = {}
+_WORKER_SESSIONS: Dict[int, List["OptimizerSession"]] = {}
 _WORKER_REGISTRY_LOCK = threading.Lock()
 _WORKER_BATCH_COUNTER = 0
 
 
-def _register_worker_session(session: "OptimizerSession") -> int:
+def _register_worker_sessions(sessions: List["OptimizerSession"]) -> int:
     global _WORKER_BATCH_COUNTER
     with _WORKER_REGISTRY_LOCK:
         _WORKER_BATCH_COUNTER += 1
         token = _WORKER_BATCH_COUNTER
-        _WORKER_SESSIONS[token] = session
+        _WORKER_SESSIONS[token] = sessions
     return token
 
 
-def _worker_optimize(token: int, request: OptimizationRequest,
+def _worker_optimize(token: int, position: int,
+                     request: OptimizationRequest,
                      forked: bool) -> OptimizationResult:
-    session = _WORKER_SESSIONS.get(token)
-    assert session is not None, "worker session not registered"
-    return session._execute(request, live_events=not forked)
+    sessions = _WORKER_SESSIONS.get(token)
+    assert sessions is not None, "worker sessions not registered"
+    return sessions[position]._execute(request, live_events=not forked)
+
+
+def optimize_batch(items: Sequence[Tuple["OptimizerSession",
+                                         OptimizationRequest]],
+                   jobs: Optional[int] = None,
+                   pool: str = "auto") -> List[OptimizationResult]:
+    """Serve ``(session, request)`` pairs; results align with ``items``.
+
+    Each request resolves against its own session's result store first;
+    misses fan out across the evaluation layer's pool
+    (``jobs``/``REPRO_JOBS``, 1 = serial) and are persisted as they
+    complete.  Identical to calling ``session.optimize(request)`` per
+    item in order — batching never changes a result, only wall-clock
+    time.  If a pooled request raises, every other completed result is
+    still persisted before the first error is re-raised.
+
+    Event delivery: with a thread pool (or serial) subscribers see
+    events live; with a process pool each worker emits inside its fork,
+    so the parent re-publishes a request's event log to its session's
+    bus when the result arrives — complete, in order, but batched per
+    request rather than streamed.
+    """
+    from ..evaluation.parallel import (default_jobs, make_executor,
+                                       resolve_pool)
+
+    items = list(items)
+    if jobs is None:
+        jobs = default_jobs()
+    stores = [session._store() if session._cacheable(request) else None
+              for session, request in items]
+    results: List[Optional[OptimizationResult]] = [None] * len(items)
+    misses: List[int] = []
+    for i, (session, request) in enumerate(items):
+        hit = (session._store_lookup(stores[i], request)
+               if stores[i] is not None else None)
+        if hit is not None:
+            results[i] = hit
+        else:
+            misses.append(i)
+
+    def finish(i: int, result: OptimizationResult) -> None:
+        results[i] = result
+        if stores[i] is not None:
+            session, request = items[i]
+            stores[i].put(session._request_key(request),
+                          result.to_payload())
+
+    for i in misses:
+        if items[i][1].system == "looprag":
+            _ = items[i][0].retriever  # build shared state before forking
+    if jobs > 1 and len(misses) > 1:
+        forked = resolve_pool(pool) == "process"
+        token = _register_worker_sessions([items[i][0] for i in misses])
+        first_error: Optional[Exception] = None
+        try:
+            with make_executor(min(jobs, len(misses)), pool) as executor:
+                futures = [executor.submit(_worker_optimize, token, n,
+                                           items[i][1], forked)
+                           for n, i in enumerate(misses)]
+                for i, future in zip(misses, futures):
+                    try:
+                        result = future.result()
+                    except Exception as exc:
+                        # keep gathering: the other requests' work is
+                        # done or in flight, and persisting it bounds
+                        # the loss on retry to the failing request
+                        # (an interrupt still propagates at once)
+                        if first_error is None:
+                            first_error = exc
+                        continue
+                    if forked:
+                        # the worker emitted inside its fork; surface
+                        # the log to parent-side subscribers
+                        for event in result.events:
+                            items[i][0].events.publish(event)
+                    finish(i, result)
+        finally:
+            with _WORKER_REGISTRY_LOCK:
+                _WORKER_SESSIONS.pop(token, None)
+        if first_error is not None:
+            raise first_error
+    else:
+        for i in misses:
+            session, request = items[i]
+            finish(i, session._execute(request))
+    return results  # type: ignore[return-value]
 
 
 class OptimizerSession:
@@ -307,9 +397,10 @@ class OptimizerSession:
     (validated eagerly, with actionable errors); all heavy state is
     built lazily, once, and shared across every request and worker.
 
-    ``dataset``/``retriever`` inject pre-built corpora (the deprecated
-    facades use this); such sessions skip the persistent result store
-    because their corpus has no content signature to key it by.
+    ``dataset``/``retriever`` inject pre-built corpora (ad-hoc
+    ablations and tests use this); such sessions skip the persistent
+    result store because their corpus has no content signature to key
+    it by.
     """
 
     def __init__(self,
@@ -487,79 +578,9 @@ class OptimizerSession:
     def optimize_many(self, requests: Sequence[OptimizationRequest],
                       jobs: Optional[int] = None,
                       pool: str = "auto") -> List[OptimizationResult]:
-        """Serve a batch; results align with ``requests``.
-
-        Persistent-store hits resolve first; misses fan out across the
-        evaluation layer's pool (``jobs``/``REPRO_JOBS``, 1 = serial)
-        and are persisted as they complete.  Identical to calling
-        :meth:`optimize` per request in order — batching never changes
-        a result, only wall-clock time.
-
-        Event delivery: with a thread pool (or serial) subscribers see
-        events live; with a process pool each worker emits inside its
-        fork, so the parent re-publishes a request's event log to the
-        bus when its result arrives — complete, in order, but batched
-        per request rather than streamed.
-        """
-        from ..evaluation.parallel import (default_jobs, make_executor,
-                                           resolve_pool)
-
-        requests = list(requests)
-        if jobs is None:
-            jobs = default_jobs()
-        store = self._store()
-
-        def request_store(request: OptimizationRequest):
-            return store if self._cacheable(request) else None
-
-        results: List[Optional[OptimizationResult]] = [None] * len(requests)
-        misses: List[int] = []
-        for i, request in enumerate(requests):
-            target = request_store(request)
-            hit = (self._store_lookup(target, request)
-                   if target is not None else None)
-            if hit is not None:
-                results[i] = hit
-            else:
-                misses.append(i)
-
-        if misses:
-            if any(requests[i].system == "looprag" for i in misses):
-                _ = self.retriever  # build shared state before forking
-            if jobs > 1 and len(misses) > 1:
-                forked = resolve_pool(pool) == "process"
-                token = _register_worker_session(self)
-                try:
-                    with make_executor(min(jobs, len(misses)),
-                                       pool) as executor:
-                        futures = [executor.submit(_worker_optimize,
-                                                   token, requests[i],
-                                                   forked)
-                                   for i in misses]
-                        for i, future in zip(misses, futures):
-                            results[i] = future.result()
-                            if forked:
-                                # worker emitted inside its fork;
-                                # surface the log to parent-side
-                                # subscribers
-                                for event in results[i].events:
-                                    self.events.publish(event)
-                            target = request_store(requests[i])
-                            if target is not None:
-                                target.put(
-                                    self._request_key(requests[i]),
-                                    results[i].to_payload())
-                finally:
-                    with _WORKER_REGISTRY_LOCK:
-                        _WORKER_SESSIONS.pop(token, None)
-            else:
-                for i in misses:
-                    results[i] = self._execute(requests[i])
-                    target = request_store(requests[i])
-                    if target is not None:
-                        target.put(self._request_key(requests[i]),
-                                   results[i].to_payload())
-        return results  # type: ignore[return-value]
+        """Serve a batch through :func:`optimize_batch`; results align
+        with ``requests``."""
+        return optimize_batch([(self, r) for r in requests], jobs, pool)
 
     # ------------------------------------------------------------------
     def _store_lookup(self, store, request: OptimizationRequest
@@ -656,13 +677,3 @@ class OptimizerSession:
                         f"{limit:.0f}s)", None, None, None)
         return done(True, baseline / seconds if seconds > 0 else 0.0,
                     None, res.recipe.describe(), res.program, seconds)
-
-    # ------------------------------------------------------------------
-    # suite-level plans (the batch engine behind the deprecated run_*)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def run_plans(plans, jobs: Optional[int] = None, pool: str = "auto"):
-        """Run suite-level :class:`~repro.evaluation.harness.RunPlan`
-        batches through the store-backed harness driver."""
-        from ..evaluation.harness import run_plans
-        return run_plans(plans, jobs=jobs, pool=pool)

@@ -1,11 +1,14 @@
-"""Parallel execution of evaluation work items.
+"""The one worker pool behind every batch.
 
-A *work item* is one ``(plan, benchmark)`` pair (see ``harness.py``);
-items are independent by construction — every pipeline run seeds its RNG
-from ``(seed, program fingerprint)``, not from call order — so fanning
-them across a pool preserves bit-identical results as long as the
-results are reassembled in submission order, which :func:`map_items`
-guarantees.
+:func:`repro.api.session.optimize_batch` — the driver behind
+``OptimizerSession.optimize_many``, ``repro serve-batch`` and the
+evaluation harness's ``run_plans`` — fans store misses, one
+``(session, request)`` pair each, across the executor
+:func:`make_executor` returns.  Requests are independent by
+construction — every pipeline run seeds its RNG from ``(seed, program
+fingerprint)``, not from call order — so fanning them across a pool
+preserves bit-identical results as long as the results are reassembled
+in submission order, which the driver does.
 
 Pool selection
 --------------
@@ -26,14 +29,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Callable, List, Sequence, TypeVar
 
 POOL_KINDS = ("auto", "thread", "process")
 
 ENV_JOBS = "REPRO_JOBS"
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def default_jobs() -> int:
@@ -57,28 +56,12 @@ def resolve_pool(pool: str = "auto") -> str:
 
 
 def make_executor(jobs: int, pool: str = "auto"):
-    """A ready-to-use executor for callers that need future-level
-    control (e.g. persisting each plan's results as soon as its futures
-    complete rather than after the whole batch)."""
+    """A ``jobs``-wide executor of the resolved ``pool`` kind.
+
+    Callers keep future-level control, e.g. persisting each result as
+    soon as its future completes rather than after the whole batch."""
     kind = resolve_pool(pool)
     if kind == "process":
         context = multiprocessing.get_context("fork")
         return ProcessPoolExecutor(max_workers=jobs, mp_context=context)
     return ThreadPoolExecutor(max_workers=jobs)
-
-
-def map_items(fn: Callable[[T], R], items: Sequence[T],
-              jobs: int = None, pool: str = "auto") -> List[R]:
-    """Apply ``fn`` to every item, ``jobs``-wide, preserving order.
-
-    Serial (and therefore deterministic reference) when ``jobs <= 1`` or
-    there is at most one item.  With a process pool ``fn`` and the items
-    must be picklable top-level objects.
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with make_executor(min(jobs, len(items)), pool) as executor:
-        return list(executor.map(fn, items))

@@ -1,10 +1,10 @@
 """Persistent, content-keyed result store.
 
-The one result memo: suite-level plans (``harness.py``, whose
-in-process memo only lives for one process) and single optimization
-requests (``OptimizerSession``) persist their finished results here,
-so warm reruns are near-no-ops and ``repro serve`` answers duplicate
-requests without recomputing them.
+The one result memo: every finished optimization request — whether
+``repro bench`` and the experiments submitted it as part of a suite
+plan (``harness.py``) or ``repro serve``/``serve-batch`` did directly —
+persists here through ``OptimizerSession``, so warm reruns are
+near-no-ops and duplicate requests are answered without recomputing.
 
 Layout
 ------
@@ -18,15 +18,14 @@ superseded and corrupt lines.
 
 Each stored record maps an encoded cache key to one payload:
 
-* the key is a JSON-encoded tuple of every field that shapes the
-  result — a plan's kind, suite, system parameters and
-  ``REPRO_SUITE_LIMIT`` (``RunPlan.key``), or a request's echo and
-  its session spec (``OptimizerSession._request_key``) — plus a code
-  signature over the result-determining modules, so edits to the
-  pipeline/transforms/compilers/corpus synthesis invalidate stale
-  entries;
-* the payload is the serialized result (the store is
-  payload-agnostic; its callers own the (de)serialization).
+* the key is ``OptimizerSession._request_key``: a JSON-encoded tuple
+  of the request's echo (what the result document prints), its
+  session spec and a code signature over the result-determining
+  modules, so edits to the pipeline/transforms/compilers/corpus
+  synthesis invalidate stale entries;
+* the payload is one serialized result document
+  (``OptimizationResult.to_payload``; the store is payload-agnostic,
+  its callers own the (de)serialization).
 
 Corrupt lines (truncated writes, hand edits, non-JSON garbage) are
 skipped on load and reported by :meth:`ResultStore.stats` separately
@@ -45,7 +44,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..storage import CompactionReport, LocalShardedStore
 
@@ -92,7 +91,7 @@ class ResultStore:
         return self._artifacts
 
     # ------------------------------------------------------------------
-    def get(self, key: Sequence) -> Optional[List[dict]]:
+    def get(self, key: Sequence) -> Optional[dict]:
         """Payload for ``key``, or None (counts a hit/miss either way)."""
         found = self.artifacts().read(RESULTS_STREAM, encode_key(key))
         if found is None:
@@ -105,8 +104,8 @@ class ResultStore:
         """Like :meth:`get` but without touching the hit/miss counters."""
         return self.artifacts().contains(RESULTS_STREAM, encode_key(key))
 
-    def put(self, key: Sequence, payload: List[dict]) -> None:
-        """Persist one plan's payload.
+    def put(self, key: Sequence, payload: dict) -> None:
+        """Persist one result document.
 
         The store contract makes this a single atomic append (one
         ``write()`` on an ``O_APPEND`` descriptor under the shard lock),
@@ -189,8 +188,8 @@ def cache_stats() -> Dict[str, int]:
 #: (its defaults reach a result only through the echoed request and the
 #: session spec, both in the key).  An entry ending in "/" covers every
 #: module under that package.  evaluation/harness.py is deliberately NOT
-#: listed — it computes the compiler baselines, timeouts and speedups
-#: that end up inside stored BenchResults.
+#: listed — it builds the shared retriever every looprag session ranks
+#: with and the requests that suite plans submit.
 _NON_RESULT_MODULES = (
     "cli.py",
     "evaluation/__init__.py",

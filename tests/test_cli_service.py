@@ -229,6 +229,7 @@ class TestBenchCacheSummary:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         harness._RUN_CACHE.clear()
+        harness._SESSION_CACHE.clear()
         store_mod._STORES.clear()
         try:
             main(["bench", "--suite", "polybench", "--system",
@@ -239,4 +240,5 @@ class TestBenchCacheSummary:
             assert "local:" in err  # store.describe() names the backend
         finally:
             harness._RUN_CACHE.clear()
+            harness._SESSION_CACHE.clear()
             store_mod._STORES.clear()

@@ -1,11 +1,14 @@
 """Persistent result store + parallel runner tests.
 
-Covers the PR-1 harness rebuild on its PR-6 storage rebase: warm-cache
+Suite plans run as request batches through the session's batch
+driver, so the store holds one record per benchmark request: warm-cache
 hits return identical ``BenchResult`` lists through the sharded
-artifact store, ``REPRO_NO_CACHE`` bypasses the store, corrupt and
-superseded lines are counted separately, torn shard tails are skipped
-and repaired by compaction, concurrent-process
-appends never tear, and parallel runs are identical to serial ones on a
+artifact store, a plan's records are the ones
+``OptimizerSession.optimize`` would hit, ``REPRO_NO_CACHE`` bypasses
+the store, corrupt and superseded lines are counted separately, torn
+shard tails are skipped and repaired by compaction, concurrent-process
+appends never tear, a failing request never discards its batch's
+completed work, and parallel runs are identical to serial ones on a
 ``REPRO_SUITE_LIMIT=3`` sweep.
 """
 
@@ -15,12 +18,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import OptimizationRequest, OptimizerSession
 from repro.evaluation import harness
 from repro.evaluation import store as store_module
 from repro.evaluation.harness import (base_llm_plan, compiler_plan,
                                       looprag_plan, results_for,
-                                      run_plans)
-from repro.evaluation.parallel import map_items, resolve_pool
+                                      run_plans, suites)
+from repro.evaluation.parallel import resolve_pool
 from repro.evaluation.store import (RESULTS_STREAM, ResultStore,
                                     active_store, encode_key)
 from repro.llm.personas import DEEPSEEK_V3, GPT_4O
@@ -36,20 +40,23 @@ def fresh_harness(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.setenv("REPRO_SUITE_LIMIT", "3")
-    harness._RUN_CACHE.clear()
-    harness._RUNNER_CACHE.clear()
-    store_module._STORES.clear()
+    _forget_memory()
     yield tmp_path
-    harness._RUN_CACHE.clear()
-    harness._RUNNER_CACHE.clear()
-    store_module._STORES.clear()
+    _forget_memory()
 
 
 def _forget_memory():
     """Simulate a new process: drop every in-memory layer."""
     harness._RUN_CACHE.clear()
-    harness._RUNNER_CACHE.clear()
+    harness._SESSION_CACHE.clear()
     store_module._STORES.clear()
+
+
+def _plan_keys(plan):
+    """The store keys of a plan's benchmark requests."""
+    session = harness._plan_session(plan)
+    return [session._request_key(harness._plan_request(plan, bench))
+            for bench in suites()[plan.suite]]
 
 
 def shard_files(store: ResultStore):
@@ -141,7 +148,7 @@ class TestCrashRecovery:
     def test_torn_tail_skipped_compacted_and_warm_identical(
             self, fresh_harness):
         cold = results_for(GRAPHITE)
-        [shard] = shard_files(active_store())
+        shard = shard_files(active_store())[0]
         data = shard.read_bytes()
         shard.write_bytes(data[:-9])  # crash mid-record
 
@@ -150,7 +157,8 @@ class TestCrashRecovery:
         assert recomputed == cold  # the torn entry is never served
         stats = active_store().stats()
         assert stats["corrupt"] == 1
-        assert stats["hits"] == 0  # recomputed, not served
+        # the torn request is recomputed, the other two are served
+        assert (stats["hits"], stats["writes"]) == (2, 1)
 
         report = active_store().compact()
         assert report.dropped_corrupt == 1
@@ -159,7 +167,7 @@ class TestCrashRecovery:
         warm = results_for(GRAPHITE)
         assert warm == cold
         stats = active_store().stats()
-        assert stats["hits"] == 1
+        assert stats["hits"] == 3  # one record per benchmark
         assert stats["corrupt"] == 0  # the shard was repaired
 
 
@@ -200,10 +208,28 @@ class TestAtomicAppends:
 class TestHarnessStore:
     def test_warm_hit_identical(self, fresh_harness):
         cold = results_for(GRAPHITE)
+        assert active_store().stats()["writes"] == 3
         _forget_memory()
         warm = results_for(GRAPHITE)
         assert warm == cold
-        assert active_store().stats()["hits"] == 1
+        stats = active_store().stats()
+        assert (stats["hits"], stats["writes"]) == (3, 0)
+
+    def test_plan_records_serve_single_requests(self, fresh_harness):
+        """A suite plan and ``OptimizerSession.optimize`` share one
+        record per request: the plan's run warms the single call."""
+        results_for(GRAPHITE)
+        bench = suites()["polybench"].benchmarks[0]
+        # the compiler default time limit is the plan's 600 s
+        request = OptimizationRequest.make(
+            bench.program, bench.perf, system="compiler",
+            optimizer="graphite")
+        warm = OptimizerSession().optimize(request)
+        assert warm.from_cache
+        cold = OptimizerSession().optimize(request, use_store=False)
+        assert not cold.from_cache
+        assert json.dumps(warm.to_json_dict(), sort_keys=True) == \
+            json.dumps(cold.to_json_dict(), sort_keys=True)
 
     def test_no_cache_bypasses_store(self, fresh_harness, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
@@ -212,17 +238,19 @@ class TestHarnessStore:
 
     def test_corrupt_store_recomputed(self, fresh_harness):
         cold = results_for(GRAPHITE)
-        [shard] = shard_files(active_store())
-        shard.write_text(shard.read_text().replace('"payload":[{',
-                                                   '"payload":[{"bad":1,'))
+        for shard in shard_files(active_store()):
+            shard.write_text(shard.read_text().replace(
+                '"system_label":', '"label":'))
         _forget_memory()
         assert results_for(GRAPHITE) == cold
+        assert active_store().stats()["hits"] == 0
 
     def test_code_change_invalidates_key(self, fresh_harness,
                                          monkeypatch):
-        key_before = compiler_plan("polybench", "graphite").key()
+        keys_before = _plan_keys(GRAPHITE)
         monkeypatch.setattr(store_module, "_CODE_SIGNATURE", "deadbeef")
-        assert compiler_plan("polybench", "graphite").key() != key_before
+        assert all(after != before for after, before
+                   in zip(_plan_keys(GRAPHITE), keys_before))
 
     def test_serve_modules_do_not_feed_code_signature(self,
                                                       monkeypatch):
@@ -242,10 +270,16 @@ class TestHarnessStore:
                    for p in hashed)
         assert not [p for p in hashed if "/repro/serve/" in p]
 
-    def test_suite_limit_part_of_key(self, fresh_harness, monkeypatch):
-        key_3 = compiler_plan("polybench", "graphite").key()
+    def test_smaller_suite_limit_served_from_store(self, fresh_harness,
+                                                   monkeypatch):
+        """``REPRO_SUITE_LIMIT`` is in no key: a ``--limit 2`` run
+        reads the records a ``--limit 3`` run wrote."""
+        cold = results_for(GRAPHITE)
+        _forget_memory()
         monkeypatch.setenv("REPRO_SUITE_LIMIT", "2")
-        assert compiler_plan("polybench", "graphite").key() != key_3
+        assert results_for(GRAPHITE) == cold[:2]
+        stats = active_store().stats()
+        assert (stats["hits"], stats["writes"]) == (2, 0)
 
 
 class TestParallelRunner:
@@ -281,39 +315,57 @@ class TestParallelRunner:
         run_plans(self.PLANS()[2:], jobs=2, pool="thread")
         _forget_memory()
         warm = run_plans(self.PLANS()[2:], jobs=1)
-        assert active_store().stats()["hits"] == 2
+        assert active_store().stats()["hits"] == 6  # 2 plans x 3 kernels
         assert [r.suite for rs in warm for r in rs] == \
             ["polybench"] * 3 + ["tsvc"] * 3
 
     def test_failure_keeps_completed_plans(self, fresh_harness,
                                            monkeypatch):
-        real = harness._execute_item
+        real = OptimizerSession._execute
 
-        def flaky(item):
-            if item[0].optimizer == "icx":
+        def flaky(session, request, live_events=True):
+            if request.optimizer == "icx":
                 raise RuntimeError("boom")
-            return real(item)
+            return real(session, request, live_events)
 
-        monkeypatch.setattr(harness, "_execute_item", flaky)
+        monkeypatch.setattr(OptimizerSession, "_execute", flaky)
         good = compiler_plan("polybench", "graphite")
         bad = compiler_plan("polybench", "icx")
         with pytest.raises(RuntimeError):
-            run_plans([good, bad], jobs=2, pool="thread")
-        assert active_store().contains(good.key())
-        assert not active_store().contains(bad.key())
+            run_plans([bad, good], jobs=2, pool="thread")
+        store = active_store()
+        assert all(store.contains(key) for key in _plan_keys(good))
+        assert not any(store.contains(key) for key in _plan_keys(bad))
+
+    def test_optimize_many_failure_keeps_later_results(
+            self, fresh_harness, monkeypatch):
+        """Request 0 raising must not discard requests 1..n, which
+        complete after it in the pool."""
+        real = OptimizerSession._execute
+
+        def flaky(session, request, live_events=True):
+            if request.tag == "bad":
+                raise RuntimeError("boom")
+            return real(session, request, live_events)
+
+        monkeypatch.setattr(OptimizerSession, "_execute", flaky)
+        session = OptimizerSession()
+        requests = [OptimizationRequest.make(
+            bench.program, bench.perf, system="compiler",
+            optimizer="graphite", tag="bad" if i == 0 else None)
+            for i, bench in enumerate(suites()["polybench"])]
+        with pytest.raises(RuntimeError, match="boom"):
+            session.optimize_many(requests, jobs=2, pool="thread")
+        store = active_store()
+        assert not store.contains(session._request_key(requests[0]))
+        assert all(store.contains(session._request_key(r))
+                   for r in requests[1:])
+        assert store.stats()["writes"] == len(requests) - 1
 
     def test_repeated_plans_deduplicated(self, fresh_harness):
         plan = compiler_plan("polybench", "graphite")
         a, b = run_plans([plan, plan], jobs=1)
         assert a is b
-
-    def test_map_items_preserves_order(self):
-        items = list(range(20))
-        assert map_items(lambda x: x * x, items, jobs=4,
-                         pool="thread") == [x * x for x in items]
-
-    def test_map_items_serial_fallback(self):
-        assert map_items(lambda x: -x, [1, 2, 3], jobs=1) == [-1, -2, -3]
 
     def test_resolve_pool_rejects_unknown(self):
         with pytest.raises(ValueError):
