@@ -17,16 +17,18 @@ test-quick:
 # artifact-store contract: conformance + spec-equivalence properties
 # (the local store against the in-memory spec) + concurrency/crash-
 # recovery stress, with enough workers to make append races real, then
-# checksums/scrub/repair and the bit-rot property, then the subprocess
-# smoke that corrupts a live store and proves verify/--repair restore
-# byte-identical warm hits.
+# checksums/scrub/repair and the bit-rot property, the corpus cache and
+# the corpus-format round trip, then the subprocess smoke that corrupts
+# a live store and proves verify/--repair restore byte-identical warm
+# hits.
 test-store:
 	REPRO_JOBS=$(JOBS) $(PYTHON) -m pytest -x -q \
 	    tests/test_artifact_store_conformance.py \
 	    tests/test_storage_property.py \
 	    tests/test_storage_integrity.py \
 	    tests/test_store_parallel.py \
-	    tests/test_dataset_cache.py
+	    tests/test_dataset_cache.py \
+	    tests/test_dataset_store.py
 	$(PYTHON) scripts/store_scrub_smoke.py
 
 # the service daemon and its robustness machinery: cancellation,

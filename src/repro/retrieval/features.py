@@ -12,14 +12,18 @@ which transformations apply):
   are dropped so references of different depths can still match.
 
 Features are *multisets* (``Counter``): the LAScore equations count
-intersections.
+intersections.  Each feature is keyed by its canonical string, the
+``repr`` of its tuple (all parts are ints and strings, so two features
+are equal exactly when their strings are).  String keys are what lets a
+stored corpus persist its features as plain JSON (``synthesis.store``)
+and load them back without re-extracting them from the programs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from ..ir.program import Program
 from ..ir.schedule import ConstDim, TileDim
@@ -34,7 +38,7 @@ class StatementFeatures:
     """Feature multisets of one statement."""
 
     statement: str
-    features: Tuple[Tuple[str, Tuple[Tuple[object, int], ...]], ...]
+    features: Tuple[Tuple[str, Tuple[Tuple[str, int], ...]], ...]
 
     def counter(self, kind: str) -> Counter:
         for name, items in self.features:
@@ -86,15 +90,15 @@ def statement_features(stmt: Statement) -> StatementFeatures:
             ("schedule", _schedule_items(stmt)),
             ("write_index", _index_items(stmt, True)),
             ("read_index", _index_items(stmt, False))):
-        packed.append((kind, tuple(sorted(counter.items(),
-                                          key=lambda kv: repr(kv[0])))))
+        packed.append((kind, tuple(sorted(
+            (repr(item), count) for item, count in counter.items()))))
     return StatementFeatures(statement=stmt.name,
                              features=tuple(packed))
 
 
-def program_features(program: Program) -> List[StatementFeatures]:
+def program_features(program: Program) -> Tuple[StatementFeatures, ...]:
     """Features for every statement, in schedule (textual) order."""
-    return [statement_features(stmt) for stmt in program.statements]
+    return tuple(statement_features(stmt) for stmt in program.statements)
 
 
 def intersection_count(a: Counter, b: Counter) -> int:

@@ -10,6 +10,12 @@ target program under one of three methods (the Table 6 ablation):
 The pipeline takes the top-N (N = 10, §5) and samples three entries as
 demonstrations.
 
+Indexing reads only each entry's ``example_text`` (BM25) and
+``features`` (LAScore), never its programs.  A corpus loaded from the
+store carries both, so building a retriever over it parses no program;
+a demonstration's programs are parsed only if something reads them
+(``synthesis.store``).
+
 Complexity: ``rank`` scores the whole corpus per query with NumPy,
 over two indexes built once in ``__init__``, instead of one scalar
 ``lascore`` call per entry.  The BM25 base is one dense float64 vector
@@ -71,7 +77,7 @@ class Retriever:
         for entry in dataset:
             self.index.add(entry.example_text)
         self.feature_index = FeatureIndex(
-            [program_features(entry.example) for entry in dataset])
+            [entry.features for entry in dataset])
         names = [entry.name for entry in dataset]
         # each entry's place in name order breaks score ties
         self._name_rank = np.empty(len(names), dtype=np.intp)

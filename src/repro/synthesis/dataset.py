@@ -14,16 +14,23 @@ configurable.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from functools import cached_property
+from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
+                    Tuple, Union)
 
 from ..analysis.properties import LoopProperties, extract_properties
 from ..codegen import scop_body_to_c
 from ..compilers.pluto import Pluto
 from ..ir.program import Program
+from ..ir.serialize import program_from_json
 from ..transforms import TransformRecipe
 from .colagen import ColaGenSynthesizer
 from .generator import ExampleSynthesizer, SynthesisError
+
+if TYPE_CHECKING:
+    from ..retrieval.features import StatementFeatures
 
 #: parameter binding used when PLuTo optimizes examples (the paper's
 #: -custom-context global-parameter specification)
@@ -32,17 +39,52 @@ DATASET_PARAMS = {"N": 1500}
 DEFAULT_DATASET_SIZE = 300
 
 
+#: a program, or its IR as compact JSON text (``repro.ir.serialize``)
+ProgramIR = Union[Program, str]
+
+
+def _program(ir: ProgramIR) -> Program:
+    return program_from_json(json.loads(ir)) if isinstance(ir, str) else ir
+
+
 @dataclass(frozen=True)
 class DatasetEntry:
-    """One (example, optimized, dataflow) triple."""
+    """One (example, optimized, dataflow) triple.
+
+    A built entry holds its two programs.  A loaded one
+    (``synthesis.store``) holds their IR as JSON text and its stored
+    retrieval features instead: ranking reads only the indexed texts
+    and :attr:`features`, so :attr:`example` and :attr:`optimized` are
+    parsed on first access.
+    """
 
     name: str
-    example: Program
+    example_ir: ProgramIR
     example_text: str
-    optimized: Program
+    optimized_ir: ProgramIR
     optimized_text: str
     recipe: TransformRecipe
     properties: LoopProperties
+    #: the example's LAScore features; ``None`` extracts them on first
+    #: access to :attr:`features`
+    stored_features: Optional[Tuple["StatementFeatures", ...]] = None
+
+    @cached_property
+    def example(self) -> Program:
+        return _program(self.example_ir)
+
+    @cached_property
+    def optimized(self) -> Program:
+        return _program(self.optimized_ir)
+
+    @cached_property
+    def features(self) -> Tuple["StatementFeatures", ...]:
+        """The example's LAScore features (``retrieval.features``)."""
+        if self.stored_features is not None:
+            return self.stored_features
+        from ..retrieval.features import program_features
+
+        return program_features(self.example)
 
 
 @dataclass(frozen=True)
@@ -93,9 +135,9 @@ def build_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
         props = extract_properties(example)
         entries.append(DatasetEntry(
             name=example.name,
-            example=example,
+            example_ir=example,
             example_text=scop_body_to_c(example),
-            optimized=result.program,
+            optimized_ir=result.program,
             optimized_text=scop_body_to_c(result.program),
             recipe=result.recipe,
             properties=props,
@@ -172,10 +214,10 @@ def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
     process.  ``REPRO_CACHE_DIR`` moves the store and
     ``REPRO_NO_CACHE`` disables the disk layer, exactly like the result
     store.  Loaded
-    corpora are bit-identical to built ones (exact indexed texts and
-    properties are stored — see ``synthesis.store``), so retrieval
-    ranks and demonstrations don't depend on which level served the
-    corpus.
+    corpora are bit-identical to built ones (exact indexed texts,
+    properties and retrieval features are stored — see
+    ``synthesis.store``), so retrieval ranks and demonstrations don't
+    depend on which level served the corpus.
     """
     key = (size, seed, generator)
     dataset = _DATASET_CACHE.get(key)
@@ -195,15 +237,15 @@ def dataset_signature(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
                       generator: str = "looprag") -> str:
     """Stable content signature of a synthesized corpus.
 
-    The evaluation layer's persistent result store keys runs on this,
-    and the on-disk corpus cache embeds it in its file names: two
+    The on-disk corpus cache embeds it in its stream keys: two
     processes get the same signature iff they would build the same
     corpus — the (size, seed, generator) parameters *and* the sources
     of every corpus-determining module agree.  That closure covers the
     synthesizers, PLuTo and the compiler passes it drives, the
     transform implementations recipes replay, the dependence/property
-    analyses (both engines), the C printer whose text BM25 indexes, and
-    the (de)serialization itself.  Editing any of those changes the
+    analyses (both engines), the C printer whose text BM25 indexes,
+    the loop-feature extractor whose output a stored corpus carries,
+    and the (de)serialization itself.  Editing any of those changes the
     signature and invalidates stored corpora/results instead of
     silently serving stale ones.
     """
@@ -220,6 +262,7 @@ def dataset_signature(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
         from ..compilers import passes as passes_module
         from ..compilers import pluto as pluto_module
         from ..ir import serialize as serialize_module
+        from ..retrieval import features as features_module
         from ..transforms import (fusion, interchange, parallel, recipe,
                                   scalar, skewing, tiling)
         from . import colagen as colagen_module
@@ -233,7 +276,8 @@ def dataset_signature(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
                        dependences_module, vectorized_module,
                        properties_module, cprinter_module,
                        recipe, fusion, interchange, parallel, scalar,
-                       skewing, tiling, serialize_module, store_module,
+                       skewing, tiling, serialize_module,
+                       features_module, store_module,
                        sys.modules[__name__]):
             digest.update(inspect.getsource(module).encode())
         _SIGNATURE_CACHE[key] = digest.hexdigest()[:16]

@@ -17,6 +17,7 @@ from repro.ir import parse_scop
 from repro.retrieval import Retriever
 from repro.synthesis import cached_dataset, dataset_signature
 from repro.synthesis.dataset import DATASETS_STREAM, _dataset_cache_key
+from repro.synthesis.store import FORMAT_VERSION, dataset_to_payload
 
 SIZE, SEED = 10, 31
 
@@ -104,16 +105,21 @@ class TestPersistentCache:
         assert not (isolated_cache / "store").exists()
 
     def test_corrupt_payload_rebuilds(self, isolated_cache):
-        cached_dataset(SIZE, SEED)
+        built = cached_dataset(SIZE, SEED)
         key = _dataset_cache_key(SIZE, SEED, "looprag")
-        active_artifacts().append(DATASETS_STREAM, key,
-                                  {"format": -1, "entries": "garbage"})
-        forget_memory()
-        rebuilt = cached_dataset(SIZE, SEED)
-        assert len(rebuilt) == SIZE
-        # the rebuild republished a valid payload over the bad one
-        payload = active_artifacts().read(DATASETS_STREAM, key)
-        assert payload["format"] == 2
-        assert len(payload["entries"]) == SIZE
+        # a current-format payload whose entry holds a program as a dict
+        # (the format-2 shape) must fail on load, not on first access
+        damaged = dataset_to_payload(built)
+        damaged["entries"][0]["program"] = {"name": "ex"}
+        for bad in ({"format": -1, "entries": "garbage"}, damaged):
+            active_artifacts().append(DATASETS_STREAM, key, bad)
+            forget_memory()
+            rebuilt = cached_dataset(SIZE, SEED)
+            assert len(rebuilt) == SIZE
+            # the rebuild republished a valid payload over the bad one
+            payload = active_artifacts().read(DATASETS_STREAM, key)
+            assert payload["format"] == FORMAT_VERSION
+            assert len(payload["entries"]) == SIZE
+            assert isinstance(payload["entries"][0]["program"], str)
         stats = active_artifacts().stream_stats(DATASETS_STREAM)
-        assert stats.superseded == 2  # bad overwrite + rebuild
+        assert stats.superseded == 4  # two bad overwrites + two rebuilds

@@ -1,9 +1,15 @@
 """Dataset persistence round-trip tests."""
 
+import random
+
 import numpy as np
 import pytest
 
+import repro.ir.serialize as serialize_mod
+import repro.synthesis.dataset as dataset_mod
 import repro.synthesis.store as store_mod
+from repro.llm.prompts import demo_prompt
+from repro.retrieval import Retriever
 from repro.runtime import run
 from repro.synthesis import build_dataset, load_dataset, save_dataset
 from repro.synthesis.store import dataset_from_payload, dataset_to_payload
@@ -66,6 +72,21 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="format 1"):
             dataset_from_payload(payload)
 
+    def test_format_two_rejected(self, dataset):
+        payload = dataset_to_payload(dataset)
+        payload["format"] = 2
+        with pytest.raises(ValueError, match="format 2"):
+            dataset_from_payload(payload)
+
+    @pytest.mark.parametrize("field,value", [
+        ("program", {"name": "ex"}), ("optimized", None),
+        ("features", "S1")])
+    def test_malformed_entry_rejected(self, dataset, field, value):
+        payload = dataset_to_payload(dataset)
+        payload["entries"][-1][field] = value
+        with pytest.raises(ValueError, match="malformed"):
+            dataset_from_payload(payload)
+
     def test_load_never_reprints_programs(self, dataset, monkeypatch):
         """Stored texts are used as-is: loading a corpus must not pay
         for printing every example and optimized program again."""
@@ -84,6 +105,30 @@ class TestRoundTrip:
                     == original.optimized.fingerprint())
             assert restored.example_text == original.example_text
             assert restored.optimized_text == original.optimized_text
+
+    def test_load_and_retrieval_parse_no_program(self, dataset,
+                                                 monkeypatch, gemm):
+        """Loading, indexing, ranking and prompting read only the stored
+        texts and features: no program is parsed until one is read."""
+        payload = dataset_to_payload(dataset)
+
+        def refuse(data):
+            raise AssertionError(f"parsed {data['name']}")
+
+        for module in (serialize_mod, dataset_mod):
+            monkeypatch.setattr(module, "program_from_json", refuse)
+        loaded = dataset_from_payload(payload)
+        retriever = Retriever(loaded)
+        demos = retriever.demonstrations(gemm, random.Random(0))
+        assert demos
+        prompt = demo_prompt(gemm, "target", demos)
+        assert demos[0].entry.example_text in prompt.text
+        monkeypatch.undo()
+        for original, restored in zip(dataset, loaded):
+            assert (restored.example.fingerprint()
+                    == original.example.fingerprint())
+            assert (restored.optimized.fingerprint()
+                    == original.optimized.fingerprint())
 
     def test_file_is_human_readable(self, dataset, tmp_path):
         path = tmp_path / "corpus.json"

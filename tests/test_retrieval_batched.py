@@ -8,6 +8,7 @@ equal under ``==`` and every ``ScoreBreakdown`` field equal.
 """
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from repro.retrieval.lascore import (DEFAULT_PENALTY_WEIGHTS,
 from repro.suites import SUITES
 from repro.synthesis import build_dataset
 from repro.synthesis.dataset import Dataset
+from repro.synthesis.store import dataset_from_payload, dataset_to_payload
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +85,32 @@ class TestRankParity:
         target = kernels[0].program
         full = retriever.rank(target, top_n=len(corpus))
         assert retriever.rank(target, top_n=10) == full[:10]
+
+
+class TestLoadedCorpusParity:
+    """A corpus loaded from its stored payload ranks exactly like the
+    built one, from the stored features and no re-extraction."""
+
+    @pytest.fixture(scope="class")
+    def loaded(self, corpus):
+        payload = json.loads(json.dumps(dataset_to_payload(corpus)))
+        return dataset_from_payload(payload)
+
+    def test_stored_features_equal_extracted(self, loaded):
+        for entry in loaded:
+            assert entry.stored_features is not None
+            assert entry.features == program_features(entry.example)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_kernel_ranks_identically(self, retriever, loaded,
+                                            kernels, method):
+        from_store = Retriever(loaded)
+        suites = {"tsvc", "polybench"}
+        targets = [bench for bench in kernels if bench.suite in suites]
+        assert {bench.suite for bench in targets} == suites
+        for bench in targets:
+            assert batched_rank(from_store, bench.program, method) == \
+                batched_rank(retriever, bench.program, method), bench.name
 
 
 class TestRetrieverEdgeCases:
