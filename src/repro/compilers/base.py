@@ -134,10 +134,27 @@ class BaseCompiler:
     vectorizes_reductions: bool = False
     vectorizes_guarded: bool = False
 
-    def finalize(self, program: Program) -> Program:
-        """Mark auto-vectorizable innermost loops (idempotent)."""
+    def finalize(self, program: Program,
+                 source: Optional[Program] = None) -> Program:
+        """Mark auto-vectorizable innermost loops (idempotent).
+
+        ``source`` is the program ``program`` was transformed from.  When
+        both share a :meth:`~repro.ir.program.Program.kernel_key` (the
+        same statements in the same order, differing at most in
+        schedules and marks — every transform in ``transforms/``
+        produces such a candidate), the carried-dependence question is
+        answered from the padded source's dependences under the
+        candidate's schedules, the polyhedral convention of judging
+        every schedule against the original program's dependences.  The
+        source's relation is memoized by the request's baseline
+        ``finalize(source)``, so a candidate concretizes nothing.  Any
+        other candidate is judged on its own dependences.
+        """
+        judged = (source if source is not None
+                  and program.kernel_key() == source.kernel_key()
+                  else program)
+        deps = dependences(pad_statements(judged))
         program = pad_statements(program)
-        deps = dependences(program)
         by_col: Dict[int, List[str]] = {}
         for stmt in program.statements:
             col = innermost_column(program, stmt.name)

@@ -183,24 +183,33 @@ def cache_stats() -> Dict[str, int]:
 # code signature: invalidate stored results when the code that produced
 # them changes
 # ----------------------------------------------------------------------
-#: modules whose source does NOT affect run results: presentation,
-#: batching/aggregation, the store/pool plumbing and the serve daemon
-#: (its defaults reach a result only through the echoed request and the
-#: session spec, both in the key).  An entry ending in "/" covers every
-#: module under that package.  evaluation/harness.py is deliberately NOT
-#: listed — it builds the shared retriever every looprag session ranks
+#: the result-determining sources, relative to the package root: every
+#: module whose code can change a result document.  An entry ending in
+#: "/" covers every module under that package.  ``api/events.py`` is
+#: listed because a document carries its events; ``evaluation/harness.py``
+#: because it builds the shared retriever every looprag session ranks
 #: with and the requests that suite plans submit.
-_NON_RESULT_MODULES = (
-    "cli.py",
-    "evaluation/__init__.py",
-    "evaluation/ablations.py",
-    "evaluation/experiments.py",
-    "evaluation/metrics.py",
-    "evaluation/parallel.py",
-    "evaluation/reporting.py",
-    "evaluation/store.py",
-    "serve/",
-    "storage/",
+_RESULT_MODULES = (
+    "analysis/",
+    "api/events.py",
+    "api/registry.py",
+    "api/session.py",
+    "codegen/",
+    "compilers/",
+    "evaluation/harness.py",
+    "ir/",
+    "llm/",
+    "machine/",
+    "memo.py",
+    "pipeline/",
+    "registry.py",
+    "retrieval/",
+    "runtime/",
+    "suites/",
+    "synthesis/",
+    "testing/equivalence.py",
+    "testing/inputs.py",
+    "transforms/",
 )
 
 _CODE_SIGNATURE: Optional[str] = None
@@ -209,10 +218,27 @@ _CODE_SIGNATURE: Optional[str] = None
 def code_signature() -> str:
     """Hash of every result-determining source file under ``repro``.
 
-    Any edit to the IR, transforms, compilers, pipeline, machine model,
-    suites, retrieval, synthesis or the harness's run logic invalidates
-    stored results; edits to the reporting/orchestration layer (which
-    only reads results) do not.
+    Hashes exactly the ``_RESULT_MODULES`` allowlist, so any edit to the
+    IR, transforms, analyses, compilers, runtime, testing, pipeline,
+    LLM, machine model, suites, retrieval, corpus synthesis, the
+    session or the harness's run logic invalidates stored results.
+    A module outside it only transports, schedules, guards or presents
+    results, and editing it keeps them warm.  These are the non-result
+    modules:
+
+    * ``__init__.py``, ``__main__.py``, ``api/__init__.py``,
+      ``testing/__init__.py`` (re-exports and entry points);
+    * ``cli.py``, ``evaluation/__init__.py``,
+      ``evaluation/ablations.py``, ``evaluation/experiments.py``,
+      ``evaluation/metrics.py``, ``evaluation/reporting.py``
+      (presentation and aggregation over results);
+    * ``evaluation/parallel.py``, ``evaluation/store.py``, ``storage/``
+      (the worker pool and the store itself);
+    * ``serve/`` (the daemon: its defaults reach a result only through
+      the echoed request and the session spec, both in the key);
+    * ``cancellation.py``, ``api/resilience.py``, ``testing/faults.py``
+      (deadlines, retries and fault injection abort or repeat a
+      request, and never change a document that completes).
     """
     global _CODE_SIGNATURE
     if _CODE_SIGNATURE is not None:
@@ -221,7 +247,7 @@ def code_signature() -> str:
     digest = hashlib.sha256()
     for path in sorted(package_root.rglob("*.py")):
         rel = path.relative_to(package_root).as_posix()
-        if rel.startswith(_NON_RESULT_MODULES):
+        if not rel.startswith(_RESULT_MODULES):
             continue
         digest.update(rel.encode())
         digest.update(path.read_bytes())

@@ -1,17 +1,22 @@
 """In-process memoization: one bounded memo type, one per-object memo.
 
 Dependence lists, legality schedules, compiled kernels, equivalence
-checkers, cost estimates and witness-rotation slot tables are all
-memoized in :class:`LRUCache` instances.  The evaluation layer's thread
-pool (``evaluation.parallel``) and the serve daemon's request threads
-share these caches, so every operation takes the lock; at capacity the
+checkers, transform-step applications, cost estimates and
+witness-rotation slot tables are all memoized in :class:`LRUCache`
+instances.  The evaluation layer's thread pool
+(``evaluation.parallel``) and the serve daemon's request threads share
+these caches, so every operation takes the lock; at capacity the
 least recently used entry goes, instead of the whole cache, so a
-long-lived process keeps its hot entries.
+long-lived process keeps its hot entries.  Each equivalence checker
+(one per target and binding) keeps its verdicts and test runs in plain
+dicts of its own.
 
 :func:`memoized_str` caches the text of immutable IR nodes, which the
 program keys (``Program.fingerprint``/``analysis_key``/``kernel_key``)
 are built from: candidate programs share most of their domain, schedule
-and body objects with their source, so each is rendered once.
+and body objects with their source, so each is rendered once.  The
+program keys themselves and ``transforms.pad_statements``'s padded twin
+are memoized on the program instance the same way.
 """
 
 from __future__ import annotations

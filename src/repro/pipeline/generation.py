@@ -318,7 +318,8 @@ class FeedbackPipeline:
             checkpoint()  # before each candidate's test battery
             cand.report = checker.check(cand.response.program)
             if cand.report.passed:
-                finalized = self.base.finalize(cand.response.program)
+                finalized = self.base.finalize(cand.response.program,
+                                               checker.original)
                 cand.seconds = estimate_cached(
                     finalized, perf_params, self.machine).seconds
             emit("candidate_tested", slot=cand.slot,

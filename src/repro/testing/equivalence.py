@@ -29,15 +29,21 @@ effects appear):
 
 Verdicts map onto the paper's failure classes: IA (wrong answer),
 RE (runtime error), ET (instance budget / modeled timeout elsewhere).
-Results are memoized by candidate fingerprint — identical candidate
-programs across pipeline rounds and configurations test once.
+Verdicts are memoized by candidate fingerprint — identical candidate
+programs across pipeline rounds and configurations test once.  Below
+that, the test battery is memoized on what the interpreter reads: the
+candidate's name (runtime errors carry it) and its content without the
+``parallel``/``vector`` marks.  The audits still run for every
+fingerprint, because the race audit reads the marks, so a marks-only
+variant of a passing candidate is audited afresh and only then shares
+its twin's runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -93,6 +99,7 @@ class EquivalenceChecker:
         self._expected: List[Dict[str, np.ndarray]] = []
         self._checksums: List[float] = []
         self._verdict_cache: Dict[str, TestReport] = {}
+        self._run_cache: Dict[Tuple[str, str], TestReport] = {}
         self._select_inputs(seed)
 
     # ------------------------------------------------------------------
@@ -142,6 +149,15 @@ class EquivalenceChecker:
         audit = self._audits(candidate)
         if audit is not None:
             return audit
+        key = _run_key(candidate)
+        report = self._run_cache.get(key)
+        if report is None:
+            report = self._run(candidate)
+            self._run_cache[key] = report
+        return report
+
+    def _run(self, candidate: Program) -> TestReport:
+        """Execute the test battery (what :func:`_run_key` covers)."""
         used = 0
         for idx, pristine in enumerate(self._storages):
             storage = clone_storage(pristine)
@@ -219,6 +235,17 @@ class EquivalenceChecker:
                                equal_nan=True):
                 return False
         return True
+
+
+def _run_key(candidate: Program) -> Tuple[str, str]:
+    """What the test battery reads of a candidate: its name (runtime
+    error messages carry it) and the fingerprint of its content without
+    the ``parallel``/``vector`` marks, which the interpreter ignores
+    like provenance and ``reg_accum``."""
+    if candidate.parallel_dims or candidate.vector_dims:
+        candidate = replace(candidate, parallel_dims=frozenset(),
+                            vector_dims=frozenset())
+    return candidate.name, candidate.fingerprint()
 
 
 _CHECKER_CACHE = LRUCache(512)

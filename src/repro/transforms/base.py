@@ -26,11 +26,21 @@ class TransformError(ValueError):
 
 
 def pad_statements(program: Program) -> Program:
-    """Return an equivalent program with all schedules at equal width."""
-    width = program.schedule_width
-    stmts = [s.with_schedule(s.schedule.padded(width))
-             for s in program.statements]
-    return program.with_statements(stmts)
+    """Return an equivalent program with all schedules at equal width.
+
+    Memoized on the instance (the class is frozen, so the padded twin
+    never goes stale): a source program padded at the start of a
+    request hands every later call the same object, whose analysis key
+    and dependences are then already paid for.
+    """
+    padded = program.__dict__.get("_padded")
+    if padded is None:
+        width = program.schedule_width
+        stmts = [s.with_schedule(s.schedule.padded(width))
+                 for s in program.statements]
+        padded = program.with_statements(stmts)
+        object.__setattr__(program, "_padded", padded)
+    return padded
 
 
 def dynamic_columns(program: Program) -> List[int]:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..ir.program import Program
+from ..memo import LRUCache
 from ..registry import Registry, UnknownComponentError
 from .base import TransformError
 from .fusion import distribute, fuse
@@ -120,11 +121,39 @@ class TransformStep:
                 for k, v in self.args}
 
     def apply(self, program: Program) -> Program:
-        return _resolve_applier(self.kind)(program, self.arg_dict())
+        """Apply this step; raises :class:`TransformError` on failure.
+
+        Memoized on the input program's fingerprint, name, provenance
+        and per-statement ``reg_accum`` flags (together: every field a
+        transform reads or copies; the fingerprint's statement text
+        omits ``reg_accum``) plus the step.  The candidates of one
+        request repeat the same applications many times over; a hit
+        returns the very same :class:`Program` object, so its
+        per-instance keys and the legality verdicts memoized on them
+        are paid once.  A failure is memoized too and raised afresh on
+        every hit.
+        """
+        key = (program.fingerprint(), program.name, program.provenance,
+               tuple(s.reg_accum for s in program.statements), self)
+        cached = _APPLY_CACHE.get(key)
+        if cached is None:
+            try:
+                cached = _resolve_applier(self.kind)(program,
+                                                     self.arg_dict())
+            except TransformError as exc:
+                # no traceback: the cache must not pin the failing frames
+                cached = TransformError(*exc.args)
+            _APPLY_CACHE.put(key, cached)
+        if isinstance(cached, TransformError):
+            raise TransformError(*cached.args)
+        return cached
 
     def __str__(self) -> str:
         rendered = ", ".join(f"{k}={v}" for k, v in self.args)
         return f"{self.kind}({rendered})"
+
+
+_APPLY_CACHE = LRUCache(4096)
 
 
 @dataclass(frozen=True)

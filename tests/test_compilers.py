@@ -13,6 +13,16 @@ from repro.runtime import run
 BIG = {"NI": 1200, "NJ": 1200, "NK": 1200}
 SMALL = {"NI": 7, "NJ": 6, "NK": 5}
 
+#: the ``recur`` fixture's kernel with its recurrence broken
+SEQ_COPY_SRC = """
+scop recur(LEN) {
+  array X[LEN] output;
+  array Y[LEN];
+  for (i = 1; i < LEN; i++)
+    X[i] = Y[i-1] + 1.0;
+}
+"""
+
 
 def correct(original, optimized, params):
     a = run(original, params)
@@ -201,3 +211,70 @@ class TestIcx:
         assert res.ok
         assert not res.program.parallel_dims
         assert res.program.vector_dims
+
+
+class TestFinalizeFromSource:
+    """``finalize(candidate, source)`` judges a schedule-only candidate
+    on its source's dependences; the verdict must equal judging it on
+    its own.  Under ``REPRO_ANALYSIS=reference`` the per-instance walk
+    arbitrates."""
+
+    @pytest.fixture(scope="class")
+    def finalized(self):
+        """``(candidate, source)`` of every finalize call the deepseek
+        looprag pipeline makes on the TSVC and LORE kernels."""
+        from repro.api import OptimizationRequest, OptimizerSession
+        from repro.compilers.base import BaseCompiler
+        from repro.evaluation.harness import suites
+
+        calls = []
+        finalize = BaseCompiler.finalize
+
+        def recording(self, program, source=None):
+            if source is not None:
+                calls.append((program, source))
+            return finalize(self, program, source)
+
+        session = OptimizerSession(dataset_size=60, seed=0,
+                                   use_store=False)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(BaseCompiler, "finalize", recording)
+            for name in ("tsvc", "lore"):
+                for bench in suites()[name]:
+                    session.optimize(OptimizationRequest.make(
+                        bench.program, bench.perf, bench.test,
+                        system="looprag", persona="deepseek"),
+                        use_store=False)
+        return calls
+
+    def test_source_verdict_equals_own(self, finalized):
+        assert any(c.kernel_key() == s.kernel_key() for c, s in finalized)
+        for candidate, source in finalized:
+            for base in BASE_COMPILERS.values():
+                assert base.finalize(candidate, source) == \
+                    base.finalize(candidate), (candidate.name, base.name)
+
+    def test_judged_on_source_only_when_kernels_match(self, recur,
+                                                      monkeypatch):
+        from repro.compilers import base as base_module
+        from repro.ir import parse_scop
+        from repro.transforms import pad_statements
+
+        analyzed = []
+        real = base_module.dependences
+
+        def spy(program, *args):
+            analyzed.append(program)
+            return real(program, *args)
+
+        monkeypatch.setattr(base_module, "dependences", spy)
+        marked = recur.with_parallel(frozenset({1}))
+        assert GCC.finalize(marked, recur) == GCC.finalize(marked)
+        assert analyzed[0] is pad_statements(recur)
+        # a different body: the source's recurrence must not block it
+        copy = parse_scop(SEQ_COPY_SRC)
+        assert copy.kernel_key() != recur.kernel_key()
+        analyzed.clear()
+        assert GCC.finalize(copy, recur).vector_dims == frozenset({1})
+        assert analyzed == [pad_statements(copy)]
+        assert analyzed[0] is not pad_statements(recur)

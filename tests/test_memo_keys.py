@@ -3,9 +3,10 @@
 Dependence analysis and kernel compilation key their memos on
 ``Program.analysis_key()`` and ``Program.kernel_key()``, which leave out
 the fields those layers never read; every other cache stays on
-``fingerprint()``.  These tests pin the sharing both ways: variants that
-differ only in unread fields share one memo entry, and a change to a read
-field shares nothing.
+``fingerprint()``, and ``TransformStep.apply`` adds the name,
+provenance and ``reg_accum`` flags it copies.  These tests pin the
+sharing both ways: variants that differ only in unread fields share one
+memo entry, and a change to a read field shares nothing.
 """
 
 from dataclasses import replace
@@ -17,7 +18,9 @@ from repro.runtime.compile import compile_program
 from repro.runtime.data import allocate, clone_storage
 from repro.runtime.interpreter import engine_override, execute
 from repro.runtime.vectorized import _instance_batch
-from repro.transforms import interchange
+from repro.transforms import (TransformError, TransformStep,
+                              interchange)
+from repro.transforms.recipe import ALL_KINDS, TRANSFORMS
 
 
 def _variants(program):
@@ -86,3 +89,61 @@ def test_fingerprint_values_unchanged(gemm, jacobi2d):
     assert gemm.with_parallel(frozenset({1})).fingerprint() == \
         "ff0e84f7595f127d"
     assert gemm.with_tags("dummy-call").fingerprint() == "3d2264f599d8aff1"
+
+
+def _one_step_per_kind(gemm, jacobi2d):
+    """``(program, step)`` pairs that apply, one per transform kind."""
+    make = TransformStep.make
+    return [
+        (gemm, make("tiling", columns=[1, 3], sizes=[32, 16])),
+        (gemm, make("interchange", col_a=3, col_b=5, stmts=["S2"])),
+        (gemm, make("skewing", target_col=3, source_col=1, factor=1)),
+        (jacobi2d, make("fusion", col=2)),
+        (gemm, make("distribution", col=2)),
+        (gemm, make("shifting", stmt="S1", col=3, offset=1)),
+        (gemm, make("parallel", col=1)),
+        (gemm, make("vectorize", col=5)),
+        (interchange(gemm, 3, 5, ["S2"]), make("reg_accum", stmt="S2")),
+    ]
+
+
+def test_memoized_apply_equals_uncached(gemm, jacobi2d):
+    cases = _one_step_per_kind(gemm, jacobi2d)
+    assert sorted(step.kind for _, step in cases) == sorted(ALL_KINDS)
+    for program, step in cases:
+        uncached = TRANSFORMS.get(step.kind)(program, step.arg_dict())
+        got = step.apply(program)
+        assert got == uncached
+        assert step.apply(program) is got
+
+
+def test_failing_step_raises_on_miss_and_hit(gemm):
+    program = gemm.renamed("failing_step_probe")
+    step = TransformStep.make("reg_accum", stmt="S2")
+    messages = []
+    for _ in range(2):
+        with pytest.raises(TransformError) as caught:
+            step.apply(program)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "innermost loop" in messages[0]
+
+
+def test_apply_keys_on_name_provenance_and_reg_accum(gemm):
+    step = TransformStep.make("parallel", col=1)
+    base = step.apply(gemm)
+    renamed = step.apply(gemm.renamed("gemm_alias"))
+    assert renamed.name == "gemm_alias" and base.name == gemm.name
+    noted = step.apply(gemm.with_provenance("pluto"))
+    assert noted.provenance == ("pluto", "parallel(col=1)")
+    assert base.provenance == ("parallel(col=1)",)
+    # the fingerprint's statement text omits reg_accum: the flag must
+    # still reach the key, or a register-accumulating input would get
+    # its plain twin's result
+    inner = interchange(gemm, 3, 5, ["S2"])
+    accum = inner.with_statement(
+        "S2", inner.statement("S2").with_reg_accum(True))
+    assert accum.fingerprint() == inner.fingerprint()
+    assert accum.provenance == inner.provenance
+    assert step.apply(accum).statement("S2").reg_accum
+    assert not step.apply(inner).statement("S2").reg_accum

@@ -14,6 +14,9 @@ completed work, and parallel runs are identical to serial ones on a
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -269,6 +272,50 @@ class TestHarnessStore:
         assert any(p.endswith("/repro/pipeline/generation.py")
                    for p in hashed)
         assert not [p for p in hashed if "/repro/serve/" in p]
+        for guard in ("api/resilience.py", "testing/faults.py",
+                      "evaluation/parallel.py"):
+            assert not [p for p in hashed if p.endswith("/repro/" + guard)]
+
+    def test_every_request_module_is_classified(self, tmp_path):
+        """Each ``repro`` module a looprag, a basellm and a compiler
+        request import is allowlisted or named non-result, not both."""
+        script = (
+            "import json, sys\n"
+            "from repro.api import OptimizationRequest, OptimizerSession\n"
+            "from repro.evaluation.harness import suites\n"
+            "bench = suites()['tsvc'].benchmarks[0]\n"
+            "session = OptimizerSession(dataset_size=30)\n"
+            "for system, extra in (('looprag', {'persona': 'deepseek'}),\n"
+            "                      ('basellm', {'persona': 'gpt4'}),\n"
+            "                      ('compiler', {'optimizer': 'pluto'})):\n"
+            "    session.optimize(OptimizationRequest.make(\n"
+            "        bench.program, bench.perf, bench.test,\n"
+            "        system=system, **extra))\n"
+            "print(json.dumps(sorted(\n"
+            "    m.__file__ for name, m in sys.modules.items()\n"
+            "    if name.split('.')[0] == 'repro')))\n")
+        src = Path(store_module.__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   REPRO_CACHE_DIR=str(tmp_path))
+        env.pop("REPRO_NO_CACHE", None)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True)
+        root = src / "repro"
+        modules = [Path(f).resolve().relative_to(root).as_posix()
+                   for f in json.loads(out.stdout.splitlines()[-1])]
+        assert "pipeline/generation.py" in modules
+        doc = store_module.code_signature.__doc__
+
+        def named(rel):
+            package = rel.rsplit("/", 1)[0] + "/" if "/" in rel else None
+            return (f"``{rel}``" in doc
+                    or package is not None and f"``{package}``" in doc)
+
+        allowed = [rel for rel in modules
+                   if rel.startswith(store_module._RESULT_MODULES)]
+        assert not [rel for rel in allowed if named(rel)]
+        assert [rel for rel in modules
+                if rel not in allowed and not named(rel)] == []
 
     def test_smaller_suite_limit_served_from_store(self, fresh_harness,
                                                    monkeypatch):

@@ -139,3 +139,68 @@ class TestCoverageGuidedSelection:
         """)
         checker = EquivalenceChecker(p, {"N": 12})
         assert checker.coverage == 1.0
+
+
+class TestSharedRuns:
+    """The audits run per fingerprint; the test battery runs once per
+    name and mark-free content inside one checker."""
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        from repro.testing import equivalence
+        runs = []
+        real = equivalence.execute
+
+        def counting(program, *args, **kwargs):
+            runs.append(program)
+            return real(program, *args, **kwargs)
+
+        monkeypatch.setattr(equivalence, "execute", counting)
+        return runs
+
+    def test_marks_only_variant_shares_the_run(self, stream, monkeypatch):
+        checker = EquivalenceChecker(stream, {"LEN": 16})
+        runs = self._count_runs(monkeypatch)
+        plain = checker.check(stream)
+        assert plain.passed and len(runs) == checker.num_inputs
+        assert checker.check(vectorize(parallelize(stream, 1), 1)) is plain
+        assert len(runs) == checker.num_inputs
+        # runtime errors name the program, so a renamed copy runs again
+        checker.check(parallelize(stream.renamed("copy"), 1))
+        assert len(runs) == 2 * checker.num_inputs
+
+    def test_racy_marks_only_variant_still_audited(self, recur):
+        checker = EquivalenceChecker(recur, {"LEN": 16})
+        assert checker.check(recur).passed
+        report = checker.check(parallelize(recur, 1))
+        assert report.verdict == VERDICT_IA
+        assert "data race" in report.detail
+
+    def test_pipeline_reports_equal_fresh_checkers(self, monkeypatch):
+        """Every report one TSVC pipeline run gets equals what a fresh
+        checker, sharing nothing, reports for the same candidate."""
+        from repro.api import OptimizationRequest, OptimizerSession
+        from repro.evaluation.harness import suites
+
+        checked = {}
+        check = EquivalenceChecker.check
+
+        def recording(self, candidate):
+            report = check(self, candidate)
+            checked.setdefault((id(self), id(candidate)),
+                               (self, candidate, report))
+            return report
+
+        monkeypatch.setattr(EquivalenceChecker, "check", recording)
+        session = OptimizerSession(dataset_size=60, seed=0,
+                                   use_store=False)
+        suite = suites()["tsvc"]
+        for bench in suite:
+            session.optimize(OptimizationRequest.make(
+                bench.program, bench.perf, bench.test,
+                system="looprag", persona="deepseek"), use_store=False)
+        monkeypatch.undo()
+        assert len(checked) > len(suite)
+        for checker, candidate, report in checked.values():
+            fresh = EquivalenceChecker(checker.original, checker.params)
+            assert fresh.check(candidate) == report, candidate.name
