@@ -6,8 +6,8 @@ from .dependences import (Dependence, KIND_RAW, KIND_WAR, KIND_WAW,
                           is_legal_schedule, is_parallel_dim,
                           parallel_violations, schedule_violations)
 from .properties import (FIG9_PROPERTIES, LoopProperties,
-                         cluster_distribution, distribution_spread,
-                         extract_properties, property_cluster)
+                         cluster_distribution, extract_properties,
+                         property_cluster)
 
 __all__ = [
     "Dependence", "KIND_RAW", "KIND_WAR", "KIND_WAW",
@@ -16,5 +16,5 @@ __all__ = [
     "is_legal_schedule", "is_parallel_dim", "parallel_violations",
     "schedule_violations",
     "FIG9_PROPERTIES", "LoopProperties", "cluster_distribution",
-    "distribution_spread", "extract_properties", "property_cluster",
+    "extract_properties", "property_cluster",
 ]

@@ -32,8 +32,8 @@ import os
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from ..ir.program import Program
 from ..ir.schedule import Schedule
@@ -508,33 +508,67 @@ def _summarize(program: Program, kind: str, src_idx: int, tgt_idx: int,
 _LEGALITY_TILE = 2
 
 
-def _legality_schedules(program: Program) -> List[Schedule]:
-    """Aligned schedules with tile sizes shrunk for witness evaluation.
+class _Legality(NamedTuple):
+    """The legality schedules of one analysis key and the verdicts
+    answered on them.
 
-    Witnesses are concretized on a small parameter binding, so a size-32
-    tile would never cross a boundary there and illegal tilings would look
-    legal.  Rectangular-band tiling legality is size-independent (it is
-    band permutability), so evaluating with size-2 tiles on the small
-    domain checks the same property while actually exercising boundaries.
+    ``verdicts`` maps ``(ids of the dependence list, dim, binding,
+    engine)`` to ``(the dependence tuple, the violated dependences)``;
+    ``dim`` is ``None`` for a schedule query.  The value pins the
+    dependence objects, so their ids cannot be reused while the entry
+    lives (as in ``vectorized._witness_pack``).  The engine is in the
+    key so that switching ``REPRO_ANALYSIS`` in-process recomputes
+    instead of serving one engine's verdict to the other.
+    """
+
+    schedules: Tuple[Schedule, ...]
+    verdicts: Dict[tuple, Tuple[tuple, Tuple[Dependence, ...]]]
+
+
+def _legality(program: Program) -> _Legality:
+    """The :class:`_Legality` entry of ``program``'s analysis key.
+
+    Its schedules are the aligned schedules with tile sizes shrunk for
+    witness evaluation.  Witnesses are concretized on a small parameter
+    binding, so a size-32 tile would never cross a boundary there and
+    illegal tilings would look legal.  Rectangular-band tiling legality
+    is size-independent (it is band permutability), so evaluating with
+    size-2 tiles on the small domain checks the same property while
+    actually exercising boundaries.
 
     Memoized per program analysis key: every candidate legality query of
-    every persona/compiler pays the schedule rebuild once, not per call.
+    every persona/compiler pays the schedule rebuild once, not per call,
+    and marks-only variants of one schedule share its verdicts.
     """
-    cached = _LEGALITY_CACHE.get(program.analysis_key())
-    if cached is not None:
-        return cached
+    key = program.analysis_key()
+    entry = _LEGALITY_CACHE.get(key)
+    if entry is None:
+        from ..ir.schedule import Schedule as Sched, TileDim
 
-    from ..ir.schedule import Schedule as Sched, TileDim
+        entry = _Legality(tuple(
+            Sched(tuple(TileDim(d.expr, min(d.size, _LEGALITY_TILE))
+                        if isinstance(d, TileDim) else d
+                        for d in sched.dims))
+            for sched in program.aligned_schedules()), {})
+        _LEGALITY_CACHE.put(key, entry)
+    return entry
 
-    out: List[Schedule] = []
-    for sched in program.aligned_schedules():
-        dims = tuple(
-            TileDim(d.expr, min(d.size, _LEGALITY_TILE))
-            if isinstance(d, TileDim) else d
-            for d in sched.dims)
-        out.append(Sched(dims))
-    _LEGALITY_CACHE.put(program.analysis_key(), out)
-    return out
+
+def _verdict(program: Program, deps: Sequence[Dependence],
+             dim: Optional[int], params: Optional[Mapping[str, int]],
+             compute: Callable[[Tuple[Schedule, ...], Mapping[str, int]],
+                               List[Dependence]]) -> List[Dependence]:
+    """``compute(schedules, params)``, memoized in the legality entry."""
+    if params is None:
+        params = analysis_params(program)
+    entry = _legality(program)
+    key = (tuple(map(id, deps)), dim, tuple(sorted(params.items())),
+           analysis_engine_name())
+    hit = entry.verdicts.get(key)
+    if hit is None:
+        hit = (tuple(deps), tuple(compute(entry.schedules, params)))
+        entry.verdicts[key] = hit
+    return list(hit[1])
 
 
 def _instance_key(program: Program, schedules: Sequence[Schedule],
@@ -553,30 +587,31 @@ def schedule_violations(program: Program, deps: Sequence[Dependence],
     ``program`` must share statement names/domains with the program the
     dependences were computed on (transforms preserve both).
     """
-    if params is None:
-        params = analysis_params(program)
-    schedules = _legality_schedules(program)
-    if analysis_engine_name() == "vectorized":
-        from .vectorized import schedule_violations_batch
+    def compute(schedules, params) -> List[Dependence]:
+        if analysis_engine_name() == "vectorized":
+            from .vectorized import schedule_violations_batch
 
-        result = schedule_violations_batch(program, deps, params, schedules)
-        if result is not None:
-            return result
-    name_to_idx = {s.name: i for i, s in enumerate(program.statements)}
-    violated: List[Dependence] = []
-    for dep in deps:
-        if dep.source not in name_to_idx or dep.target not in name_to_idx:
-            violated.append(dep)
-            continue
-        for src, tgt in dep.witnesses:
-            skey = _instance_key(program, schedules, params, src)
-            tkey = _instance_key(program, schedules, params, tgt)
-            tie = (skey == tkey and
-                   name_to_idx[dep.source] >= name_to_idx[dep.target])
-            if skey > tkey or tie:
+            result = schedule_violations_batch(program, deps, params,
+                                               schedules)
+            if result is not None:
+                return result
+        name_to_idx = {s.name: i for i, s in enumerate(program.statements)}
+        violated: List[Dependence] = []
+        for dep in deps:
+            if dep.source not in name_to_idx or \
+                    dep.target not in name_to_idx:
                 violated.append(dep)
-                break
-    return violated
+                continue
+            for src, tgt in dep.witnesses:
+                skey = _instance_key(program, schedules, params, src)
+                tkey = _instance_key(program, schedules, params, tgt)
+                tie = (skey == tkey and
+                       name_to_idx[dep.source] >= name_to_idx[dep.target])
+                if skey > tkey or tie:
+                    violated.append(dep)
+                    break
+        return violated
+    return _verdict(program, deps, None, params, compute)
 
 
 def is_legal_schedule(program: Program, deps: Sequence[Dependence],
@@ -593,27 +628,26 @@ def parallel_violations(program: Program, deps: Sequence[Dependence],
     A dimension may be marked parallel only when no dependence has equal
     schedule prefixes before ``dim`` but different values at ``dim``.
     """
-    if params is None:
-        params = analysis_params(program)
-    schedules = _legality_schedules(program)
-    if analysis_engine_name() == "vectorized":
-        from .vectorized import parallel_violations_batch
+    def compute(schedules, params) -> List[Dependence]:
+        if analysis_engine_name() == "vectorized":
+            from .vectorized import parallel_violations_batch
 
-        result = parallel_violations_batch(program, deps, dim, params,
-                                           schedules)
-        if result is not None:
-            return result
-    violated: List[Dependence] = []
-    for dep in deps:
-        for src, tgt in dep.witnesses:
-            skey = _instance_key(program, schedules, params, src)
-            tkey = _instance_key(program, schedules, params, tgt)
-            if dim >= len(skey):
-                continue
-            if skey[:dim] == tkey[:dim] and skey[dim] != tkey[dim]:
-                violated.append(dep)
-                break
-    return violated
+            result = parallel_violations_batch(program, deps, dim, params,
+                                               schedules)
+            if result is not None:
+                return result
+        violated: List[Dependence] = []
+        for dep in deps:
+            for src, tgt in dep.witnesses:
+                skey = _instance_key(program, schedules, params, src)
+                tkey = _instance_key(program, schedules, params, tgt)
+                if dim >= len(skey):
+                    continue
+                if skey[:dim] == tkey[:dim] and skey[dim] != tkey[dim]:
+                    violated.append(dep)
+                    break
+        return violated
+    return _verdict(program, deps, dim, params, compute)
 
 
 def is_parallel_dim(program: Program, deps: Sequence[Dependence],

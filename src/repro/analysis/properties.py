@@ -178,13 +178,3 @@ def cluster_distribution(programs: Sequence[Program],
     total = max(1, len(programs))
     return {prop: {c: 100.0 * n / total for c, n in buckets.items()}
             for prop, buckets in counts.items()}
-
-
-def distribution_spread(distribution: Mapping[str, Mapping[str, float]]
-                        ) -> Dict[str, float]:
-    """1 - normalized max-cluster share; higher = more uniform (Fig 9)."""
-    spread = {}
-    for prop, buckets in distribution.items():
-        top = max(buckets.values()) if buckets else 100.0
-        spread[prop] = 1.0 - (top / 100.0)
-    return spread

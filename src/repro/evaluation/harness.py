@@ -281,11 +281,3 @@ def evaluate_suite(optimize: Callable, suite_name: str,
 def speedups_by_benchmark(results: Sequence[BenchResult]
                           ) -> Dict[str, float]:
     return {r.benchmark: r.speedup for r in results}
-
-
-def passed_list(results: Sequence[BenchResult]) -> List[bool]:
-    return [r.passed for r in results]
-
-
-def speedup_list(results: Sequence[BenchResult]) -> List[float]:
-    return [r.speedup for r in results]

@@ -8,7 +8,7 @@ structure (domains + 2d+1 schedules), data dependence (derived by
 from .affine import Affine, aff, var
 from .domain import Domain, IterSpec, rectangular
 from .expr import (Assignment, Bin, Call, Const, Expr, IterExpr, Neg, Ref,
-                   Scalar, add, div, mul, sub)
+                   Scalar, add, sub)
 from .parser import ScopSyntaxError, parse_scop
 from .program import ArrayDecl, Program, make_program
 from .schedule import (ConstDim, LoopDim, Schedule, SchedDim, TileDim,
@@ -20,7 +20,7 @@ __all__ = [
     "Affine", "aff", "var",
     "Domain", "IterSpec", "rectangular",
     "Assignment", "Bin", "Call", "Const", "Expr", "IterExpr", "Neg", "Ref",
-    "Scalar", "add", "div", "mul", "sub",
+    "Scalar", "add", "sub",
     "ScopSyntaxError", "parse_scop",
     "ArrayDecl", "Program", "make_program",
     "ConstDim", "LoopDim", "Schedule", "SchedDim", "TileDim",

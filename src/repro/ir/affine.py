@@ -10,7 +10,7 @@ exactly the SCoP restriction the paper works under (§2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -199,13 +199,3 @@ def affine_column(expr: Affine, columns: Mapping[str, "np.ndarray"],
         else:
             out += coeff * col
     return out
-
-
-def max_eval(exprs: Iterable[Affine], env: Mapping[str, int]) -> int:
-    """Evaluate ``max`` of several affine expressions."""
-    return max(e.evaluate(env) for e in exprs)
-
-
-def min_eval(exprs: Iterable[Affine], env: Mapping[str, int]) -> int:
-    """Evaluate ``min`` of several affine expressions."""
-    return min(e.evaluate(env) for e in exprs)

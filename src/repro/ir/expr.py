@@ -282,11 +282,3 @@ def add(lhs: Expr, rhs: Expr) -> Bin:
 
 def sub(lhs: Expr, rhs: Expr) -> Bin:
     return Bin("-", lhs, rhs)
-
-
-def mul(lhs: Expr, rhs: Expr) -> Bin:
-    return Bin("*", lhs, rhs)
-
-
-def div(lhs: Expr, rhs: Expr) -> Bin:
-    return Bin("/", lhs, rhs)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field, replace
-from typing import (Callable, Dict, FrozenSet, List, Mapping, Optional,
+from typing import (Dict, FrozenSet, Mapping, Optional,
                     Sequence, Tuple)
 
+from ..memo import memo_on
 from .affine import Affine, AffineLike, aff
 from .schedule import Schedule, align_schedules
 from .statement import Statement
@@ -96,8 +97,11 @@ class Program:
     def max_depth(self) -> int:
         return max((s.domain.depth for s in self.statements), default=0)
 
-    def aligned_schedules(self) -> List[Schedule]:
-        return align_schedules([s.schedule for s in self.statements])
+    def aligned_schedules(self) -> Tuple[Schedule, ...]:
+        """Statement schedules padded to one width, memoized on the
+        instance (a tuple: every caller shares it)."""
+        return memo_on(self, "_aligned", lambda: tuple(
+            align_schedules([s.schedule for s in self.statements])))
 
     @property
     def schedule_width(self) -> int:
@@ -130,8 +134,9 @@ class Program:
 
     # ------------------------------------------------------------------
     # Identity: three keys, each covering exactly what its consumers
-    # read, memoized on the instance (the class is frozen, so the content
-    # can never change) so each hash is paid once per program object.
+    # read, memoized on the instance (:func:`repro.memo.memo_on`; the
+    # class is frozen, so the content can never change) so each hash is
+    # paid once per program object.
     # ------------------------------------------------------------------
     def fingerprint(self) -> str:
         """Stable content hash over everything but name and provenance.
@@ -145,7 +150,7 @@ class Program:
         analysis and kernel compilation read neither marks nor tags, so
         their memos key on :meth:`analysis_key` and :meth:`kernel_key`.
         """
-        return self._memo_key("_fingerprint", lambda: "|".join([
+        return memo_on(self, "_fingerprint", lambda: _digest("|".join([
             ",".join(self.params),
             ";".join(str(a) + ":" + a.init for a in self.arrays),
             ";".join(str(s) for s in self.statements),
@@ -154,7 +159,7 @@ class Program:
             ",".join(map(str, sorted(self.parallel_dims))),
             ",".join(map(str, sorted(self.vector_dims))),
             ",".join(sorted(self.tags)),
-        ]))
+        ])))
 
     def analysis_key(self) -> str:
         """Hash of what dependence analysis reads: ``params`` plus each
@@ -165,11 +170,11 @@ class Program:
         analyzed program only in its parallel/vector marks, tags, name,
         provenance, scalars or outputs reuses that program's dependences.
         """
-        return self._memo_key("_analysis_key", lambda: repr((
+        return memo_on(self, "_analysis_key", lambda: _digest(repr((
             self.params,
             tuple((s.name, str(s.domain), str(s.schedule),
                    tuple(str(g) for g in s.guards), str(s.body))
-                  for s in self.statements))))
+                  for s in self.statements)))))
 
     def kernel_key(self) -> str:
         """Hash of what kernel compilation reads: the array declarations
@@ -180,19 +185,11 @@ class Program:
         candidate of a program shares its compiled kernels.  No marks or
         tags, and no program name (the kernels take it at run time).
         """
-        return self._memo_key("_kernel_key", lambda: repr((
+        return memo_on(self, "_kernel_key", lambda: _digest(repr((
             tuple(str(a) for a in self.arrays),
             tuple((s.name, str(s.domain),
                    tuple(str(g) for g in s.guards), str(s.body))
-                  for s in self.statements))))
-
-    def _memo_key(self, slot: str, text: Callable[[], str]) -> str:
-        cached = self.__dict__.get(slot)
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256(text().encode()).hexdigest()[:16]
-        object.__setattr__(self, slot, digest)
-        return digest
+                  for s in self.statements)))))
 
     def __str__(self) -> str:
         lines = [f"program {self.name}({', '.join(self.params)})"]
@@ -201,6 +198,11 @@ class Program:
         for s in self.statements:
             lines.append(f"  {s}")
         return "\n".join(lines)
+
+
+def _digest(text: str) -> str:
+    """The 16-hex-digit content hash behind the program keys."""
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def make_program(name: str,

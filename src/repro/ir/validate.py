@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
+from ..memo import memo_on
 from .program import Program
 from .schedule import TileDim
 
@@ -24,7 +25,16 @@ class CompileError(ValueError):
 
 
 def check_program(program: Program) -> List[str]:
-    """Return the list of diagnostics (empty when the program is valid)."""
+    """Return the list of diagnostics (empty when the program is valid).
+
+    The diagnostics are memoized on the instance: the feedback pipeline
+    validates every emitted candidate, and emissions repeat programs.
+    """
+    return list(memo_on(program, "_diagnostics",
+                        lambda: tuple(_diagnose(program))))
+
+
+def _diagnose(program: Program) -> List[str]:
     errors: List[str] = []
     declared = {a.name: a for a in program.arrays}
     scalar_names = {name for name, _ in program.scalars}

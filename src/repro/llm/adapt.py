@@ -23,6 +23,7 @@ from ..ir.expr import Ref
 from ..ir.program import Program
 from ..machine.analytical import _array_strides, _ref_step
 from ..machine.loopview import build_view
+from ..memo import memo_on
 from ..transforms import (TransformError, TransformStep, innermost_column,
                           shared_band, statement_loop_columns)
 from ..transforms.base import dynamic_columns
@@ -63,8 +64,21 @@ def intents_from_recipe(recipe) -> List[Intent]:
 # Materialisation heuristics
 # ----------------------------------------------------------------------
 def _stride_pair(program: Program, rng: random.Random
-                 ) -> Optional[Tuple[int, int, List[str]]]:
-    """Find (col_a, col_b, stmts) whose swap improves innermost stride."""
+                 ) -> Optional[Tuple[int, int, Tuple[str, ...]]]:
+    """Find (col_a, col_b, stmts) whose swap improves innermost stride.
+
+    The candidate list is memoized on the program instance; only the
+    draw among them is per call.
+    """
+    candidates = memo_on(program, "_stride_pairs",
+                         lambda: _stride_pairs(program))
+    if not candidates:
+        return None
+    return rng.choice(candidates)
+
+
+def _stride_pairs(program: Program) -> Tuple[Tuple[int, int,
+                                                   Tuple[str, ...]], ...]:
     params = {p: 64 for p in program.params}
     strides_of = _array_strides(program, params)
     candidates = []
@@ -84,10 +98,8 @@ def _stride_pair(program: Program, rng: random.Random
                 other_step = abs(_ref_step(ref, other,
                                            strides_of[ref.array]))
                 if other_step == 1:
-                    candidates.append((other.col, inner.col, [stmt.name]))
-    if not candidates:
-        return None
-    return rng.choice(candidates)
+                    candidates.append((other.col, inner.col, (stmt.name,)))
+    return tuple(candidates)
 
 
 def materialize(intent: Intent, program: Program,

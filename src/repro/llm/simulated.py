@@ -2,9 +2,10 @@
 
 ``SimulatedLLM`` is a stateful chat session: it consumes the prompts of
 Appendix E and emits candidate *code* (a transformed program plus its
-pseudo-C rendering).  The pipeline treats responses as opaque — it
-validates, tests and times them exactly as it would real LLM output; all
-five failure classes (CE/IA/RE/ET/IC) arise from genuine mechanisms.
+pseudo-C rendering, rendered only when read).  The pipeline treats
+responses as opaque — it validates, tests and times them exactly as it
+would real LLM output; all five failure classes (CE/IA/RE/ET/IC) arise
+from genuine mechanisms.
 
 Behaviour per prompt kind:
 
@@ -25,18 +26,18 @@ seed, so whole experiments replay bit-for-bit.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.dependences import dependences, is_legal_schedule
-from ..codegen import scop_body_to_c
 from ..ir.program import Program
 from ..transforms import TransformError, TransformRecipe, TransformStep
 from .adapt import (Intent, intents_from_recipe, materialize,
                     semantic_slip, syntax_slip)
 from .personas import Persona
 from .prompts import (KIND_BASE, KIND_COMPILE_FEEDBACK, KIND_DEMO,
-                      KIND_TEST_RANK_FEEDBACK, Prompt)
+                      KIND_TEST_RANK_FEEDBACK, Prompt, fenced_code)
 
 
 #: canonical phase order of a coherent composition: enabling interchanges
@@ -56,9 +57,13 @@ class LLMResponse:
     """One generated candidate."""
 
     program: Program
-    text: str
     applied: TransformRecipe
     slipped: Optional[str] = None
+
+    @cached_property
+    def text(self) -> str:
+        """The response as the model writes it: the code in a C block."""
+        return fenced_code(self.program)
 
 
 class SimulatedLLM:
@@ -341,8 +346,7 @@ class SimulatedLLM:
             det = random.Random(f"misslip/{fp}")
             program, detail = syntax_slip(program, det)
             slipped = f"misread syntax: {detail}"
-        text = "```c\n" + scop_body_to_c(program) + "\n```"
-        return LLMResponse(program=program, text=text,
+        return LLMResponse(program=program,
                            applied=TransformRecipe(tuple(applied)),
                            slipped=slipped)
 

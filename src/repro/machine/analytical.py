@@ -304,9 +304,15 @@ _ESTIMATE_CACHE = LRUCache(16384)
 
 def estimate_cached(program: Program, params: Mapping[str, int],
                     machine: MachineModel = DEFAULT_MACHINE) -> TimeEstimate:
-    """Memoized :func:`estimate` keyed by program fingerprint."""
-    key = (program.fingerprint(), tuple(sorted(params.items())),
-           machine.name, machine.threads)
+    """Memoized :func:`estimate`.
+
+    Keyed by the program fingerprint plus the per-statement ``reg_accum``
+    flags, which the estimate prices but the fingerprint's statement
+    text omits.
+    """
+    key = (program.fingerprint(),
+           tuple(s.reg_accum for s in program.statements),
+           tuple(sorted(params.items())), machine.name, machine.threads)
     hit = _ESTIMATE_CACHE.get(key)
     if hit is None:
         hit = estimate(program, params, machine)

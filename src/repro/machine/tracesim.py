@@ -30,7 +30,7 @@ class TraceResult:
         return self.misses / self.accesses if self.accesses else 0.0
 
 
-class LRUCache:
+class LineCache:
     """Fully-associative LRU cache of fixed byte capacity."""
 
     def __init__(self, capacity_bytes: int, line_bytes: int) -> None:
@@ -66,7 +66,7 @@ def simulate_trace(program: Program, params: Mapping[str, int],
     shrink it so small problem sizes still exercise capacity misses.
     """
     capacity = capacity_bytes or machine.cache_bytes
-    cache = LRUCache(capacity, machine.line_bytes)
+    cache = LineCache(capacity, machine.line_bytes)
     per_array: Dict[str, int] = {}
 
     # array base offsets in one flat byte-addressed space

@@ -245,7 +245,7 @@ class FeedbackPipeline:
         # --- step 3: testing + ranking feedback, regenerate -------------
         emit("round_start", stage="step3")
         attempts = tuple(
-            AttemptRecord(index=c.slot, code_text=c.response.text,
+            AttemptRecord(index=c.slot, code=c.response.program,
                           program=c.response.program
                           if c.compiled else None,
                           passed=c.passed, seconds=c.seconds)
@@ -301,7 +301,7 @@ class FeedbackPipeline:
                 repaired.append(cand)
                 continue
             feedback = compile_feedback_prompt(
-                prompt, cand.response.text, None,
+                prompt, cand.response.program, None,
                 "; ".join(cand.compile_errors))
             fixed = self._generate(llm, feedback, cand.slot, round_tag,
                                    emit)

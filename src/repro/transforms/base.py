@@ -19,6 +19,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 from ..ir.program import Program
 from ..ir.schedule import ConstDim, LoopDim, Schedule, TileDim
 from ..ir.statement import Statement
+from ..memo import memo_on
 
 
 class TransformError(ValueError):
@@ -33,25 +34,23 @@ def pad_statements(program: Program) -> Program:
     request hands every later call the same object, whose analysis key
     and dependences are then already paid for.
     """
-    padded = program.__dict__.get("_padded")
-    if padded is None:
+    def pad() -> Program:
         width = program.schedule_width
-        stmts = [s.with_schedule(s.schedule.padded(width))
-                 for s in program.statements]
-        padded = program.with_statements(stmts)
-        object.__setattr__(program, "_padded", padded)
-    return padded
+        return program.with_statements(
+            [s.with_schedule(s.schedule.padded(width))
+             for s in program.statements])
+    return memo_on(program, "_padded", pad)
 
 
-def dynamic_columns(program: Program) -> List[int]:
-    """Columns that are dynamic (loop/tile) for at least one statement."""
-    width = program.schedule_width
-    cols: List[int] = []
-    schedules = program.aligned_schedules()
-    for col in range(width):
-        if any(sched.dims[col].is_dynamic for sched in schedules):
-            cols.append(col)
-    return cols
+def dynamic_columns(program: Program) -> Tuple[int, ...]:
+    """Columns that are dynamic (loop/tile) for at least one statement,
+    memoized on the instance."""
+    def columns() -> Tuple[int, ...]:
+        schedules = program.aligned_schedules()
+        return tuple(col for col in range(program.schedule_width)
+                     if any(sched.dims[col].is_dynamic
+                            for sched in schedules))
+    return memo_on(program, "_dynamic_columns", columns)
 
 
 def shared_band(program: Program) -> List[int]:
@@ -72,18 +71,6 @@ def statement_loop_columns(program: Program, stmt_name: str) -> List[int]:
 def innermost_column(program: Program, stmt_name: str) -> Optional[int]:
     cols = statement_loop_columns(program, stmt_name)
     return cols[-1] if cols else None
-
-
-def const_column_before(program: Program, loop_col: int) -> Optional[int]:
-    """The closest column left of ``loop_col`` that is constant everywhere.
-
-    Fusion/distribution act on these "text" columns (the 2d+1 constants).
-    """
-    schedules = program.aligned_schedules()
-    for col in range(loop_col - 1, -1, -1):
-        if all(not sched.dims[col].is_dynamic for sched in schedules):
-            return col
-    return None
 
 
 def selected(program: Program,

@@ -128,10 +128,11 @@ class TransformStep:
         transform reads or copies; the fingerprint's statement text
         omits ``reg_accum``) plus the step.  The candidates of one
         request repeat the same applications many times over; a hit
-        returns the very same :class:`Program` object, so its
-        per-instance keys and the legality verdicts memoized on them
-        are paid once.  A failure is memoized too and raised afresh on
-        every hit.
+        returns the very same :class:`Program` object, so the keys and
+        schedule facts memoized on the instance are paid once (the
+        legality verdicts are kept per analysis key, in
+        ``analysis.dependences``).  A failure is memoized too and
+        raised afresh on every hit.
         """
         key = (program.fingerprint(), program.name, program.provenance,
                tuple(s.reg_accum for s in program.statements), self)

@@ -1,6 +1,7 @@
 """Simulated-LLM tests: prompts, intents, slips, determinism."""
 
 import random
+import sys
 
 import pytest
 
@@ -21,6 +22,25 @@ from repro.transforms import TransformRecipe, TransformStep
 @pytest.fixture(scope="module")
 def retriever():
     return Retriever(build_dataset(size=50, seed=21))
+
+
+def _count_renders(monkeypatch):
+    """Fingerprints of the programs ``scop_body_to_c`` renders from now
+    on (patched in every ``repro`` module that imported it)."""
+    from repro.codegen import cprinter
+
+    original = cprinter.scop_body_to_c
+    rendered = []
+
+    def counting(program):
+        rendered.append(program.fingerprint())
+        return original(program)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "repro" or name.startswith("repro.")) and \
+                getattr(module, "scop_body_to_c", None) is original:
+            monkeypatch.setattr(module, "scop_body_to_c", counting)
+    return rendered
 
 
 def _demo_prompt_for(program, retriever):
@@ -57,6 +77,22 @@ class TestPrompts:
         p = make_rank_prompt(prev, attempts)
         assert "1 > 0" in p.text
         assert "Failed: 2" in p.text
+
+    def test_feedback_code_renders_on_first_read(self, gemm,
+                                                 monkeypatch):
+        prev = base_prompt(gemm, scop_body_to_c(gemm))
+        eager = "```c\n" + scop_body_to_c(gemm) + "\n```"
+        renders = _count_renders(monkeypatch)
+        fix = compile_feedback_prompt(prev, gemm, None, "error: x")
+        rank = make_rank_prompt(prev, (AttemptRecord(0, gemm, gemm,
+                                                     True, 1.0),))
+        assert renders == []
+        assert fix.text == compile_feedback_prompt(
+            prev, eager, None, "error: x").text
+        assert rank.text == make_rank_prompt(
+            prev, (AttemptRecord(0, eager, gemm, True, 1.0),)).text
+        assert len(renders) == 2
+        assert fix.text is fix.text and len(renders) == 2
 
 
 class TestIntents:
@@ -146,6 +182,29 @@ class TestSimulatedLLM:
         prompt = _demo_prompt_for(gemm, retriever)
         out = SimulatedLLM(DEEPSEEK_V3, seed=4).generate(prompt, 0, "r1")
         assert out.text.startswith("```c")
+        assert out.text == "```c\n" + scop_body_to_c(out.program) + "\n```"
+        assert out.text is out.text
+
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_request_renders_target_and_best_only(self, retriever, gemm,
+                                                  monkeypatch, k):
+        """Generated candidates are never rendered on the request path:
+        whatever ``k`` is, a request prints the target (for the prompt
+        and the retrieval query) and the best candidate's code."""
+        from repro.api import OptimizationRequest, OptimizerSession
+
+        session = OptimizerSession(retriever=retriever, seed=0, k=k,
+                                   use_store=False)
+        request = OptimizationRequest.make(
+            gemm, {"NI": 200, "NJ": 220, "NK": 240},
+            {"NI": 8, "NJ": 7, "NK": 6}, persona="deepseek")
+        renders = _count_renders(monkeypatch)
+        result = session.optimize(request, use_store=False)
+        assert result.best_code is not None
+        assert 2 <= len(renders) <= 4
+        assert renders.count(result.best_program.fingerprint()) >= 1
+        assert {fp for fp in renders} <= {
+            gemm.fingerprint(), result.best_program.fingerprint()}
 
     def test_misread_is_correlated(self):
         # find a target/persona/seed combination that misreads, then all

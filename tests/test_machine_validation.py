@@ -76,14 +76,14 @@ class TestMagnitudeAgreement:
 
 class TestLRUCacheUnit:
     def test_hit_after_touch(self):
-        from repro.machine import LRUCache
-        c = LRUCache(1024, 64)
+        from repro.machine import LineCache
+        c = LineCache(1024, 64)
         assert not c.touch(0)
         assert c.touch(8)  # same line
 
     def test_eviction_order(self):
-        from repro.machine import LRUCache
-        c = LRUCache(128, 64)  # 2 lines
+        from repro.machine import LineCache
+        c = LineCache(128, 64)  # 2 lines
         c.touch(0)
         c.touch(64)
         c.touch(0)      # refresh line 0
@@ -92,6 +92,6 @@ class TestLRUCacheUnit:
         assert not c.touch(64)
 
     def test_too_small_rejected(self):
-        from repro.machine import LRUCache
+        from repro.machine import LineCache
         with pytest.raises(ValueError):
-            LRUCache(32, 64)
+            LineCache(32, 64)

@@ -9,6 +9,7 @@ sharing both ways: variants that differ only in unread fields share one
 memo entry, and a change to a read field shares nothing.
 """
 
+import importlib
 from dataclasses import replace
 
 import pytest
@@ -21,6 +22,9 @@ from repro.runtime.vectorized import _instance_batch
 from repro.transforms import (TransformError, TransformStep,
                               interchange)
 from repro.transforms.recipe import ALL_KINDS, TRANSFORMS
+
+#: the module (the package re-exports a function of the same name)
+dep_module = importlib.import_module("repro.analysis.dependences")
 
 
 def _variants(program):
@@ -147,3 +151,172 @@ def test_apply_keys_on_name_provenance_and_reg_accum(gemm):
     assert accum.provenance == inner.provenance
     assert step.apply(accum).statement("S2").reg_accum
     assert not step.apply(inner).statement("S2").reg_accum
+
+
+def test_estimate_cached_keys_on_reg_accum():
+    from repro.machine.analytical import estimate, estimate_cached
+    from repro.suites import SUITES
+
+    # the fingerprint omits reg_accum, and the estimate prices it.  No
+    # TSVC statement's cost moves with the flag; floyd-warshall's
+    # accumulation does
+    bench = SUITES["polybench"]().get("floyd-warshall")
+    plain = bench.program
+    stmt = plain.statements[0]
+    assert stmt.body.op == "+=" and not stmt.reg_accum
+    accum = plain.with_statement(stmt.name, stmt.with_reg_accum(True))
+    assert accum.fingerprint() == plain.fingerprint()
+    assert estimate(accum, bench.perf).seconds != \
+        estimate(plain, bench.perf).seconds
+    for program in (plain, accum, plain):
+        assert estimate_cached(program, bench.perf).seconds == \
+            estimate(program, bench.perf).seconds
+
+
+class _NoMemo:
+    """A stand-in for an ``LRUCache`` that never hits."""
+
+    def get(self, key):
+        return None
+
+    def put(self, key, value):
+        pass
+
+
+@pytest.fixture(scope="module")
+def legality_queries():
+    """``(query, program, deps, dim, params, returned ids)`` of every
+    legality query a deepseek looprag run makes on the TSVC and LORE
+    kernels (``REPRO_SUITE_LIMIT`` honoured); ``dim`` is ``None`` for a
+    schedule query."""
+    import sys
+
+    from repro.api import OptimizationRequest, OptimizerSession
+    from repro.evaluation.harness import suites
+
+    queries = []
+
+    def recording(name, original):
+        def query(program, deps, *args):
+            got = original(program, deps, *args)
+            dim, params = ((None,) + args if name == "schedule_violations"
+                           else args + (None,))[:2]
+            queries.append((name, program, deps, dim, params,
+                            [id(dep) for dep in got]))
+            return got
+        return query
+
+    session = OptimizerSession(dataset_size=60, seed=0, use_store=False)
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("schedule_violations", "parallel_violations"):
+            original = getattr(dep_module, name)
+            wrapper = recording(name, original)
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name.startswith("repro") and \
+                        getattr(module, name, None) is original:
+                    patch.setattr(module, name, wrapper)
+        for suite in ("tsvc", "lore"):
+            for bench in suites()[suite]:
+                session.optimize(OptimizationRequest.make(
+                    bench.program, bench.perf, bench.test,
+                    system="looprag", persona="deepseek"),
+                    use_store=False)
+    return queries
+
+
+def test_memoized_legality_equals_unmemoized(legality_queries,
+                                            monkeypatch):
+
+    assert {q[0] for q in legality_queries} == {"schedule_violations",
+                                               "parallel_violations"}
+    monkeypatch.setattr(dep_module, "_LEGALITY_CACHE", _NoMemo())
+    for name, program, deps, dim, params, got in legality_queries:
+        fresh = (dep_module.schedule_violations(program, deps, params)
+                 if dim is None else
+                 dep_module.parallel_violations(program, deps, dim, params))
+        assert [id(dep) for dep in fresh] == got, (name, program.name, dim)
+
+
+@pytest.mark.parametrize("dim", [None, 1, 3])
+def test_engine_switch_recomputes_verdicts(gemm, monkeypatch, dim):
+    """A verdict is kept per analysis engine: under ``reference`` the
+    per-instance walk runs even when the vectorized engine already
+    answered the same query, and each engine answers it once."""
+    from repro.analysis import vectorized
+    from repro.analysis.dependences import analysis_override
+    from repro.memo import LRUCache
+
+    monkeypatch.setattr(dep_module, "_LEGALITY_CACHE", LRUCache(16))
+    batch = ("schedule_violations_batch" if dim is None
+             else "parallel_violations_batch")
+    calls = {"batch": 0, "walk": 0}
+
+    def counting(key, real):
+        def spy(*args):
+            calls[key] += 1
+            return real(*args)
+        return spy
+
+    monkeypatch.setattr(vectorized, batch,
+                        counting("batch", getattr(vectorized, batch)))
+    monkeypatch.setattr(dep_module, "_instance_key",
+                        counting("walk", dep_module._instance_key))
+    candidate = interchange(gemm, 3, 5, ["S2"]).with_parallel(
+        frozenset({1}))
+    deps = dependences(gemm)
+
+    def query():
+        if dim is None:
+            return dep_module.schedule_violations(candidate, deps)
+        return dep_module.parallel_violations(candidate, deps, dim)
+
+    seen = []
+    for engine in ("vectorized", "vectorized", "reference", "reference",
+                   "vectorized"):
+        with analysis_override(engine):
+            seen.append([id(dep) for dep in query()])
+        seen.append(dict(calls))
+    assert seen[1] == {"batch": 1, "walk": 0}
+    assert seen[3] == {"batch": 1, "walk": 0}
+    assert seen[5]["batch"] == 1 and seen[5]["walk"] > 0
+    assert seen[7] == seen[5] and seen[9] == seen[5]
+    assert seen[0] == seen[2] == seen[4] == seen[6] == seen[8]
+
+
+def _facts(program):
+    import random as random_module
+
+    from repro.ir.validate import check_program
+    from repro.llm.adapt import _stride_pair
+    from repro.transforms import dynamic_columns, pad_statements
+
+    return (program.aligned_schedules(), dynamic_columns(program),
+            check_program(program), pad_statements(program),
+            [_stride_pair(program, random_module.Random(seed))
+             for seed in range(4)],
+            program.fingerprint(), program.analysis_key(),
+            program.kernel_key())
+
+
+def test_instance_facts_equal_fresh_computation(gemm, jacobi2d):
+    from repro.ir import align_schedules, check_program
+    from repro.llm.adapt import syntax_slip
+
+    broken, _ = syntax_slip(gemm, __import__("random").Random(1))
+    programs = [gemm, jacobi2d, broken,
+                interchange(gemm, 3, 5, ["S2"]).with_parallel(
+                    frozenset({1})),
+                TransformStep.make("tiling", columns=[1, 3],
+                                   sizes=[32, 16]).apply(gemm)]
+    for program in programs:
+        memoized = _facts(program)
+        assert _facts(program) == memoized
+        assert program.aligned_schedules() is memoized[0]
+        # a fresh copy has nothing memoized and must agree
+        assert _facts(replace(program)) == memoized
+        assert memoized[0] == tuple(
+            align_schedules([s.schedule for s in program.statements]))
+    diagnostics = check_program(broken)
+    assert diagnostics
+    diagnostics.append("caller scribble")
+    assert "caller scribble" not in check_program(broken)
