@@ -7,7 +7,8 @@ typed :class:`OptimizationRequest` → :class:`OptimizationResult`
 objects — one at a time (:meth:`OptimizerSession.optimize`) or in
 store-backed parallel batches (:meth:`OptimizerSession.optimize_many`,
 or :func:`~repro.api.session.optimize_batch` over
-``(session, request)`` pairs).
+``(session, request)`` pairs), whose misses run on the same supervised
+worker pool as ``repro serve --workers`` (:mod:`repro.serve.supervisor`).
 
 Components are assembled from *registries* (:mod:`repro.api.registry`):
 LLM backends, base compilers, optimizing compilers, retrieval methods
@@ -24,7 +25,7 @@ Whole suites run through :mod:`repro.evaluation.harness`: build a
 :class:`~repro.evaluation.harness.RunPlan` and call ``results_for`` /
 ``run_plans``, which turn each plan into one request per benchmark and
 serve the batch through ``optimize_batch`` — the same store records
-and the same pool as any other request.
+and the same worker pool as any other batch.
 """
 
 from .events import EventBus, EventLog, SessionEvent

@@ -23,6 +23,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, Mapping, Optional, Tuple)
@@ -147,13 +148,15 @@ class EventBus:
     is logged with the traceback and announced to the surviving
     subscribers as a ``subscriber_dropped`` event, so operators can see
     that their log shipper / metrics hook died instead of wondering why
-    the stream went quiet.
+    the stream went quiet.  A forked child inherits no subscribers:
+    every bus it copied starts empty there.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._subscribers: "Dict[int, Callable[[SessionEvent], None]]" = {}
         self._next_token = 0
+        _LIVE_BUSES.add(self)
 
     def subscribe(self, callback: Callable[[SessionEvent], None]
                   ) -> Callable[[], None]:
@@ -195,3 +198,20 @@ class EventBus:
     def subscriber_count(self) -> int:
         with self._lock:
             return len(self._subscribers)
+
+
+#: every live bus, so a forked child can drop its inherited subscribers
+_LIVE_BUSES: "weakref.WeakSet[EventBus]" = weakref.WeakSet()
+
+
+def _forget_subscribers_in_child() -> None:
+    """The parent's subscribers would deliver twice from a child copy.
+    The lock is replaced, not taken: a parent thread may have held it
+    across the fork."""
+    for bus in list(_LIVE_BUSES):
+        bus._lock = threading.Lock()
+        bus._subscribers = {}
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_subscribers_in_child)

@@ -13,8 +13,9 @@ system, and the machine model — and serves typed
   :class:`~repro.api.events.EventBus` and returning them on the result.
 * :func:`optimize_batch` runs a batch of ``(session, request)`` pairs:
   persistent-store hits are resolved first, misses fan out across one
-  ``repro.evaluation.parallel`` pool, and results are reassembled in
-  item order — bit-identical to running each request serially.
+  pool of supervised worker processes (:mod:`repro.serve.supervisor`,
+  ``REPRO_JOBS`` wide), and results are reassembled in item order —
+  bit-identical to running each request serially.
   :meth:`OptimizerSession.optimize_many` is one session's batch, and
   the evaluation harness runs whole suites through the same driver.
 
@@ -30,10 +31,12 @@ caching cannot change any result.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 from dataclasses import dataclass, field
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional,
+                    Sequence, Tuple, Union)
 
 from ..cancellation import CancelToken, cancel_scope
 from ..codegen import scop_body_to_c
@@ -82,7 +85,7 @@ class OptimizationRequest:
     ``"basellm"`` (instruction prompting only) or ``"compiler"`` (one
     optimizing-compiler baseline, named by ``optimizer``).  Parameter
     bindings are stored as sorted item tuples so requests are hashable
-    and pickle across process pools; use :meth:`make` to pass plain
+    and pickle to worker processes; use :meth:`make` to pass plain
     mappings.
     """
 
@@ -157,9 +160,10 @@ class OptimizationResult:
     verdict, speedup, the winning recipe and code, per-stage snapshots,
     and the deterministic event log.  ``pipeline_result`` additionally
     carries the full in-memory :class:`PipelineResult` (every candidate
-    with its test report) on live runs; it is ``None`` on persistent
-    store hits, where ``best_program`` is rebuilt from the exact
-    structural serialization instead.
+    with its test report) on in-process runs; it is ``None`` on
+    persistent store hits and on pooled batch results, where
+    ``best_program`` is rebuilt from the exact structural serialization
+    instead.
     """
 
     request: OptimizationRequest
@@ -267,66 +271,36 @@ class OptimizationResult:
 
 
 # ----------------------------------------------------------------------
-# the batch driver: store hits first, misses across one pool, every
-# completed result persisted.  Each batch registers its sessions (one
-# per submitted item) under a fresh token before the pool is created
-# (forked workers inherit the mapping copy-on-write, thread workers
-# share it) and every submitted item carries that token plus its
-# position — concurrent batches, including several on ONE session,
-# neither cross-wire nor unregister each other (each batch pops only
-# its own token in its `finally`).
-#
-# ``forked`` tells the worker whether it runs in a forked process: if
-# so it must NOT forward events to its (inherited copy of the) bus —
-# the parent re-publishes the result's log on completion, and emitting
-# in both places would double-deliver every event to subscribers.
-# Thread-pool workers share the real bus and forward live.
+# the batch driver: store hits first, misses across one supervised
+# worker pool, every completed result persisted
 # ----------------------------------------------------------------------
-_WORKER_SESSIONS: Dict[int, List["OptimizerSession"]] = {}
-_WORKER_REGISTRY_LOCK = threading.Lock()
-_WORKER_BATCH_COUNTER = 0
-
-
-def _register_worker_sessions(sessions: List["OptimizerSession"]) -> int:
-    global _WORKER_BATCH_COUNTER
-    with _WORKER_REGISTRY_LOCK:
-        _WORKER_BATCH_COUNTER += 1
-        token = _WORKER_BATCH_COUNTER
-        _WORKER_SESSIONS[token] = sessions
-    return token
-
-
-def _worker_optimize(token: int, position: int,
-                     request: OptimizationRequest,
-                     forked: bool) -> OptimizationResult:
-    sessions = _WORKER_SESSIONS.get(token)
-    assert sessions is not None, "worker sessions not registered"
-    return sessions[position]._execute(request, live_events=not forked)
+def default_jobs() -> int:
+    """Worker count from ``REPRO_JOBS`` (defaults to 1 = serial)."""
+    try:
+        return max(1, int(os.environ.get("REPRO_JOBS", "1")))
+    except ValueError:
+        return 1
 
 
 def optimize_batch(items: Sequence[Tuple["OptimizerSession",
                                          OptimizationRequest]],
-                   jobs: Optional[int] = None,
-                   pool: str = "auto") -> List[OptimizationResult]:
+                   jobs: Optional[int] = None) -> List[OptimizationResult]:
     """Serve ``(session, request)`` pairs; results align with ``items``.
 
     Each request resolves against its own session's result store first;
-    misses fan out across the evaluation layer's pool
-    (``jobs``/``REPRO_JOBS``, 1 = serial) and are persisted as they
-    complete.  Identical to calling ``session.optimize(request)`` per
-    item in order — batching never changes a result, only wall-clock
-    time.  If a pooled request raises, every other completed result is
-    still persisted before the first error is re-raised.
+    misses run on a ``jobs``-wide supervised worker pool
+    (``jobs``/``REPRO_JOBS``, 1 = serial, as is a platform without
+    ``fork``) and are persisted as they complete.  Identical to calling
+    ``session.optimize(request)`` per item in order.  If a pooled
+    request fails or its worker dies, every other completed result is
+    still persisted before the first failure is re-raised (the
+    supervisor's relayed failure, or ``WorkerCrashed``).
 
-    Event delivery: with a thread pool (or serial) subscribers see
-    events live; with a process pool each worker emits inside its fork,
-    so the parent re-publishes a request's event log to its session's
-    bus when the result arrives — complete, in order, but batched per
-    request rather than streamed.
+    A pooled result is rebuilt from its worker's store payload, as a
+    store hit is, so its ``pipeline_result`` is ``None``.  Workers emit
+    inside their fork; the parent re-publishes each result's event log
+    to its session's bus when the result arrives.
     """
-    from ..evaluation.parallel import (default_jobs, make_executor,
-                                       resolve_pool)
-
     items = list(items)
     if jobs is None:
         jobs = default_jobs()
@@ -352,42 +326,65 @@ def optimize_batch(items: Sequence[Tuple["OptimizerSession",
     for i in misses:
         if items[i][1].system == "looprag":
             _ = items[i][0].retriever  # build shared state before forking
-    if jobs > 1 and len(misses) > 1:
-        forked = resolve_pool(pool) == "process"
-        token = _register_worker_sessions([items[i][0] for i in misses])
-        first_error: Optional[Exception] = None
-        try:
-            with make_executor(min(jobs, len(misses)), pool) as executor:
-                futures = [executor.submit(_worker_optimize, token, n,
-                                           items[i][1], forked)
-                           for n, i in enumerate(misses)]
-                for i, future in zip(misses, futures):
-                    try:
-                        result = future.result()
-                    except Exception as exc:
-                        # keep gathering: the other requests' work is
-                        # done or in flight, and persisting it bounds
-                        # the loss on retry to the failing request
-                        # (an interrupt still propagates at once)
-                        if first_error is None:
-                            first_error = exc
-                        continue
-                    if forked:
-                        # the worker emitted inside its fork; surface
-                        # the log to parent-side subscribers
-                        for event in result.events:
-                            items[i][0].events.publish(event)
-                    finish(i, result)
-        finally:
-            with _WORKER_REGISTRY_LOCK:
-                _WORKER_SESSIONS.pop(token, None)
-        if first_error is not None:
-            raise first_error
+    if (jobs > 1 and len(misses) > 1
+            and "fork" in multiprocessing.get_all_start_methods()):
+        _run_on_workers([items[i] for i in misses],
+                        lambda n, result: finish(misses[n], result),
+                        min(jobs, len(misses)))
     else:
         for i in misses:
             session, request = items[i]
             finish(i, session._execute(request))
     return results  # type: ignore[return-value]
+
+
+def _run_on_workers(items: List[Tuple["OptimizerSession",
+                                      OptimizationRequest]],
+                    finish: Callable[[int, OptimizationResult], None],
+                    width: int) -> None:
+    """``items`` on a ``width``-wide worker pool, one driving thread per
+    worker.  Workers fork after ``items`` exists, so they find a job's
+    session by position, unpickled.  The first failure in item order
+    is re-raised once every other item has finished."""
+    from ..serve.supervisor import WorkerSupervisor
+
+    supervisor = WorkerSupervisor(width,
+                                  lambda job: items[job["position"]][0])
+    positions = iter(range(len(items)))
+    lock = threading.Lock()
+    errors: Dict[int, Exception] = {}
+
+    def drive() -> None:
+        while True:
+            with lock:
+                position = next(positions, None)
+            if position is None:
+                return
+            session, request = items[position]
+            try:
+                result = supervisor.execute({
+                    "request": request, "position": position,
+                    "use_store": False})
+                with lock:
+                    for event in result.events:
+                        session.events.publish(event)
+                    finish(position, result)
+            except Exception as exc:
+                with lock:  # keep going: the loss is this item only
+                    errors[position] = exc
+
+    supervisor.start()
+    try:
+        threads = [threading.Thread(target=drive, daemon=True)
+                   for _ in range(width)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        supervisor.shutdown()
+    if errors:
+        raise errors[min(errors)]
 
 
 class OptimizerSession:
@@ -576,11 +573,11 @@ class OptimizerSession:
         return result
 
     def optimize_many(self, requests: Sequence[OptimizationRequest],
-                      jobs: Optional[int] = None,
-                      pool: str = "auto") -> List[OptimizationResult]:
+                      jobs: Optional[int] = None
+                      ) -> List[OptimizationResult]:
         """Serve a batch through :func:`optimize_batch`; results align
         with ``requests``."""
-        return optimize_batch([(self, r) for r in requests], jobs, pool)
+        return optimize_batch([(self, r) for r in requests], jobs)
 
     # ------------------------------------------------------------------
     def _store_lookup(self, store, request: OptimizationRequest
@@ -597,10 +594,8 @@ class OptimizerSession:
                              "system": request.system}))
         return result
 
-    def _execute(self, request: OptimizationRequest,
-                 live_events: bool = True) -> OptimizationResult:
-        log = EventLog(forward=self.events.publish if live_events
-                       else None)
+    def _execute(self, request: OptimizationRequest) -> OptimizationResult:
+        log = EventLog(forward=self.events.publish)
         log.emit("request", **request.echo())
         if request.system == "compiler":
             return self._compiler_baseline(request, log)

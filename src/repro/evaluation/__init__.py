@@ -1,12 +1,12 @@
-"""Evaluation: metrics, harness, store, parallel runner and reporting."""
+"""Evaluation: metrics, harness, store and reporting."""
 
+from ..api.session import default_jobs
 from .experiments import ALL_EXPERIMENTS, ExperimentResult
 from .harness import (BenchResult, RunPlan, base_llm_plan, compiler_plan,
                       evaluate_suite, looprag_plan, results_for, run_plans,
                       shared_retriever, speedups_by_benchmark, suites)
 from .metrics import (OUTLIER_CAP, average_speedup, pass_at_k,
                       percent_faster, speedup_ratio)
-from .parallel import default_jobs, resolve_pool
 from .reporting import (bench_report, render_all, render_bench,
                         render_json, render_table)
 from .store import ResultStore, active_store, cache_stats
@@ -18,7 +18,7 @@ __all__ = [
     "shared_retriever", "speedups_by_benchmark", "suites",
     "OUTLIER_CAP", "average_speedup", "pass_at_k", "percent_faster",
     "speedup_ratio",
-    "default_jobs", "resolve_pool",
+    "default_jobs",
     "bench_report", "render_all", "render_bench", "render_json",
     "render_table",
     "ResultStore", "active_store", "cache_stats",

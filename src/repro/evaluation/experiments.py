@@ -8,8 +8,8 @@ Experiments declare every (system, suite) run they need as a batch of
 :class:`~repro.evaluation.harness.RunPlan` and submit it through
 ``run_plans`` before reading any result — the harness turns the whole
 batch into one request per benchmark, resolves every request against
-the session result store and fans the misses across one evaluation
-pool (``REPRO_JOBS``), instead of executing one run at a time.
+the session result store and fans the misses across one worker pool
+(``REPRO_JOBS``), instead of executing one run at a time.
 """
 
 from __future__ import annotations

@@ -93,8 +93,9 @@ def shared_retriever(size: int = DEFAULT_DATASET_SIZE,
 
     The index itself is method-agnostic (``method`` is a per-``rank``
     argument), so method keys over the same corpus alias one instance
-    instead of re-indexing; the lock keeps concurrent thread-pool
-    workers from constructing the same retriever twice.
+    instead of re-indexing; the lock keeps concurrent threads (the
+    serve daemon's request handlers, overlapping batches) from
+    constructing the same retriever twice.
     """
     key = (size, seed, generator, method)
     got = _RETRIEVER_CACHE.get(key)
@@ -220,8 +221,8 @@ def _plan_request(plan: RunPlan, bench) -> OptimizationRequest:
         persona=plan.persona, time_limit=plan.time_limit)
 
 
-def run_plans(plans: Sequence[RunPlan], jobs: Optional[int] = None,
-              pool: str = "auto") -> List[List[BenchResult]]:
+def run_plans(plans: Sequence[RunPlan], jobs: Optional[int] = None
+              ) -> List[List[BenchResult]]:
     """Run a batch of plans; returns results aligned with ``plans``.
 
     Plans not yet memoized in this process become one request per
@@ -237,7 +238,7 @@ def run_plans(plans: Sequence[RunPlan], jobs: Optional[int] = None,
             for bench in _plan_suite(plan.suite)]
     results = optimize_batch(
         [(_plan_session(plan), _plan_request(plan, bench))
-         for plan, bench in runs], jobs, pool)
+         for plan, bench in runs], jobs)
     for plan in todo:
         _RUN_CACHE[(plan, limit)] = []
     for (plan, bench), result in zip(runs, results):

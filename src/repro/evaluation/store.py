@@ -12,7 +12,7 @@ Results live in the ``"results"`` stream of a
 :class:`repro.storage.LocalShardedStore` rooted at
 ``<cache-dir>/store/``.  It shards entries by key digest into per-shard
 append-only JSON-lines files with an in-memory key index and per-shard
-file locks, so any number of concurrent sessions and fork-pool workers
+file locks, so any number of concurrent sessions and worker processes
 append whole records safely; ``repro store compact`` reclaims
 superseded and corrupt lines.
 
@@ -232,8 +232,7 @@ def code_signature() -> str:
       ``evaluation/ablations.py``, ``evaluation/experiments.py``,
       ``evaluation/metrics.py``, ``evaluation/reporting.py``
       (presentation and aggregation over results);
-    * ``evaluation/parallel.py``, ``evaluation/store.py``, ``storage/``
-      (the worker pool and the store itself);
+    * ``evaluation/store.py``, ``storage/`` (the store itself);
     * ``serve/`` (the daemon: its defaults reach a result only through
       the echoed request and the session spec, both in the key);
     * ``cancellation.py``, ``api/resilience.py``, ``testing/faults.py``

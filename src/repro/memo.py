@@ -3,9 +3,9 @@
 Dependence lists, legality schedules (with the legality verdicts
 answered on them), compiled kernels, equivalence checkers,
 transform-step applications, cost estimates and witness-rotation slot
-tables are all memoized in :class:`LRUCache` instances.  The evaluation
-layer's thread pool (``evaluation.parallel``) and the serve daemon's
-request threads share these caches, so every operation takes the lock;
+tables are all memoized in :class:`LRUCache` instances.  The serve
+daemon's request threads share these caches, so every operation takes
+the lock (batch workers are forked processes, each on its own copy);
 at capacity the least recently used entry goes, instead of the whole
 cache, so a long-lived process keeps its hot entries.  Each equivalence
 checker (one per target and binding) keeps its verdicts and test runs

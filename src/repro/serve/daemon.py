@@ -62,6 +62,7 @@ and ``internal`` (500).  A request that fails — or kills its worker —
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import signal
@@ -117,6 +118,27 @@ def _default_params(program, value: int) -> Dict[str, int]:
     return {p: value for p in program.params}
 
 
+def _lru_session(sessions: "OrderedDict[Tuple, OptimizerSession]",
+                 lock, merged: Dict[str, Any],
+                 limit: int) -> OptimizerSession:
+    """The session for ``merged`` from an LRU of at most ``limit``."""
+    key = tuple(sorted(merged.items()))
+    with lock:
+        session = sessions.get(key)
+        if session is not None:
+            sessions.move_to_end(key)
+            return session
+    # build outside the lock: construction validates components and
+    # may raise; two racing builders just build twice, last one wins
+    session = OptimizerSession(**merged)
+    with lock:
+        sessions[key] = session
+        sessions.move_to_end(key)
+        while len(sessions) > limit:
+            sessions.popitem(last=False)
+    return session
+
+
 class ServeDaemon:
     """Everything behind the HTTP surface; usable in-process in tests."""
 
@@ -142,10 +164,9 @@ class ServeDaemon:
         self.supervisor: Optional[WorkerSupervisor] = None
         if self.config.workers > 0:
             self.supervisor = WorkerSupervisor(
-                self.config.workers,
+                self.config.workers, self._worker_session_resolver(),
                 memory_mb=self.config.worker_memory_mb,
                 cpu_s=self.config.worker_cpu_s,
-                max_sessions=self.config.max_sessions,
                 hang_timeout=self.config.worker_hang_timeout,
                 restart_base=self.config.worker_restart_base,
                 restart_cap=self.config.worker_restart_cap)
@@ -178,9 +199,10 @@ class ServeDaemon:
         """Defaults + request spec, validated — resilience not applied.
 
         This is what a supervised worker receives: the worker installs
-        its own ``resilient:`` alias (breakers/retries are per-process
-        state), which keeps the session key — and therefore the result
-        bytes — identical to the in-process path.
+        its own ``resilient:`` alias through :meth:`_effective_spec`
+        (breakers/retries are per-process state), which keeps the
+        session key — and therefore the result bytes — identical to the
+        in-process path.
         """
         merged = dict(self.config.default_session)
         merged.update(spec or {})
@@ -201,22 +223,19 @@ class ServeDaemon:
 
     def session_for(self, spec: Dict[str, Any]) -> OptimizerSession:
         """The pooled warm session for this configuration (LRU)."""
-        merged = self._effective_spec(spec)
-        key = tuple(sorted(merged.items()))
-        with self._sessions_lock:
-            session = self._sessions.get(key)
-            if session is not None:
-                self._sessions.move_to_end(key)
-                return session
-        # build outside the lock: construction validates components and
-        # may raise; two racing builders just build twice, last one wins
-        session = OptimizerSession(**merged)
-        with self._sessions_lock:
-            self._sessions[key] = session
-            self._sessions.move_to_end(key)
-            while len(self._sessions) > self.config.max_sessions:
-                self._sessions.popitem(last=False)
-        return session
+        return _lru_session(self._sessions, self._sessions_lock,
+                            self._effective_spec(spec),
+                            self.config.max_sessions)
+
+    def _worker_session_resolver(self):
+        """``session_for(job)`` for the workers: each forked worker
+        fills its own copy of ``sessions`` and takes no daemon lock (a
+        thread may hold ``_sessions_lock`` across a fork)."""
+        sessions: "OrderedDict[Tuple, OptimizerSession]" = OrderedDict()
+        no_lock = contextlib.nullcontext()
+        return lambda job: _lru_session(
+            sessions, no_lock, self._effective_spec(job["spec"]),
+            self.config.max_sessions)
 
     # ------------------------------------------------------------------
     # request materialization
@@ -278,20 +297,20 @@ class ServeDaemon:
         Returns the full result document (events included); callers
         strip events per the client's ``include_events``.  The worker
         path runs the same ``OptimizerSession.optimize`` as the
-        in-process path, so the documents are byte-identical.
+        in-process path and the document is rendered here from the
+        rebuilt result, so the documents are byte-identical.
         """
         if self.supervisor is not None:
             job = {"request": request, "spec": spec,
-                   "resilience": self.config.resilience,
                    "use_store": use_store,
                    "deadline": token.remaining(),
                    "stream": stream, "signature": signature}
-            return self.supervisor.execute(
+            result = self.supervisor.execute(
                 job, token=token, on_event=on_event,
                 on_stat=self._on_worker_stat)
-        session = self.session_for(spec)
-        result = session.optimize(request, use_store=use_store,
-                                  cancel=token)
+        else:
+            result = self.session_for(spec).optimize(
+                request, use_store=use_store, cancel=token)
         if result.from_cache:
             self._on_worker_stat("store_hit")
         return result.to_json_dict(include_events=True)

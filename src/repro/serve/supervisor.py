@@ -1,17 +1,21 @@
-"""Supervised worker processes for ``repro serve`` (crash containment).
+"""The one worker pool: supervised, forked worker processes.
 
-The daemon's in-process execution path is fast but fragile: one
-segfaulting kernel, one runaway allocation, one hung toolchain call
-takes every pooled session — and the HTTP front door — down with it.
-With ``workers > 0`` the daemon instead dispatches each admitted
-request to a pool of **forked worker processes** supervised by this
-module:
+An in-process execution path is fast but fragile: one segfaulting
+kernel, one runaway allocation, one hung toolchain call takes every
+session in the process — and the HTTP front door — down with it.  So
+``repro serve --workers N`` dispatches each admitted request, and
+:func:`repro.api.session.optimize_batch` (``optimize_many``,
+``serve-batch --jobs``, ``repro bench -j``) each batch's store misses,
+to a pool of **forked worker processes** supervised by this module.
+The caller's ``session_for(job)`` resolver runs in the worker and
+names the job's session.
 
 * each worker applies its rlimits at boot (``RLIMIT_AS`` /
   ``RLIMIT_CPU`` via :mod:`resource`) and then serves one job at a
   time over a duplex pipe, running the exact same
-  ``OptimizerSession.optimize`` the in-process path runs — results are
-  byte-identical by construction (pinned by an equivalence test);
+  ``OptimizerSession.optimize`` the in-process path runs and replying
+  with the result's store payload — results are byte-identical by
+  construction (pinned by equivalence tests);
 * a **watchdog** thread heartbeats the pool: a worker busy past the
   hang timeout is killed (SIGKILL) and counted as a hang, a worker
   found dead is reaped, and replacements are forked with exponential
@@ -30,14 +34,17 @@ and ships the clauses with the job — so the fault schedule survives
 worker restarts instead of resetting with each fresh process.
 
 Fork caveat: replacement workers are forked from the watchdog thread
-while request threads run.  The worker touches only fork-tolerant state
-before its first job (pipe, rlimits, signal disposition), so the usual
-forked-locks hazard is confined to the same narrow windows every
+while request threads run, and a batch forks its pool from whichever
+thread runs the batch.  A child drops every event subscriber it
+inherited (:mod:`repro.api.events`) and touches only fork-tolerant
+state before its first job (pipe, rlimits, signal disposition), so the
+usual forked-locks hazard is confined to the same narrow windows every
 ``multiprocessing``-based pool accepts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import multiprocessing
 import multiprocessing.connection
@@ -46,15 +53,18 @@ import queue
 import signal
 import threading
 import time
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional
 
+from ..api.session import OptimizationResult, OptimizerSession
 from ..cancellation import (Cancelled, CancelToken, DeadlineExceeded,
                             cancelled_from)
 from ..testing.faults import (EXIT_OOM, FaultClause, active_plan,
                               apply_clause)
 
 logger = logging.getLogger("repro.serve.supervisor")
+
+#: runs in the worker: the session a job runs on
+SessionFor = Callable[[Dict[str, Any]], OptimizerSession]
 
 #: fault-plan site consumed once per dispatched job
 WORKER_SITE = "worker.execute"
@@ -116,35 +126,13 @@ def _apply_rlimits(memory_mb: int, cpu_s: int) -> Dict[str, int]:
     return applied
 
 
-def _worker_session(sessions: "OrderedDict", spec: Dict[str, Any],
-                    resilience: bool, max_sessions: int):
-    from ..api import OptimizerSession
-    from ..api.resilience import RetryPolicy, install_resilient_llm
-    merged = dict(spec)
-    if resilience:
-        backend = merged.get("llm_backend", "simulated")
-        merged["llm_backend"] = install_resilient_llm(
-            backend, RetryPolicy.from_env())
-    key = tuple(sorted(merged.items()))
-    session = sessions.get(key)
-    if session is not None:
-        sessions.move_to_end(key)
-        return session
-    session = OptimizerSession(**merged)
-    sessions[key] = session
-    while len(sessions) > max(1, max_sessions):
-        sessions.popitem(last=False)
-    return session
-
-
-def _worker_run_job(conn, sessions: "OrderedDict",
-                    max_sessions: int, job: Dict[str, Any]) -> None:
+def _worker_run_job(conn, session_for: SessionFor,
+                    job: Dict[str, Any]) -> None:
     from ..api.resilience import RESILIENCE_BUS
     for clause in job.get("faults", ()):
         # may SIGKILL/_exit/hang/raise; scheduled by the parent
         apply_clause(clause, WORKER_SITE)
-    session = _worker_session(sessions, job.get("spec") or {},
-                              bool(job.get("resilience")), max_sessions)
+    session = session_for(job)
     token = CancelToken.with_timeout(job.get("deadline"))
     unsubscribes = []
 
@@ -165,13 +153,12 @@ def _worker_run_job(conn, sessions: "OrderedDict",
     finally:
         for unsubscribe in unsubscribes:
             unsubscribe()
-    if result.from_cache:
-        conn.send(("stat", "store_hit"))
-    conn.send(("ok", result.to_json_dict(include_events=True)))
+    conn.send(("ok", {"payload": result.to_payload(),
+                      "from_cache": result.from_cache}))
 
 
 def _worker_main(conn, inherited, memory_mb: int, cpu_s: int,
-                 max_sessions: int) -> None:
+                 session_for: SessionFor) -> None:
     from ..api.resilience import CircuitOpenError
     # fork copied the parent-side ends of this worker's pipe and of
     # every earlier worker's; while the child holds them, its own recv()
@@ -181,7 +168,6 @@ def _worker_main(conn, inherited, memory_mb: int, cpu_s: int,
     # Ctrl+C belongs to the daemon's drain logic, not to the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     applied = _apply_rlimits(memory_mb, cpu_s)
-    sessions: "OrderedDict" = OrderedDict()
     try:
         conn.send(("ready", dict(applied, pid=os.getpid())))
         while True:
@@ -191,7 +177,7 @@ def _worker_main(conn, inherited, memory_mb: int, cpu_s: int,
             if message[0] != "job":
                 continue
             try:
-                _worker_run_job(conn, sessions, max_sessions, message[1])
+                _worker_run_job(conn, session_for, message[1])
             except MemoryError:
                 # the address-space limit (or an injected oom) hit;
                 # the heap is untrustworthy now — report via exit code
@@ -305,17 +291,22 @@ class QuarantineRegistry:
 
 
 class WorkerSupervisor:
-    """Owns the pool: dispatch, watchdog, reaping, backoff restarts."""
+    """Owns the pool: dispatch, watchdog, reaping, backoff restarts.
 
-    def __init__(self, workers: int, memory_mb: int = 0, cpu_s: int = 0,
-                 max_sessions: int = 4, hang_timeout: float = 300.0,
+    Workers are forked, so ``session_for`` and everything it closes over
+    are inherited, never pickled — by replacement workers too.
+    """
+
+    def __init__(self, workers: int, session_for: SessionFor,
+                 memory_mb: int = 0, cpu_s: int = 0,
+                 hang_timeout: float = 300.0,
                  restart_base: float = 0.25, restart_cap: float = 5.0,
                  poll_interval: float = 0.1,
                  cancel_grace: float = 0.5) -> None:
         self.size = max(1, workers)
+        self.session_for = session_for
         self.memory_mb = memory_mb
         self.cpu_s = cpu_s
-        self.max_sessions = max_sessions
         self.hang_timeout = hang_timeout
         self.restart_base = restart_base
         self.restart_cap = restart_cap
@@ -351,7 +342,7 @@ class WorkerSupervisor:
         proc = _CTX.Process(
             target=_worker_main,
             args=(child_conn, inherited, self.memory_mb, self.cpu_s,
-                  self.max_sessions),
+                  self.session_for),
             name=f"repro-worker-{index}", daemon=True)
         proc.start()
         child_conn.close()
@@ -397,8 +388,9 @@ class WorkerSupervisor:
                 on_event: Optional[Callable[[Dict[str, Any]], None]]
                 = None,
                 on_stat: Optional[Callable[[str], None]] = None
-                ) -> Dict[str, Any]:
-        """Run one job on a pooled worker; returns the result document.
+                ) -> OptimizationResult:
+        """Run one job on a pooled worker; returns its result, rebuilt
+        from the worker's store payload as a store hit is.
 
         Raises :class:`WorkerCrashed` if the worker dies mid-job, the
         re-raised worker exception if the job failed in-worker, or
@@ -416,8 +408,8 @@ class WorkerSupervisor:
         try:
             try:
                 handle.conn.send(("job", job))
-                return self._await_result(handle, token, on_event,
-                                          on_stat)
+                reply = self._await_result(handle, token, on_event,
+                                           on_stat)
             except WorkerCrashed as exc:
                 crashed = exc
                 raise
@@ -442,6 +434,9 @@ class WorkerSupervisor:
                 with self._lock:
                     self._consecutive_crashes[handle.index] = 0
                 self._idle.put(handle)
+        result = OptimizationResult.from_payload(job["request"],
+                                                 reply["payload"])
+        return dataclasses.replace(result, from_cache=reply["from_cache"])
 
     def _await_result(self, handle: _WorkerHandle,
                       token: Optional[CancelToken],

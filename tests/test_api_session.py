@@ -5,6 +5,9 @@ is bit-identical to per-request serial ``optimize``, and a session
 request reproduces a hand-built ``FeedbackPipeline`` exactly.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.api import (LLM_BACKENDS, OptimizationRequest,
@@ -78,16 +81,22 @@ class TestOptimizeManyEquivalence:
             assert _result_tuple(a) == _result_tuple(b)
             assert a.events == b.events
 
-    def test_thread_pool_matches_fork(self, retriever, benches):
+    def test_pool_matches_serial(self, retriever, benches):
+        """Pooled results render the same documents and store payloads
+        as serial ones, byte for byte."""
         requests = [OptimizationRequest.make(
             bench.program, bench.perf, bench.test)
             for bench in benches[:2]]
-        forked = OptimizerSession(retriever=retriever, seed=0) \
-            .optimize_many(requests, jobs=2, pool="auto")
-        threaded = OptimizerSession(retriever=retriever, seed=0) \
-            .optimize_many(requests, jobs=2, pool="thread")
-        for a, b in zip(forked, threaded):
+        serial = OptimizerSession(retriever=retriever, seed=0) \
+            .optimize_many(requests, jobs=1)
+        pooled = OptimizerSession(retriever=retriever, seed=0) \
+            .optimize_many(requests, jobs=2)
+        for a, b in zip(serial, pooled):
             assert _result_tuple(a) == _result_tuple(b)
+            assert json.dumps(a.to_json_dict(), sort_keys=True) == \
+                json.dumps(b.to_json_dict(), sort_keys=True)
+            assert a.to_payload() == b.to_payload()
+            assert not b.from_cache
 
 
 class TestShimEquivalence:
@@ -207,29 +216,46 @@ class TestEvents:
 
     def test_fork_pool_republishes_events_to_parent(self, retriever,
                                                     benches):
-        """Process-pool workers emit inside their fork; the parent
+        """Pooled workers emit inside their fork; the parent
         re-publishes each result's log so subscribers still see every
         event."""
-        from repro.evaluation.parallel import resolve_pool
-
-        if resolve_pool("auto") != "process":
-            pytest.skip("platform has no fork pool")
         session = OptimizerSession(retriever=retriever)
         seen = []
         session.events.subscribe(seen.append)
         requests = [OptimizationRequest.make(
             bench.program, bench.perf, bench.test)
             for bench in benches[:2]]
-        results = session.optimize_many(requests, jobs=2, pool="process")
+        results = session.optimize_many(requests, jobs=2)
         expected = [e for r in results for e in r.events]
         assert sorted(e.to_dict()["kind"] for e in seen) == \
             sorted(e.to_dict()["kind"] for e in expected)
         assert len(seen) == len(expected)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_drops_inherited_subscribers(self):
+        """A subscriber the parent registered is never called from a
+        forked child: a hook writing to a shared pipe delivers once."""
+        bus = EventBus()
+        read_fd, write_fd = os.pipe()
+        bus.subscribe(lambda event: os.write(write_fd, b"x"))
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                bus.publish(SessionEvent.make(0, "child", {}))
+            finally:
+                os._exit(0)
+        os.waitpid(pid, 0)
+        bus.publish(SessionEvent.make(0, "parent", {}))
+        os.close(write_fd)
+        try:
+            assert os.read(read_fd, 16) == b"x"
+        finally:
+            os.close(read_fd)
+
     def test_concurrent_batches_on_one_session(self, retriever,
                                                benches):
-        """Several optimize_many calls on ONE session may overlap; no
-        batch may unregister another's worker state mid-flight."""
+        """Several pooled optimize_many calls on ONE session may
+        overlap; each batch's workers serve only that batch."""
         import threading
 
         session = OptimizerSession(retriever=retriever)
@@ -242,7 +268,7 @@ class TestEvents:
         def run_batch():
             try:
                 outcomes.append(session.optimize_many(
-                    requests, jobs=2, pool="thread"))
+                    requests, jobs=2))
             except BaseException as exc:  # pragma: no cover
                 errors.append(exc)
 

@@ -358,8 +358,9 @@ class TestQuarantine:
 # ----------------------------------------------------------------------
 class TestSupervisorPool:
     def test_describe_counts_and_clean_shutdown(self):
-        supervisor = WorkerSupervisor(workers=2, restart_base=0.05,
-                                      restart_cap=0.2)
+        supervisor = WorkerSupervisor(
+            workers=2, session_for=lambda job: OptimizerSession(),
+            restart_base=0.05, restart_cap=0.2)
         supervisor.start()
         try:
             assert _wait_until(
@@ -373,8 +374,9 @@ class TestSupervisorPool:
         assert supervisor.describe()["alive"] == 0
 
     def test_restart_backoff_doubles_per_consecutive_crash(self):
-        supervisor = WorkerSupervisor(workers=1, restart_base=0.5,
-                                      restart_cap=2.0)
+        supervisor = WorkerSupervisor(
+            workers=1, session_for=lambda job: OptimizerSession(),
+            restart_base=0.5, restart_cap=2.0)
         supervisor.start()
         try:
             handle = supervisor._idle.get(timeout=5.0)
@@ -401,7 +403,8 @@ class TestSupervisorPool:
         its own that the parent end of its pipe is gone."""
         script = ("import time\n"
                   "from repro.serve import WorkerSupervisor\n"
-                  "pool = WorkerSupervisor(workers=2)\n"
+                  "pool = WorkerSupervisor(workers=2,\n"
+                  "                        session_for=lambda job: None)\n"
                   "pool.start()\n"
                   "print(*(h.proc.pid for h in pool._workers.values()),"
                   " flush=True)\n"

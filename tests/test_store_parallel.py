@@ -7,14 +7,15 @@ artifact store, a plan's records are the ones
 ``OptimizerSession.optimize`` would hit, ``REPRO_NO_CACHE`` bypasses
 the store, corrupt and superseded lines are counted separately, torn
 shard tails are skipped and repaired by compaction, concurrent-process
-appends never tear, a failing request never discards its batch's
-completed work, and parallel runs are identical to serial ones on a
-``REPRO_SUITE_LIMIT=3`` sweep.
+appends never tear, a failing request — or a SIGKILLed worker — never
+discards its batch's completed work, and parallel runs are identical to
+serial ones on a ``REPRO_SUITE_LIMIT=3`` sweep.
 """
 
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -27,10 +28,10 @@ from repro.evaluation import store as store_module
 from repro.evaluation.harness import (base_llm_plan, compiler_plan,
                                       looprag_plan, results_for,
                                       run_plans, suites)
-from repro.evaluation.parallel import resolve_pool
 from repro.evaluation.store import (RESULTS_STREAM, ResultStore,
                                     active_store, encode_key)
 from repro.llm.personas import DEEPSEEK_V3, GPT_4O
+from repro.serve import WorkerCrashed
 from repro.storage import STORAGE_SCHEMA
 
 #: the cheap plan the store tests round-trip
@@ -53,6 +54,22 @@ def _forget_memory():
     harness._RUN_CACHE.clear()
     harness._SESSION_CACHE.clear()
     store_module._STORES.clear()
+
+
+def _kill_worker_on(monkeypatch, doomed):
+    """Make ``_execute`` SIGKILL its process on a ``doomed`` request —
+    only in a forked worker, never in the test process itself.
+    Returns a closure that removes the fault."""
+    real = OptimizerSession._execute
+    parent = os.getpid()
+
+    def killing(session, request):
+        if doomed(request) and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(session, request)
+
+    monkeypatch.setattr(OptimizerSession, "_execute", killing)
+    return lambda: monkeypatch.setattr(OptimizerSession, "_execute", real)
 
 
 def _plan_keys(plan):
@@ -272,8 +289,7 @@ class TestHarnessStore:
         assert any(p.endswith("/repro/pipeline/generation.py")
                    for p in hashed)
         assert not [p for p in hashed if "/repro/serve/" in p]
-        for guard in ("api/resilience.py", "testing/faults.py",
-                      "evaluation/parallel.py"):
+        for guard in ("api/resilience.py", "testing/faults.py"):
             assert not [p for p in hashed if p.endswith("/repro/" + guard)]
 
     def test_every_request_module_is_classified(self, tmp_path):
@@ -337,29 +353,27 @@ class TestParallelRunner:
         compiler_plan("tsvc", "icx"),
     ])
 
-    def test_thread_pool_matches_serial(self, fresh_harness,
-                                        monkeypatch):
+    def test_pool_matches_serial_across_systems(self, fresh_harness,
+                                                monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         serial = run_plans(self.PLANS(), jobs=1)
         _forget_memory()
-        threaded = run_plans(self.PLANS(), jobs=4, pool="thread")
-        assert threaded == serial
+        pooled = run_plans(self.PLANS(), jobs=4)
+        assert pooled == serial
 
     def test_process_pool_matches_serial(self, fresh_harness,
                                          monkeypatch):
-        if "process" != resolve_pool("auto"):
-            pytest.skip("no fork start method on this platform")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         serial = run_plans([compiler_plan("polybench", "pluto"),
                             compiler_plan("polybench", "icx")], jobs=1)
         _forget_memory()
         forked = run_plans([compiler_plan("polybench", "pluto"),
                             compiler_plan("polybench", "icx")],
-                           jobs=2, pool="process")
+                           jobs=2)
         assert forked == serial
 
     def test_parallel_populates_store(self, fresh_harness):
-        run_plans(self.PLANS()[2:], jobs=2, pool="thread")
+        run_plans(self.PLANS()[2:], jobs=2)
         _forget_memory()
         warm = run_plans(self.PLANS()[2:], jobs=1)
         assert active_store().stats()["hits"] == 6  # 2 plans x 3 kernels
@@ -370,16 +384,19 @@ class TestParallelRunner:
                                            monkeypatch):
         real = OptimizerSession._execute
 
-        def flaky(session, request, live_events=True):
+        def flaky(session, request):
             if request.optimizer == "icx":
                 raise RuntimeError("boom")
-            return real(session, request, live_events)
+            return real(session, request)
 
         monkeypatch.setattr(OptimizerSession, "_execute", flaky)
         good = compiler_plan("polybench", "graphite")
         bad = compiler_plan("polybench", "icx")
-        with pytest.raises(RuntimeError):
-            run_plans([bad, good], jobs=2, pool="thread")
+        # the worker's exception arrives as the supervisor's relayed
+        # failure, naming the original type
+        with pytest.raises(Exception, match="boom") as failure:
+            run_plans([bad, good], jobs=2)
+        assert failure.value.remote_type == "RuntimeError"
         store = active_store()
         assert all(store.contains(key) for key in _plan_keys(good))
         assert not any(store.contains(key) for key in _plan_keys(bad))
@@ -390,10 +407,10 @@ class TestParallelRunner:
         complete after it in the pool."""
         real = OptimizerSession._execute
 
-        def flaky(session, request, live_events=True):
+        def flaky(session, request):
             if request.tag == "bad":
                 raise RuntimeError("boom")
-            return real(session, request, live_events)
+            return real(session, request)
 
         monkeypatch.setattr(OptimizerSession, "_execute", flaky)
         session = OptimizerSession()
@@ -401,22 +418,55 @@ class TestParallelRunner:
             bench.program, bench.perf, system="compiler",
             optimizer="graphite", tag="bad" if i == 0 else None)
             for i, bench in enumerate(suites()["polybench"])]
-        with pytest.raises(RuntimeError, match="boom"):
-            session.optimize_many(requests, jobs=2, pool="thread")
+        with pytest.raises(Exception, match="boom") as failure:
+            session.optimize_many(requests, jobs=2)
+        assert failure.value.remote_type == "RuntimeError"
         store = active_store()
         assert not store.contains(session._request_key(requests[0]))
         assert all(store.contains(session._request_key(r))
                    for r in requests[1:])
         assert store.stats()["writes"] == len(requests) - 1
 
+    def test_sigkilled_worker_costs_only_its_request(self, fresh_harness,
+                                                     monkeypatch):
+        """A worker killed mid-request fails the batch with
+        ``WorkerCrashed``, and the 7 other requests are persisted."""
+        monkeypatch.delenv("REPRO_SUITE_LIMIT")
+        _kill_worker_on(monkeypatch, lambda request: request.tag == "kill")
+        session = OptimizerSession()
+        requests = [OptimizationRequest.make(
+            bench.program, bench.perf, system="compiler",
+            optimizer="graphite", tag="kill" if i == 3 else None)
+            for i, bench in enumerate(suites()["polybench"].benchmarks[:8])]
+        with pytest.raises(WorkerCrashed):
+            session.optimize_many(requests, jobs=2)
+        store = active_store()
+        assert not store.contains(session._request_key(requests[3]))
+        healthy = requests[:3] + requests[4:]
+        assert sum(store.contains(session._request_key(r))
+                   for r in healthy) == 7
+
+    def test_run_plans_after_worker_crash_matches_serial(
+            self, fresh_harness, monkeypatch):
+        """A retry without the fault completes the plans a crash cut
+        short, equal to a serial run."""
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        plans = [compiler_plan("polybench", "graphite"),
+                 compiler_plan("polybench", "pluto")]
+        undo = _kill_worker_on(monkeypatch,
+                               lambda request: request.optimizer == "pluto")
+        with pytest.raises(WorkerCrashed):
+            run_plans(plans)
+        undo()
+        retried = run_plans(plans)
+        _forget_memory()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert retried == run_plans(plans, jobs=1)
+
     def test_repeated_plans_deduplicated(self, fresh_harness):
         plan = compiler_plan("polybench", "graphite")
         a, b = run_plans([plan, plan], jobs=1)
         assert a is b
-
-    def test_resolve_pool_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_pool("ponies")
 
 
 class TestBenchReport:
