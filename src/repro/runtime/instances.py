@@ -28,6 +28,7 @@ analysis its ``RuntimeError`` with unchanged messages.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -39,6 +40,7 @@ from ..ir.affine import affine_column  # noqa: F401
 from ..ir.domain import Domain
 from ..ir.program import Program
 from ..ir.schedule import dim_column
+from ..memo import memo_on
 
 #: column environment: iterator name -> int64 column vector
 Columns = Dict[str, np.ndarray]
@@ -116,6 +118,13 @@ class InstanceBatch:
 
     def __len__(self) -> int:
         return len(self.si)
+
+    def order_digest(self) -> str:
+        """Hash of the global order ``si``/``row``, memoized on the batch
+        (equal-length vectors, so the concatenation is unambiguous)."""
+        return memo_on(self, "_order_digest", lambda: hashlib.blake2b(
+            self.si.tobytes() + self.row.tobytes(),
+            digest_size=16).hexdigest())
 
     def statement_order(self, si: int) -> np.ndarray:
         """Statement ``si``'s points gathered into global execution order."""

@@ -44,6 +44,7 @@ from ..memo import LRUCache
 from .compile import CompiledStatement, compile_program
 from .data import Storage
 from .instances import InstanceBatch, affine_column, sorted_instances
+from .interpreter import _budget_error
 
 #: runs shorter than this skip the NumPy mode checks entirely — per-call
 #: overhead beats vector width at these sizes (results are identical
@@ -191,7 +192,8 @@ def _record_pending(state: _StatementState, coverage, a: int, b: int,
 #: instance batches of recently executed programs, keyed like the
 #: dependence memo (the enumeration reads the domains, schedules and
 #: binding, never the input data): the differential tester runs each
-#: candidate, and each ground truth, over several inputs at one binding.
+#: candidate, and each ground truth, over several inputs at one binding,
+#: after :func:`execution_key` has enumerated it for the test memo.
 #: Batches above ``_BATCH_MEMO_LIMIT`` instances are not held, so large
 #: runs pin no memory (results are identical either way).
 _BATCH_CACHE = LRUCache(16)
@@ -210,6 +212,28 @@ def _instance_batch(program: Program, params: Mapping[str, int],
                 arr.flags.writeable = False  # shared across executions
             _BATCH_CACHE.put(key, batch)
     return batch
+
+
+def execution_key(program: Program, params: Mapping[str, int],
+                  budget: int) -> Tuple[str, str, tuple, str]:
+    """What executing ``program`` at ``params`` reads of it: ``(name,
+    kernel key, scalars, digest of the global instance order)``.
+
+    Both engines execute ``points[si[g]][row[g]]`` for ``g`` in order on
+    the kernels compiled for :meth:`Program.kernel_key` (which covers the
+    domains the points come from), with the program's scalars, and name
+    the program only in their errors.  So two programs with equal keys
+    at one binding and budget write the same values to the same cells in
+    the same order, raise the same errors and count the same instances,
+    on any storage.  The order is hashed once per memoized batch, which
+    the execution that follows reuses.  Raises ``BudgetExceededError``
+    like :func:`~repro.runtime.interpreter.execute` when enumeration
+    passes ``budget``.
+    """
+    batch = _instance_batch(program, params, budget,
+                            lambda b: _budget_error(program, b))
+    return (program.name, program.kernel_key(), program.scalars,
+            batch.order_digest())
 
 
 def execute_vectorized(program: Program, params: Mapping[str, int],

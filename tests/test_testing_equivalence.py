@@ -1,15 +1,26 @@
 """Equivalence checking tests: inputs, coverage, differential, audits."""
 
+import random
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.ir import parse_scop
-from repro.runtime import allocate
+from repro.llm.adapt import Intent, materialize, semantic_slip
+from repro.runtime import allocate, clone_storage, execute
+from repro.runtime.vectorized import execution_key
+from repro.suites import SUITES
+from repro.synthesis import ExampleSynthesizer
 from repro.testing import (EquivalenceChecker, TestInput, input_pool,
                            materialize_input, VERDICT_IA, VERDICT_PASS,
                            VERDICT_RE)
-from repro.transforms import (interchange, parallelize, shift, tile,
-                              vectorize)
+from repro.testing import TestReport as Report
+from repro.transforms import (TransformError, interchange, parallelize,
+                              shift, tile, vectorize)
+from repro.transforms.recipe import ALL_KINDS
 
 
 class TestInputs:
@@ -55,27 +66,35 @@ class TestDifferential:
         t = interchange(gemm, 3, 5, stmts=["S2"])
         assert checker.check(t).verdict == VERDICT_PASS
 
-    def test_shrunk_bound_caught(self, gemm, checker):
+    @staticmethod
+    def _outer_bound_moved(gemm, delta):
+        """GEMM with S2's outer upper bound moved by ``delta``."""
         from repro.ir.domain import Domain, IterSpec
         stmt = gemm.statements[1]
         specs = list(stmt.domain.iters)
         spec = specs[0]
         specs[0] = IterSpec(spec.name, spec.lowers,
-                            tuple(u - 1 for u in spec.uppers))
-        broken = gemm.with_statement(
+                            tuple(u + delta for u in spec.uppers))
+        return gemm.with_statement(
             "S2", stmt.with_domain(Domain(tuple(specs))))
+
+    def test_shrunk_bound_caught(self, gemm, checker):
+        broken = self._outer_bound_moved(gemm, -1)
         assert checker.check(broken).verdict == VERDICT_IA
 
     def test_oob_caught_as_re(self, checker, gemm):
-        from repro.ir.domain import Domain, IterSpec
-        stmt = gemm.statements[1]
-        specs = list(stmt.domain.iters)
-        spec = specs[0]
-        specs[0] = IterSpec(spec.name, spec.lowers,
-                            tuple(u + 1 for u in spec.uppers))
-        broken = gemm.with_statement(
-            "S2", stmt.with_domain(Domain(tuple(specs))))
+        broken = self._outer_bound_moved(gemm, 1)
         assert checker.check(broken).verdict == VERDICT_RE
+
+    def test_renamed_copy_reports_its_own_name(self, checker, gemm):
+        """RE details name the program, so verdicts are kept per name."""
+        broken = self._outer_bound_moved(gemm, 1)
+        assert checker.check(broken).detail.startswith("gemm/S2:")
+        copy = broken.renamed("other")
+        report = checker.check(copy)
+        assert report.detail.startswith("other/S2:")
+        fresh = EquivalenceChecker(gemm, checker.params)
+        assert fresh.check(copy) == report
 
     def test_verdicts_cached(self, gemm, checker):
         first = checker.check(gemm)
@@ -140,10 +159,20 @@ class TestCoverageGuidedSelection:
         checker = EquivalenceChecker(p, {"N": 12})
         assert checker.coverage == 1.0
 
+    def test_first_input_raises_coverage(self, gemm, monkeypatch):
+        """Without the floor, the first input is kept for the coverage
+        it adds (an empty battery would pass every candidate)."""
+        from repro.testing import equivalence
+        monkeypatch.setattr(equivalence, "_MIN_INPUTS", 0)
+        checker = EquivalenceChecker(gemm, {"NI": 6, "NJ": 6, "NK": 6})
+        assert checker.num_inputs == 1
+        assert checker.coverage == 1.0
+
 
 class TestSharedRuns:
     """The audits run per fingerprint; the test battery runs once per
-    name and mark-free content inside one checker."""
+    instance stream the interpreter executes inside one checker, and
+    never for the ground truth's own stream."""
 
     @staticmethod
     def _count_runs(monkeypatch):
@@ -158,15 +187,22 @@ class TestSharedRuns:
         monkeypatch.setattr(equivalence, "execute", counting)
         return runs
 
-    def test_marks_only_variant_shares_the_run(self, stream, monkeypatch):
-        checker = EquivalenceChecker(stream, {"LEN": 16})
+    def test_marks_only_variant_shares_the_run(self, gemm, monkeypatch):
+        checker = EquivalenceChecker(gemm, {"NI": 5, "NJ": 6, "NK": 4})
         runs = self._count_runs(monkeypatch)
-        plain = checker.check(stream)
-        assert plain.passed and len(runs) == checker.num_inputs
-        assert checker.check(vectorize(parallelize(stream, 1), 1)) is plain
+        truth = Report(VERDICT_PASS, "", checker.num_inputs)
+        # the original, a marks-only variant and a tile larger than the
+        # test extent all execute the ground truth's instance stream
+        assert checker.check(gemm) == truth
+        assert checker.check(vectorize(parallelize(gemm, 1), 5)) == truth
+        assert checker.check(tile(gemm, [1], 32)) == truth
+        assert runs == []
+        # a legal interchange reorders the stream: it runs, and passes
+        swapped = interchange(gemm, 3, 5, ["S2"])
+        assert checker.check(swapped) == truth
         assert len(runs) == checker.num_inputs
         # runtime errors name the program, so a renamed copy runs again
-        checker.check(parallelize(stream.renamed("copy"), 1))
+        assert checker.check(swapped.renamed("copy")) == truth
         assert len(runs) == 2 * checker.num_inputs
 
     def test_racy_marks_only_variant_still_audited(self, recur):
@@ -204,3 +240,99 @@ class TestSharedRuns:
         for checker, candidate, report in checked.values():
             fresh = EquivalenceChecker(checker.original, checker.params)
             assert fresh.check(candidate) == report, candidate.name
+
+
+_SYNTH = ExampleSynthesizer(base_seed=5)
+#: PolyBench kernels with scalars (the synthesized programs have none)
+_SCALAR_KERNELS = ("gemm", "gesummv", "syrk", "trmm")
+
+
+def _target(source):
+    """A synthesized program at ``N=9``, or a PolyBench kernel at its
+    test binding."""
+    if isinstance(source, int):
+        return _SYNTH.synthesize(source), {"N": 9}
+    bench = SUITES["polybench"]().get(source)
+    return bench.program, bench.test
+
+
+def _candidates(program, recipes, seed):
+    """The program, one candidate per random recipe (applied unchecked,
+    so illegal orders are in), a semantic slip, renamed copies of the
+    program and the slip, and a scalar-only twin of each candidate with
+    scalars."""
+    rng = random.Random(seed)
+    out = [program]
+    for kinds in recipes:
+        candidate = program
+        for kind in kinds:
+            intent = Intent(kind=kind, size=rng.choice((2, 3, 64)))
+            step = materialize(intent, candidate, rng)
+            if step is None:
+                continue
+            try:
+                candidate = step.apply(candidate)
+            except TransformError:
+                continue
+        out.append(candidate)
+    out.append(semantic_slip(program, rng)[0])
+    out += [p.renamed(p.name + "_copy") for p in (program, out[-1])]
+    out += [replace(c, scalars=tuple((k, 2 * v + 1) for k, v in c.scalars))
+            for c in out if c.scalars]
+    return out
+
+
+def _fresh_runs(checker, candidate):
+    """Each checker input run afresh: instance count and every array's
+    bytes, or the error."""
+    runs = []
+    for pristine in checker._storages:
+        storage = clone_storage(pristine)
+        try:
+            count = execute(candidate, checker.params, storage,
+                            budget=checker.budget)
+        except Exception as exc:
+            runs.append((type(exc).__name__, str(exc)))
+            continue
+        runs.append((count, sorted((name, arr.tobytes())
+                                   for name, arr in storage.items())))
+    return runs
+
+
+class TestExecutionIdentity:
+    """``execution_key`` is sound as the test-battery key: equal keys
+    mean equal runs, and the ground truth's stream passes under any
+    name."""
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(source=st.one_of(st.integers(0, 300),
+                            st.sampled_from(_SCALAR_KERNELS)),
+           recipes=st.lists(st.lists(st.sampled_from(ALL_KINDS),
+                                     min_size=1, max_size=3),
+                            min_size=1, max_size=4),
+           seed=st.integers(0, 100))
+    @example(source="gemm", recipes=[["parallel"], ["tiling"]], seed=0)
+    @example(source=17, recipes=[["interchange"], ["skewing"]], seed=1)
+    def test_equal_keys_run_alike(self, source, recipes, seed):
+        program, params = _target(source)
+        checker = EquivalenceChecker(program, params)
+        groups = {}
+        for candidate in _candidates(program, recipes, seed):
+            try:
+                key = execution_key(candidate, params, checker.budget)
+            except Exception:
+                continue
+            groups.setdefault(key, []).append(candidate)
+        for members in groups.values():
+            runs = [_fresh_runs(checker, c) for c in members]
+            assert all(r == runs[0] for r in runs[1:]), \
+                [c.provenance for c in members]
+        # the checker keys the ground truth's pass without the name
+        truth = execution_key(program, params, checker.budget)[1:]
+        shared = [c for key, members in groups.items()
+                  if key[1:] == truth for c in members]
+        assert program in shared
+        for candidate in shared:
+            assert checker._run(candidate) == Report(
+                VERDICT_PASS, "", checker.num_inputs)
