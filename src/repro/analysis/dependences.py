@@ -37,7 +37,7 @@ from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
 
 from ..ir.program import Program
 from ..ir.schedule import Schedule
-from ..memo import LRUCache
+from ..memo import memoized
 
 KIND_RAW = "RAW"
 KIND_WAW = "WAW"
@@ -155,6 +155,7 @@ def analysis_params(program: Program,
 _LATE_ONSET_SPREAD = max(_PARAM_SIZES)
 
 
+@memoized(4096, key=lambda program: program.analysis_key())
 def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
     """``(late-onset arrays, scaled binding)`` — see :func:`nonuniform_arrays`.
 
@@ -164,9 +165,6 @@ def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
     (``X[i]`` vs ``X[i+20]``: uniform distance, late onset) are
     concretized at a size where they actually occur.
     """
-    cached = _NONUNIFORM_CACHE.get(program.analysis_key())
-    if cached is not None:
-        return cached
     params = set(program.params)
     written = {s.write().array for s in program.statements}
     flagged = set()
@@ -216,9 +214,7 @@ def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
             # cover onsets up to spread + margin (onset ≈ spread + 1
             # for plain offsets; the margin absorbs guards shifting it)
             scaled = max(scaled, spread + _LATE_ONSET_SPREAD)
-    result = (frozenset(flagged), scaled)
-    _NONUNIFORM_CACHE.put(program.analysis_key(), result)
-    return result
+    return frozenset(flagged), scaled
 
 
 def nonuniform_arrays(program: Program) -> frozenset:
@@ -525,6 +521,7 @@ class _Legality(NamedTuple):
     verdicts: Dict[tuple, Tuple[tuple, Tuple[Dependence, ...]]]
 
 
+@memoized(2048, key=lambda program: program.analysis_key())
 def _legality(program: Program) -> _Legality:
     """The :class:`_Legality` entry of ``program``'s analysis key.
 
@@ -540,18 +537,13 @@ def _legality(program: Program) -> _Legality:
     every persona/compiler pays the schedule rebuild once, not per call,
     and marks-only variants of one schedule share its verdicts.
     """
-    key = program.analysis_key()
-    entry = _LEGALITY_CACHE.get(key)
-    if entry is None:
-        from ..ir.schedule import Schedule as Sched, TileDim
+    from ..ir.schedule import Schedule as Sched, TileDim
 
-        entry = _Legality(tuple(
-            Sched(tuple(TileDim(d.expr, min(d.size, _LEGALITY_TILE))
-                        if isinstance(d, TileDim) else d
-                        for d in sched.dims))
-            for sched in program.aligned_schedules()), {})
-        _LEGALITY_CACHE.put(key, entry)
-    return entry
+    return _Legality(tuple(
+        Sched(tuple(TileDim(d.expr, min(d.size, _LEGALITY_TILE))
+                    if isinstance(d, TileDim) else d
+                    for d in sched.dims))
+        for sched in program.aligned_schedules()), {})
 
 
 def _verdict(program: Program, deps: Sequence[Dependence],
@@ -656,14 +648,9 @@ def is_parallel_dim(program: Program, deps: Sequence[Dependence],
     return not parallel_violations(program, deps, dim, params)
 
 
-# ----------------------------------------------------------------------
-# Bounded, thread-safe memoization
-# ----------------------------------------------------------------------
-_DEP_CACHE = LRUCache(4096)
-_LEGALITY_CACHE = LRUCache(2048)
-_NONUNIFORM_CACHE = LRUCache(4096)
-
-
+@memoized(4096, key=lambda program, params=None: (
+    program.analysis_key(),
+    None if params is None else tuple(sorted(params.items()))))
 def dependences(program: Program,
                 params: Optional[Mapping[str, int]] = None
                 ) -> List[Dependence]:
@@ -682,10 +669,4 @@ def dependences(program: Program,
     two-size hardening costs one extra pass per distinct analysis key,
     not per legality query.
     """
-    key = (program.analysis_key(),
-           None if params is None else tuple(sorted(params.items())))
-    cached = _DEP_CACHE.get(key)
-    if cached is None:
-        cached = compute_dependences(program, params)
-        _DEP_CACHE.put(key, cached)
-    return cached
+    return compute_dependences(program, params)

@@ -60,7 +60,7 @@ from ..ir.affine import affine_column
 from ..ir.domain import Domain
 from ..ir.program import Program
 from ..ir.schedule import Schedule
-from ..memo import LRUCache
+from ..memo import LRUCache, memoized
 
 KIND_RAW = "RAW"
 KIND_WAW = "WAW"
@@ -345,9 +345,8 @@ def collect_pairs(program: Program, params: Mapping[str, int],
     return out
 
 
-_SLOT_CACHE = LRUCache(512)
-
-
+@memoized(512, key=lambda si, domain, param_items, meta, points,
+          max_witnesses: (si, str(domain), param_items, max_witnesses))
 def _slot_table(si: int, domain: Domain,
                 param_items: Tuple[Tuple[str, int], ...], meta: _StmtMeta,
                 points: np.ndarray, max_witnesses: int) -> np.ndarray:
@@ -359,18 +358,14 @@ def _slot_table(si: int, domain: Domain,
     the iterator names and the point rows) and parameter binding.  The
     schedule, and everything else about the program, is irrelevant.
     """
-    key = (si, str(domain), param_items, max_witnesses)
-    table = _SLOT_CACHE.get(key)
-    if table is None:
-        rows = (points[:, meta.order].tolist() if points.shape[1]
-                else [[]] * len(points))
-        template = meta.slot_template
-        table = np.fromiter(
-            (zlib.crc32((template % tuple(row)).encode()) % max_witnesses
-             for row in rows),
-            dtype=np.int32, count=len(rows))
-        table.flags.writeable = False  # shared across programs/threads
-        _SLOT_CACHE.put(key, table)
+    rows = (points[:, meta.order].tolist() if points.shape[1]
+            else [[]] * len(points))
+    template = meta.slot_template
+    table = np.fromiter(
+        (zlib.crc32((template % tuple(row)).encode()) % max_witnesses
+         for row in rows),
+        dtype=np.int32, count=len(rows))
+    table.flags.writeable = False  # shared across programs/threads
     return table
 
 
@@ -436,10 +431,6 @@ class _WitnessPack:
         return hit[1]
 
 
-_PACK_CACHE = LRUCache(256)
-_HETEROGENEOUS = "heterogeneous"
-
-
 def _build_pack(deps: Sequence) -> Optional[_WitnessPack]:
     group_ids: Dict[Tuple[int, Tuple[str, ...]], int] = {}
     group_rows: List[List[List[int]]] = []
@@ -480,21 +471,16 @@ def _build_pack(deps: Sequence) -> Optional[_WitnessPack]:
     return _WitnessPack(groups, per_dep)
 
 
-def _witness_pack(deps: Sequence) -> Optional[_WitnessPack]:
-    """Cached :func:`_build_pack`.
+@memoized(256, key=lambda deps: tuple(map(id, deps)))
+def _witness_pack(deps: Sequence) -> Tuple[tuple, Optional[_WitnessPack]]:
+    """``(the deps tuple, _build_pack(deps))``.
 
     Keyed by the identity of the dependence objects; the entry pins the
     deps tuple so ids stay valid while cached.  Memoized dependence
     lists are queried by every candidate schedule of every persona and
     compiler pass, so the tuple-to-matrix conversion is paid once.
     """
-    key = tuple(map(id, deps))
-    hit = _PACK_CACHE.get(key)
-    if hit is None:
-        pack = _build_pack(deps)
-        hit = (tuple(deps), _HETEROGENEOUS if pack is None else pack)
-        _PACK_CACHE.put(key, hit)
-    return None if hit[1] is _HETEROGENEOUS else hit[1]
+    return tuple(deps), _build_pack(deps)
 
 
 def _group_keys(pack: _WitnessPack, schedules: Sequence[Schedule],
@@ -527,7 +513,7 @@ def schedule_violations_batch(program: Program, deps: Sequence,
     Returns None when the witness shapes don't pack (heterogeneous
     environments) — the caller falls back to the reference loop.
     """
-    pack = _witness_pack(deps)
+    pack = _witness_pack(deps)[1]
     if pack is None:
         return None
     name_to_idx = {s.name: i for i, s in enumerate(program.statements)}
@@ -555,7 +541,7 @@ def parallel_violations_batch(program: Program, deps: Sequence, dim: int,
                               schedules: Sequence[Schedule]
                               ) -> Optional[List]:
     """Batched :func:`..dependences.parallel_violations`."""
-    pack = _witness_pack(deps)
+    pack = _witness_pack(deps)[1]
     if pack is None:
         return None
     key_cache = pack.key_cache(schedules, params)

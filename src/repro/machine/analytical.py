@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from ..ir.expr import Ref
 from ..ir.program import Program
 from ..ir.statement import Statement
-from ..memo import LRUCache
+from ..memo import memoized
 from .loopview import LoopInfo, LoopView, build_view, estimate_guard_fraction
 from .model import DEFAULT_MACHINE, MachineModel
 
@@ -59,7 +59,6 @@ class StatementCost:
 class TimeEstimate:
     """Modeled execution of a whole program."""
 
-    program: str
     seconds: float
     cycles: float
     statements: Tuple[StatementCost, ...]
@@ -294,14 +293,13 @@ def estimate(program: Program, params: Mapping[str, int],
         _statement_cost(program, stmt, params, machine, strides_of)
         for stmt in program.statements]
     cycles = sum(c.cycles for c in costs) + 1_000.0  # region constant
-    return TimeEstimate(program=program.name,
-                        seconds=machine.seconds(cycles),
+    return TimeEstimate(seconds=machine.seconds(cycles),
                         cycles=cycles, statements=tuple(costs))
 
 
-_ESTIMATE_CACHE = LRUCache(16384)
-
-
+@memoized(16384, key=lambda program, params, machine=DEFAULT_MACHINE: (
+    program.fingerprint(), tuple(s.reg_accum for s in program.statements),
+    tuple(sorted(params.items())), machine.name, machine.threads))
 def estimate_cached(program: Program, params: Mapping[str, int],
                     machine: MachineModel = DEFAULT_MACHINE) -> TimeEstimate:
     """Memoized :func:`estimate`.
@@ -310,11 +308,4 @@ def estimate_cached(program: Program, params: Mapping[str, int],
     flags, which the estimate prices but the fingerprint's statement
     text omits.
     """
-    key = (program.fingerprint(),
-           tuple(s.reg_accum for s in program.statements),
-           tuple(sorted(params.items())), machine.name, machine.threads)
-    hit = _ESTIMATE_CACHE.get(key)
-    if hit is None:
-        hit = estimate(program, params, machine)
-        _ESTIMATE_CACHE.put(key, hit)
-    return hit
+    return estimate(program, params, machine)

@@ -44,7 +44,7 @@ from ..ir.affine import Affine
 from ..ir.expr import (Assignment, Bin, Call, Const, Expr, IterExpr, Neg,
                        Ref, Scalar, _FUNCS)
 from ..ir.program import Program
-from ..memo import LRUCache
+from ..memo import memoized
 from .instances import affine_column
 from .interpreter import RuntimeExecutionError, _check_bounds
 
@@ -296,17 +296,10 @@ def compile_statement(program: Program, stmt) -> CompiledStatement:
     )
 
 
-_COMPILE_CACHE = LRUCache(2048)
-
-
+@memoized(2048, key=lambda program: program.kernel_key())
 def compile_program(program: Program) -> CompiledProgram:
     """Memoized lowering of a program (keyed by its kernel key)."""
-    key = program.kernel_key()
-    cached = _COMPILE_CACHE.get(key)
-    if cached is None:
-        cached = CompiledProgram(
-            key=key,
-            statements=tuple(compile_statement(program, stmt)
-                             for stmt in program.statements))
-        _COMPILE_CACHE.put(key, cached)
-    return cached
+    return CompiledProgram(
+        key=program.kernel_key(),
+        statements=tuple(compile_statement(program, stmt)
+                         for stmt in program.statements))

@@ -40,7 +40,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 import numpy as np
 
 from ..ir.program import Program
-from ..memo import LRUCache
+from ..memo import Memo
 from .compile import CompiledStatement, compile_program
 from .data import Storage
 from .instances import InstanceBatch, affine_column, sorted_instances
@@ -195,22 +195,26 @@ def _record_pending(state: _StatementState, coverage, a: int, b: int,
 #: candidate, and each ground truth, over several inputs at one binding,
 #: after :func:`execution_key` has enumerated it for the test memo.
 #: Batches above ``_BATCH_MEMO_LIMIT`` instances are not held, so large
-#: runs pin no memory (results are identical either way).
-_BATCH_CACHE = LRUCache(16)
+#: runs pin no memory (results are identical either way); that one
+#: conditional put is why this memo is driven by hand.
+_BATCH_MEMO = Memo(f"{__name__}._instance_batch", 16,
+                   key=lambda program, params, budget: (
+                       program.analysis_key(),
+                       tuple(sorted(params.items())), budget))
 _BATCH_MEMO_LIMIT = 1 << 16
 
 
 def _instance_batch(program: Program, params: Mapping[str, int],
                     budget: int,
                     exceeded: Callable[[int], Exception]) -> InstanceBatch:
-    key = (program.analysis_key(), tuple(sorted(params.items())), budget)
-    batch = _BATCH_CACHE.get(key)
+    key = _BATCH_MEMO.key(program, params, budget)
+    batch = _BATCH_MEMO.cache.get(key)
     if batch is None:
         batch = sorted_instances(program, params, budget, exceeded)
         if len(batch) <= _BATCH_MEMO_LIMIT:
             for arr in (batch.si, batch.row, batch.keys) + batch.points:
                 arr.flags.writeable = False  # shared across executions
-            _BATCH_CACHE.put(key, batch)
+            _BATCH_MEMO.cache.put(key, batch)
     return batch
 
 

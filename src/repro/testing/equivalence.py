@@ -59,7 +59,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..ir.program import Program
-from ..memo import LRUCache
+from ..memo import memoized
 from ..runtime.data import Storage, checksum, clone_storage
 from ..runtime.interpreter import (BranchCoverage, BudgetExceededError,
                                    RuntimeExecutionError, execute)
@@ -259,15 +259,9 @@ class EquivalenceChecker:
         return True
 
 
-_CHECKER_CACHE = LRUCache(512)
-
-
+@memoized(512, key=lambda original, params: (
+    original.fingerprint(), tuple(sorted(params.items()))))
 def checker_for(original: Program,
                 params: Mapping[str, int]) -> EquivalenceChecker:
     """Session-cached checker (the ground truth runs only once)."""
-    key = (original.fingerprint(), tuple(sorted(params.items())))
-    checker = _CHECKER_CACHE.get(key)
-    if checker is None:
-        checker = EquivalenceChecker(original, params)
-        _CHECKER_CACHE.put(key, checker)
-    return checker
+    return EquivalenceChecker(original, params)

@@ -10,10 +10,11 @@ target programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
+from typing import (Any, Callable, Dict, List, Mapping, Sequence, Tuple,
+                    Union)
 
 from ..ir.program import Program
-from ..memo import LRUCache
+from ..memo import memoized
 from ..registry import Registry, UnknownComponentError
 from .base import TransformError
 from .fusion import distribute, fuse
@@ -123,38 +124,37 @@ class TransformStep:
     def apply(self, program: Program) -> Program:
         """Apply this step; raises :class:`TransformError` on failure.
 
-        Memoized on the input program's fingerprint, name, provenance
-        and per-statement ``reg_accum`` flags (together: every field a
-        transform reads or copies; the fingerprint's statement text
-        omits ``reg_accum``) plus the step.  The candidates of one
-        request repeat the same applications many times over; a hit
-        returns the very same :class:`Program` object, so the keys and
-        schedule facts memoized on the instance are paid once (the
-        legality verdicts are kept per analysis key, in
-        ``analysis.dependences``).  A failure is memoized too and
-        raised afresh on every hit.
+        Memoized (:func:`_applied`): the candidates of one request repeat
+        the same applications many times over; a hit returns the very
+        same :class:`Program` object, so the keys and schedule facts
+        memoized on the instance are paid once.  A failure is memoized
+        too and raised afresh on every hit.
         """
-        key = (program.fingerprint(), program.name, program.provenance,
-               tuple(s.reg_accum for s in program.statements), self)
-        cached = _APPLY_CACHE.get(key)
-        if cached is None:
-            try:
-                cached = _resolve_applier(self.kind)(program,
-                                                     self.arg_dict())
-            except TransformError as exc:
-                # no traceback: the cache must not pin the failing frames
-                cached = TransformError(*exc.args)
-            _APPLY_CACHE.put(key, cached)
-        if isinstance(cached, TransformError):
-            raise TransformError(*cached.args)
-        return cached
+        applied = _applied(self, program)
+        if isinstance(applied, TransformError):
+            raise TransformError(*applied.args)
+        return applied
 
     def __str__(self) -> str:
         rendered = ", ".join(f"{k}={v}" for k, v in self.args)
         return f"{self.kind}({rendered})"
 
 
-_APPLY_CACHE = LRUCache(4096)
+@memoized(4096, key=lambda step, program: (
+    program.fingerprint(), program.name, program.provenance,
+    tuple(s.reg_accum for s in program.statements), step))
+def _applied(step: TransformStep,
+             program: Program) -> Union[Program, TransformError]:
+    """``step`` applied to ``program``, or the error it raised.
+
+    The key is every field a transform reads or copies (the
+    fingerprint's statement text omits ``reg_accum``) plus the step.
+    """
+    try:
+        return _resolve_applier(step.kind)(program, step.arg_dict())
+    except TransformError as exc:
+        # no traceback: the cache must not pin the failing frames
+        return TransformError(*exc.args)
 
 
 @dataclass(frozen=True)

@@ -6,25 +6,43 @@ the fields those layers never read; every other cache stays on
 ``fingerprint()``, and ``TransformStep.apply`` adds the name,
 provenance and ``reg_accum`` flags it copies.  These tests pin the
 sharing both ways: variants that differ only in unread fields share one
-memo entry, and a change to a read field shares nothing.
+memo entry, and a change to a read field shares nothing.  One property
+checks every key in ``repro.memo.MEMOS``: with the memos bypassed,
+equal keys give equal values.
 """
 
 import importlib
+import operator
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.dependences import dependences
+from repro.analysis.dependences import (analysis_override, dependences,
+                                        parallel_violations,
+                                        schedule_violations)
+from repro.llm.adapt import Intent, materialize
+from repro.machine.analytical import estimate_cached
+from repro.memo import MEMOS, LRUCache
 from repro.runtime.compile import compile_program
 from repro.runtime.data import allocate, clone_storage
-from repro.runtime.interpreter import engine_override, execute
+from repro.runtime.interpreter import (RuntimeExecutionError,
+                                       engine_override, execute)
 from repro.runtime.vectorized import _instance_batch
+from repro.testing import checker_for
 from repro.transforms import (TransformError, TransformStep,
                               interchange)
 from repro.transforms.recipe import ALL_KINDS, TRANSFORMS
 
+from recipe_candidates import KERNELS, candidates, target
+
 #: the module (the package re-exports a function of the same name)
 dep_module = importlib.import_module("repro.analysis.dependences")
+#: imported lazily by the analysis, so its memos register only here
+importlib.import_module("repro.analysis.vectorized")
 
 
 def _variants(program):
@@ -173,16 +191,6 @@ def test_estimate_cached_keys_on_reg_accum():
             estimate(program, bench.perf).seconds
 
 
-class _NoMemo:
-    """A stand-in for an ``LRUCache`` that never hits."""
-
-    def get(self, key):
-        return None
-
-    def put(self, key, value):
-        pass
-
-
 @pytest.fixture(scope="module")
 def legality_queries():
     """``(query, program, deps, dim, params, returned ids)`` of every
@@ -229,7 +237,7 @@ def test_memoized_legality_equals_unmemoized(legality_queries,
 
     assert {q[0] for q in legality_queries} == {"schedule_violations",
                                                "parallel_violations"}
-    monkeypatch.setattr(dep_module, "_LEGALITY_CACHE", _NoMemo())
+    monkeypatch.setattr(dep_module._legality.memo, "cache", LRUCache(0))
     for name, program, deps, dim, params, got in legality_queries:
         fresh = (dep_module.schedule_violations(program, deps, params)
                  if dim is None else
@@ -243,10 +251,8 @@ def test_engine_switch_recomputes_verdicts(gemm, monkeypatch, dim):
     per-instance walk runs even when the vectorized engine already
     answered the same query, and each engine answers it once."""
     from repro.analysis import vectorized
-    from repro.analysis.dependences import analysis_override
-    from repro.memo import LRUCache
 
-    monkeypatch.setattr(dep_module, "_LEGALITY_CACHE", LRUCache(16))
+    monkeypatch.setattr(dep_module._legality.memo, "cache", LRUCache(16))
     batch = ("schedule_violations_batch" if dim is None
              else "parallel_violations_batch")
     calls = {"batch": 0, "walk": 0}
@@ -320,3 +326,160 @@ def test_instance_facts_equal_fresh_computation(gemm, jacobi2d):
     assert diagnostics
     diagnostics.append("caller scribble")
     assert "caller scribble" not in check_program(broken)
+
+
+# ----------------------------------------------------------------------
+# Every memo key, checked by one property
+# ----------------------------------------------------------------------
+def _same_batch(a, b):
+    return len(a.points) == len(b.points) and all(
+        np.array_equal(x, y) for x, y in zip(
+            (a.si, a.row, a.keys) + a.points,
+            (b.si, b.row, b.keys) + b.points))
+
+
+def _same_pack(a, b):
+    (deps_a, pack_a), (deps_b, pack_b) = a, b
+    if pack_a is None or pack_b is None:
+        return deps_a == deps_b and pack_a is pack_b
+    return (deps_a == deps_b and pack_a.per_dep == pack_b.per_dep
+            and len(pack_a.groups) == len(pack_b.groups)
+            and all(si_a == si_b and names_a == names_b
+                    and np.array_equal(vals_a, vals_b)
+                    for (si_a, names_a, vals_a), (si_b, names_b, vals_b)
+                    in zip(pack_a.groups, pack_b.groups)))
+
+
+def _same_compiled(a, b):
+    """Equal keys and statements; a generated kernel is compared by what
+    it runs: its code and the affine columns it closes over."""
+    def view(compiled):
+        return [{name: (v.__code__, v.__globals__.get("_AFF"))
+                 if callable(v) else v for name, v in vars(stmt).items()}
+                for stmt in compiled.statements]
+    return a.key == b.key and view(a) == view(b)
+
+
+def _same_checker(a, b):
+    return (a.params == b.params and a.budget == b.budget
+            and a._inputs == b._inputs
+            and np.array_equal(a._checksums, b._checksums, equal_nan=True)
+            and len(a._expected) == len(b._expected)
+            and all(x.keys() == y.keys()
+                    and all(np.array_equal(x[k], y[k], equal_nan=True)
+                            for k in x)
+                    for x, y in zip(a._expected, b._expected)))
+
+
+def _same_applied(a, b):
+    if isinstance(a, TransformError) or isinstance(b, TransformError):
+        return type(a) is type(b) and a.args == b.args
+    return a == b
+
+
+#: how two values of each memo are compared
+_SAME = {
+    "repro.analysis.dependences._nonuniform_profile": operator.eq,
+    "repro.analysis.dependences._legality":
+        lambda a, b: a.schedules == b.schedules,
+    "repro.analysis.dependences.dependences": operator.eq,
+    "repro.analysis.vectorized._slot_table": np.array_equal,
+    "repro.analysis.vectorized._witness_pack": _same_pack,
+    "repro.runtime.compile.compile_program": _same_compiled,
+    "repro.runtime.vectorized._instance_batch": _same_batch,
+    "repro.machine.analytical.estimate_cached": operator.eq,
+    "repro.transforms.recipe._applied": _same_applied,
+    "repro.testing.equivalence.checker_for": _same_checker,
+}
+
+
+class _Audit:
+    """Stands in for a memo's cache: it never hits, keeps the first
+    value stored under each key (which pins it) and records each later
+    value under that key that is not the same.  It records instead of
+    raising, because the layers above catch their callees' errors."""
+
+    def __init__(self, same):
+        self.same = same
+        self.first = {}
+        self.repeats = 0
+        self.unequal = []
+
+    def get(self, key, default=None):
+        return default
+
+    def put(self, key, value):
+        if key not in self.first:
+            self.first[key] = value
+            return
+        self.repeats += 1
+        if not self.same(self.first[key], value):
+            self.unequal.append(key)
+
+
+def _exercise(source, recipes, seed):
+    """Run every candidate of one target through the memoized layers."""
+    program, params = target(source)
+    # the cost model prices floyd-warshall's reg_accum only at large sizes
+    wide = {name: 300 * value for name, value in params.items()}
+    rng = random.Random(seed)
+    steps = [step for step in (
+        materialize(Intent(kind=kind, size=rng.choice((2, 3, 64))),
+                    program, rng) for kind in ALL_KINDS) if step]
+    source_deps = dependences(program)
+    checker = checker_for(program, params)
+    # a fresh copy of the source has no fact memoized on it
+    for candidate in candidates(program, recipes, seed) + [replace(program)]:
+        dependences(candidate)
+        dependences(candidate, params)
+        schedule_violations(candidate, source_deps)
+        for dim in range(len(candidate.aligned_schedules()[0].dims)):
+            parallel_violations(candidate, source_deps, dim)
+        compile_program(candidate)
+        estimate_cached(candidate, params)
+        estimate_cached(candidate, wide)
+        for step in steps:
+            try:
+                step.apply(candidate)
+            except TransformError:
+                pass
+        try:
+            checker_for(candidate, params)
+        except RuntimeExecutionError:
+            pass  # a slip's own run fails: it gets no checker
+        checker.check(candidate)
+
+
+def test_every_memo_key_covers_what_its_function_reads():
+    """Equal keys give equal values with every memo bypassed.  Each
+    candidate's renamed copy, ``reg_accum`` twin and bindings collide
+    on the keys that leave the name, the flags or the binding out; a
+    key that leaves out something its function reads gives two values
+    under one key.  The vectorized engines are forced: the slot-table
+    and witness-pack memos exist only there."""
+    assert sorted(memo.name for memo in MEMOS) == sorted(_SAME)
+    repeats = dict.fromkeys(_SAME, 0)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(source=st.one_of(st.integers(0, 300), st.sampled_from(KERNELS)),
+           recipes=st.lists(st.lists(st.sampled_from(ALL_KINDS),
+                                     min_size=1, max_size=3),
+                            min_size=1, max_size=3),
+           seed=st.integers(0, 100))
+    @example(source="floyd-warshall", recipes=[["interchange"]], seed=0)
+    @example(source=17, recipes=[["tiling", "parallel"]], seed=1)
+    def check(source, recipes, seed):
+        audits = {memo.name: _Audit(_SAME[memo.name]) for memo in MEMOS}
+        with pytest.MonkeyPatch.context() as patch, \
+                analysis_override("vectorized"), \
+                engine_override("vectorized"):
+            for memo in MEMOS:
+                patch.setattr(memo, "cache", audits[memo.name])
+            _exercise(source, recipes, seed)
+        for name, audit in audits.items():
+            repeats[name] += audit.repeats
+            assert not audit.unequal, (name, audit.unequal[:3])
+
+    check()
+    assert all(repeats.values()), repeats

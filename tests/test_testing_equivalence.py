@@ -1,26 +1,21 @@
 """Equivalence checking tests: inputs, coverage, differential, audits."""
 
-import random
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.ir import parse_scop
-from repro.llm.adapt import Intent, materialize, semantic_slip
 from repro.runtime import allocate, clone_storage, execute
 from repro.runtime.vectorized import execution_key
-from repro.suites import SUITES
-from repro.synthesis import ExampleSynthesizer
 from repro.testing import (EquivalenceChecker, TestInput, input_pool,
                            materialize_input, VERDICT_IA, VERDICT_PASS,
                            VERDICT_RE)
 from repro.testing import TestReport as Report
-from repro.transforms import (TransformError, interchange, parallelize,
-                              shift, tile, vectorize)
+from repro.transforms import interchange, parallelize, shift, tile, vectorize
 from repro.transforms.recipe import ALL_KINDS
+
+from recipe_candidates import KERNELS, candidates, target
 
 
 class TestInputs:
@@ -242,46 +237,6 @@ class TestSharedRuns:
             assert fresh.check(candidate) == report, candidate.name
 
 
-_SYNTH = ExampleSynthesizer(base_seed=5)
-#: PolyBench kernels with scalars (the synthesized programs have none)
-_SCALAR_KERNELS = ("gemm", "gesummv", "syrk", "trmm")
-
-
-def _target(source):
-    """A synthesized program at ``N=9``, or a PolyBench kernel at its
-    test binding."""
-    if isinstance(source, int):
-        return _SYNTH.synthesize(source), {"N": 9}
-    bench = SUITES["polybench"]().get(source)
-    return bench.program, bench.test
-
-
-def _candidates(program, recipes, seed):
-    """The program, one candidate per random recipe (applied unchecked,
-    so illegal orders are in), a semantic slip, renamed copies of the
-    program and the slip, and a scalar-only twin of each candidate with
-    scalars."""
-    rng = random.Random(seed)
-    out = [program]
-    for kinds in recipes:
-        candidate = program
-        for kind in kinds:
-            intent = Intent(kind=kind, size=rng.choice((2, 3, 64)))
-            step = materialize(intent, candidate, rng)
-            if step is None:
-                continue
-            try:
-                candidate = step.apply(candidate)
-            except TransformError:
-                continue
-        out.append(candidate)
-    out.append(semantic_slip(program, rng)[0])
-    out += [p.renamed(p.name + "_copy") for p in (program, out[-1])]
-    out += [replace(c, scalars=tuple((k, 2 * v + 1) for k, v in c.scalars))
-            for c in out if c.scalars]
-    return out
-
-
 def _fresh_runs(checker, candidate):
     """Each checker input run afresh: instance count and every array's
     bytes, or the error."""
@@ -307,7 +262,7 @@ class TestExecutionIdentity:
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(source=st.one_of(st.integers(0, 300),
-                            st.sampled_from(_SCALAR_KERNELS)),
+                            st.sampled_from(KERNELS)),
            recipes=st.lists(st.lists(st.sampled_from(ALL_KINDS),
                                      min_size=1, max_size=3),
                             min_size=1, max_size=4),
@@ -315,10 +270,10 @@ class TestExecutionIdentity:
     @example(source="gemm", recipes=[["parallel"], ["tiling"]], seed=0)
     @example(source=17, recipes=[["interchange"], ["skewing"]], seed=1)
     def test_equal_keys_run_alike(self, source, recipes, seed):
-        program, params = _target(source)
+        program, params = target(source)
         checker = EquivalenceChecker(program, params)
         groups = {}
-        for candidate in _candidates(program, recipes, seed):
+        for candidate in candidates(program, recipes, seed):
             try:
                 key = execution_key(candidate, params, checker.budget)
             except Exception:
