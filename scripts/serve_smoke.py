@@ -7,10 +7,12 @@ would:
 
 1. a request whose backend fails twice — must be retried to success;
 2. the same request again fault-free — must be byte-identical;
-3. a slow in-flight request plus one past the queue limit — the
+3. the same request streamed — every line must be JSON and the final
+   ``result`` line must equal the non-streamed document;
+4. a slow in-flight request plus one past the queue limit — the
    overflow must get ``503`` + ``Retry-After``, the in-flight request
    must be untouched;
-4. SIGTERM mid-flight — the in-flight request must still complete,
+5. SIGTERM mid-flight — the in-flight request must still complete,
    the daemon must drain and exit 0.
 
 Stdlib only; exits non-zero with a readable message on any violation.
@@ -139,7 +141,26 @@ def main():
         step("retried result byte-identical to clean result "
              f"({metrics['counters']['retries_total']} retries)")
 
-        # 3. overload: one slow in-flight + one over the queue limit
+        # 3. streamed: NDJSON events, then the same document
+        status, text, _ = post(addr, dict(body, stream=True))
+        if status != 200:
+            fail(f"streamed request: {status}")
+        try:
+            lines = [json.loads(line) for line in text.splitlines()
+                     if line.strip()]
+        except ValueError as exc:
+            fail(f"streamed body has a non-JSON line: {exc}")
+        final = lines[-1]
+        if final.pop("kind", None) != "result":
+            fail(f"stream did not end in a result line: {final}")
+        expected = json.loads(clean)
+        expected.pop("events")
+        if final != expected:
+            fail("streamed result differs from the non-streamed one")
+        step(f"streamed request: {len(lines) - 1} event lines, then "
+             f"the non-streamed document")
+
+        # 4. overload: one slow in-flight + one over the queue limit
         slow = {}
 
         def run_slow():
@@ -159,7 +180,7 @@ def main():
         step(f"overflow rejected with 503, Retry-After="
              f"{headers['Retry-After']}")
 
-        # 4. SIGTERM mid-flight: in-flight completes, daemon drains
+        # 5. SIGTERM mid-flight: in-flight completes, daemon drains
         proc.send_signal(signal.SIGTERM)
         step("SIGTERM sent mid-flight")
         worker.join(timeout=120)

@@ -39,7 +39,7 @@ from .resilience import (RESILIENCE_BUS, CircuitBreaker,
                          install_resilient_llm,
                          install_resilient_optimizer, reset_resilience)
 from .session import (OptimizationRequest, OptimizationResult,
-                      OptimizerSession)
+                      OptimizerSession, shared_session)
 
 __all__ = [
     "EventBus", "EventLog", "SessionEvent",
@@ -51,4 +51,5 @@ __all__ = [
     "install_resilient_llm", "install_resilient_optimizer",
     "reset_resilience",
     "OptimizationRequest", "OptimizationResult", "OptimizerSession",
+    "shared_session",
 ]

@@ -18,6 +18,10 @@ system, and the machine model — and serves typed
   bit-identical to running each request serially.
   :meth:`OptimizerSession.optimize_many` is one session's batch, and
   the evaluation harness runs whole suites through the same driver.
+* :func:`shared_session` is the process-wide registry of sessions built
+  from named settings: the harness's plans and ``repro serve`` both
+  take their sessions from it, one per spec.  Sessions over one corpus
+  share one retriever index through the retriever memo beside it.
 
 Components are resolved from the registries in
 :mod:`repro.api.registry`; unknown names raise
@@ -52,7 +56,7 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
                                    PipelineResult)
 from ..registry import UnknownComponentError
 from ..retrieval.retriever import Retriever
-from ..synthesis.dataset import Dataset
+from ..synthesis.dataset import Dataset, cached_dataset
 from .events import EventBus, EventLog, SessionEvent
 from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
                        OPTIMIZER_REGISTRY, RETRIEVAL_METHODS)
@@ -117,6 +121,22 @@ class OptimizationRequest:
             test_params=_params_tuple(test_params),
             system=system, persona=persona, optimizer=optimizer,
             time_limit=time_limit, tag=tag)
+
+    @staticmethod
+    def from_entry(program: Program,
+                   entry: Mapping[str, Any]) -> "OptimizationRequest":
+        """The request a JSON entry (a ``serve-batch`` request, a
+        ``repro serve`` body's ``request``) describes for ``program``;
+        unset ``perf``/``test`` bind every parameter to 1500/8."""
+        return OptimizationRequest.make(
+            program,
+            entry.get("perf") or {p: 1500 for p in program.params},
+            entry.get("test") or {p: 8 for p in program.params},
+            system=entry.get("system", "looprag"),
+            persona=entry.get("persona", "deepseek"),
+            optimizer=entry.get("optimizer"),
+            time_limit=entry.get("time_limit"),
+            tag=entry.get("tag"))
 
     # ------------------------------------------------------------------
     def perf(self) -> Dict[str, int]:
@@ -387,6 +407,34 @@ def _run_on_workers(items: List[Tuple["OptimizerSession",
         raise errors[min(errors)]
 
 
+# ----------------------------------------------------------------------
+# process-wide shared state: one retriever per corpus, one session per
+# spec of named settings
+# ----------------------------------------------------------------------
+_RETRIEVERS: Dict[Tuple[int, int, str], Retriever] = {}
+_RETRIEVERS_LOCK = threading.Lock()
+
+
+def _corpus_retriever(dataset_size: int, seed: int,
+                      generator: str) -> Retriever:
+    """The memoized retriever over one corpus.
+
+    The index does not depend on the retrieval method (``method`` is a
+    per-``rank`` argument), so every method over one corpus shares it;
+    the lock keeps concurrent first requests (the serve daemon's
+    handler threads, overlapping batches) from indexing it twice.
+    """
+    key = (dataset_size, seed, generator)
+    got = _RETRIEVERS.get(key)
+    if got is None:
+        with _RETRIEVERS_LOCK:
+            got = _RETRIEVERS.get(key)
+            if got is None:
+                got = _RETRIEVERS[key] = Retriever(
+                    cached_dataset(dataset_size, seed, generator))
+    return got
+
+
 class OptimizerSession:
     """A long-lived optimization service instance.
 
@@ -452,10 +500,8 @@ class OptimizerSession:
         cache), so N sessions over the same corpus cost one index.
         """
         if self._retriever is None:
-            from ..evaluation.harness import shared_retriever
-            self._retriever = shared_retriever(
-                self.dataset_size, self.seed, self.generator,
-                self.retrieval_method)
+            self._retriever = _corpus_retriever(
+                self.dataset_size, self.seed, self.generator)
         return self._retriever
 
     @property
@@ -491,12 +537,16 @@ class OptimizerSession:
             if pipe is not None:
                 return pipe
             resolved = self._persona(persona)
-            backend = LLM_BACKENDS.get(self.llm_backend)
-            seed = self.seed
+            backend, seed = self.llm_backend, self.seed
+
+            def llm_factory():
+                # resolved per run: `repro serve` re-registers its
+                # resilient: aliases with the current retry policy
+                return LLM_BACKENDS.get(backend)(resolved, seed)
             if system == "looprag":
                 pipe = FeedbackPipeline(
                     retriever=self.retriever,
-                    llm_factory=lambda: backend(resolved, seed),
+                    llm_factory=llm_factory,
                     base_compiler=self.base,
                     machine=self.machine,
                     retrieval_method=self.retrieval_method,
@@ -508,7 +558,7 @@ class OptimizerSession:
             else:
                 pipe = FeedbackPipeline(
                     retriever=None,
-                    llm_factory=lambda: backend(resolved, seed),
+                    llm_factory=llm_factory,
                     base_compiler=self.base,
                     machine=self.machine,
                     k=self.k,
@@ -672,3 +722,22 @@ class OptimizerSession:
                         f"{limit:.0f}s)", None, None, None)
         return done(True, baseline / seconds if seconds > 0 else 0.0,
                     None, res.recipe.describe(), res.program, seconds)
+
+
+#: the session registry: one session per spec of named settings
+SESSIONS: Dict[Tuple, OptimizerSession] = {}
+
+
+def shared_session(**spec: Any) -> OptimizerSession:
+    """The process-wide session for ``spec``, built on first use.
+
+    ``spec`` holds named settings only; sessions over an injected
+    ``dataset``, ``retriever`` or ``machine`` are constructed directly.
+    No lock: two racing builders each build one and the first stored
+    wins, and a forked worker never inherits a held lock.
+    """
+    key = tuple(sorted(spec.items()))
+    session = SESSIONS.get(key)
+    if session is None:
+        session = SESSIONS.setdefault(key, OptimizerSession(**spec))
+    return session

@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 warnings.filterwarnings("ignore")
 
@@ -51,27 +51,22 @@ def _load_program(path: str):
         return parse_scop(handle.read())
 
 
-def _default_params(program, value: int) -> Dict[str, int]:
-    return {p: value for p in program.params}
-
-
 def cmd_optimize(args: argparse.Namespace) -> int:
     import json
 
     from .api import OptimizationRequest, OptimizerSession
 
     program = _load_program(args.file)
-    perf = _parse_bindings(args.perf) or _default_params(program, 1500)
-    test = _parse_bindings(args.test) or _default_params(program, 8)
     session = OptimizerSession(dataset_size=args.dataset_size,
                                seed=args.seed,
                                retrieval_method=args.retrieval)
     if args.events:
         session.events.subscribe(
             lambda event: print(event, file=sys.stderr))
-    request = OptimizationRequest.make(program, perf, test,
-                                       system=args.system,
-                                       persona=args.persona)
+    request = OptimizationRequest.from_entry(program, {
+        "perf": _parse_bindings(args.perf),
+        "test": _parse_bindings(args.test),
+        "system": args.system, "persona": args.persona})
     # uncached on purpose: `repro optimize` is the one-shot spelling and
     # its --json output must be byte-stable whatever the store holds
     result = session.optimize(request, use_store=False)
@@ -100,12 +95,14 @@ def _result_exit_code(result) -> int:
 
 
 def cmd_compilers(args: argparse.Namespace) -> int:
+    from .api import OptimizationRequest
     from .compilers import (BASE_COMPILERS, Graphite, IcxOptimizer,
                             OPTIMIZER_BASE, Perspective, Polly, Pluto)
     from .machine import DEFAULT_MACHINE, estimate_cached
 
     program = _load_program(args.file)
-    perf = _parse_bindings(args.perf) or _default_params(program, 1500)
+    perf = OptimizationRequest.from_entry(
+        program, {"perf": _parse_bindings(args.perf)}).perf()
     for optimizer in (Pluto(), Polly(), Graphite(), Perspective(),
                       IcxOptimizer()):
         base = BASE_COMPILERS[OPTIMIZER_BASE[optimizer.name]]
@@ -216,17 +213,7 @@ def _batch_requests(spec: dict, base_dir: str):
         else:
             raise SystemExit(
                 f"request #{i}: needs 'source' or 'file'")
-        perf = {k: int(v) for k, v in entry.get("perf", {}).items()} \
-            or _default_params(program, 1500)
-        test = {k: int(v) for k, v in entry.get("test", {}).items()} \
-            or _default_params(program, 8)
-        requests.append(OptimizationRequest.make(
-            program, perf, test,
-            system=entry.get("system", "looprag"),
-            persona=entry.get("persona", "deepseek"),
-            optimizer=entry.get("optimizer"),
-            time_limit=entry.get("time_limit"),
-            tag=entry.get("tag")))
+        requests.append(OptimizationRequest.from_entry(program, entry))
     return requests
 
 
@@ -320,7 +307,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         host=args.host, port=args.port,
         max_inflight=args.max_inflight, queue_depth=args.queue_depth,
         per_client=args.per_client, default_deadline=args.deadline,
-        drain_grace=args.drain_grace, max_sessions=args.sessions,
+        drain_grace=args.drain_grace,
         resilience=(False if args.no_resilience else None),
         workers=args.workers, worker_memory_mb=args.worker_mem,
         worker_cpu_s=args.worker_cpu,
@@ -615,9 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds SIGTERM waits for in-flight work "
                           "before cancelling it (REPRO_SERVE_DRAIN, "
                           "default 10)")
-    srv.add_argument("--sessions", type=int, default=None,
-                     help="max pooled warm sessions "
-                          "(REPRO_SERVE_SESSIONS, default 4)")
     srv.add_argument("--no-resilience", action="store_true",
                      help="disable the retry/circuit-breaker wrapper "
                           "around LLM backends")

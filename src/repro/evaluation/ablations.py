@@ -9,15 +9,15 @@ from __future__ import annotations
 
 from typing import List
 
-from ..api.session import OptimizationRequest, OptimizerSession
+from ..api.session import (OptimizationRequest, OptimizerSession,
+                           shared_session)
 from ..compilers.base import BASE_COMPILERS
 from ..compilers.pluto import Pluto
 from ..llm.personas import DEEPSEEK_V25, DEEPSEEK_V3, GPT_4O
 from ..machine.analytical import estimate_cached
 from ..machine.model import DEFAULT_MACHINE
 from .experiments import ExperimentResult, looprag_results
-from .harness import (evaluate_suite, looprag_plan, run_plans,
-                      shared_retriever, suites)
+from .harness import evaluate_suite, looprag_plan, run_plans, suites
 from .metrics import average_speedup, pass_at_k
 
 
@@ -72,7 +72,7 @@ def ablation_corpus_size(sizes=(30, 100, 300)) -> ExperimentResult:
 def ablation_candidates(ks=(1, 3, 7)) -> ExperimentResult:
     """Pass@k / speedup as a function of the candidate count K (§5: 7)."""
     rows: List = []
-    retriever = shared_retriever()
+    retriever = shared_session().retriever
     for k in ks:
         session = OptimizerSession(retriever=retriever, seed=0, k=k)
         results = evaluate_suite(

@@ -11,7 +11,10 @@ request-keyed result store (``.repro_cache/`` by default) is the one
 persisted record, so ``repro bench`` shares records with
 ``OptimizerSession.optimize``, ``serve-batch`` and ``repro serve``
 whenever they share a request and a session spec; the driver's pool
-is the one fan-out path.  An in-process ``_RUN_CACHE``
+is the one fan-out path.  Plans take their sessions from the
+process-wide registry (:func:`repro.api.session.shared_session`), one
+per session spec, so every plan over one corpus shares its pipelines
+and its retriever.  An in-process ``_RUN_CACHE``
 memoizes each plan's results per ``REPRO_SUITE_LIMIT``, so an
 experiment run with the store off still computes a plan that several
 tables share once.  :func:`results_for` runs one plan.  Each pipeline
@@ -27,21 +30,18 @@ control the persistent store.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
 from ..api.session import (DEFAULT_DATASET_SIZE, DEFAULT_SEED,
                            OptimizationRequest, OptimizerSession,
-                           optimize_batch)
+                           optimize_batch, shared_session)
 from ..compilers import OPTIMIZER_BASE
 from ..llm.personas import PERSONAS, Persona
 from ..pipeline.generation import (BASELINE_TIME_LIMIT,
                                    LOOPRAG_TIME_LIMIT)
-from ..retrieval.retriever import Retriever
 from ..suites import Suite, lore, polybench, tsvc
-from ..synthesis.dataset import cached_dataset
 
 
 @dataclass(frozen=True)
@@ -80,36 +80,7 @@ def suites() -> Dict[str, Suite]:
 #: in-process memo per (plan, REPRO_SUITE_LIMIT); no code signature —
 #: code cannot change inside one process
 _RUN_CACHE: Dict[Tuple["RunPlan", Optional[str]], List[BenchResult]] = {}
-_RETRIEVER_CACHE: Dict[Tuple, Retriever] = {}
-_RETRIEVER_LOCK = threading.Lock()
 _SUITE_CACHE: Dict[Tuple, Suite] = {}
-
-
-def shared_retriever(size: int = DEFAULT_DATASET_SIZE,
-                     seed: int = DEFAULT_SEED,
-                     generator: str = "looprag",
-                     method: str = "loop-aware") -> Retriever:
-    """Memoized retriever per (dataset_size, seed, generator, method).
-
-    The index itself is method-agnostic (``method`` is a per-``rank``
-    argument), so method keys over the same corpus alias one instance
-    instead of re-indexing; the lock keeps concurrent threads (the
-    serve daemon's request handlers, overlapping batches) from
-    constructing the same retriever twice.
-    """
-    key = (size, seed, generator, method)
-    got = _RETRIEVER_CACHE.get(key)
-    if got is not None:
-        return got
-    with _RETRIEVER_LOCK:
-        got = _RETRIEVER_CACHE.get(key)
-        if got is None:
-            got = next((r for k, r in _RETRIEVER_CACHE.items()
-                        if k[:3] == key[:3]), None)
-            if got is None:
-                got = Retriever(cached_dataset(size, seed, generator))
-            _RETRIEVER_CACHE[key] = got
-    return got
 
 
 def _plan_suite(name: str) -> Suite:
@@ -187,11 +158,6 @@ def compiler_plan(suite_name: str, optimizer_name: str,
 # ----------------------------------------------------------------------
 # plans -> (session, request) batches
 # ----------------------------------------------------------------------
-#: plan sessions, one per session spec, so every plan over one corpus
-#: shares its pipelines
-_SESSION_CACHE: Dict[Tuple, OptimizerSession] = {}
-
-
 def _plan_session(plan: RunPlan) -> OptimizerSession:
     """The store-backed session a plan's benchmarks run through."""
     spec: Dict[str, Any]
@@ -204,10 +170,7 @@ def _plan_session(plan: RunPlan) -> OptimizerSession:
         spec = {"seed": plan.seed, "base_compiler": plan.base}
     else:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
-    key = tuple(sorted(spec.items()))
-    if key not in _SESSION_CACHE:
-        _SESSION_CACHE[key] = OptimizerSession(**spec)
-    return _SESSION_CACHE[key]
+    return shared_session(**spec)
 
 
 def _plan_request(plan: RunPlan, bench) -> OptimizationRequest:

@@ -187,8 +187,7 @@ def cache_stats() -> Dict[str, int]:
 #: module whose code can change a result document.  An entry ending in
 #: "/" covers every module under that package.  ``api/events.py`` is
 #: listed because a document carries its events; ``evaluation/harness.py``
-#: because it builds the shared retriever every looprag session ranks
-#: with and the requests that suite plans submit.
+#: because it builds the requests that suite plans submit.
 _RESULT_MODULES = (
     "analysis/",
     "api/events.py",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 def _parse_bool(raw: str) -> bool:
     return raw.strip().lower() not in ("0", "false", "no", "off", "")
@@ -17,7 +17,6 @@ _ENV_KNOBS = {
     "REPRO_SERVE_PER_CLIENT": ("per_client", int),
     "REPRO_SERVE_DEADLINE": ("default_deadline", float),
     "REPRO_SERVE_DRAIN": ("drain_grace", float),
-    "REPRO_SERVE_SESSIONS": ("max_sessions", int),
     "REPRO_SERVE_JOURNAL": ("journal", _parse_bool),
     "REPRO_WORKER_POOL": ("workers", int),
     "REPRO_WORKER_MEM_MB": ("worker_memory_mb", int),
@@ -57,6 +56,11 @@ class ServeConfig:
     artifact store's "journal" stream so that ``repro serve --recover``
     (``recover=True``) replays admitted-but-unfinished requests after a
     daemon crash.  Duplicates are answered by the result store.
+
+    No setting bounds sessions: each request's session comes from the
+    process-wide registry (:func:`repro.api.session.shared_session`),
+    one per spec; the heavy corpus and retriever behind a session live
+    in process-wide memos either way.
     """
 
     host: str = "127.0.0.1"
@@ -66,7 +70,6 @@ class ServeConfig:
     per_client: int = 4
     default_deadline: float = 0.0
     drain_grace: float = 10.0
-    max_sessions: int = 4
     resilience: bool = True
     workers: int = 0
     worker_memory_mb: int = 0

@@ -3,9 +3,10 @@
 Stdlib only (:mod:`http.server` + threads).  One
 :class:`ServeDaemon` owns:
 
-* a **session pool** — warm :class:`~repro.api.OptimizerSession`
-  objects keyed by their (dataset size, seed, method, backend, ...)
-  configuration, LRU-bounded, shared across requests;
+* **warm sessions** — one :class:`~repro.api.OptimizerSession` per
+  (dataset size, seed, method, backend, ...) configuration, taken from
+  the process-wide registry (:func:`repro.api.session.shared_session`)
+  and shared across requests;
 * an **admission controller** — bounded in-flight + queue with
   per-client limits; overload answers ``503`` + ``Retry-After``;
 * **deadlines** — per-request (``deadline_s``) or the configured
@@ -68,7 +69,6 @@ import logging
 import signal
 import threading
 import time
-from collections import OrderedDict
 from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -80,8 +80,8 @@ from ..api import (OptimizationRequest, OptimizerSession,
 from ..api.resilience import (CircuitOpenError, RESILIENCE_BUS,
                               RetryPolicy, breaker_states,
                               install_resilient_llm)
-from ..cancellation import (Cancelled, CancelToken, DeadlineExceeded,
-                            cancel_scope)
+from ..api.session import SESSIONS, shared_session
+from ..cancellation import Cancelled, CancelToken, DeadlineExceeded
 from ..evaluation.store import STORE_DIR, cache_dir
 from ..ir import parse_scop
 from ..storage import LocalShardedStore
@@ -114,31 +114,6 @@ class BadRequest(Exception):
     """Client error: malformed body / unknown fields."""
 
 
-def _default_params(program, value: int) -> Dict[str, int]:
-    return {p: value for p in program.params}
-
-
-def _lru_session(sessions: "OrderedDict[Tuple, OptimizerSession]",
-                 lock, merged: Dict[str, Any],
-                 limit: int) -> OptimizerSession:
-    """The session for ``merged`` from an LRU of at most ``limit``."""
-    key = tuple(sorted(merged.items()))
-    with lock:
-        session = sessions.get(key)
-        if session is not None:
-            sessions.move_to_end(key)
-            return session
-    # build outside the lock: construction validates components and
-    # may raise; two racing builders just build twice, last one wins
-    session = OptimizerSession(**merged)
-    with lock:
-        sessions[key] = session
-        sessions.move_to_end(key)
-        while len(sessions) > limit:
-            sessions.popitem(last=False)
-    return session
-
-
 class ServeDaemon:
     """Everything behind the HTTP surface; usable in-process in tests."""
 
@@ -149,9 +124,6 @@ class ServeDaemon:
             self.config.max_inflight, self.config.queue_depth,
             self.config.per_client,
             latency_hint=self.metrics.latency_p50)
-        self._sessions: "OrderedDict[Tuple, OptimizerSession]" = \
-            OrderedDict()
-        self._sessions_lock = threading.Lock()
         self._draining = threading.Event()
         self._drained = threading.Event()
         self._tokens: set = set()
@@ -164,7 +136,8 @@ class ServeDaemon:
         self.supervisor: Optional[WorkerSupervisor] = None
         if self.config.workers > 0:
             self.supervisor = WorkerSupervisor(
-                self.config.workers, self._worker_session_resolver(),
+                self.config.workers,
+                lambda job: self.session_for(job["spec"]),
                 memory_mb=self.config.worker_memory_mb,
                 cpu_s=self.config.worker_cpu_s,
                 hang_timeout=self.config.worker_hang_timeout,
@@ -179,7 +152,7 @@ class ServeDaemon:
             self._on_resilience_event)
         self.metrics.gauge("queue_depth", lambda: self.admission.queued)
         self.metrics.gauge("inflight", lambda: self.admission.inflight)
-        self.metrics.gauge("sessions", self._session_count)
+        self.metrics.gauge("sessions", lambda: len(SESSIONS))
         self.metrics.gauge("breakers", breaker_states)
         self.metrics.gauge("draining", self._draining.is_set)
         self.metrics.gauge("quarantined", lambda: self.quarantine.count)
@@ -189,12 +162,8 @@ class ServeDaemon:
         self.metrics.gauge("integrity", INTEGRITY.snapshot)
 
     # ------------------------------------------------------------------
-    # session pool
+    # sessions
     # ------------------------------------------------------------------
-    def _session_count(self) -> int:
-        with self._sessions_lock:
-            return len(self._sessions)
-
     def _merged_spec(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """Defaults + request spec, validated — resilience not applied.
 
@@ -222,20 +191,9 @@ class ServeDaemon:
         return merged
 
     def session_for(self, spec: Dict[str, Any]) -> OptimizerSession:
-        """The pooled warm session for this configuration (LRU)."""
-        return _lru_session(self._sessions, self._sessions_lock,
-                            self._effective_spec(spec),
-                            self.config.max_sessions)
-
-    def _worker_session_resolver(self):
-        """``session_for(job)`` for the workers: each forked worker
-        fills its own copy of ``sessions`` and takes no daemon lock (a
-        thread may hold ``_sessions_lock`` across a fork)."""
-        sessions: "OrderedDict[Tuple, OptimizerSession]" = OrderedDict()
-        no_lock = contextlib.nullcontext()
-        return lambda job: _lru_session(
-            sessions, no_lock, self._effective_spec(job["spec"]),
-            self.config.max_sessions)
+        """The warm session for this configuration; a forked worker
+        resolves its jobs' sessions through this too."""
+        return shared_session(**self._effective_spec(spec))
 
     # ------------------------------------------------------------------
     # request materialization
@@ -251,18 +209,8 @@ class ServeDaemon:
             program = parse_scop(source)
         except Exception as exc:
             raise BadRequest(f"unparseable SCoP source: {exc}")
-        perf = {k: int(v) for k, v in entry.get("perf", {}).items()} \
-            or _default_params(program, 1500)
-        test = {k: int(v) for k, v in entry.get("test", {}).items()} \
-            or _default_params(program, 8)
         try:
-            return OptimizationRequest.make(
-                program, perf, test,
-                system=entry.get("system", "looprag"),
-                persona=entry.get("persona", "deepseek"),
-                optimizer=entry.get("optimizer"),
-                time_limit=entry.get("time_limit"),
-                tag=entry.get("tag"))
+            return OptimizationRequest.from_entry(program, entry)
         except UnknownComponentError as exc:
             raise BadRequest(str(exc))
 
@@ -290,27 +238,46 @@ class ServeDaemon:
     def _execute_doc(self, request: OptimizationRequest,
                      spec: Dict[str, Any], use_store: Optional[bool],
                      token: CancelToken, signature: str,
-                     on_event=None, stream: bool = False
-                     ) -> Dict[str, Any]:
+                     on_event=None) -> Dict[str, Any]:
         """One request through whichever execution path is configured.
 
         Returns the full result document (events included); callers
         strip events per the client's ``include_events``.  The worker
         path runs the same ``OptimizerSession.optimize`` as the
         in-process path and the document is rendered here from the
-        rebuilt result, so the documents are byte-identical.
+        rebuilt result, so the documents are byte-identical.  Given
+        ``on_event``, either path hands it this request's session and
+        resilience events, as ``SessionEvent.to_dict()`` documents, as
+        they happen.
         """
         if self.supervisor is not None:
             job = {"request": request, "spec": spec,
                    "use_store": use_store,
                    "deadline": token.remaining(),
-                   "stream": stream, "signature": signature}
+                   "stream": on_event is not None,
+                   "signature": signature}
             result = self.supervisor.execute(
                 job, token=token, on_event=on_event,
                 on_stat=self._on_worker_stat)
         else:
-            result = self.session_for(spec).optimize(
-                request, use_store=use_store, cancel=token)
+            session = self.session_for(spec)
+            unsubscribes = []
+            if on_event is not None:
+                ident = threading.get_ident()
+
+                def forward(event) -> None:
+                    # handler threads share sessions and the resilience
+                    # bus: pass on only this thread's events
+                    if threading.get_ident() == ident:
+                        on_event(event.to_dict())
+                unsubscribes = [session.events.subscribe(forward),
+                                RESILIENCE_BUS.subscribe(forward)]
+            try:
+                result = session.optimize(request, use_store=use_store,
+                                          cancel=token)
+            finally:
+                for unsubscribe in unsubscribes:
+                    unsubscribe()
         if result.from_cache:
             self._on_worker_stat("store_hit")
         return result.to_json_dict(include_events=True)
@@ -389,8 +356,9 @@ class ServeDaemon:
                 journaled = True
             if stream:
                 self.metrics.inc("streams_total")
-                self._run_streaming(handler, request, spec, token,
-                                    use_store, signature)
+                if not self._run_streaming(handler, request, spec, token,
+                                           use_store, signature):
+                    return  # counted and answered by its error line
             else:
                 if journaled:
                     self.journal.started(signature)
@@ -474,13 +442,15 @@ class ServeDaemon:
                        spec: Dict[str, Any],
                        token: CancelToken,
                        use_store: Optional[bool],
-                       signature: str) -> None:
+                       signature: str) -> bool:
         """NDJSON: live events (this request's only), then the result.
 
         Streaming requests bypass the journal (a byte-stream already
-        delivered cannot be replayed idempotently) but do execute in
-        the worker pool when one is configured — worker events are
-        relayed over the pipe and written as they arrive.
+        delivered cannot be replayed idempotently) but run on whichever
+        execution path is configured.  The 200 header is on the wire
+        before the request runs, so a failure is answered by one final
+        ``{"kind": "error", ...}`` line and counted here; returns
+        whether the request completed.
         """
         handler.send_response(200)
         handler.send_header("Content-Type", "application/x-ndjson")
@@ -494,89 +464,40 @@ class ServeDaemon:
                 handler.wfile.write(data)
                 handler.wfile.flush()
 
-        if self.supervisor is not None:
-            def on_event(doc: Dict[str, Any]) -> None:
-                try:
-                    write_line(doc)
-                except OSError:
-                    # client went away: stop paying for the request
-                    token.cancel("client_disconnected")
-                    raise  # the dispatcher stops forwarding to us
+        def on_event(doc: Dict[str, Any]) -> None:
             try:
-                doc = self._execute_doc(request, spec, use_store,
-                                        token, signature,
-                                        on_event=on_event, stream=True)
-                doc = _strip_events(doc, include_events=False)
-                doc["kind"] = "result"
                 write_line(doc)
-                self.quarantine.note_success(signature)
-            except Cancelled as exc:
-                self.metrics.inc("cancelled_total")
-                if isinstance(exc, DeadlineExceeded):
-                    self.metrics.inc("deadline_total")
-                try:
-                    write_line({"kind": "error", "error": {
-                        "kind": exc.reason, "message": str(exc)}})
-                except OSError:
-                    pass
-            except WorkerCrashed as exc:
-                self.metrics.inc("failed_total")
-                self.metrics.inc("worker_crashes_total")
-                entry = self.quarantine.note_crash(
-                    signature, exc.reason, str(exc))
-                try:
-                    write_line({"kind": "error", "error": {
-                        "kind": "worker_crashed", "message": str(exc),
-                        "reason": exc.reason,
-                        "quarantined": entry["quarantined"]}})
-                except OSError:
-                    pass
-            except Exception as exc:
-                # the 200 + NDJSON header is already on the wire; an
-                # in-stream error line is the best remaining answer
-                self.metrics.inc("failed_total")
-                try:
-                    write_line({"kind": "error", "error": {
-                        "kind": "failure", "message": str(exc)}})
-                except OSError:
-                    pass
-            return
-
-        session = self.session_for(spec)
-        ident = threading.get_ident()
-
-        def forward(event) -> None:
-            if threading.get_ident() != ident:
-                return  # another request's event
-            try:
-                write_line({"kind": event.kind, "seq": event.seq,
-                            "data": {k: v for k, v in event.data}})
             except OSError:
                 # client went away: stop paying for the request
                 token.cancel("client_disconnected")
 
-        unsub_session = session.events.subscribe(forward)
-        unsub_resilience = RESILIENCE_BUS.subscribe(forward)
         try:
-            result = session.optimize(request, use_store=use_store,
-                                      cancel=token)
-            if result.from_cache:
-                self._on_worker_stat("store_hit")
-            doc = result.to_json_dict(include_events=False)
+            doc = self._execute_doc(request, spec, use_store, token,
+                                    signature, on_event=on_event)
+            doc = _strip_events(doc, include_events=False)
             doc["kind"] = "result"
             write_line(doc)
+            self.quarantine.note_success(signature)
+            return True
         except Cancelled as exc:
             self.metrics.inc("cancelled_total")
             if isinstance(exc, DeadlineExceeded):
                 self.metrics.inc("deadline_total")
-            try:
-                write_line({"kind": "error", "error": {
-                    "kind": exc.reason, "message": str(exc)}})
-            except OSError:
-                pass
-        finally:
-            unsub_session()
-            unsub_resilience()
+            error = {"kind": exc.reason, "message": str(exc)}
+        except WorkerCrashed as exc:
+            self.metrics.inc("failed_total")
+            self.metrics.inc("worker_crashes_total")
+            entry = self.quarantine.note_crash(signature, exc.reason,
+                                               str(exc))
+            error = {"kind": "worker_crashed", "message": str(exc),
+                     "reason": exc.reason,
+                     "quarantined": entry["quarantined"]}
+        except Exception as exc:
+            self.metrics.inc("failed_total")
+            error = {"kind": "failure", "message": str(exc)}
+        with contextlib.suppress(OSError):
+            write_line({"kind": "error", "error": error})
+        return False
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -744,7 +665,7 @@ class ServeDaemon:
             "status": "draining" if draining else "ok",
             "inflight": self.admission.inflight,
             "queued": self.admission.queued,
-            "sessions": self._session_count(),
+            "sessions": len(SESSIONS),
         }
         return (503 if draining else 200), doc
 

@@ -56,8 +56,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from ..api.session import OptimizationResult, OptimizerSession
-from ..cancellation import (Cancelled, CancelToken, DeadlineExceeded,
-                            cancelled_from)
+from ..cancellation import Cancelled, CancelToken, cancelled_from
 from ..testing.faults import (EXIT_OOM, FaultClause, active_plan,
                               apply_clause)
 
@@ -142,8 +141,7 @@ def _worker_run_job(conn, session_for: SessionFor,
     unsubscribes.append(RESILIENCE_BUS.subscribe(forward_stat))
     if job.get("stream"):
         def forward_event(event) -> None:
-            conn.send(("event", {"kind": event.kind, "seq": event.seq,
-                                 "data": {k: v for k, v in event.data}}))
+            conn.send(("event", event.to_dict()))
         unsubscribes.append(session.events.subscribe(forward_event))
         unsubscribes.append(RESILIENCE_BUS.subscribe(forward_event))
     try:

@@ -223,13 +223,14 @@ class TestStoreMaintenance:
 class TestBenchCacheSummary:
     def test_superseded_and_corrupt_surface_in_summary(
             self, tmp_path, monkeypatch, capsys):
+        from repro.api.session import SESSIONS
         from repro.evaluation import harness
         from repro.evaluation import store as store_mod
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         harness._RUN_CACHE.clear()
-        harness._SESSION_CACHE.clear()
+        SESSIONS.clear()
         store_mod._STORES.clear()
         try:
             main(["bench", "--suite", "polybench", "--system",
@@ -240,5 +241,5 @@ class TestBenchCacheSummary:
             assert "local:" in err  # store.describe() names the backend
         finally:
             harness._RUN_CACHE.clear()
-            harness._SESSION_CACHE.clear()
+            SESSIONS.clear()
             store_mod._STORES.clear()

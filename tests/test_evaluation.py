@@ -72,8 +72,13 @@ class TestHarnessCaching:
         assert all(len(s) == 4 for s in suites().values())
 
     def test_retriever_shared(self):
-        from repro.evaluation.harness import shared_retriever
-        assert shared_retriever(30, 5) is shared_retriever(30, 5)
+        from repro.api import OptimizerSession
+        sessions = [OptimizerSession(dataset_size=30, seed=5,
+                                     retrieval_method=method)
+                    for method in ("loop-aware", "bm25")]
+        assert sessions[0].retriever is sessions[1].retriever
+        other = OptimizerSession(dataset_size=30, seed=6)
+        assert other.retriever is not sessions[0].retriever
 
 
 class TestCli:

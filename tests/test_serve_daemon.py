@@ -16,6 +16,7 @@ import pytest
 
 from repro.api import OptimizationRequest, OptimizerSession
 from repro.api.resilience import reset_resilience
+from repro.api.session import SESSIONS, shared_session
 from repro.cancellation import Cancelled, CancelToken
 from repro.ir import parse_scop
 from repro.serve import (AdmissionController, BadRequest, Metrics,
@@ -494,18 +495,41 @@ class TestStreaming:
             assert [e["seq"] for e in events] == \
                 list(range(len(events)))
 
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_failed_stream_ends_in_one_error_line(self, monkeypatch,
+                                                  make_daemon, workers):
+        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "2")
+        # installed before the daemon starts, so its worker forks with it
+        install_plan(FaultPlan.parse("llm.generate:raise:always"))
+        daemon = make_daemon(workers=workers)
+        status, lines = _stream(daemon.address, {
+            "request": {"source": KERNEL}, "stream": True,
+            "session": {"llm_backend": "faulty"}, "use_store": False})
+        assert status == 200
+        docs = [json.loads(line) for line in lines]  # all NDJSON
+        assert docs[-1]["kind"] == "error"
+        assert docs[-1]["error"]["kind"] == "failure"
+        assert [doc["kind"] for doc in docs].count("error") == 1
+        assert "result" not in [doc["kind"] for doc in docs]
+        assert daemon.metrics.get("failed_total") == 1
+        assert daemon.metrics.get("completed_total") == 0
+
 
 # ----------------------------------------------------------------------
-# session pool + request materialization (in-process)
+# sessions + request materialization (in-process)
 # ----------------------------------------------------------------------
 class TestSessionPool:
-    def test_pool_reuses_and_lru_evicts(self, make_daemon):
-        daemon = make_daemon(max_sessions=1)
+    def test_one_session_per_spec_from_the_registry(self, make_daemon):
+        daemon = make_daemon()
         first = daemon.session_for({"seed": 0})
         assert daemon.session_for({"seed": 0}) is first
-        second = daemon.session_for({"seed": 1})
-        assert second is not first
-        assert daemon._session_count() == 1  # LRU bound held
+        assert shared_session(**daemon._effective_spec({"seed": 0})) \
+            is first
+        assert daemon.session_for({"seed": 1}) is not first
+        _, doc, _ = _get(daemon.address, "/metrics")
+        assert doc["gauges"]["sessions"] == len(SESSIONS)
+        _, doc, _ = _get(daemon.address, "/healthz")
+        assert doc["sessions"] == len(SESSIONS)
 
     def test_resilience_wraps_the_backend(self, make_daemon):
         daemon = make_daemon()

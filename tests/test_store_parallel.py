@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import OptimizationRequest, OptimizerSession
+from repro.api.session import SESSIONS
 from repro.evaluation import harness
 from repro.evaluation import store as store_module
 from repro.evaluation.harness import (base_llm_plan, compiler_plan,
@@ -52,7 +53,7 @@ def fresh_harness(monkeypatch, tmp_path):
 def _forget_memory():
     """Simulate a new process: drop every in-memory layer."""
     harness._RUN_CACHE.clear()
-    harness._SESSION_CACHE.clear()
+    SESSIONS.clear()
     store_module._STORES.clear()
 
 
