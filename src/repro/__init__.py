@@ -12,7 +12,7 @@ Public API tour:
 * ``repro.synthesis``     — the parameter-driven dataset generator
 * ``repro.retrieval``     — BM25 + LAScore demonstration retrieval
 * ``repro.llm``           — Appendix-E prompts + simulated LLM personas
-* ``repro.testing``       — mutation + coverage + differential testing
+* ``repro.testing``       — mutation + differential testing
 * ``repro.pipeline``      — the four-step feedback loop
 * ``repro.api``           — the service API: sessions, registries, events
 * ``repro.suites``        — PolyBench (30) / TSVC (84) / LORE (49)

@@ -658,11 +658,13 @@ def dependences(program: Program,
     :meth:`~repro.ir.program.Program.analysis_key`.
 
     That key covers ``params`` and each statement's name, domain,
-    schedule, guards and body — everything the concretization reads —
-    and nothing else: programs that differ only in parallel/vector
-    marks, tags, name or provenance get the same list object (and with
-    it the same cached witness pack), so a finalized or pragma-marked
-    candidate never re-runs the analysis of its unmarked twin.
+    aligned schedule, guards and body — everything the concretization
+    reads — and nothing else: programs that differ only in
+    parallel/vector marks, tags, name, provenance or schedule padding
+    get the same list object (and with it the same cached witness
+    pack), so a finalized or pragma-marked candidate never re-runs the
+    analysis of its unmarked twin, nor a padded source that of the
+    source.
 
     The default (``params=None``) concretizes at every ``_PARAM_SIZES``
     binding and memoizes the merged result under its own key, so the

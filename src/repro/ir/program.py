@@ -143,10 +143,10 @@ class Program:
 
         The key for whatever reads the ``omp parallel``/``simd`` marks or
         the tags: equivalence verdicts and checkers (the race audit reads
-        the marks), cost estimates, the simulated LLM's RNG seeds and
-        branch-coverage registration.  It is not a result key: kernels
-        that differ only in name share it, so the result store keys on
-        the echoed request, which carries the name as well.  Dependence
+        the marks), cost estimates and the simulated LLM's RNG seeds.  It
+        is not a result key: kernels that differ only in name share it,
+        so the result store keys on the echoed request, which carries the
+        name as well.  Dependence
         analysis and kernel compilation read neither marks nor tags, so
         their memos key on :meth:`analysis_key` and :meth:`kernel_key`.
         """
@@ -163,18 +163,22 @@ class Program:
 
     def analysis_key(self) -> str:
         """Hash of what dependence analysis reads: ``params`` plus each
-        statement's name, domain, schedule, guards and body.
+        statement's name, domain, aligned schedule, guards and body.
 
-        ``compute_dependences``, the non-uniform profile and the legality
-        schedules read nothing else, so a candidate that differs from an
-        analyzed program only in its parallel/vector marks, tags, name,
-        provenance, scalars or outputs reuses that program's dependences.
+        ``compute_dependences``, the non-uniform profile, the legality
+        schedules and the instance enumeration read nothing else (they
+        see schedules only through :meth:`aligned_schedules`), so a
+        candidate that differs from an analyzed program only in its
+        parallel/vector marks, tags, name, provenance, scalars, outputs
+        or schedule padding (``pad_statements``) reuses that program's
+        dependences.
         """
         return memo_on(self, "_analysis_key", lambda: _digest(repr((
             self.params,
-            tuple((s.name, str(s.domain), str(s.schedule),
+            tuple((s.name, str(s.domain), str(sched),
                    tuple(str(g) for g in s.guards), str(s.body))
-                  for s in self.statements)))))
+                  for s, sched in zip(self.statements,
+                                      self.aligned_schedules()))))))
 
     def kernel_key(self) -> str:
         """Hash of what kernel compilation reads: the array declarations

@@ -17,8 +17,7 @@ class Statement:
 
     ``guards`` are extra affine conditions ``expr >= 0`` that must hold for
     an instance to execute.  Transformations such as loop shifting introduce
-    them; the interpreter honours them and the coverage tracker counts their
-    branch outcomes.
+    them; both execution engines honour them.
 
     ``reg_accum`` marks an accumulation whose running value is held in a
     register across the innermost loop (the scalar-renaming auxiliary

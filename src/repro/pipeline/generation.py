@@ -6,7 +6,7 @@ Runs K candidate slots through the paper's four steps:
   versions), generate K candidates, compile them (validation = CE);
 * **Step 2** — regenerate CE candidates with the compiler diagnostics
   (first round of compilation feedback), test every compiling candidate
-  (mutation + coverage + differential ⇒ IA/RE/ET) and rank the passing
+  (mutation + differential ⇒ IA/RE/ET) and rank the passing
   ones by modeled execution time;
 * **Step 3** — show each slot the testing results and performance
   rankings (Appendix E.4) and regenerate;

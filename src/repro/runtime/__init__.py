@@ -7,13 +7,12 @@ build on; ``runtime.compile`` the per-statement kernel cache.
 """
 
 from .data import Storage, allocate, checksum, clone_storage, init_array
-from .interpreter import (BranchCoverage, BudgetExceededError, RunResult,
+from .interpreter import (BudgetExceededError, RunResult,
                           RuntimeExecutionError, engine_name,
                           engine_override, execute, run)
 
 __all__ = [
     "Storage", "allocate", "checksum", "clone_storage", "init_array",
-    "BranchCoverage", "BudgetExceededError", "RunResult",
-    "RuntimeExecutionError", "engine_name", "engine_override", "execute",
-    "run",
+    "BudgetExceededError", "RunResult", "RuntimeExecutionError",
+    "engine_name", "engine_override", "execute", "run",
 ]

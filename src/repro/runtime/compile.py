@@ -6,9 +6,9 @@ statement to generated Python source, compiled once per program
 :meth:`~repro.ir.program.Program.kernel_key` and cached:
 
 * a **scalar step** — one function per statement that executes a single
-  instance with exactly the reference semantics: same guard/coverage
-  order, same bounds checks (via the shared ``_check_bounds``), same
-  error classes and messages, same arithmetic tree shape (so results are
+  instance with exactly the reference semantics: same guard order,
+  same bounds checks (via the shared ``_check_bounds``), same error
+  classes and messages, same arithmetic tree shape (so results are
   bit-identical);
 * a **vector kernel** — one function per statement that evaluates the RHS
   for a whole batch of instances as NumPy array expressions over
@@ -184,20 +184,14 @@ class CompiledProgram:
 
 def _compile_scalar_step(stmt, body: Assignment) -> Callable:
     """Generate the per-instance step mirroring ``_run_items`` exactly."""
-    lines: List[str] = ["def _step(env, storage, shapes, scalars, "
-                        "coverage, _prog):"]
+    lines: List[str] = ["def _step(env, storage, shapes, scalars, _prog):"]
 
     def emit(text: str, indent: int = 1) -> None:
         lines.append("    " * indent + text)
 
-    for gi, guard in enumerate(stmt.guards):
-        emit(f"_taken = {_affine_scalar_src(guard)} >= 0")
-        emit("if coverage is not None:")
-        emit(f"    coverage.record({stmt.name!r}, {gi}, _taken)")
-        emit("if not _taken:")
+    for guard in stmt.guards:
+        emit(f"if {_affine_scalar_src(guard)} < 0:")
         emit("    return False")
-    emit("if coverage is not None:")
-    emit(f"    coverage.record({stmt.name!r}, -1, True)")
 
     lhs = body.lhs
     widx = ", ".join(_affine_scalar_src(ix) for ix in lhs.indices)

@@ -15,8 +15,8 @@ Two engines share these semantics (selected by ``REPRO_ENGINE``):
 
 * ``vectorized`` (default) — compiled per-statement kernels plus the
   block executor of :mod:`repro.runtime.vectorized`; bit-identical to
-  the reference on outputs, checksums, coverage, instance counts and
-  raised error classes, but executes dependence-free runs of instances
+  the reference on outputs, checksums, instance counts and raised
+  error classes, but executes dependence-free runs of instances
   as single NumPy operations;
 * ``reference`` — the original strict tree-walking interpreter below,
   kept as the executable specification the equivalence suite pins the
@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -42,56 +42,6 @@ class RuntimeExecutionError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """Instance budget exhausted — treated as execution timeout (ET)."""
-
-
-@dataclass
-class BranchCoverage:
-    """Branch outcomes observed while executing (the gcov substitute).
-
-    Tracked branches: every guard of every statement (two outcomes each)
-    plus one "statement executed" branch per statement.  Coverage saturates
-    quickly on most kernels, which is what lets the tester stop early
-    (§4.3: 500+ inputs reduced to ~25).
-    """
-
-    outcomes: Set[Tuple[str, int, bool]] = field(default_factory=set)
-    possible: Set[Tuple[str, int]] = field(default_factory=set)
-    _registered: Set[str] = field(default_factory=set, repr=False)
-
-    def register_program(self, program: Program) -> None:
-        """Register a program's branches (idempotent, O(1) on repeat).
-
-        ``execute`` calls this on every run; repeated runs of the same
-        program — the differential tester replays each candidate over
-        dozens of inputs — are recognised by content fingerprint and
-        skipped instead of re-adding every branch to the set.
-        """
-        key = program.fingerprint()
-        if key in self._registered:
-            return
-        self._registered.add(key)
-        for stmt in program.statements:
-            self.possible.add((stmt.name, -1))
-            for gi in range(len(stmt.guards)):
-                self.possible.add((stmt.name, gi))
-
-    def record(self, stmt: str, branch: int, taken: bool) -> None:
-        self.outcomes.add((stmt, branch, taken))
-
-    def ratio(self) -> float:
-        if not self.possible:
-            return 1.0
-        total = 0
-        covered = 0
-        for stmt, branch in self.possible:
-            if branch == -1:
-                total += 1
-                covered += (stmt, -1, True) in self.outcomes
-            else:
-                total += 2
-                covered += (stmt, branch, True) in self.outcomes
-                covered += (stmt, branch, False) in self.outcomes
-        return covered / total
 
 
 @dataclass(frozen=True)
@@ -153,15 +103,11 @@ def engine_override(engine: Optional[str]):
 
 
 def execute(program: Program, params: Mapping[str, int],
-            storage: Storage,
-            coverage: Optional[BranchCoverage] = None,
-            budget: int = 2_000_000) -> int:
+            storage: Storage, budget: int = 2_000_000) -> int:
     """Execute the program in schedule order, mutating ``storage``.
 
     Returns the number of instances that actually ran (guards included).
     """
-    if coverage is not None:
-        coverage.register_program(program)
     # synthesized candidates may blow up numerically before the tester
     # rejects them; the overflow itself is data, not a fault
     with np.errstate(over="ignore", invalid="ignore"):
@@ -170,34 +116,23 @@ def execute(program: Program, params: Mapping[str, int],
             from .vectorized import execute_vectorized
 
             return execute_vectorized(
-                program, params, storage, coverage, budget,
+                program, params, storage, budget,
                 lambda b: _budget_error(program, b))
         scalars = program.scalar_values()
         items = _instances(program, params, budget)
         shapes = {name: arr.shape for name, arr in storage.items()}
-        return _run_items(program, params, storage, coverage, items,
-                          scalars, shapes)
+        return _run_items(program, params, storage, items, scalars,
+                          shapes)
 
 
-def _run_items(program, params, storage, coverage, items, scalars,
-               shapes) -> int:
+def _run_items(program, params, storage, items, scalars, shapes) -> int:
     executed = 0
     for _key, si, point in items:
         stmt = program.statements[si]
         env = dict(params)
         env.update(point)
-        ok = True
-        for gi, guard in enumerate(stmt.guards):
-            taken = guard.evaluate(env) >= 0
-            if coverage is not None:
-                coverage.record(stmt.name, gi, taken)
-            if not taken:
-                ok = False
-                break
-        if not ok:
+        if any(guard.evaluate(env) < 0 for guard in stmt.guards):
             continue
-        if coverage is not None:
-            coverage.record(stmt.name, -1, True)
         lhs = stmt.body.lhs
         idx = lhs.index_values(env)
         shape = shapes.get(lhs.array)
@@ -245,12 +180,11 @@ def _check_bounds(prog: str, stmt: str, array: str,
 
 def run(program: Program, params: Mapping[str, int], variant: int = 0,
         storage: Optional[Storage] = None,
-        coverage: Optional[BranchCoverage] = None,
         budget: int = 2_000_000) -> RunResult:
     """Allocate (or reuse) inputs, execute, and collect output arrays."""
     if storage is None:
         storage = allocate(program, params, variant)
-    instances = execute(program, params, storage, coverage, budget)
+    instances = execute(program, params, storage, budget)
     outputs = {name: storage[name].copy() for name in program.outputs}
     return RunResult(outputs=outputs,
                      checksum=checksum(storage, program.outputs),

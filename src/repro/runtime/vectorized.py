@@ -25,7 +25,7 @@ inside itself, checked at the concrete-index level:
   runs, statements the compile layer refused to vectorize, potential
   out-of-bounds accesses, unknown arrays) runs one instance at a time on
   the compiled scalar step, which reproduces the reference error classes,
-  messages, coverage recording and partial-write state exactly.
+  messages and partial-write state exactly.
 
 Bounds are validated per statement with array-level min/max over the
 executed instances; any potential violation demotes the whole statement
@@ -35,7 +35,7 @@ after exactly the writes — the reference interpreter would produce.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class _StatementState:
 
     __slots__ = ("cs", "points", "cursor", "dirty", "exec_mask", "all_exec",
                  "epos", "wcols", "wlin", "rcols", "overlap", "cols",
-                 "values", "vector_values", "injective", "guard_taken",
-                 "pending", "src_rows")
+                 "values", "vector_values", "injective", "src_rows")
 
     def __init__(self, cs: CompiledStatement) -> None:
         self.cs = cs
@@ -68,7 +67,6 @@ class _StatementState:
         self.dirty = False
         self.values: Optional[np.ndarray] = None
         self.src_rows: Optional[list] = None  # source-order rows (lazy)
-        self.pending: Set[Tuple[int, bool]] = set()
 
 
 def _linear(cols: Tuple[np.ndarray, ...],
@@ -85,8 +83,7 @@ def _linear(cols: Tuple[np.ndarray, ...],
 def _prepare(state: _StatementState, si: int,
              batch: InstanceBatch, params: Mapping[str, int],
              storage: Storage, shapes: Dict[str, Tuple[int, ...]],
-             scalars: Dict[str, float],
-             coverage_on: bool) -> None:
+             scalars: Dict[str, float]) -> None:
     """Precompute columns/masks; any trouble demotes to the scalar path."""
     cs = state.cs
     points = batch.statement_order(si)
@@ -94,26 +91,17 @@ def _prepare(state: _StatementState, si: int,
     n = len(points)
     columns = {name: points[:, d] for d, name in enumerate(cs.iter_names)}
 
-    # guards: cumulative reached/taken masks drive both the executed set
-    # and branch-coverage recording
+    # guards: the executed set is the conjunction of every guard
     exec_mask = np.ones(n, dtype=bool)
-    taken: List[np.ndarray] = []
     try:
         for guard in cs.guards:
-            t = affine_column(guard, columns, params, n) >= 0
-            taken.append((exec_mask.copy(), t))
-            exec_mask &= t
+            exec_mask &= affine_column(guard, columns, params, n) >= 0
     except Exception:
         state.dirty = True
         return
-    state.guard_taken = taken
     state.exec_mask = exec_mask
     state.epos = np.flatnonzero(exec_mask)
     state.all_exec = len(state.epos) == n
-    if coverage_on:
-        state.pending = {(gi, outcome) for gi in range(len(cs.guards))
-                         for outcome in (True, False)}
-        state.pending.add((-1, True))
 
     if not cs.vector_ok or len(state.epos) == 0:
         state.dirty = not cs.vector_ok
@@ -170,25 +158,6 @@ def _in_bounds(cols: Tuple[np.ndarray, ...],
     return True
 
 
-def _record_pending(state: _StatementState, coverage, a: int, b: int,
-                    n_act: int) -> None:
-    """Record not-yet-seen branch outcomes appearing in run ``[a, b)``."""
-    done = []
-    for key in state.pending:
-        gi, outcome = key
-        if gi == -1:
-            hit = n_act > 0
-        else:
-            reached, taken = state.guard_taken[gi]
-            seen = taken[a:b] if outcome else ~taken[a:b]
-            hit = bool((reached[a:b] & seen).any())
-        if hit:
-            coverage.record(state.cs.name, gi, outcome)
-            done.append(key)
-    for key in done:
-        state.pending.discard(key)
-
-
 #: instance batches of recently executed programs, keyed like the
 #: dependence memo (the enumeration reads the domains, schedules and
 #: binding, never the input data): the differential tester runs each
@@ -241,8 +210,7 @@ def execution_key(program: Program, params: Mapping[str, int],
 
 
 def execute_vectorized(program: Program, params: Mapping[str, int],
-                       storage: Storage, coverage,
-                       budget: int,
+                       storage: Storage, budget: int,
                        exceeded: Callable[[int], Exception]) -> int:
     """Run ``program`` on ``storage`` in blocks; returns executed count."""
     batch = _instance_batch(program, params, budget, exceeded)
@@ -255,8 +223,7 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
     states = []
     for si, cs in enumerate(comp.statements):
         state = _StatementState(cs)
-        _prepare(state, si, batch, params, storage, shapes,
-                 scalars, coverage is not None)
+        _prepare(state, si, batch, params, storage, shapes, scalars)
         states.append(state)
 
     executed = 0
@@ -297,7 +264,7 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
                 env.update(zip(gstate.cs.iter_names,
                                gstate.src_rows[row_list[g]]))
                 if gstate.cs.scalar_step(env, storage, shapes, scalars,
-                                         coverage, prog):
+                                         prog):
                     executed += 1
             r = j
             continue
@@ -314,8 +281,6 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
         else:
             ea, eb = np.searchsorted(state.epos, (a, b))
         n_act = int(eb - ea)
-        if coverage is not None and state.pending:
-            _record_pending(state, coverage, a, b, n_act)
         if n_act == 0:
             continue
         if n_act < _MIN_VECTOR_RUN:
@@ -406,8 +371,7 @@ def _run_scalar_span(state: _StatementState, ea: int, eb: int,
                      prog: str) -> int:
     """Execute the run's guard-passing instances on the scalar step.
 
-    Coverage is handled by the pending recorder (the step gets ``None``),
-    and guards are re-checked harmlessly — every row here already passed.
+    Guards are re-checked harmlessly — every row here already passed.
     """
     step = state.cs.scalar_step
     names = state.cs.iter_names
@@ -416,7 +380,7 @@ def _run_scalar_span(state: _StatementState, ea: int, eb: int,
     for row in rows:
         env = dict(env_base)
         env.update(zip(names, row))
-        if step(env, storage, shapes, scalars, None, prog):
+        if step(env, storage, shapes, scalars, prog):
             executed += 1
     return executed
 

@@ -1,4 +1,4 @@
-"""Equivalence checking: mutation inputs + coverage + differential tests."""
+"""Equivalence checking: mutation inputs + differential tests."""
 
 from .equivalence import (EquivalenceChecker, TestReport, VERDICT_ET,
                           VERDICT_IA, VERDICT_PASS, VERDICT_RE,

@@ -78,7 +78,12 @@ def _apply_mutation(storage: Storage, kind: str, seed: int) -> None:
 
 def input_pool(max_seeds: int = 4, mutations_per_seed: int = 8,
                seed: int = 0) -> List[TestInput]:
-    """The candidate pool the coverage-guided selector draws from."""
+    """Seed inputs, each followed by its mutants, in a fixed order.
+
+    The equivalence checker takes the first three entries: seed variant 0,
+    then its value- and operator-based mutants.  Statement-based mutants
+    start at entry 4, so the checker never draws one.
+    """
     rng = random.Random(seed)
     pool: List[TestInput] = []
     for variant in range(max_seeds):

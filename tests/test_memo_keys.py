@@ -34,7 +34,7 @@ from repro.runtime.interpreter import (RuntimeExecutionError,
 from repro.runtime.vectorized import _instance_batch
 from repro.testing import checker_for
 from repro.transforms import (TransformError, TransformStep,
-                              interchange)
+                              interchange, pad_statements)
 from repro.transforms.recipe import ALL_KINDS, TRANSFORMS
 
 from recipe_candidates import KERNELS, candidates, target
@@ -46,7 +46,8 @@ importlib.import_module("repro.analysis.vectorized")
 
 
 def _variants(program):
-    """Copies differing only in fields neither memo reads."""
+    """Copies differing only in fields neither memo reads (padding a
+    schedule leaves its aligned form, all analysis reads, unchanged)."""
     return [
         program.with_parallel(frozenset({1})),
         program.with_vector(frozenset({3})),
@@ -55,10 +56,11 @@ def _variants(program):
         program.with_provenance("gcc-autovec(cols=[3])"),
         program.with_parallel(frozenset({1})).with_vector(frozenset({3}))
         .with_tags("pure-annotated").renamed("other"),
+        pad_statements(program),
     ]
 
 
-@pytest.mark.parametrize("variant", range(6))
+@pytest.mark.parametrize("variant", range(7))
 def test_unread_fields_share_dependences_and_kernels(gemm, variant):
     other = _variants(gemm)[variant]
     assert other != gemm

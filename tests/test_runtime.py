@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ir import parse_scop
-from repro.runtime import (BranchCoverage, RuntimeExecutionError, allocate,
-                           checksum, run)
+from repro.runtime import RuntimeExecutionError, allocate, checksum, run
 
 
 class TestReferenceSemantics:
@@ -98,58 +97,6 @@ class TestErrors:
         from repro.runtime import BudgetExceededError
         with pytest.raises(BudgetExceededError):
             run(gemm, {"NI": 50, "NJ": 50, "NK": 50}, budget=100)
-
-
-class TestCoverage:
-    def test_guard_coverage_both_ways(self):
-        p = parse_scop("""
-        scop g(N) {
-          array A[N] output;
-          for (i = 0; i < N; i++)
-            if (i >= 2)
-              A[i] = 1.0;
-        }
-        """)
-        cov = BranchCoverage()
-        run(p, {"N": 5}, coverage=cov)
-        assert cov.ratio() == 1.0
-
-    def test_guard_never_true_incomplete(self):
-        p = parse_scop("""
-        scop g(N) {
-          array A[N] output;
-          for (i = 0; i < N; i++)
-            if (i >= 100)
-              A[i] = 1.0;
-        }
-        """)
-        cov = BranchCoverage()
-        run(p, {"N": 5}, coverage=cov)
-        assert cov.ratio() < 1.0
-
-
-class TestCoverageRegistration:
-    def test_register_program_idempotent(self, gemm):
-        cov = BranchCoverage()
-        cov.register_program(gemm)
-        first = set(cov.possible)
-        cov.register_program(gemm)
-        assert cov.possible == first
-        assert len(cov._registered) == 1
-
-    def test_repeated_execute_registers_once(self, gemm):
-        cov = BranchCoverage()
-        params = {"NI": 3, "NJ": 3, "NK": 3}
-        for _ in range(3):
-            run(gemm, params, coverage=cov)
-        assert len(cov._registered) == 1
-        assert cov.ratio() == 1.0
-
-    def test_distinct_programs_both_register(self, gemm, syrk):
-        cov = BranchCoverage()
-        cov.register_program(gemm)
-        cov.register_program(syrk)
-        assert len(cov._registered) == 2
 
 
 class TestInitKinds:
