@@ -80,7 +80,7 @@ def step(message):
 
 def child_env(cache, **extra):
     env = dict(os.environ)
-    for stale in ("REPRO_FAULTS", "REPRO_STORE_VERIFY", "REPRO_NO_CACHE"):
+    for stale in ("REPRO_FAULTS", "REPRO_NO_CACHE"):
         env.pop(stale, None)
     env.update(PYTHONPATH="src", REPRO_CACHE_DIR=cache, **extra)
     return env

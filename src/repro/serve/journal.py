@@ -91,15 +91,18 @@ class RequestJournal:
     def unfinished(self) -> List[Tuple[str, Optional[Dict[str, Any]]]]:
         """(signature, record) for every admitted/started record.
 
-        A signature whose record is listed but cannot be read back —
-        its stored line failed the crc check — is surfaced as
-        ``(signature, None)`` so recovery can refuse to replay it
-        (marking it failed with a diagnostic) instead of silently
-        skipping a request that *was* admitted.
+        A signature whose newest record cannot be read back — its
+        stored line failed the crc check, so its latest state is lost —
+        is surfaced as ``(signature, None)`` so recovery can refuse to
+        replay it (marking it failed with a diagnostic) instead of
+        replaying a stale state or silently skipping a request that
+        *was* admitted.
         """
         out: List[Tuple[str, Optional[Dict[str, Any]]]] = []
-        for key in self._store.list(JOURNAL_STREAM):
-            record = self._store.read(JOURNAL_STREAM, key)
+        damaged = set(self._store.damaged_keys(JOURNAL_STREAM))
+        for key in sorted(damaged.union(self._store.list(JOURNAL_STREAM))):
+            record = (None if key in damaged
+                      else self._store.read(JOURNAL_STREAM, key))
             if not isinstance(record, dict):
                 out.append((key, None))  # damaged journal record
             elif record.get("status") in UNFINISHED:

@@ -4,8 +4,8 @@ The service-scale persistence layer.  :class:`ArtifactStore` is the
 contract — open/append/read/list/delete over named streams with
 last-write-wins keys, plus compaction.  :class:`LocalShardedStore` is
 the one store production code opens (per-shard append-only files,
-in-memory key index, per-shard locks, crash-tolerant scans, crc-checked
-reads); :class:`InMemoryStore` is the executable specification the
+in-memory key index, per-shard locks, crash-tolerant crc-checked scans
+and reads); :class:`InMemoryStore` is the executable specification the
 conformance and property suites check it against.
 
 The evaluation result store (:mod:`repro.evaluation.store`), the
@@ -15,8 +15,7 @@ stats|compact|verify`` are the operational front end.
 """
 
 from .base import (INTEGRITY, STORAGE_SCHEMA, ArtifactStore,
-                   CompactionReport, StoreError, StreamStats,
-                   record_crc, record_crc_ok, verify_mode)
+                   CompactionReport, StoreError, StreamStats)
 from .local import (DEFAULT_SHARDS, LocalShardedStore, exclusive_lock,
                     shard_of)
 from .memory import InMemoryStore
@@ -26,7 +25,6 @@ from .scrub import (RepairReport, ScrubIssue, StreamScrubReport,
 __all__ = [
     "ArtifactStore", "CompactionReport", "StoreError", "StreamStats",
     "STORAGE_SCHEMA", "INTEGRITY",
-    "record_crc", "record_crc_ok", "verify_mode",
     "LocalShardedStore", "InMemoryStore",
     "DEFAULT_SHARDS", "exclusive_lock", "shard_of",
     "ScrubIssue", "StreamScrubReport", "VerifyReport", "RepairReport",

@@ -24,69 +24,87 @@ from __future__ import annotations
 
 import abc
 import json
-import os
 import threading
 import zlib
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-#: stored-line format version of the file store; lines with a
-#: different version are treated as corrupt (skipped + counted) instead
-#: of mis-read
-STORAGE_SCHEMA = 1
+#: stored-line format version of the file store; lines in any other
+#: format (earlier versions included) are treated as corrupt (skipped +
+#: counted) instead of mis-read
+STORAGE_SCHEMA = 2
 
-#: how aggressively readers check record checksums (see verify_mode())
-ENV_STORE_VERIFY = "REPRO_STORE_VERIFY"
-VERIFY_MODES = ("read", "paranoid")
+# -- the stored-line codec ---------------------------------------------
+# A put is   {"schema":2,"crc":"<8 hex>","key":<json str>,"payload":<json>}
+# a delete   {"schema":2,"crc":"<8 hex>","key":<json str>,"tombstone":true}
+# and ``crc`` is the crc32 of every byte after ``"crc":"XXXXXXXX",`` up
+# to and including the closing brace: the key, the payload or tombstone
+# marker and the framing, exactly as written.  A reader therefore
+# verifies a line without decoding its payload.
+_PREFIX = b'{"schema":%d,"crc":"' % STORAGE_SCHEMA
+_CRC_END = len(_PREFIX) + 8        # end of the crc's hex digits
+_BODY = _CRC_END + 2               # first byte the crc covers
+_KEY_FIELD = b'"key":'
+_KEY = _BODY + len(_KEY_FIELD)     # where the key's JSON string starts
+_PUT_MARK = b',"payload":'
+_TOMBSTONE_MARK = b',"tombstone":true}'
 
 
-def verify_mode() -> str:
-    """Checksum-verification mode for file-backed reads.
+def encode_line(key: str, payload: Any = None,
+                tombstone: bool = False) -> bytes:
+    """One stored line, newline included: a put, or a tombstone."""
+    tail = (_TOMBSTONE_MARK if tombstone else b"".join(
+        (_PUT_MARK, json.dumps(payload, separators=(",", ":")).encode(),
+         b"}")))
+    body = b"".join((_KEY_FIELD, json.dumps(key).encode(), tail))
+    return b"".join((_PREFIX, b"%08x" % zlib.crc32(body), b'",', body,
+                     b"\n"))
 
-    A record that fails its crc is never served, in either mode; any
-    other value of ``REPRO_STORE_VERIFY`` means ``read``.
 
-    ``read``      verify the record served by every ``read()`` and every
-                  record rewritten by compaction (the default).
-    ``paranoid``  additionally verify every line during index scans, so
-                  a damaged record is skipped before it can win
-                  last-write-wins ordering.
+def read_line_head(data: bytes, start: int = 0, end: Optional[int] = None
+                   ) -> Optional[Tuple[Optional[str], bool, bool]]:
+    """Verify the line ``data[start:end]`` (no newline) and read its key.
+
+    None when the line is not in this schema's format at all (garbage,
+    another schema version, the fragment a torn append left behind, a
+    line that verifies yet is malformed).
+    Otherwise ``(key, tombstone, crc_ok)``: a line that fails its crc
+    still reports the key when the key parses (else None), for
+    diagnostics, but nothing about it can be trusted.  The payload is
+    never decoded.
     """
-    mode = os.environ.get(ENV_STORE_VERIFY, "read").strip().lower()
-    return mode if mode in VERIFY_MODES else "read"
+    if end is None:
+        end = len(data)
+    if (end - start < _KEY or data[start:start + len(_PREFIX)] != _PREFIX
+            or data[end - 1:end] != b"}"):
+        return None  # not ours, or a fragment of a torn line
+    crc_ok = (data[start + _CRC_END:start + _BODY] == b'",'
+              and data[start + len(_PREFIX):start + _CRC_END]
+              == b"%08x" % zlib.crc32(memoryview(data)[start + _BODY:end]))
+    key_at, key_end, tombstone = start + _KEY, -1, False
+    if data[start + _BODY:key_at] == _KEY_FIELD:
+        key_end = data.find(_PUT_MARK, key_at, end)
+        tomb_at = end - len(_TOMBSTONE_MARK)
+        if (key_end < 0 and tomb_at > key_at
+                and data[tomb_at:end] == _TOMBSTONE_MARK):
+            key_end, tombstone = tomb_at, True
+    try:
+        key = json.loads(data[key_at:key_end]) if key_end > key_at else None
+    except ValueError:  # undecodable JSON or bytes
+        key = None
+    if isinstance(key, str):
+        return key, tombstone, crc_ok
+    return None if crc_ok else (None, tombstone, False)
 
 
-def record_crc(key: str, payload: Any = None,
-               tombstone: bool = False) -> int:
-    """crc32 of the canonical key+payload bytes of one record.
+def decode_payload(data: bytes, start: int, end: int) -> Any:
+    """The payload of the verified put line ``data[start:end]``.
 
-    The checksum covers what the record *means* (key and payload after a
-    canonical JSON dump), not the stored line itself, so it survives
-    byte-identical compaction rewrites and stays recomputable from the
-    parsed record.  Tombstones checksum a fixed marker in place of the
-    payload.
+    Decoded straight from ``data``'s buffer: the payload's bytes are
+    not copied before they become the text the JSON parser reads.
     """
-    body = b"tombstone" if tombstone else json.dumps(
-        payload, separators=(",", ":")).encode()
-    head = json.dumps(key, separators=(",", ":")).encode()
-    return zlib.crc32(head + b"\x00" + body) & 0xFFFFFFFF
-
-
-def record_crc_ok(record: Dict[str, Any]) -> bool:
-    """Does a decoded record's ``crc`` match its contents?
-
-    Every writer stamps the envelope, so a record without a ``crc``
-    field (one whose field was lost to damage) fails verification.
-    """
-    stored = record.get("crc")
-    if not isinstance(stored, int):
-        return False
-    if record.get("tombstone"):
-        expected = record_crc(record.get("key", ""), tombstone=True)
-    else:
-        expected = record_crc(record.get("key", ""),
-                              record.get("payload"))
-    return stored == expected
+    at = data.find(_PUT_MARK, start + _KEY, end) + len(_PUT_MARK)
+    return json.loads(str(memoryview(data)[at:end - 1], "utf-8"))
 
 
 class IntegrityCounters:
@@ -127,10 +145,10 @@ class StreamStats:
     """Point-in-time shape of one stream.
 
     ``superseded`` and ``tombstones`` measure reclaimable appends;
-    ``corrupt`` counts undecodable or foreign lines skipped during the
-    scan; ``mismatched`` counts records whose stored crc failed
-    verification.  All of them drop to zero after
-    :meth:`ArtifactStore.compact`.
+    ``corrupt`` counts lines not in the current format (garbage, torn
+    fragments, earlier schema versions) skipped during the scan;
+    ``mismatched`` counts lines whose stored crc failed verification.
+    All of them drop to zero after :meth:`ArtifactStore.compact`.
     """
 
     entries: int = 0
@@ -228,6 +246,16 @@ class ArtifactStore(abc.ABC):
         """Invalidate any cached index so the next access rescans."""
 
     # -- conveniences shared by every store ----------------------------
+    def damaged_keys(self, stream: str) -> Tuple[str, ...]:
+        """Keys whose newest stored record failed its crc, sorted.
+
+        Readers serve such a key's newest valid record, if any.  A
+        client whose records are state transitions (the serve journal)
+        asks for these to refuse a record whose latest state is lost.
+        A store that cannot be damaged has none.
+        """
+        return ()
+
     def contains(self, stream: str, key: str) -> bool:
         """Key liveness.  Stores whose payloads may be JSON null must
         override this to answer from key membership, not read()."""

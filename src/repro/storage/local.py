@@ -7,19 +7,21 @@ conformance-tested against.
 
 Layout (one directory per stream under the store root)::
 
-    <root>/<stream>/meta.json        # {"schema": 1, "shards": N}
+    <root>/<stream>/meta.json        # {"schema": 2, "shards": N}
     <root>/<stream>/shard-03.jsonl   # append-only records
     <root>/<stream>/shard-03.lock    # flock target (never replaced)
 
-Each record is one JSON line — ``{"schema": 1, "key": ..., "payload":
-..., "crc": ...}`` for a put, ``{"schema": 1, "key": ...,
-"tombstone": true, "crc": ...}`` for a delete.  ``crc`` is the crc32
-integrity envelope from :func:`repro.storage.base.record_crc`; a line
-without one fails verification like any other damaged record.  A key
-always lands in the shard named by a prefix of its SHA-256 digest (mod
-the stream's shard count, pinned in ``meta.json`` so reconfigured
-stores keep finding old keys), which means last-write-wins ordering
-only ever needs the order *within* one file.
+Each record is one JSON line with a fixed head —
+``{"schema":2,"crc":"<8 hex>","key":<key>,"payload":<payload>}`` for a
+put, ``{"schema":2,"crc":"<8 hex>","key":<key>,"tombstone":true}`` for a
+delete (the codec is :func:`repro.storage.base.encode_line`).  ``crc``
+is the crc32 of the line's bytes after the crc field, exactly as
+written, so a line verifies without decoding its payload and the crc
+survives compaction's byte-for-byte copies.  A key always lands in the
+shard named by a prefix of its SHA-256 digest (mod the stream's shard
+count, pinned in ``meta.json`` so reconfigured stores keep finding old
+keys), which means last-write-wins ordering only ever needs the order
+*within* one file.
 
 Safety model
 ------------
@@ -28,38 +30,44 @@ Safety model
   ``flock``; a short write raises :class:`StoreError` instead of
   leaving a torn prefix.  Concurrent sessions and fork-pool workers
   therefore interleave whole lines, never fragments.
-* **Reads are index + seek.**  A scan of the shard files builds an
-  in-memory ``key -> (shard, offset, length)`` index; payloads are read
-  back on demand.  If another process compacted a shard underneath us
-  the record at the remembered offset no longer matches its key and the
-  reader rescans once before answering.
-* **Corruption is contained.**  Undecodable lines, foreign schemas and
-  torn tails (a final line with no newline — impossible under the
-  atomic-append rule, so always a crash artifact) are skipped and
-  counted, never served.  Records that parse but fail their crc are
-  counted as ``mismatched`` and reported missing rather than served
-  (``REPRO_STORE_VERIFY``: verify on every read by default, on every
-  scanned line under ``paranoid``).
+* **Every line is verified, no payload is decoded twice.**  A scan of
+  the shard files (:class:`ShardReplay`) checks every line's crc and
+  reads its key from the fixed head, building an in-memory ``key ->
+  (shard, offset, length)`` index without decoding a single payload.
+  ``read`` seeks to the remembered line, re-checks its crc (damage can
+  land after the scan) and decodes the payload once.  If another
+  process compacted a shard underneath us the line at the remembered
+  offset no longer carries its key and the reader rescans once before
+  answering.
+* **Corruption is contained.**  Lines not in the current format
+  (garbage, other schema versions) and torn tails (a final line with no
+  newline — impossible under the atomic-append rule, so always a crash
+  artifact) are skipped and counted as ``corrupt``; lines that fail
+  their crc are skipped and counted as ``mismatched``.  A damaged line
+  never enters the index, so it cannot shadow an earlier valid put of
+  its key: that put is served instead.
 * **Compaction repairs.**  :meth:`LocalShardedStore.compact` rewrites
   each shard under its lock via write-temp-then-rename, keeping only
   the winning put per live key (byte-identical lines) and dropping
-  superseded records, tombstones and corrupt lines.
+  superseded records, tombstones and damaged lines.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
+import re
 import shutil
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .base import (INTEGRITY, STORAGE_SCHEMA, ArtifactStore,
                    CompactionReport, StoreError, StreamStats,
-                   record_crc, record_crc_ok, verify_mode)
+                   decode_payload, encode_line, read_line_head)
 
 DEFAULT_SHARDS = 16
 META_FILE = "meta.json"
@@ -108,6 +116,26 @@ def exclusive_lock(path) -> Iterator[None]:
         os.close(fd)  # closing drops the flock
 
 
+@contextmanager
+def _mapped(path: Path) -> Iterator[Any]:
+    """``path``'s bytes, memory-mapped read-only (b"" when empty).
+
+    The index scan and ``read`` map shard files rather than read them
+    into a buffer: a corpus line is megabytes, and a malloc'd buffer of
+    that size, once freed, leaves the allocator holding its pages for
+    the rest of the process.  Mapping is safe because no writer ever
+    shrinks a shard in place: appends grow it and compaction renames a
+    new file over it.
+    """
+    with open(path, "rb") as handle:
+        if not os.fstat(handle.fileno()).st_size:
+            yield b""
+            return
+        with mmap.mmap(handle.fileno(), 0,
+                       access=mmap.ACCESS_READ) as data:
+            yield data
+
+
 def shard_of(key: str, shards: int) -> int:
     """Deterministic shard id: a prefix of the key's SHA-256 digest."""
     prefix = hashlib.sha256(key.encode()).hexdigest()[:8]
@@ -135,6 +163,73 @@ class _StreamState:
         self.tombstones = 0
         self.corrupt = 0
         self.mismatched = 0
+        #: keys whose newest line failed its crc (see damaged_keys())
+        self.damaged_keys: Set[str] = set()
+
+
+_BLANK = re.compile(rb"\s*")
+
+
+class ShardReplay:
+    """One shard file's bytes replayed under last-write-wins.
+
+    The single walk over a shard shared by the index scan, compaction
+    and the scrubber: split the bytes into lines, verify each line with
+    :func:`read_line_head` (no payload is decoded), skip blank lines,
+    and replay puts and tombstones in file order.  A damaged line takes
+    no part in the replay, so an earlier valid put of its key survives.
+    """
+
+    def __init__(self, data: bytes) -> None:
+        #: key -> (offset, end) of its winning put, in last-write
+        #: order; ``end`` is the offset of the line's newline
+        self.live: Dict[str, Tuple[int, int]] = {}
+        self.superseded = 0
+        self.tombstones = 0
+        #: lines in the current format, damaged ones included
+        self.records = 0
+        #: (kind, offset, end, key) per damaged line, in file order;
+        #: kind is ``corrupt``, ``torn`` or ``mismatched`` and the key
+        #: is known only for a mismatched line whose key parses
+        self.damaged: List[Tuple[str, int, int, Optional[str]]] = []
+        #: keys whose newest line here is a mismatched one
+        self.damaged_keys: Set[str] = set()
+        offset, total = 0, len(data)
+        while offset < total:
+            end = data.find(b"\n", offset)
+            if end < 0:  # torn tail from a mid-line crash
+                self.damaged.append(("torn", offset, total, None))
+                break
+            start, offset = offset, end + 1
+            head = read_line_head(data, start, end)
+            if head is None:
+                if not _BLANK.fullmatch(data, start, end):  # noise
+                    self.damaged.append(("corrupt", start, end, None))
+                continue
+            self.records += 1
+            key, tombstone, crc_ok = head
+            if not crc_ok:
+                self.damaged.append(("mismatched", start, end, key))
+                if key is not None:
+                    self.damaged_keys.add(key)
+                continue
+            self.damaged_keys.discard(key)
+            if tombstone:
+                if self.live.pop(key, None) is not None:
+                    self.superseded += 1  # the put it shadows
+                self.tombstones += 1
+            else:
+                if self.live.pop(key, None) is not None:
+                    self.superseded += 1
+                self.live[key] = (start, end)
+
+    @property
+    def corrupt(self) -> int:
+        return sum(1 for kind, *_ in self.damaged if kind != "mismatched")
+
+    @property
+    def mismatched(self) -> int:
+        return len(self.damaged) - self.corrupt
 
 
 class LocalShardedStore(ArtifactStore):
@@ -203,13 +298,22 @@ class LocalShardedStore(ArtifactStore):
     def _scan(self, stream: str) -> _StreamState:
         state = _StreamState(self._ensure_dir(stream))
         self._gc_stale_tmps(stream)
-        verify = verify_mode() == "paranoid"
         for path in self.shard_paths(stream):
             try:
                 shard = int(path.stem.split("-", 1)[1], 16)
             except (IndexError, ValueError):
                 continue  # foreign file; never written by us
-            self._scan_shard(state, path, shard, verify)
+            with _mapped(path) as data:
+                replay = ShardReplay(data)
+            for key, (offset, end) in replay.live.items():
+                state.index[key] = _Loc(shard, offset, end + 1 - offset)
+            state.superseded += replay.superseded
+            state.tombstones += replay.tombstones
+            state.corrupt += replay.corrupt
+            state.mismatched += replay.mismatched
+            state.damaged_keys.update(replay.damaged_keys)
+            if replay.mismatched:
+                INTEGRITY.inc("crc_mismatches", replay.mismatched)
         return state
 
     def _gc_stale_tmps(self, stream: str) -> None:
@@ -238,45 +342,6 @@ class LocalShardedStore(ArtifactStore):
                     except OSError:  # pragma: no cover - racing unlink
                         pass
 
-    def _scan_shard(self, state: _StreamState, path: Path,
-                    shard: int, verify: bool = False) -> None:
-        data = path.read_bytes()
-        offset = 0
-        total = len(data)
-        while offset < total:
-            newline = data.find(b"\n", offset)
-            if newline < 0:
-                state.corrupt += 1  # torn tail from a mid-line crash
-                break
-            raw = data[offset:newline]
-            length = newline + 1 - offset
-            self._scan_line(state, raw, shard, offset, length, verify)
-            offset = newline + 1
-
-    def _scan_line(self, state: _StreamState, raw: bytes, shard: int,
-                   offset: int, length: int,
-                   verify: bool = False) -> None:
-        record = decode_record(raw)
-        if record is None:
-            if raw.strip():  # blank lines are noise, not corruption
-                state.corrupt += 1
-            return
-        if verify and not record_crc_ok(record):
-            # paranoid scans refuse to let a damaged record win
-            # last-write-wins ordering; an earlier valid put survives
-            state.mismatched += 1
-            INTEGRITY.inc("crc_mismatches")
-            return
-        key = record["key"]
-        if record.get("tombstone"):
-            if state.index.pop(key, None) is not None:
-                state.superseded += 1  # the put this tombstone shadows
-            state.tombstones += 1
-            return
-        if key in state.index:
-            state.superseded += 1
-        state.index[key] = _Loc(shard, offset, length)
-
     # -- the stream contract -------------------------------------------
     def open(self, stream: str) -> StreamStats:
         with self._lock:
@@ -284,28 +349,20 @@ class LocalShardedStore(ArtifactStore):
         return self.stream_stats(stream)
 
     def append(self, stream: str, key: str, payload: Any) -> None:
-        record = {"schema": STORAGE_SCHEMA, "key": key,
-                  "payload": payload,
-                  "crc": record_crc(key, payload)}
-        self._append_record(stream, key, record, live=True)
+        self._append_line(stream, key, encode_line(key, payload),
+                          live=True)
 
     def delete(self, stream: str, key: str) -> bool:
         with self._lock:
             if key not in self._state(stream).index:
                 return False  # deleting a missing key appends nothing
-            record = {"schema": STORAGE_SCHEMA, "key": key,
-                      "tombstone": True,
-                      "crc": record_crc(key, tombstone=True)}
-            self._append_record(stream, key, record, live=False)
+            self._append_line(stream, key,
+                              encode_line(key, tombstone=True),
+                              live=False)
         return True
 
-    def _append_record(self, stream: str, key: str, record: dict,
-                       live: bool) -> None:
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        data = line.encode()
-        if b"\n" in data[:-1]:
-            raise StoreError(f"payload for {key!r} encodes to multiple "
-                             f"lines; not appendable")
+    def _append_line(self, stream: str, key: str, data: bytes,
+                     live: bool) -> None:
         # scheduled corruption faults (bitflip/truncate/garbage) hit the
         # encoded line here, before it reaches the shard, so scrub and
         # repair paths are exercised against real on-disk damage
@@ -337,6 +394,7 @@ class LocalShardedStore(ArtifactStore):
                 raise StoreError(
                     f"torn append on {path}: wrote {written} of "
                     f"{len(data)} bytes for key {key!r}")
+            state.damaged_keys.discard(key)
             old = state.index.pop(key, None)
             if old is not None:
                 state.superseded += 1
@@ -352,33 +410,30 @@ class LocalShardedStore(ArtifactStore):
                 loc = state.index.get(key)
                 if loc is None:
                     return None
-                record = self._record_at(stream, loc)
-                if (record is not None and record["key"] == key
-                        and not record.get("tombstone")):
-                    if not record_crc_ok(record):
-                        # damaged payload: report the key missing and
-                        # count it rather than serve altered data
-                        state.mismatched += 1
-                        INTEGRITY.inc("crc_mismatches")
-                        state.index.pop(key, None)
-                        return None
-                    return record["payload"]
+                end = loc.offset + loc.length - 1
+                try:
+                    with _mapped(self.shard_path(stream, loc.shard)) as data:
+                        head = (read_line_head(data, loc.offset, end)
+                                if data[end:end + 1] == b"\n" else None)
+                        if (head is not None and head[0] == key
+                                and not head[1]):
+                            if head[2]:
+                                return decode_payload(data, loc.offset,
+                                                      end)
+                            # damaged since the scan: report the key
+                            # missing and count it rather than serve
+                            # altered data
+                            state.mismatched += 1
+                            INTEGRITY.inc("crc_mismatches")
+                            del state.index[key]
+                            state.damaged_keys.add(key)
+                            return None
+                except OSError:
+                    pass  # the shard itself is gone
                 # another process compacted this shard: offsets moved
                 self._states.pop(stream, None)
         raise StoreError(f"index for stream {stream!r} is unstable; "
                          f"key {key!r} moved during both read attempts")
-
-    def _record_at(self, stream: str, loc: _Loc) -> Optional[dict]:
-        path = self.shard_path(stream, loc.shard)
-        try:
-            with open(path, "rb") as handle:
-                handle.seek(loc.offset)
-                raw = handle.read(loc.length)
-        except OSError:
-            return None
-        if not raw.endswith(b"\n"):
-            return None
-        return decode_record(raw[:-1])
 
     def list(self, stream: str) -> Tuple[str, ...]:
         with self._lock:
@@ -387,6 +442,10 @@ class LocalShardedStore(ArtifactStore):
     def contains(self, stream: str, key: str) -> bool:
         with self._lock:
             return key in self._state(stream).index
+
+    def damaged_keys(self, stream: str) -> Tuple[str, ...]:
+        with self._lock:
+            return tuple(sorted(self._state(stream).damaged_keys))
 
     def streams(self) -> Tuple[str, ...]:
         root = Path(self.root)
@@ -427,48 +486,25 @@ class LocalShardedStore(ArtifactStore):
         """Rewrite one shard keeping only winning puts (byte-identical).
 
         Caller holds the shard lock.  Returns (kept, superseded,
-        tombstones, corrupt, mismatched) line counts.  A record whose
-        crc fails is dropped like a corrupt line — an earlier valid put
-        for the same key survives the rewrite.
+        tombstones, corrupt, mismatched) line counts.  A line whose crc
+        fails is dropped like a corrupt line — an earlier valid put for
+        the same key survives the rewrite.
         """
-        superseded = tombstones = corrupt = mismatched = 0
-        live: "Dict[str, bytes]" = {}
         data = path.read_bytes()
-        offset = 0
-        while offset < len(data):
-            newline = data.find(b"\n", offset)
-            if newline < 0:
-                corrupt += 1  # torn tail
-                break
-            raw = data[offset:newline]
-            offset = newline + 1
-            record = decode_record(raw)
-            if record is None:
-                if raw.strip():
-                    corrupt += 1
-                continue
-            if not record_crc_ok(record):
-                mismatched += 1  # damage compacted away, not kept
-                continue
-            key = record["key"]
-            if record.get("tombstone"):
-                if live.pop(key, None) is not None:
-                    superseded += 1
-                tombstones += 1
-                continue
-            if live.pop(key, None) is not None:
-                superseded += 1
-            live[key] = raw  # re-insert: file keeps last-write order
-        if not live:
+        replay = ShardReplay(data)
+        counts = (len(replay.live), replay.superseded, replay.tombstones,
+                  replay.corrupt, replay.mismatched)
+        if not replay.live:
             path.unlink()
-            return 0, superseded, tombstones, corrupt, mismatched
+            return counts
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
         with open(tmp, "wb") as handle:
-            handle.write(b"".join(raw + b"\n" for raw in live.values()))
+            handle.write(b"".join(data[offset:end + 1] for offset, end
+                                  in replay.live.values()))
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
-        return len(live), superseded, tombstones, corrupt, mismatched
+        return counts
 
     def stream_stats(self, stream: str) -> StreamStats:
         with self._lock:
@@ -493,21 +529,3 @@ class LocalShardedStore(ArtifactStore):
         with self._lock:
             self._states.pop(stream, None)
 
-
-def decode_record(raw: bytes) -> Optional[dict]:
-    """Parse one stored line; None for corrupt/foreign lines.
-
-    A valid record is a JSON object with our schema version, a string
-    key, and either a payload or a tombstone marker.
-    """
-    try:
-        record = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        return None
-    if (not isinstance(record, dict)
-            or record.get("schema") != STORAGE_SCHEMA
-            or not isinstance(record.get("key"), str)):
-        return None
-    if not record.get("tombstone") and "payload" not in record:
-        return None
-    return record

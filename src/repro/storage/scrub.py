@@ -8,8 +8,12 @@ shard and the damage is dropped (an earlier valid put for the same key
 survives).  Every stored artifact is a deterministic recompute, so a
 dropped record is recomputed on its next miss, never restored.
 
-The scrubber verifies every line's checksum whatever
-``REPRO_STORE_VERIFY`` says; compaction always does.
+The scrubber replays each shard with the same walk the index scan and
+compaction use (:class:`~repro.storage.local.ShardReplay`), so it
+classifies exactly the lines a reader skips: ``corrupt`` (not in the
+current line format, earlier schema versions included), ``torn`` (a
+final line without its newline) and ``mismatched`` (a line whose crc
+fails; named by its key when the key still parses).
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .base import INTEGRITY, record_crc_ok
-from .local import LocalShardedStore, decode_record
+from .base import INTEGRITY, STORAGE_SCHEMA
+from .local import LocalShardedStore, ShardReplay
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class StreamScrubReport:
     """Verification outcome for one stream."""
 
     stream: str
-    records: int = 0     # decodable record lines seen
+    records: int = 0     # lines in the current format, damaged or not
     live: int = 0        # keys a reader would serve
     corrupt: int = 0
     torn: int = 0
@@ -112,44 +116,25 @@ def scrub_stream(store: LocalShardedStore,
     it is safe to run against a live store.
     """
     report = StreamScrubReport(stream=stream)
-    live: Dict[str, bool] = {}
+    live = set()
     for path in store.shard_paths(stream):
-        data = path.read_bytes()
-        offset = 0
-        total = len(data)
-        while offset < total:
-            newline = data.find(b"\n", offset)
-            if newline < 0:
+        replay = ShardReplay(path.read_bytes())
+        report.records += replay.records
+        live.update(replay.live)
+        for kind, offset, end, key in replay.damaged:
+            if kind == "torn":
                 report.torn += 1
-                report.issues.append(ScrubIssue(
-                    stream, path.name, offset, "torn",
-                    f"final line has no newline "
-                    f"({total - offset} bytes)"))
-                break
-            raw = data[offset:newline]
-            line_at = offset
-            offset = newline + 1
-            if not raw.strip():
-                continue
-            record = decode_record(raw)
-            if record is None:
+                detail = f"final line has no newline ({end - offset} bytes)"
+            elif kind == "corrupt":
                 report.corrupt += 1
-                report.issues.append(ScrubIssue(
-                    stream, path.name, line_at, "corrupt",
-                    f"undecodable line ({len(raw)} bytes)"))
-                continue
-            report.records += 1
-            if not record_crc_ok(record):
-                report.mismatched += 1
-                report.issues.append(ScrubIssue(
-                    stream, path.name, line_at, "mismatched",
-                    f"crc mismatch for key {record.get('key')!r}"))
-                continue  # a damaged record never wins ordering here
-            key = record["key"]
-            if record.get("tombstone"):
-                live.pop(key, None)
+                detail = (f"not a schema-{STORAGE_SCHEMA} line "
+                          f"({end - offset} bytes)")
             else:
-                live[key] = True
+                report.mismatched += 1
+                detail = ("crc mismatch" if key is None
+                          else f"crc mismatch for key {key!r}")
+            report.issues.append(
+                ScrubIssue(stream, path.name, offset, kind, detail))
     report.live = len(live)
     return report
 

@@ -7,6 +7,7 @@ indistinguishable from a freshly built one — same signature, same
 indexed texts, same properties, and bit-identical retrieval ranks.
 """
 
+import json
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.evaluation import store as result_store_mod
 from repro.evaluation.store import active_artifacts
 from repro.ir import parse_scop
 from repro.retrieval import Retriever
+from repro.storage import STORAGE_SCHEMA
 from repro.synthesis import cached_dataset, dataset_signature
 from repro.synthesis.dataset import DATASETS_STREAM, _dataset_cache_key
 from repro.synthesis.store import FORMAT_VERSION, dataset_to_payload
@@ -123,3 +125,29 @@ class TestPersistentCache:
             assert isinstance(payload["entries"][0]["program"], str)
         stats = active_artifacts().stream_stats(DATASETS_STREAM)
         assert stats.superseded == 4  # two bad overwrites + two rebuilds
+
+    def test_schema_one_corpus_is_rebuilt_as_schema_two(
+            self, isolated_cache, monkeypatch):
+        """A store holding only a corpus line of the earlier store
+        format counts it corrupt, rebuilds the corpus and rewrites it
+        in the current format."""
+        built = cached_dataset(SIZE, SEED)
+        key = _dataset_cache_key(SIZE, SEED, "looprag")
+        payload = active_artifacts().read(DATASETS_STREAM, key)
+        [path] = active_artifacts().shard_paths(DATASETS_STREAM)
+        path.write_text(json.dumps({"schema": 1, "key": key,
+                                    "payload": payload, "crc": 0}) + "\n")
+        forget_memory()
+        builds = []
+        real_build = dataset_mod.build_dataset
+        monkeypatch.setattr(
+            dataset_mod, "build_dataset",
+            lambda *a, **k: builds.append(a) or real_build(*a, **k))
+        rebuilt = cached_dataset(SIZE, SEED)
+        assert len(builds) == 1
+        assert ranks(rebuilt) == ranks(built)
+        stats = active_artifacts().stream_stats(DATASETS_STREAM)
+        assert (stats.entries, stats.corrupt) == (1, 1)
+        _old, new = path.read_bytes().splitlines()
+        assert json.loads(new)["schema"] == STORAGE_SCHEMA == 2
+        assert json.loads(new)["payload"] == payload

@@ -1,8 +1,9 @@
 """End-to-end data integrity for the artifact plane.
 
-Contract under test: every stored record carries a crc32 envelope;
-readers never serve a record whose checksum fails (the key reads as
-missing and the damage is counted); ``repro store verify`` pinpoints
+Contract under test: every stored line carries a crc32 of its own
+bytes; readers never serve a record whose checksum fails (a scan skips
+the line so an earlier put of its key wins, a read of a line damaged
+since the scan reports the key missing, and the damage is counted); ``repro store verify`` pinpoints
 corrupt/torn/mismatched lines with shard+offset diagnostics and
 ``--repair`` heals them by compaction.  The hypothesis bit-rot property
 at the bottom is the headline: flip any single bit of any shard and no
@@ -10,7 +11,7 @@ reader ever returns altered data.
 """
 
 import json
-import os
+import zlib
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
-from repro.storage import (INTEGRITY, LocalShardedStore, record_crc,
-                           record_crc_ok, verify_store)
+from repro.storage import INTEGRITY, LocalShardedStore, verify_store
+from repro.storage import local as local_mod
+from repro.storage.base import encode_line, read_line_head
 from repro.testing.faults import (FaultClause, FaultPlan, corrupt_data,
                                   install_plan)
 
@@ -27,35 +29,56 @@ from repro.testing.faults import (FaultClause, FaultPlan, corrupt_data,
 @pytest.fixture(autouse=True)
 def _no_ambient_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_STORE_VERIFY", raising=False)
     install_plan(None)
     yield
     install_plan(None)
 
 
 def _shard_lines(store, stream):
-    """[(path, line_index, decoded record), ...] over raw shard files."""
+    """[(path, offset, line, head), ...] over raw shard files; ``line``
+    lacks its newline and ``head`` is :func:`read_line_head`'s
+    ``(key, tombstone, crc_ok)``."""
     out = []
     for path in store.shard_paths(stream):
-        for i, line in enumerate(path.read_text().splitlines()):
-            if line.strip():
-                out.append((path, i, json.loads(line)))
+        offset = 0
+        for line in path.read_bytes().split(b"\n")[:-1]:
+            out.append((path, offset, line, read_line_head(line)))
+            offset += len(line) + 1
     return out
 
 
-def _stale_crc(store, stream, key, tampered=("tampered",)):
-    """Rewrite ``key``'s newest stored line: new payload, old crc."""
-    target = None
-    for path, index, record in _shard_lines(store, stream):
-        if record.get("key") == key and not record.get("tombstone"):
-            target = (path, index, record)
-    assert target is not None, f"no stored line for {key!r}"
-    path, index, record = target
-    record["payload"] = list(tampered)
-    lines = path.read_text().splitlines()
-    lines[index] = json.dumps(record, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    store.refresh(stream)
+#: rotates digits and lowercase letters: a same-length, different payload
+_FORGE = bytes.maketrans(b"0123456789abcdefghijklmnopqrstuvwxyz",
+                         b"1234567890bcdefghijklmnopqrstuvwxyza")
+
+
+def _stale_crc(store, stream, key):
+    """Forge ``key``'s newest stored put in place: a different payload
+    of the same length under the old crc, so an index built before the
+    damage still points at the line."""
+    path, offset, line, _head = [
+        entry for entry in _shard_lines(store, stream)
+        if entry[3][0] == key and not entry[3][1]][-1]
+    payload = json.dumps(json.loads(line)["payload"],
+                         separators=(",", ":")).encode()
+    forged = payload.translate(_FORGE)
+    assert forged != payload
+    at = offset + len(line) - 1 - len(payload)  # before the closing }
+    blob = bytearray(path.read_bytes())
+    assert blob[at:at + len(payload)] == payload
+    blob[at:at + len(payload)] = forged
+    path.write_bytes(bytes(blob))
+
+
+def _schema_one_line(key, payload=None, tombstone=False):
+    """A line as the schema-1 store wrote it (crc of a canonical dump)."""
+    body = b"tombstone" if tombstone else json.dumps(
+        payload, separators=(",", ":")).encode()
+    crc = zlib.crc32(json.dumps(key).encode() + b"\x00" + body)
+    record = {"schema": 1, "key": key, "crc": crc}
+    record.update({"tombstone": True} if tombstone
+                  else {"payload": payload})
+    return json.dumps(record, separators=(",", ":")) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -67,23 +90,29 @@ class TestEnvelope:
         store.append("s", "k", {"a": 1})
         store.append("s", "gone", 7)
         store.delete("s", "gone")
-        for _path, _i, record in _shard_lines(store, "s"):
-            assert isinstance(record["crc"], int)
-            assert record_crc_ok(record)
-            if record.get("tombstone"):
-                assert record["crc"] == record_crc("gone",
+        lines = _shard_lines(store, "s")
+        assert len(lines) == 3
+        for _path, _offset, line, (key, tombstone, crc_ok) in lines:
+            assert crc_ok
+            crc = json.loads(line)["crc"]
+            assert len(crc) == 8 and int(crc, 16) >= 0
+            if tombstone:
+                assert line + b"\n" == encode_line("gone",
                                                    tombstone=True)
-        assert record_crc("k", {"a": 1}) != record_crc("k", {"a": 2})
+
+        def crc(payload):
+            return json.loads(encode_line("k", payload))["crc"]
+        assert crc({"a": 1}) != crc({"a": 2})
 
     def test_lines_without_crc_are_rejected(self, tmp_path):
-        # every writer stamps the envelope: a line without one has lost
-        # its crc to damage and must not be served
+        # every writer stamps the crc: a line whose crc digits were
+        # lost to damage must not be served
         store = LocalShardedStore(tmp_path, shards=1)
         store.append("s", "anchor", 0)  # creates the stream dir
         path = store.shard_path("s", 0)
         with open(path, "a") as handle:
-            handle.write(json.dumps({"schema": 1, "key": "old",
-                                     "payload": [1, 2]}) + "\n")
+            handle.write('{"schema":2,"crc":"","key":"old",'
+                         '"payload":[1,2]}\n')
         store.refresh("s")
         assert store.read("s", "old") is None
         assert store.stream_stats("s").mismatched == 1
@@ -99,15 +128,89 @@ class TestEnvelope:
             store.append("s", f"k{i % 3}", {"round": i})
         store.compact("s")
         fresh = LocalShardedStore(tmp_path, shards=2)
-        for _p, _i, record in _shard_lines(fresh, "s"):
-            assert record_crc_ok(record)
+        for _p, _o, _line, (_key, _tomb, crc_ok) in _shard_lines(fresh,
+                                                                "s"):
+            assert crc_ok
         assert fresh.read("s", "k1") == {"round": 7}
 
+    def test_schema_one_lines_are_corrupt(self, tmp_path):
+        """Lines of the earlier format are skipped and counted, never
+        mis-read; the key is recomputed on its next miss."""
+        store = LocalShardedStore(tmp_path, shards=1)
+        store.append("s", "anchor", 0)
+        path = store.shard_path("s", 0)
+        with open(path, "a") as handle:
+            handle.write(_schema_one_line("old", [1, 2]))
+            handle.write(_schema_one_line("anchor", tombstone=True))
+        fresh = LocalShardedStore(tmp_path, shards=1)
+        assert fresh.read("s", "old") is None
+        assert fresh.read("s", "anchor") == 0  # the old tombstone too
+        stats = fresh.stream_stats("s")
+        assert (stats.corrupt, stats.mismatched) == (2, 0)
+        assert [i.kind for i in verify_store(fresh).issues()] \
+            == ["corrupt", "corrupt"]
+
 
 # ----------------------------------------------------------------------
-# REPRO_STORE_VERIFY
+# one payload decode per read, none per scan
 # ----------------------------------------------------------------------
+def test_open_and_read_decode_exactly_one_payload(tmp_path, monkeypatch):
+    store = LocalShardedStore(tmp_path, shards=2)
+    for i in range(4):
+        store.append("s", f"k{i}", {"needle": i})
+    store.delete("s", "k3")
+    store.append("s", "k0", {"needle": 9})
+    calls = []
+    real_decode = local_mod.decode_payload
+    monkeypatch.setattr(local_mod, "decode_payload",
+                        lambda *a: calls.append(a) or real_decode(*a))
+    # every JSON decode of a payload anywhere, whoever calls it
+    parsed = []
+    real_raw_decode = json.JSONDecoder.raw_decode
+
+    def raw_decode(self, s, idx=0):
+        if "needle" in s:
+            parsed.append(s)
+        return real_raw_decode(self, s, idx)
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", raw_decode)
+
+    fresh = LocalShardedStore(tmp_path, shards=2)
+    assert fresh.open("s").entries == 3
+    assert (calls, parsed) == ([], [])  # the scan decodes no payload
+    assert fresh.read("s", "k0") == {"needle": 9}
+    assert (len(calls), len(parsed)) == (1, 1)
+
+
+# ----------------------------------------------------------------------
+# damage found by the scan and by reads
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("field", ["key", "crc", "payload"])
+def test_flipped_newest_line_serves_its_predecessor(tmp_path, field):
+    store = LocalShardedStore(tmp_path, shards=1)
+    store.append("s", "key", {"v": 1})
+    store.append("s", "key", {"v": 2})
+    path = store.shard_path("s", 0)
+    blob = bytearray(path.read_bytes())
+    newest = blob.rindex(b"\n", 0, len(blob) - 1) + 1
+    marker = {"key": b'"key":"', "crc": b'"crc":"',
+              "payload": b'"v":'}[field]
+    at = blob.index(marker, newest) + len(marker)
+    blob[at] ^= 0x01
+    path.write_bytes(bytes(blob))
+    fresh = LocalShardedStore(tmp_path, shards=1)
+    assert fresh.read("s", "key") == {"v": 1}
+    stats = fresh.stream_stats("s")
+    assert (stats.mismatched, stats.corrupt) == (1, 0)
+    if field != "key":  # a flipped key names some other key
+        assert fresh.damaged_keys("s") == ("key",)
+    fresh.append("s", "key", {"v": 3})  # a valid write supersedes it
+    assert "key" not in fresh.damaged_keys("s")
+
+
 class TestVerifyModes:
+    """A damaged line is caught at scan time (an earlier put wins) and,
+    when the damage lands after the scan, at read time."""
+
     def _tampered_store(self, tmp_path):
         store = LocalShardedStore(tmp_path, shards=1)
         store.append("s", "k", "v1")
@@ -116,23 +219,14 @@ class TestVerifyModes:
         return store
 
     def test_read_mode_reports_the_key_missing(self, tmp_path):
+        # this store's index predates the damage: the read re-checks
+        # the crc and reports the key missing
         store = self._tampered_store(tmp_path)
         assert store.read("s", "k") is None  # never the tampered value
         assert store.stream_stats("s").mismatched == 1
 
-    def test_retired_off_mode_still_verifies(self, tmp_path,
-                                             monkeypatch):
-        """Only ``read`` and ``paranoid`` exist; anything else reads
-        like ``read``, so no setting serves an unchecked record."""
-        store = self._tampered_store(tmp_path)
-        monkeypatch.setenv("REPRO_STORE_VERIFY", "off")
-        store.refresh("s")
-        assert store.read("s", "k") is None
-
-    def test_paranoid_mode_resurrects_the_previous_put(self, tmp_path,
-                                                       monkeypatch):
-        store = self._tampered_store(tmp_path)
-        monkeypatch.setenv("REPRO_STORE_VERIFY", "paranoid")
+    def test_rescan_resurrects_the_previous_put(self, tmp_path):
+        self._tampered_store(tmp_path)
         fresh = LocalShardedStore(tmp_path, shards=1)
         # the damaged line never wins the index: v1 is still good
         assert fresh.read("s", "k") == "v1"
@@ -179,7 +273,7 @@ class TestTmpOrphanGC:
 # ----------------------------------------------------------------------
 class TestCorruptionFaults:
     def test_data_kinds_are_deterministic(self):
-        data = b'{"schema":1,"key":"k","payload":3,"crc":9}\n'
+        data = encode_line("k", 3)
         flip = FaultClause(site="s", kind="bitflip")
         once, twice = corrupt_data(flip, data), corrupt_data(flip, data)
         assert once == twice != data
@@ -217,7 +311,7 @@ class TestScrub:
         path = store.shard_path("s", 0)
         with open(path, "ab") as handle:
             handle.write(b"}}}garbage\n")
-            handle.write(b'{"schema":1,"key":"torn","payload"')
+            handle.write(encode_line("torn", 1)[:-9])
         report = verify_store(store)
         kinds = {issue.kind: issue for issue in report.issues()}
         assert set(kinds) == {"mismatched", "corrupt", "torn"}
@@ -345,9 +439,8 @@ def test_bitrot_local_never_serves_altered_data(tmp_path_factory, data):
         if got is None:
             damage_seen += 1
     if damage_seen:
-        # a flip inside the key field indexes the record under a
-        # mutated key: the read path sees a plain miss, but the crc
-        # covers the key so the scrubber always flags the damage
+        # the scan drops the damaged line, so the read sees a plain
+        # miss; the scrubber classifies the same line and flags it
         assert not verify_store(fresh).clean
 
 
