@@ -13,19 +13,26 @@ would:
    overflow must get ``503`` + ``Retry-After``, the in-flight request
    must be untouched;
 5. SIGTERM mid-flight — the in-flight request must still complete,
-   the daemon must drain and exit 0.
+   the daemon must drain and exit 0;
+6. one entry point's store, another's hit — a kernel answered in this
+   process by ``OptimizerSession.optimize`` into a fresh cache dir must
+   be answered by a daemon booted on that dir from the result store
+   (``store_hits_total == 1``), byte-identically.
 
-Stdlib only; exits non-zero with a readable message on any violation.
-Run directly or via ``make test-serve``.
+Stdlib plus the ``repro`` package from ``src/``; exits non-zero with a
+readable message on any violation.  Run directly or via ``make
+test-serve``.
 """
 
 import http.client
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -88,6 +95,30 @@ def wait_until(predicate, timeout=15.0, message="condition"):
     fail(f"timed out waiting for {message}")
 
 
+def boot(env, *flags):
+    """Start ``repro serve`` on an ephemeral port: (process, address)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
+         *flags],
+        cwd=REPO, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL, text=True)
+    banner = proc.stdout.readline()
+    match = re.search(r"http://([\d.]+):(\d+)", banner)
+    if not match:
+        proc.kill()
+        proc.wait()
+        fail(f"no listening banner, got: {banner!r}")
+    addr = (match.group(1), int(match.group(2)))
+    step(f"daemon up at {addr[0]}:{addr[1]}")
+    return proc, addr
+
+
+def stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+
+
 def main():
     env = dict(os.environ)
     env.update({
@@ -99,20 +130,11 @@ def main():
     })
     step("booting daemon under REPRO_FAULTS="
          + env["REPRO_FAULTS"])
-    proc = subprocess.Popen(
-        [sys.executable, "-u", "-m", "repro", "serve", "--port", "0",
-         "--max-inflight", "1", "--queue-depth", "0", "--no-journal",
-         "--session", json.dumps({"dataset_size": 40,
-                                  "llm_backend": "faulty"})],
-        cwd=REPO, env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL, text=True)
+    proc, addr = boot(
+        env, "--max-inflight", "1", "--queue-depth", "0", "--no-journal",
+        "--session", json.dumps({"dataset_size": 40,
+                                 "llm_backend": "faulty"}))
     try:
-        banner = proc.stdout.readline()
-        match = re.search(r"http://([\d.]+):(\d+)", banner)
-        if not match:
-            fail(f"no listening banner, got: {banner!r}")
-        addr = (match.group(1), int(match.group(2)))
-        step(f"daemon up at {addr[0]}:{addr[1]}")
 
         status, doc = get_json(addr, "/healthz")
         if status != 200 or doc.get("status") != "ok":
@@ -201,12 +223,57 @@ def main():
         if "drained cleanly" not in tail:
             fail(f"missing drain banner in output: {tail!r}")
         step("daemon drained cleanly and exited 0")
-        print("serve-smoke: OK")
-        return 0
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+        stop(proc)
+
+    shared_store_hit(env)
+    print("serve-smoke: OK")
+    return 0
+
+
+def shared_store_hit(env):
+    """Step 6: ``optimize`` stores a result, the daemon serves it."""
+    cache = tempfile.mkdtemp(prefix="serve-smoke-")
+    try:
+        for name in ("REPRO_FAULTS", "REPRO_NO_CACHE"):
+            os.environ.pop(name, None)
+            env.pop(name, None)
+        os.environ["REPRO_CACHE_DIR"] = env["REPRO_CACHE_DIR"] = cache
+        sys.path.insert(0, os.path.join(REPO, "src"))
+        from repro.api import OptimizationRequest, OptimizerSession
+        from repro.ir import parse_scop
+
+        program = parse_scop(KERNEL)
+        result = OptimizerSession(dataset_size=40).optimize(
+            OptimizationRequest.from_entry(program, {}))
+        if result.from_cache:
+            fail("fresh cache dir answered from the store")
+        expected = json.dumps(result.to_json_dict(), indent=2,
+                              sort_keys=True)
+        step("answered one kernel in-process into " + cache)
+
+        proc, addr = boot(env, "--session",
+                          json.dumps({"dataset_size": 40}))
+        try:
+            status, served, _ = post(addr, {"request": {"source": KERNEL}})
+            if status != 200:
+                fail(f"store-hit request: {status} {served[:200]}")
+            if served != expected:
+                fail("daemon document differs from the in-process one")
+            hits = get_json(addr, "/metrics")[1]["counters"].get(
+                "store_hits_total", 0)
+            if hits != 1:
+                fail(f"expected 1 store hit, metrics say {hits}")
+            step("daemon answered the in-process result from the store, "
+                 "byte-identical")
+            proc.send_signal(signal.SIGTERM)
+            code = proc.wait(timeout=60)
+            if code != 0:
+                fail(f"store-hit daemon exited {code}, want 0")
+        finally:
+            stop(proc)
+    finally:
+        shutil.rmtree(cache, ignore_errors=True)
 
 
 if __name__ == "__main__":

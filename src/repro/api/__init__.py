@@ -11,8 +11,8 @@ or :func:`~repro.api.session.optimize_batch` over
 worker pool as ``repro serve --workers`` (:mod:`repro.serve.supervisor`).
 
 Components are assembled from *registries* (:mod:`repro.api.registry`):
-LLM backends, base compilers, optimizing compilers, retrieval methods
-and transformations are all named, pluggable parts.
+LLM backends, base compilers, optimizing compilers and transformations
+are all named, pluggable parts.
 
 Progress streams through a structured event bus
 (:mod:`repro.api.events`): retrieval, per-candidate generation /
@@ -30,25 +30,22 @@ and the same worker pool as any other batch.
 
 from .events import EventBus, EventLog, SessionEvent
 from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
-                       OPTIMIZER_REGISTRY, RETRIEVAL_METHODS, TRANSFORMS,
+                       OPTIMIZER_REGISTRY, TRANSFORMS,
                        DuplicateComponentError, Registry,
                        UnknownComponentError)
 from .resilience import (RESILIENCE_BUS, CircuitBreaker,
                          CircuitOpenError, ResilientCall, RetryPolicy,
-                         breaker_for, breaker_states,
-                         install_resilient_llm,
-                         install_resilient_optimizer, reset_resilience)
+                         breaker_for, breaker_states, reset_resilience)
 from .session import (OptimizationRequest, OptimizationResult,
                       OptimizerSession, shared_session)
 
 __all__ = [
     "EventBus", "EventLog", "SessionEvent",
     "BASE_COMPILER_REGISTRY", "LLM_BACKENDS", "OPTIMIZER_REGISTRY",
-    "RETRIEVAL_METHODS", "TRANSFORMS",
+    "TRANSFORMS",
     "DuplicateComponentError", "Registry", "UnknownComponentError",
     "RESILIENCE_BUS", "CircuitBreaker", "CircuitOpenError",
     "ResilientCall", "RetryPolicy", "breaker_for", "breaker_states",
-    "install_resilient_llm", "install_resilient_optimizer",
     "reset_resilience",
     "OptimizationRequest", "OptimizationResult", "OptimizerSession",
     "shared_session",

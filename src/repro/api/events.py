@@ -33,16 +33,10 @@ logger = logging.getLogger("repro.api.events")
 #: ring-buffer capacity of an :class:`EventLog` unless overridden —
 #: far above what any real optimization emits (so determinism of
 #: persisted logs is unaffected) yet a hard bound on daemon heap when a
-#: pathological request streams forever
+#: pathological request streams forever.  A constant, not a knob: a
+#: stored document carries its events, and this module is part of the
+#: result store's code signature, so the bound is in every result key.
 DEFAULT_EVENT_LOG_LIMIT = 100_000
-
-
-def _default_event_log_limit() -> int:
-    raw = os.environ.get("REPRO_EVENT_LOG_LIMIT", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return DEFAULT_EVENT_LOG_LIMIT
 
 #: event kinds emitted by the session/pipeline (a vocabulary, not a
 #: closed set — subscribers must tolerate unknown kinds)
@@ -100,18 +94,16 @@ class EventLog:
     """Collects one request's events with a local sequence counter.
 
     Memory is bounded: the log is a ring buffer of ``limit`` events
-    (``REPRO_EVENT_LOG_LIMIT``, default :data:`DEFAULT_EVENT_LOG_LIMIT`;
-    ``limit <= 0`` = unbounded).  When the ring is full the *oldest*
-    event is dropped and :attr:`dropped` counts it — live subscribers
-    still saw every event via ``forward``, only the retained tail is
-    truncated.  Sequence numbers keep counting monotonically, so a
-    truncated log is recognizable by ``events()[0].seq > 0``.
+    (default :data:`DEFAULT_EVENT_LOG_LIMIT`; ``limit <= 0`` =
+    unbounded).  When the ring is full the *oldest* event is dropped
+    and :attr:`dropped` counts it — live subscribers still saw every
+    event via ``forward``, only the retained tail is truncated.
+    Sequence numbers keep counting monotonically, so a truncated log is
+    recognizable by ``events()[0].seq > 0``.
     """
 
     def __init__(self, forward: Optional[Callable[[SessionEvent], None]]
-                 = None, limit: Optional[int] = None) -> None:
-        if limit is None:
-            limit = _default_event_log_limit()
+                 = None, limit: int = DEFAULT_EVENT_LOG_LIMIT) -> None:
         self._events: Deque[SessionEvent] = deque(
             maxlen=limit if limit > 0 else None)
         self._seq = 0

@@ -1,6 +1,6 @@
 """Domain registries: the named parts a session is assembled from.
 
-Four families (plus the transform registry that lives with the
+Three families (plus the transform registry that lives with the
 transforms themselves):
 
 * ``LLM_BACKENDS`` — ``name -> factory(persona, seed) -> llm``.  An llm
@@ -12,13 +12,11 @@ transforms themselves):
   measured binary goes through (gcc / clang / icx).
 * ``OPTIMIZER_REGISTRY`` — the optimizing-compiler baselines
   (``name -> Optimizer`` class, instantiated per use).
-* ``RETRIEVAL_METHODS`` — demonstration ranking strategies:
-  ``name -> strategy(retriever, target, rng) -> [RetrievedDemo]``.
-  The built-ins delegate to :meth:`repro.retrieval.Retriever.rank`'s
-  three methods (loop-aware / bm25 / weighted, the Table 6 ablation).
 
-The artifact store is not a registry family: every store client opens
-:class:`repro.storage.LocalShardedStore`.
+Retrieval methods and the artifact store are not registry families: a
+session names one of :data:`repro.retrieval.retriever.METHODS`
+(loop-aware / bm25 / weighted, the Table 6 ablation), and every store
+client opens :class:`repro.storage.LocalShardedStore`.
 
 Unknown names raise :class:`repro.registry.UnknownComponentError`,
 whose message lists every registered name.
@@ -26,21 +24,17 @@ whose message lists every registered name.
 
 from __future__ import annotations
 
-import random
-from typing import Callable, List
-
 from ..compilers import (BASE_COMPILERS, Graphite, IcxOptimizer,
                          Perspective, Polly, Pluto)
 from ..llm.personas import Persona
 from ..llm.simulated import SimulatedLLM
 from ..registry import (DuplicateComponentError, Registry,
                         UnknownComponentError)
-from ..retrieval.retriever import METHODS, RetrievedDemo, Retriever
 from ..transforms import TRANSFORMS
 
 __all__ = [
     "LLM_BACKENDS", "BASE_COMPILER_REGISTRY", "OPTIMIZER_REGISTRY",
-    "RETRIEVAL_METHODS", "TRANSFORMS",
+    "TRANSFORMS",
     "DuplicateComponentError", "Registry", "UnknownComponentError",
 ]
 
@@ -68,20 +62,3 @@ for _name, _cls in (("pluto", Pluto), ("polly", Polly),
                     ("icx", IcxOptimizer)):
     OPTIMIZER_REGISTRY.register(_name, _cls)
 
-
-# ----------------------------------------------------------------------
-# Retrieval methods
-# ----------------------------------------------------------------------
-RETRIEVAL_METHODS = Registry("retrieval method")
-
-
-def _builtin_method(method: str) -> Callable:
-    def _strategy(retriever: Retriever, target, rng: random.Random
-                  ) -> List[RetrievedDemo]:
-        return retriever.demonstrations(target, rng, method)
-    _strategy.__name__ = f"retrieve_{method.replace('-', '_')}"
-    return _strategy
-
-
-for _method in METHODS:
-    RETRIEVAL_METHODS.register(_method, _builtin_method(_method))

@@ -3,9 +3,10 @@
 The paper's feedback loop assumes the LLM misbehaves per *round*; a
 long-lived service additionally has to assume the backend misbehaves
 per *call* — transient network errors, timeouts, malformed replies.
-This module wraps registry-resolved components (LLM backends from
-:data:`~repro.api.registry.LLM_BACKENDS`, optimizing compilers from
-:data:`~repro.api.registry.OPTIMIZER_REGISTRY`) with two layers:
+Every session's pipeline wraps the LLM backend it resolves from
+:data:`~repro.api.registry.LLM_BACKENDS` in a :class:`ResilientLLM`
+(see :meth:`repro.api.OptimizerSession.pipeline_for`), so ``bench``,
+``optimize`` and ``serve`` share one call path with two layers:
 
 * **retry with decorrelated-jitter backoff** — transient failures are
   retried up to ``attempts`` times, sleeping ``uniform(base, 3*prev)``
@@ -274,12 +275,8 @@ class ResilientCall:
 
 
 # ----------------------------------------------------------------------
-# registry wrappers (the PR-4 pattern: wrapped components re-register
-# under a derived name and work everywhere a name is accepted)
+# the LLM proxy (every session's pipeline wraps its backend in one)
 # ----------------------------------------------------------------------
-RESILIENT_PREFIX = "resilient:"
-
-
 class ResilientLLM:
     """Transparent resilience proxy over one LLM chat session.
 
@@ -302,83 +299,3 @@ class ResilientLLM:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
 
-
-def resilient_llm_backend(name: str,
-                          policy: Optional[RetryPolicy] = None
-                          ) -> Callable:
-    """A backend factory wrapping ``LLM_BACKENDS[name]`` with resilience.
-
-    All sessions created from the returned factory share one breaker
-    (site ``llm:<name>``); each session gets its own retry state.
-    """
-    from .registry import LLM_BACKENDS
-
-    inner_factory = LLM_BACKENDS.get(name)
-    site = f"llm:{name}"
-
-    def factory(persona: Any, seed: int) -> ResilientLLM:
-        return ResilientLLM(inner_factory(persona, seed),
-                            ResilientCall(site, policy=policy))
-    factory.__name__ = f"resilient_{name}_backend"
-    return factory
-
-
-def install_resilient_llm(name: str,
-                          policy: Optional[RetryPolicy] = None) -> str:
-    """Register (idempotently) and return ``resilient:<name>``."""
-    from .registry import LLM_BACKENDS
-
-    if name.startswith(RESILIENT_PREFIX):
-        return name
-    alias = RESILIENT_PREFIX + name
-    LLM_BACKENDS.register(alias, resilient_llm_backend(name, policy),
-                          overwrite=True)
-    return alias
-
-
-class ResilientOptimizer:
-    """Resilience proxy over one optimizing-compiler instance."""
-
-    def __init__(self, inner: Any, call: ResilientCall,
-                 name: str) -> None:
-        self._inner = inner
-        self._call = call
-        self.name = name
-
-    def optimize(self, program: Any, params: Any) -> Any:
-        return self._call(self._inner.optimize, program, params)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-
-def install_resilient_optimizer(name: str,
-                                policy: Optional[RetryPolicy] = None
-                                ) -> str:
-    """Register (idempotently) and return ``resilient:<name>``.
-
-    The wrapper declares the inner optimizer's base compiler so
-    :meth:`OptimizerSession._compiler_baseline` resolves it exactly as it
-    would the unwrapped name.
-    """
-    from ..compilers import OPTIMIZER_BASE
-    from .registry import OPTIMIZER_REGISTRY
-
-    if name.startswith(RESILIENT_PREFIX):
-        return name
-    alias = RESILIENT_PREFIX + name
-    inner_cls = OPTIMIZER_REGISTRY.get(name)
-    site = f"compiler:{name}"
-    base_name = getattr(inner_cls, "base_compiler",
-                        OPTIMIZER_BASE.get(name))
-
-    def factory() -> ResilientOptimizer:
-        wrapper = ResilientOptimizer(inner_cls(),
-                                     ResilientCall(site, policy=policy),
-                                     name=alias)
-        if base_name is not None:
-            wrapper.base_compiler = base_name
-        return wrapper
-    factory.__name__ = f"resilient_{name}_optimizer"
-    OPTIMIZER_REGISTRY.register(alias, factory, overwrite=True)
-    return alias

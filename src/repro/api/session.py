@@ -55,11 +55,12 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
                                    FeedbackPipeline, LOOPRAG_TIME_LIMIT,
                                    PipelineResult)
 from ..registry import UnknownComponentError
-from ..retrieval.retriever import Retriever
+from ..retrieval.retriever import METHODS, Retriever
 from ..synthesis.dataset import Dataset, cached_dataset
 from .events import EventBus, EventLog, SessionEvent
 from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
-                       OPTIMIZER_REGISTRY, RETRIEVAL_METHODS)
+                       OPTIMIZER_REGISTRY)
+from .resilience import ResilientCall, ResilientLLM
 
 #: request kinds the session serves
 SYSTEMS = ("looprag", "basellm", "compiler")
@@ -464,8 +465,10 @@ class OptimizerSession:
         # the registered names in the message
         self.llm_backend = llm_backend
         LLM_BACKENDS.get(llm_backend)
+        if retrieval_method not in METHODS:
+            raise UnknownComponentError("retrieval method",
+                                        retrieval_method, METHODS)
         self.retrieval_method = retrieval_method
-        self._demo_strategy = RETRIEVAL_METHODS.get(retrieval_method)
         if isinstance(base_compiler, str):
             self.base = BASE_COMPILER_REGISTRY.get(base_compiler)
             self.base_name = base_compiler
@@ -540,9 +543,10 @@ class OptimizerSession:
             backend, seed = self.llm_backend, self.seed
 
             def llm_factory():
-                # resolved per run: `repro serve` re-registers its
-                # resilient: aliases with the current retry policy
-                return LLM_BACKENDS.get(backend)(resolved, seed)
+                # resolved per run, so REPRO_RETRY_* changes reach
+                # long-lived registry sessions too
+                return ResilientLLM(LLM_BACKENDS.get(backend)(resolved, seed),
+                                    ResilientCall(f"llm:{backend}"))
             if system == "looprag":
                 pipe = FeedbackPipeline(
                     retriever=self.retriever,
@@ -553,8 +557,7 @@ class OptimizerSession:
                     k=self.k,
                     time_limit=time_limit,
                     use_feedback=True,
-                    seed=seed,
-                    demo_strategy=self._demo_strategy)
+                    seed=seed)
             else:
                 pipe = FeedbackPipeline(
                     retriever=None,

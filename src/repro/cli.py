@@ -308,7 +308,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_inflight=args.max_inflight, queue_depth=args.queue_depth,
         per_client=args.per_client, default_deadline=args.deadline,
         drain_grace=args.drain_grace,
-        resilience=(False if args.no_resilience else None),
         workers=args.workers, worker_memory_mb=args.worker_mem,
         worker_cpu_s=args.worker_cpu,
         worker_hang_timeout=args.hang_timeout,
@@ -602,9 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds SIGTERM waits for in-flight work "
                           "before cancelling it (REPRO_SERVE_DRAIN, "
                           "default 10)")
-    srv.add_argument("--no-resilience", action="store_true",
-                     help="disable the retry/circuit-breaker wrapper "
-                          "around LLM backends")
     srv.add_argument("--session", metavar="JSON",
                      help="default session spec for requests that "
                           "send none, e.g. '{\"dataset_size\": 300}'")

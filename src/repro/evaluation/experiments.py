@@ -398,15 +398,15 @@ def fig10_faster_vs_colagen() -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Table 6 / Figure 11 — retrieval ablation
 # ----------------------------------------------------------------------
-_RETRIEVAL_METHODS = (("Loop-aware", "loop-aware"), ("BM25", "bm25"),
-                      ("Weighted Score", "weighted"))
+_TAB6_METHODS = (("Loop-aware", "loop-aware"), ("BM25", "bm25"),
+                 ("Weighted Score", "weighted"))
 
 
 def tab6_retrieval() -> ExperimentResult:
     run_plans(_looprag_gcc_plans(
-        methods=[m for _, m in _RETRIEVAL_METHODS]))
+        methods=[m for _, m in _TAB6_METHODS]))
     rows = []
-    for label, method in _RETRIEVAL_METHODS:
+    for label, method in _TAB6_METHODS:
         for persona in PERSONAS:
             cells: List = [label, persona.model_id]
             for suite in SUITE_NAMES:
@@ -426,9 +426,9 @@ def tab6_retrieval() -> ExperimentResult:
 
 def fig11_faster_retrieval() -> ExperimentResult:
     run_plans(_looprag_gcc_plans(
-        methods=[m for _, m in _RETRIEVAL_METHODS]))
+        methods=[m for _, m in _TAB6_METHODS]))
     rows = []
-    for label, method in _RETRIEVAL_METHODS[1:]:
+    for label, method in _TAB6_METHODS[1:]:
         for persona in PERSONAS:
             cells: List = [f"loop-aware vs {label}", persona.model_id]
             for suite in SUITE_NAMES:

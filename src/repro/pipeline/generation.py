@@ -151,8 +151,7 @@ class FeedbackPipeline:
                  k: int = DEFAULT_K,
                  time_limit: float = DEFAULT_TIME_LIMIT,
                  use_feedback: bool = True,
-                 seed: int = 0,
-                 demo_strategy: Optional[Callable] = None) -> None:
+                 seed: int = 0) -> None:
         self.retriever = retriever
         self.llm_factory = llm_factory
         self.base = base_compiler
@@ -162,12 +161,6 @@ class FeedbackPipeline:
         self.time_limit = time_limit
         self.use_feedback = use_feedback
         self.seed = seed
-        #: pluggable demonstration ranking: ``(retriever, target, rng) ->
-        #: [RetrievedDemo]``.  ``None`` falls back to the retriever's
-        #: built-in ``demonstrations`` under ``retrieval_method`` — the
-        #: registry entries for the built-in methods do exactly that, so
-        #: either spelling produces bit-identical demos.
-        self.demo_strategy = demo_strategy
 
     # ------------------------------------------------------------------
     def run(self, target: Program, perf_params: Mapping[str, int],
@@ -186,12 +179,8 @@ class FeedbackPipeline:
 
         demos: Tuple[RetrievedDemo, ...] = ()
         if self.retriever is not None:
-            if self.demo_strategy is not None:
-                demos = tuple(self.demo_strategy(self.retriever, target,
-                                                 rng))
-            else:
-                demos = tuple(self.retriever.demonstrations(
-                    target, rng, self.retrieval_method))
+            demos = tuple(self.retriever.demonstrations(
+                target, rng, self.retrieval_method))
             emit("retrieval_done", method=self.retrieval_method,
                  demos=[d.entry.name for d in demos])
             prompt = demo_prompt(target, target_text, demos)

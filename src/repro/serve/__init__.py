@@ -1,8 +1,9 @@
 """The fault-tolerant ``repro serve`` daemon.
 
 A stdlib-only long-lived HTTP/JSON service over warm
-:class:`~repro.api.OptimizerSession` pools, with bounded admission,
-per-request deadlines, retry/breaker resilience around backends,
+:class:`~repro.api.OptimizerSession` objects (one per spec, from
+:func:`~repro.api.session.shared_session`), with bounded admission,
+per-request deadlines, the sessions' retry/breaker resilience,
 supervised worker-process isolation (:mod:`repro.serve.supervisor`),
 a durable write-ahead request journal (:mod:`repro.serve.journal`),
 graceful drain, and ``/healthz`` + ``/metrics`` + ``/quarantine``.

@@ -70,7 +70,6 @@ class ServeConfig:
     per_client: int = 4
     default_deadline: float = 0.0
     drain_grace: float = 10.0
-    resilience: bool = True
     workers: int = 0
     worker_memory_mb: int = 0
     worker_cpu_s: int = 0

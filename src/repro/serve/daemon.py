@@ -12,9 +12,11 @@ Stdlib only (:mod:`http.server` + threads).  One
 * **deadlines** — per-request (``deadline_s``) or the configured
   default, propagated into the pipeline as a cooperative
   :class:`~repro.cancellation.CancelToken`; expiry answers ``504``;
-* the **resilience layer** — unless disabled, the request's LLM
-  backend is transparently re-registered as ``resilient:<name>``
-  (retry/backoff + circuit breaker, see :mod:`repro.api.resilience`);
+* the **resilience layer** — retry/backoff and circuit breaking
+  around every LLM call come with the session itself (see
+  :mod:`repro.api.resilience`), so a daemon request runs on the same
+  session and result-store key as ``repro bench`` and ``repro
+  optimize``; the daemon counts the retry and breaker events;
 * **graceful drain** — SIGTERM/SIGINT stop admission, let in-flight
   work finish (``drain_grace`` seconds), cancel what remains, then
   exit 0;
@@ -78,8 +80,7 @@ from pathlib import Path
 from ..api import (OptimizationRequest, OptimizerSession,
                    UnknownComponentError)
 from ..api.resilience import (CircuitOpenError, RESILIENCE_BUS,
-                              RetryPolicy, breaker_states,
-                              install_resilient_llm)
+                              breaker_states)
 from ..api.session import SESSIONS, shared_session
 from ..cancellation import Cancelled, CancelToken, DeadlineExceeded
 from ..evaluation.store import STORE_DIR, cache_dir
@@ -165,13 +166,11 @@ class ServeDaemon:
     # sessions
     # ------------------------------------------------------------------
     def _merged_spec(self, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Defaults + request spec, validated — resilience not applied.
+        """Defaults + request spec, validated.
 
-        This is what a supervised worker receives: the worker installs
-        its own ``resilient:`` alias through :meth:`_effective_spec`
-        (breakers/retries are per-process state), which keeps the
-        session key — and therefore the result bytes — identical to the
-        in-process path.
+        This is what a supervised worker receives; it resolves the same
+        registry session the in-process path would (breakers and
+        retries are per-process state inside that session's pipeline).
         """
         merged = dict(self.config.default_session)
         merged.update(spec or {})
@@ -182,18 +181,11 @@ class ServeDaemon:
                 f"allowed: {', '.join(SESSION_KEYS)}")
         return merged
 
-    def _effective_spec(self, spec: Dict[str, Any]) -> Dict[str, Any]:
-        merged = self._merged_spec(spec)
-        if self.config.resilience:
-            backend = merged.get("llm_backend", "simulated")
-            merged["llm_backend"] = install_resilient_llm(
-                backend, RetryPolicy.from_env())
-        return merged
-
     def session_for(self, spec: Dict[str, Any]) -> OptimizerSession:
-        """The warm session for this configuration; a forked worker
-        resolves its jobs' sessions through this too."""
-        return shared_session(**self._effective_spec(spec))
+        """The warm session for this configuration — the same
+        :func:`shared_session` ``bench`` and ``optimize`` use; a forked
+        worker resolves its jobs' sessions through this too."""
+        return shared_session(**self._merged_spec(spec))
 
     # ------------------------------------------------------------------
     # request materialization

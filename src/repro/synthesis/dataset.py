@@ -160,8 +160,8 @@ def _dataset_cache_key(size: int, seed: int, generator: str) -> str:
 
     The key embeds :func:`dataset_signature`, so any edit to a
     corpus-determining module changes the key — stale corpora are
-    simply never found again (``make clean-cache`` reclaims them, and
-    ``repro store compact`` drops superseded ones).
+    simply never found again (``make clean-cache`` reclaims them; every
+    rebuild compacts away superseded and undecodable lines).
     """
     sig = dataset_signature(size, seed, generator)
     return f"{generator}-n{size}-s{seed}-{sig}"
@@ -200,6 +200,11 @@ def _store_persistent(dataset: Dataset, size: int, seed: int,
     store.append(DATASETS_STREAM,
                  _dataset_cache_key(size, seed, generator),
                  dataset_to_payload(dataset))
+    # a rebuild usually means the old line is dead (damaged, an older
+    # store format, or superseded): reclaim it now rather than have
+    # every later process map and skip it; next to a rebuild's tens of
+    # seconds the rewrite is free
+    store.compact(DATASETS_STREAM)
 
 
 def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,

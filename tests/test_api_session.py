@@ -323,20 +323,12 @@ class TestEvents:
         assert [e.kind for e in log.events()] == ["b"]
         assert log.dropped == 1
 
-    def test_event_log_limit_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EVENT_LOG_LIMIT", "2")
-        log = EventLog()
+    def test_event_log_limit_zero_is_unbounded(self):
+        log = EventLog(limit=0)
         for i in range(4):
             log.emit("tick", i=i)
-        assert len(log) == 2
-        assert log.dropped == 2
-        # limit <= 0 = unbounded (the pre-ring behavior)
-        monkeypatch.setenv("REPRO_EVENT_LOG_LIMIT", "0")
-        unbounded = EventLog()
-        for i in range(4):
-            unbounded.emit("tick", i=i)
-        assert len(unbounded) == 4
-        assert unbounded.dropped == 0
+        assert len(log) == 4
+        assert log.dropped == 0
 
 
 class TestRegistries:

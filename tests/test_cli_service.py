@@ -129,7 +129,10 @@ class TestExitCodes:
         assert code == (0 if doc["result"]["passed"] else 1)
 
     def test_serve_batch_exits_2_when_any_request_errors(
-            self, kernel_file, tmp_path, capsys):
+            self, kernel_file, tmp_path, capsys, monkeypatch):
+        # --no-cache sets REPRO_NO_CACHE in os.environ; registering the
+        # variable here restores it for the tests that run after this one
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
         spec = {
             "session": {"dataset_size": 40},
             "requests": [

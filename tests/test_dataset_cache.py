@@ -124,13 +124,14 @@ class TestPersistentCache:
             assert len(payload["entries"]) == SIZE
             assert isinstance(payload["entries"][0]["program"], str)
         stats = active_artifacts().stream_stats(DATASETS_STREAM)
-        assert stats.superseded == 4  # two bad overwrites + two rebuilds
+        # each rebuild compacted the stream: no bad overwrite survives
+        assert (stats.entries, stats.superseded) == (1, 0)
 
     def test_schema_one_corpus_is_rebuilt_as_schema_two(
             self, isolated_cache, monkeypatch):
         """A store holding only a corpus line of the earlier store
-        format counts it corrupt, rebuilds the corpus and rewrites it
-        in the current format."""
+        format rebuilds the corpus, rewrites it in the current format
+        and compacts the dead line away."""
         built = cached_dataset(SIZE, SEED)
         key = _dataset_cache_key(SIZE, SEED, "looprag")
         payload = active_artifacts().read(DATASETS_STREAM, key)
@@ -147,7 +148,23 @@ class TestPersistentCache:
         assert len(builds) == 1
         assert ranks(rebuilt) == ranks(built)
         stats = active_artifacts().stream_stats(DATASETS_STREAM)
-        assert (stats.entries, stats.corrupt) == (1, 1)
-        _old, new = path.read_bytes().splitlines()
+        assert (stats.entries, stats.corrupt) == (1, 0)
+        [new] = path.read_bytes().splitlines()
         assert json.loads(new)["schema"] == STORAGE_SCHEMA == 2
         assert json.loads(new)["payload"] == payload
+
+    def test_rebuild_reclaims_an_undecodable_corpus_line(
+            self, isolated_cache):
+        """Scans skip a dead line every time it is read; the rebuild
+        that replaces it must also remove it from the shard."""
+        cached_dataset(SIZE, SEED)
+        [path] = active_artifacts().shard_paths(DATASETS_STREAM)
+        good = path.read_bytes()
+        path.write_bytes(b'{"schema":2,"key":\x00 not a store line\n')
+        forget_memory()
+        assert active_artifacts().stream_stats(
+            DATASETS_STREAM).corrupt == 1
+        cached_dataset(SIZE, SEED)
+        stats = active_artifacts().stream_stats(DATASETS_STREAM)
+        assert (stats.entries, stats.corrupt) == (1, 0)
+        assert path.read_bytes() == good

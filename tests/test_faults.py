@@ -6,8 +6,7 @@ import time
 import pytest
 
 from repro.api import OptimizationRequest, OptimizerSession
-from repro.api.resilience import (RetryPolicy, install_resilient_llm,
-                                  reset_resilience)
+from repro.api.resilience import reset_resilience
 from repro.ir import parse_scop
 from repro.testing.faults import (FaultClause, FaultInjected, FaultPlan,
                                   FaultTimeout, MalformedReply,
@@ -240,17 +239,17 @@ class TestInjectedBackends:
         assert "faulty" in LLM_BACKENDS.names()
         assert "faulty-pluto" in OPTIMIZER_REGISTRY.names()
 
-    def test_injected_faults_never_change_results(self):
+    def test_injected_faults_never_change_results(self, monkeypatch):
         """The headline determinism contract.
 
         A run whose ``llm.generate`` calls fail twice and get retried
-        must produce the byte-identical result document of a fault-free
-        run: faults fire before the inner model consumes randomness.
+        by the session's own LLM call path must produce the
+        byte-identical result document of a fault-free run: faults fire
+        before the inner model consumes randomness.
         """
+        monkeypatch.setenv("REPRO_RETRY_BASE", "0.0001")
         register_fault_backends()
-        alias = install_resilient_llm(
-            "faulty", RetryPolicy(attempts=4, base=0.0001, cap=0.0005))
-        session = OptimizerSession(dataset_size=40, llm_backend=alias)
+        session = OptimizerSession(dataset_size=40, llm_backend="faulty")
         request = OptimizationRequest.make(
             parse_scop(KERNEL), {"N": 1500}, {"N": 8},
             system="looprag", persona="deepseek")

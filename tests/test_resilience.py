@@ -1,18 +1,15 @@
-"""Retry/backoff, circuit breakers, and the resilient registry wrappers."""
+"""Retry/backoff, circuit breakers, and the sessions' LLM proxy."""
 
 import pytest
 
-from repro.api.registry import LLM_BACKENDS, OPTIMIZER_REGISTRY
+from repro.api import OptimizerSession
 from repro.api.resilience import (RESILIENCE_BUS, CircuitBreaker,
                                   CircuitOpenError, ResilientCall,
-                                  RetryPolicy, breaker_for, breaker_states,
-                                  install_resilient_llm,
-                                  install_resilient_optimizer, is_transient,
+                                  ResilientLLM, RetryPolicy, breaker_for,
+                                  breaker_states, is_transient,
                                   reset_resilience)
 from repro.cancellation import Cancelled
-from repro.compilers import OPTIMIZER_BASE
-from repro.testing.faults import (FaultPlan, install_plan,
-                                  register_fault_backends)
+from repro.testing.faults import install_plan, register_fault_backends
 
 FAST = RetryPolicy(attempts=4, base=0.0001, cap=0.0005)
 
@@ -211,32 +208,13 @@ class TestCircuitBreaker:
         assert breaker_states() == {}
 
 
-class TestRegistryWrappers:
-    def test_install_resilient_llm_registers_alias(self):
-        alias = install_resilient_llm("simulated", FAST)
-        assert alias == "resilient:simulated"
-        assert "resilient:simulated" in LLM_BACKENDS.names()
-        # idempotent, and already-wrapped names pass through
-        assert install_resilient_llm("simulated", FAST) == alias
-        assert install_resilient_llm(alias) == alias
-
-    def test_resilient_optimizer_retries_injected_faults(self, gemm,
-                                                         bus_events):
+class TestSessionLLM:
+    def test_every_session_wraps_its_backend(self):
         register_fault_backends()
-        alias = install_resilient_optimizer("pluto", FAST)
-        assert alias == "resilient:pluto"
-        wrapper = OPTIMIZER_REGISTRY.get(alias)()
-        assert wrapper.base_compiler == OPTIMIZER_BASE["pluto"]
-        params = {p: 8 for p in gemm.params}
-        clean = wrapper.optimize(gemm, params)
-
-        faulty_alias = install_resilient_optimizer("faulty-pluto", FAST)
-        faulty = OPTIMIZER_REGISTRY.get(faulty_alias)()
-        plan = FaultPlan.parse("compiler.optimize:raise:times=1")
-        install_plan(plan)
-        retried = faulty.optimize(gemm, params)
-        assert plan.counts() == (("compiler.optimize:raise", 2, 1),)
-        assert retried.ok == clean.ok
-        retry_events = [e for e in bus_events if e.kind == "retry"]
-        assert [e.get("site") for e in retry_events] == \
-            ["compiler:faulty-pluto"]
+        for backend in ("simulated", "faulty"):
+            session = OptimizerSession(llm_backend=backend,
+                                       use_store=False)
+            llm = session.pipeline_for("basellm", "deepseek").llm_factory()
+            assert isinstance(llm, ResilientLLM)
+            assert llm._call.site == f"llm:{backend}"
+            assert session.llm_backend == backend

@@ -523,7 +523,7 @@ class TestSessionPool:
         daemon = make_daemon()
         first = daemon.session_for({"seed": 0})
         assert daemon.session_for({"seed": 0}) is first
-        assert shared_session(**daemon._effective_spec({"seed": 0})) \
+        assert shared_session(**daemon._merged_spec({"seed": 0})) \
             is first
         assert daemon.session_for({"seed": 1}) is not first
         _, doc, _ = _get(daemon.address, "/metrics")
@@ -531,12 +531,26 @@ class TestSessionPool:
         _, doc, _ = _get(daemon.address, "/healthz")
         assert doc["sessions"] == len(SESSIONS)
 
-    def test_resilience_wraps_the_backend(self, make_daemon):
-        daemon = make_daemon()
-        assert daemon._effective_spec({})["llm_backend"] == \
-            "resilient:simulated"
-        plain = make_daemon(resilience=False)
-        assert "llm_backend" not in plain._effective_spec({})
+    def test_daemon_uses_the_entry_points_session(self, make_daemon):
+        daemon = make_daemon(default_session={})
+        assert daemon.session_for({}) is shared_session()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_result_stored_by_optimize_is_a_daemon_store_hit(
+            self, make_daemon, monkeypatch, workers):
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        tag = f"cross-entry-{workers}"
+        request = OptimizationRequest.make(
+            parse_scop(KERNEL), {"N": 1500}, {"N": 8},
+            system="looprag", persona="deepseek", tag=tag)
+        stored = shared_session(dataset_size=40).optimize(request)
+        daemon = make_daemon(workers=workers)
+        status, text, _ = _post(daemon.address, {
+            "request": {"source": KERNEL, "tag": tag}})
+        assert status == 200
+        assert text == json.dumps(stored.to_json_dict(), indent=2,
+                                  sort_keys=True)
+        assert daemon.metrics.get("store_hits_total") == 1
 
     def test_unknown_session_field_is_rejected(self, make_daemon):
         daemon = make_daemon()
