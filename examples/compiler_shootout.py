@@ -10,9 +10,7 @@ import warnings
 
 warnings.filterwarnings("ignore")
 
-from repro.compilers import (BASE_COMPILERS, Graphite, IcxOptimizer,
-                             Perspective, Polly, Pluto)
-from repro.evaluation.harness import OPTIMIZER_BASE
+from repro.compilers import BASE_COMPILERS, OPTIMIZERS
 from repro.ir import parse_scop
 from repro.machine import DEFAULT_MACHINE, estimate
 
@@ -48,15 +46,13 @@ scop jacobi_2d(T, N) {
 """, {"T": 500, "N": 1500}),
 }
 
-OPTIMIZERS = [Pluto(), Polly(), Graphite(), Perspective(), IcxOptimizer()]
-
-
 def main() -> None:
     for name, (source, params) in KERNELS.items():
         program = parse_scop(source)
         print(f"\n=== {name} ===")
-        for optimizer in OPTIMIZERS:
-            base = BASE_COMPILERS[OPTIMIZER_BASE[optimizer.name]]
+        for optimizer_cls in OPTIMIZERS.values():
+            optimizer = optimizer_cls()
+            base = BASE_COMPILERS[optimizer.base_compiler]
             baseline = estimate(base.finalize(program), params).seconds
             result = optimizer.optimize(program, params)
             if not result.ok:

@@ -14,7 +14,7 @@ Public API tour:
 * ``repro.llm``           — Appendix-E prompts + simulated LLM personas
 * ``repro.testing``       — mutation + differential testing
 * ``repro.pipeline``      — the four-step feedback loop
-* ``repro.api``           — the service API: sessions, registries, events
+* ``repro.api``           — the service API: sessions, named parts, events
 * ``repro.suites``        — PolyBench (30) / TSVC (84) / LORE (49)
 * ``repro.evaluation``    — every table and figure of the paper
 

@@ -10,9 +10,11 @@ or :func:`~repro.api.session.optimize_batch` over
 ``(session, request)`` pairs), whose misses run on the same supervised
 worker pool as ``repro serve --workers`` (:mod:`repro.serve.supervisor`).
 
-Components are assembled from *registries* (:mod:`repro.api.registry`):
-LLM backends, base compilers, optimizing compilers and transformations
-are all named, pluggable parts.
+Components are named parts looked up in plain tables that live next
+to the code they name: :data:`repro.llm.LLM_BACKENDS`,
+:data:`repro.compilers.BASE_COMPILERS`, :data:`repro.compilers.OPTIMIZERS`
+and :data:`repro.transforms.TRANSFORMS`.  An unknown name raises
+:class:`~repro.registry.UnknownComponentError` listing the known ones.
 
 Progress streams through a structured event bus
 (:mod:`repro.api.events`): retrieval, per-candidate generation /
@@ -29,10 +31,10 @@ and the same worker pool as any other batch.
 """
 
 from .events import EventBus, EventLog, SessionEvent
-from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
-                       OPTIMIZER_REGISTRY, TRANSFORMS,
-                       DuplicateComponentError, Registry,
-                       UnknownComponentError)
+from ..compilers import BASE_COMPILERS, OPTIMIZERS
+from ..llm import LLM_BACKENDS
+from ..registry import UnknownComponentError
+from ..transforms import TRANSFORMS
 from .resilience import (RESILIENCE_BUS, CircuitBreaker,
                          CircuitOpenError, ResilientCall, RetryPolicy,
                          breaker_for, breaker_states, reset_resilience)
@@ -41,9 +43,8 @@ from .session import (OptimizationRequest, OptimizationResult,
 
 __all__ = [
     "EventBus", "EventLog", "SessionEvent",
-    "BASE_COMPILER_REGISTRY", "LLM_BACKENDS", "OPTIMIZER_REGISTRY",
-    "TRANSFORMS",
-    "DuplicateComponentError", "Registry", "UnknownComponentError",
+    "BASE_COMPILERS", "LLM_BACKENDS", "OPTIMIZERS", "TRANSFORMS",
+    "UnknownComponentError",
     "RESILIENCE_BUS", "CircuitBreaker", "CircuitOpenError",
     "ResilientCall", "RetryPolicy", "breaker_for", "breaker_states",
     "reset_resilience",

@@ -30,12 +30,12 @@ from typing import (Any, Callable, Deque, Dict, Mapping, Optional, Tuple)
 
 logger = logging.getLogger("repro.api.events")
 
-#: ring-buffer capacity of an :class:`EventLog` unless overridden —
-#: far above what any real optimization emits (so determinism of
-#: persisted logs is unaffected) yet a hard bound on daemon heap when a
-#: pathological request streams forever.  A constant, not a knob: a
-#: stored document carries its events, and this module is part of the
-#: result store's code signature, so the bound is in every result key.
+#: ring-buffer capacity of every :class:`EventLog` — far above what any
+#: real optimization emits (so determinism of persisted logs is
+#: unaffected) yet a hard bound on daemon heap when a pathological
+#: request streams forever.  A constant, not a knob: a stored document
+#: carries its events, and this module is part of the result store's
+#: code signature, so the bound is in every result key.
 DEFAULT_EVENT_LOG_LIMIT = 100_000
 
 #: event kinds emitted by the session/pipeline (a vocabulary, not a
@@ -93,19 +93,19 @@ class SessionEvent:
 class EventLog:
     """Collects one request's events with a local sequence counter.
 
-    Memory is bounded: the log is a ring buffer of ``limit`` events
-    (default :data:`DEFAULT_EVENT_LOG_LIMIT`; ``limit <= 0`` =
-    unbounded).  When the ring is full the *oldest* event is dropped
-    and :attr:`dropped` counts it — live subscribers still saw every
-    event via ``forward``, only the retained tail is truncated.
+    Memory is bounded: the log is a ring buffer of
+    :data:`DEFAULT_EVENT_LOG_LIMIT` events, read when the log is made.
+    When the ring is full the *oldest* event is dropped and
+    :attr:`dropped` counts it — live subscribers still saw every event
+    via ``forward``, only the retained tail is truncated.
     Sequence numbers keep counting monotonically, so a truncated log is
     recognizable by ``events()[0].seq > 0``.
     """
 
     def __init__(self, forward: Optional[Callable[[SessionEvent], None]]
-                 = None, limit: int = DEFAULT_EVENT_LOG_LIMIT) -> None:
+                 = None) -> None:
         self._events: Deque[SessionEvent] = deque(
-            maxlen=limit if limit > 0 else None)
+            maxlen=DEFAULT_EVENT_LOG_LIMIT)
         self._seq = 0
         self._forward = forward
         #: events evicted from the ring (oldest-first) since creation
@@ -115,8 +115,7 @@ class EventLog:
         event = SessionEvent.make(self._seq, kind, data,
                                   wall=time.time())
         self._seq += 1
-        if (self._events.maxlen is not None
-                and len(self._events) == self._events.maxlen):
+        if len(self._events) == self._events.maxlen:
             self.dropped += 1
         self._events.append(event)
         if self._forward is not None:

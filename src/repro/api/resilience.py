@@ -4,7 +4,7 @@ The paper's feedback loop assumes the LLM misbehaves per *round*; a
 long-lived service additionally has to assume the backend misbehaves
 per *call* — transient network errors, timeouts, malformed replies.
 Every session's pipeline wraps the LLM backend it resolves from
-:data:`~repro.api.registry.LLM_BACKENDS` in a :class:`ResilientLLM`
+:data:`~repro.llm.LLM_BACKENDS` in a :class:`ResilientLLM`
 (see :meth:`repro.api.OptimizerSession.pipeline_for`), so ``bench``,
 ``optimize`` and ``serve`` share one call path with two layers:
 

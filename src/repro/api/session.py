@@ -23,8 +23,9 @@ system, and the machine model — and serves typed
   take their sessions from it, one per spec.  Sessions over one corpus
   share one retriever index through the retriever memo beside it.
 
-Components are resolved from the registries in
-:mod:`repro.api.registry`; unknown names raise
+Components are named parts resolved from plain tables
+(:data:`repro.llm.LLM_BACKENDS`, :data:`repro.compilers.BASE_COMPILERS`,
+:data:`repro.compilers.OPTIMIZERS`); unknown names raise
 :class:`~repro.registry.UnknownComponentError` listing the registered
 alternatives.
 
@@ -44,22 +45,21 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional,
 
 from ..cancellation import CancelToken, cancel_scope
 from ..codegen import scop_body_to_c
-from ..compilers import OPTIMIZER_BASE
+from ..compilers import BASE_COMPILERS, OPTIMIZERS
 from ..compilers.base import BaseCompiler
 from ..ir.program import Program
 from ..ir.serialize import program_from_json, program_to_json
+from ..llm import LLM_BACKENDS
 from ..llm.personas import PERSONAS, Persona
 from ..machine.analytical import estimate_cached
 from ..machine.model import DEFAULT_MACHINE, MachineModel
 from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
                                    FeedbackPipeline, LOOPRAG_TIME_LIMIT,
                                    PipelineResult)
-from ..registry import UnknownComponentError
+from ..registry import UnknownComponentError, lookup
 from ..retrieval.retriever import METHODS, Retriever
 from ..synthesis.dataset import Dataset, cached_dataset
 from .events import EventBus, EventLog, SessionEvent
-from .registry import (BASE_COMPILER_REGISTRY, LLM_BACKENDS,
-                       OPTIMIZER_REGISTRY)
 from .resilience import ResilientCall, ResilientLLM
 
 #: request kinds the session serves
@@ -439,7 +439,7 @@ def _corpus_retriever(dataset_size: int, seed: int,
 class OptimizerSession:
     """A long-lived optimization service instance.
 
-    All configuration is named components resolved through registries
+    All configuration is named parts looked up in plain tables
     (validated eagerly, with actionable errors); all heavy state is
     built lazily, once, and shared across every request and worker.
 
@@ -464,13 +464,14 @@ class OptimizerSession:
         # eager component validation: typos fail at construction, with
         # the registered names in the message
         self.llm_backend = llm_backend
-        LLM_BACKENDS.get(llm_backend)
+        lookup(LLM_BACKENDS, "LLM backend", llm_backend)
         if retrieval_method not in METHODS:
             raise UnknownComponentError("retrieval method",
                                         retrieval_method, METHODS)
         self.retrieval_method = retrieval_method
         if isinstance(base_compiler, str):
-            self.base = BASE_COMPILER_REGISTRY.get(base_compiler)
+            self.base = lookup(BASE_COMPILERS, "base compiler",
+                               base_compiler)
             self.base_name = base_compiler
         else:
             self.base = base_compiler
@@ -545,7 +546,8 @@ class OptimizerSession:
             def llm_factory():
                 # resolved per run, so REPRO_RETRY_* changes reach
                 # long-lived registry sessions too
-                return ResilientLLM(LLM_BACKENDS.get(backend)(resolved, seed),
+                factory = lookup(LLM_BACKENDS, "LLM backend", backend)
+                return ResilientLLM(factory(resolved, seed),
                                     ResilientCall(f"llm:{backend}"))
             if system == "looprag":
                 pipe = FeedbackPipeline(
@@ -681,17 +683,8 @@ class OptimizerSession:
         name = request.optimizer
         if name is None:
             raise ValueError("compiler requests need optimizer=<name>")
-        optimizer = OPTIMIZER_REGISTRY.get(name)()
-        # plugin optimizers declare their base compiler on the class;
-        # the paper's five baselines are mapped in OPTIMIZER_BASE
-        base_name = getattr(optimizer, "base_compiler",
-                            OPTIMIZER_BASE.get(name))
-        if base_name is None:
-            raise ValueError(
-                f"optimizer {name!r} declares no base compiler; set a "
-                f"`base_compiler` attribute on the class or add it to "
-                f"repro.compilers.OPTIMIZER_BASE")
-        base = BASE_COMPILER_REGISTRY.get(base_name)
+        optimizer = lookup(OPTIMIZERS, "optimizing compiler", name)()
+        base = BASE_COMPILERS[optimizer.base_compiler]
         machine: MachineModel = getattr(optimizer, "machine_override",
                                         DEFAULT_MACHINE)
         limit = request.effective_time_limit()

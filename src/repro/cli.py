@@ -27,9 +27,13 @@ Parameter bindings are given as ``NAME=VALUE`` pairs, e.g.::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import warnings
-from typing import Dict, Sequence
+from typing import Dict, Iterator, Sequence
+
+from .compilers import OPTIMIZERS
 
 warnings.filterwarnings("ignore")
 
@@ -42,6 +46,33 @@ def _parse_bindings(pairs: Sequence[str]) -> Dict[str, int]:
             raise SystemExit(f"expected NAME=VALUE, got {pair!r}")
         out[name] = int(value)
     return out
+
+
+@contextlib.contextmanager
+def _store_env(args: argparse.Namespace,
+               **extra: str) -> Iterator[None]:
+    """Apply ``--no-cache`` / ``--cache-dir`` (and ``extra``) through the
+    environment for one command, then restore it.
+
+    The store and the suite limit read the environment, and forked
+    batch workers inherit it; restoring it keeps one ``main()`` call's
+    settings out of every later call in the same process.
+    """
+    values = dict(extra)
+    if args.no_cache:
+        values["REPRO_NO_CACHE"] = "1"
+    if args.cache_dir:
+        values["REPRO_CACHE_DIR"] = args.cache_dir
+    saved = {name: os.environ.get(name) for name in values}
+    os.environ.update(values)
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
 
 def _load_program(path: str):
@@ -96,16 +127,15 @@ def _result_exit_code(result) -> int:
 
 def cmd_compilers(args: argparse.Namespace) -> int:
     from .api import OptimizationRequest
-    from .compilers import (BASE_COMPILERS, Graphite, IcxOptimizer,
-                            OPTIMIZER_BASE, Perspective, Polly, Pluto)
+    from .compilers import BASE_COMPILERS
     from .machine import DEFAULT_MACHINE, estimate_cached
 
     program = _load_program(args.file)
     perf = OptimizationRequest.from_entry(
         program, {"perf": _parse_bindings(args.perf)}).perf()
-    for optimizer in (Pluto(), Polly(), Graphite(), Perspective(),
-                      IcxOptimizer()):
-        base = BASE_COMPILERS[OPTIMIZER_BASE[optimizer.name]]
+    for optimizer_cls in OPTIMIZERS.values():
+        optimizer = optimizer_cls()
+        base = BASE_COMPILERS[optimizer.base_compiler]
         baseline = estimate_cached(base.finalize(program), perf,
                                    DEFAULT_MACHINE).seconds
         result = optimizer.optimize(program, perf)
@@ -134,7 +164,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 #: `repro bench --system` tokens -> plan factories
 BENCH_LLM_SYSTEMS = ("looprag-deepseek", "looprag-gpt4",
                      "base-deepseek", "base-gpt4")
-BENCH_COMPILERS = ("pluto", "polly", "graphite", "perspective", "icx")
+BENCH_COMPILERS = tuple(OPTIMIZERS)
 BENCH_SUITES = ("polybench", "tsvc", "lore")
 
 
@@ -151,15 +181,13 @@ def _bench_plan(system: str, suite: str, base: str):
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import os
+    extra = ({} if args.limit is None
+             else {"REPRO_SUITE_LIMIT": str(args.limit)})
+    with _store_env(args, **extra):
+        return _bench(args)
 
-    if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
-    if args.limit is not None:
-        os.environ["REPRO_SUITE_LIMIT"] = str(args.limit)
 
+def _bench(args: argparse.Namespace) -> int:
     from .evaluation.harness import run_plans
     from .evaluation.reporting import (bench_report, render_bench,
                                        render_json)
@@ -195,8 +223,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _batch_requests(spec: dict, base_dir: str):
     """Materialize ``OptimizationRequest`` objects from a batch spec."""
-    import os
-
     from .api import OptimizationRequest
     from .ir import parse_scop
 
@@ -226,15 +252,14 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     Requests fan out across ``--jobs`` workers with persistent-store
     hits resolved first; the report is byte-stable across runs.
     """
+    with _store_env(args):
+        return _serve_batch(args)
+
+
+def _serve_batch(args: argparse.Namespace) -> int:
     import json
-    import os
 
     from .api import OptimizerSession
-
-    if args.no_cache:
-        os.environ["REPRO_NO_CACHE"] = "1"
-    if args.cache_dir:
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
 
     if args.batch == "-":
         spec = json.load(sys.stdin)
@@ -373,7 +398,6 @@ def cmd_store_stats(args: argparse.Namespace) -> int:
 def cmd_store_compact(args: argparse.Namespace) -> int:
     """Drop superseded/tombstoned/corrupt records from every stream."""
     import json
-    import os
 
     from .serve.journal import ENV_JOURNAL_KEEP, JOURNAL_STREAM
     from .serve.journal import prune_finished

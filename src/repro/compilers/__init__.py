@@ -1,5 +1,7 @@
 """Simulated compiler baselines (Table 1) and the PLuTo demo source."""
 
+from typing import Dict, Type
+
 from .base import (BASE_COMPILERS, CLANG, GCC, ICX, BaseCompiler, Optimizer,
                    OptimizerResult, vector_violations)
 from .graphite import Graphite
@@ -8,12 +10,14 @@ from .perspective import Perspective
 from .polly import Polly
 from .pluto import Pluto
 
-#: which base compiler each optimizing baseline rides on (§6.1)
-OPTIMIZER_BASE = {"graphite": "gcc", "polly": "clang",
-                  "perspective": "clang", "icx": "icx", "pluto": "gcc"}
+#: the optimizing-compiler baselines by name, in report order; each
+#: class names its base compiler (``base_compiler``)
+OPTIMIZERS: Dict[str, Type[Optimizer]] = {
+    cls.name: cls
+    for cls in (Pluto, Polly, Graphite, Perspective, IcxOptimizer)}
 
 __all__ = [
     "BASE_COMPILERS", "CLANG", "GCC", "ICX", "BaseCompiler", "Optimizer",
-    "OPTIMIZER_BASE", "OptimizerResult", "vector_violations",
+    "OPTIMIZERS", "OptimizerResult", "vector_violations",
     "Graphite", "IcxOptimizer", "Perspective", "Polly", "Pluto",
 ]

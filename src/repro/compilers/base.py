@@ -49,6 +49,9 @@ class Optimizer:
     """Interface of the optimizing compilers."""
 
     name = "optimizer"
+    #: the :data:`BASE_COMPILERS` key whose ``-O3`` finalizes this
+    #: optimizer's output (§6.1)
+    base_compiler: str
 
     def optimize(self, program: Program,
                  params: Mapping[str, int]) -> OptimizerResult:

@@ -24,6 +24,7 @@ class Graphite(Optimizer):
     """The GCC-Graphite pipeline."""
 
     name = "graphite"
+    base_compiler = "gcc"
 
     def optimize(self, program: Program,
                  params: Mapping[str, int]) -> OptimizerResult:

@@ -21,6 +21,7 @@ class IcxOptimizer(Optimizer):
     """The ICX pipeline: vectorization only."""
 
     name = "icx"
+    base_compiler = "icx"
 
     def optimize(self, program: Program,
                  params: Mapping[str, int]) -> OptimizerResult:

@@ -38,6 +38,7 @@ class Perspective(Optimizer):
     """The Perspective speculative-DOALL pipeline."""
 
     name = "perspective"
+    base_compiler = "clang"
     machine_override: MachineModel = DEFAULT_MACHINE.with_threads(
         SPECULATION_THREADS)
 

@@ -32,6 +32,7 @@ class Pluto(Optimizer):
     """The PLuTo pipeline."""
 
     name = "pluto"
+    base_compiler = "gcc"
 
     def __init__(self, tile_size: int = 32, enable_tiling: bool = True,
                  enable_parallel: bool = True,

@@ -27,6 +27,7 @@ class Polly(Optimizer):
     """The Clang-Polly pipeline."""
 
     name = "polly"
+    base_compiler = "clang"
 
     def __init__(self, tile_size: int = 32) -> None:
         self.tile_size = tile_size

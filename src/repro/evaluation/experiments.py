@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.properties import FIG9_PROPERTIES, cluster_distribution
+from ..compilers import OPTIMIZERS
 from ..llm.personas import DEEPSEEK_V3, GPT_4O, Persona
 from ..suites import FIG14_KERNELS
 from ..synthesis.dataset import cached_dataset, transformation_kinds
@@ -168,9 +169,8 @@ def tab1_compilers() -> ExperimentResult:
 def fig6_faster_vs_compilers() -> ExperimentResult:
     """% of benchmarks where LOOPRAG(DeepSeek) beats each compiler
     (matched base compiler)."""
-    from .harness import OPTIMIZER_BASE
-
-    run_plans([looprag_plan(suite, DEEPSEEK_V3, OPTIMIZER_BASE[compiler])
+    run_plans([looprag_plan(suite, DEEPSEEK_V3,
+                            OPTIMIZERS[compiler].base_compiler)
                for compiler, allowed in _COMPILER_SUITES.items()
                for suite in allowed]
               + [compiler_plan(suite, compiler)
@@ -178,7 +178,7 @@ def fig6_faster_vs_compilers() -> ExperimentResult:
                  for suite in allowed])
     rows = []
     for compiler in ("graphite", "polly", "perspective", "icx"):
-        base = OPTIMIZER_BASE[compiler]
+        base = OPTIMIZERS[compiler].base_compiler
         cells: List = [compiler]
         for suite in SUITE_NAMES:
             if suite not in _COMPILER_SUITES[compiler]:

@@ -37,7 +37,6 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 from ..api.session import (DEFAULT_DATASET_SIZE, DEFAULT_SEED,
                            OptimizationRequest, OptimizerSession,
                            optimize_batch, shared_session)
-from ..compilers import OPTIMIZER_BASE
 from ..llm.personas import PERSONAS, Persona
 from ..pipeline.generation import (BASELINE_TIME_LIMIT,
                                    LOOPRAG_TIME_LIMIT)

@@ -191,7 +191,6 @@ def cache_stats() -> Dict[str, int]:
 _RESULT_MODULES = (
     "analysis/",
     "api/events.py",
-    "api/registry.py",
     "api/session.py",
     "codegen/",
     "compilers/",

@@ -10,6 +10,13 @@ from .prompts import (AttemptRecord, KIND_BASE, KIND_COMPILE_FEEDBACK,
                       test_rank_feedback_prompt)
 from .simulated import LLMResponse, SimulatedLLM
 
+#: LLM backends by name: ``factory(persona, seed) -> llm``, where an llm
+#: provides ``generate(prompt, slot, round_tag)`` and
+#: ``note_result(slot, passed)`` (the :class:`SimulatedLLM` protocol).
+#: ``"simulated"`` is the paper backend; an API-backed client would be
+#: one more entry.
+LLM_BACKENDS = {"simulated": SimulatedLLM}
+
 __all__ = [
     "Intent", "intents_from_recipe", "materialize", "semantic_slip",
     "syntax_slip",
@@ -17,5 +24,5 @@ __all__ = [
     "AttemptRecord", "KIND_BASE", "KIND_COMPILE_FEEDBACK", "KIND_DEMO",
     "KIND_TEST_RANK_FEEDBACK", "Prompt", "base_prompt",
     "compile_feedback_prompt", "demo_prompt", "test_rank_feedback_prompt",
-    "LLMResponse", "SimulatedLLM",
+    "LLMResponse", "SimulatedLLM", "LLM_BACKENDS",
 ]

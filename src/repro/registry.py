@@ -1,22 +1,24 @@
-"""A minimal component registry.
+"""Lookup of named parts.
 
 The service API (:mod:`repro.api`) assembles pipelines from *named*
-parts — LLM backends, base compilers, optimizing compilers, retrieval
-methods, transforms — instead of hard-coding constructors.  Each family
-of parts is one :class:`Registry`; registering a new implementation
-makes it addressable from every entry point (``OptimizerSession``,
-``repro serve-batch``, recipes) without touching the call sites.
+parts — LLM backends, base compilers, optimizing compilers,
+transforms — instead of hard-coding constructors.  Each family is a
+plain ``dict`` that lives next to the code it names
+(:data:`repro.llm.LLM_BACKENDS`, :data:`repro.compilers.BASE_COMPILERS`,
+:data:`repro.compilers.OPTIMIZERS`,
+:data:`repro.transforms.TRANSFORMS`); :func:`lookup` resolves a name
+in one of them.
 
 This module is dependency-free on purpose: low-level packages (e.g.
-:mod:`repro.transforms`) host their own registries without importing
-the high-level API package.
+:mod:`repro.transforms`) resolve names without importing the
+high-level API package.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Mapping, Tuple, TypeVar
+
+V = TypeVar("V")
 
 
 class UnknownComponentError(ValueError):
@@ -36,86 +38,11 @@ class UnknownComponentError(ValueError):
             f"unknown {kind} {name!r}; registered: {options}")
 
 
-class DuplicateComponentError(ValueError):
-    """Registration under a name that is already taken."""
-
-
-class Registry:
-    """A named, ordered, thread-safe mapping of component factories.
-
-    ``kind`` is the human-readable family name used in error messages
-    ("LLM backend", "retrieval method", ...).  Registration order is
-    preserved — ``names()`` doubles as the documented default ordering.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    def register(self, name: str, value: Any,
-                 overwrite: bool = False) -> Any:
-        """Register ``value`` under ``name``; returns ``value``.
-
-        Use as a decorator (``@registry.register_as("x")``) or a call.
-        Duplicate names raise unless ``overwrite=True`` — silently
-        shadowing a built-in is how plugin bugs hide.
-        """
-        with self._lock:
-            if name in self._entries and not overwrite:
-                raise DuplicateComponentError(
-                    f"{self.kind} {name!r} is already registered; "
-                    f"pass overwrite=True to replace it")
-            self._entries[name] = value
-        return value
-
-    def register_as(self, name: str,
-                    overwrite: bool = False) -> Callable[[Any], Any]:
-        """Decorator form of :meth:`register`."""
-        def _decorate(value: Any) -> Any:
-            return self.register(name, value, overwrite=overwrite)
-        return _decorate
-
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._entries.pop(name, None)
-
-    # ------------------------------------------------------------------
-    def get(self, name: str) -> Any:
-        """The registered value, or :class:`UnknownComponentError`."""
-        with self._lock:
-            if name not in self._entries:
-                raise UnknownComponentError(self.kind, name,
-                                            tuple(self._entries))
-            return self._entries[name]
-
-    def maybe(self, name: str) -> Optional[Any]:
-        with self._lock:
-            return self._entries.get(name)
-
-    def names(self) -> Tuple[str, ...]:
-        with self._lock:
-            return tuple(self._entries)
-
-    def items(self) -> Tuple[Tuple[str, Any], ...]:
-        with self._lock:
-            return tuple(self._entries.items())
-
-    def as_dict(self) -> Dict[str, Any]:
-        with self._lock:
-            return dict(self._entries)
-
-    def __contains__(self, name: object) -> bool:
-        with self._lock:
-            return name in self._entries
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Registry({self.kind!r}, {self.names()})"
+def lookup(table: Mapping[str, V], kind: str, name: str) -> V:
+    """``table[name]``, or :class:`UnknownComponentError` naming every
+    key of ``table`` in insertion order; ``kind`` is the family name
+    used in the message ("LLM backend", "base compiler", ...)."""
+    try:
+        return table[name]
+    except KeyError:
+        raise UnknownComponentError(kind, name, tuple(table)) from None

@@ -11,7 +11,7 @@ Spec grammar (``REPRO_FAULTS`` or :func:`FaultPlan.parse`)::
 
     clause[;clause...]
     clause  := site:kind[:key=value...]
-    site    := llm.generate | compiler.optimize | worker.execute | <any string>
+    site    := llm.generate | worker.execute | <any string>
     kind    := raise | timeout | malformed | delay      (in-process)
              | kill | oom | hang | exit                 (process-level)
              | bitflip | truncate | garbage             (data corruption)
@@ -57,7 +57,7 @@ schedule accounting on the parent side makes the schedule deterministic
 across worker crashes and restarts — a replacement worker does not
 restart the counters.
 
-The injected LLM backend registers in ``LLM_BACKENDS`` as ``"faulty"``
+The injected LLM backend is the ``"faulty"`` entry of ``LLM_BACKENDS``
 (see :func:`register_fault_backends`): it wraps the ``simulated``
 backend and consults the active plan before each ``generate`` call —
 faults fire *before* the inner model consumes any randomness, so a
@@ -426,47 +426,16 @@ class FaultyLLM:
         return getattr(self._inner, name)
 
 
-class FaultyOptimizer:
-    """An optimizing-compiler baseline behind the same valve."""
-
-    SITE = "compiler.optimize"
-
-    def __init__(self, inner: Any, name: str) -> None:
-        self._inner = inner
-        self.name = name
-
-    def optimize(self, program: Any, params: Any) -> Any:
-        maybe_fault(self.SITE)
-        return self._inner.optimize(program, params)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-
 def register_fault_backends() -> None:
-    """Register the injected components (idempotent).
-
-    * LLM backend ``"faulty"`` — ``simulated`` behind the valve;
-    * optimizer ``"faulty-pluto"`` — ``pluto`` behind the valve.
+    """Add LLM backend ``"faulty"`` — ``simulated`` behind the valve —
+    to :data:`repro.llm.LLM_BACKENDS` (idempotent).
 
     Called lazily (serve daemon startup, tests) rather than at import
-    time so the default registries list only real components.
+    time so the default table lists only real components.
     """
-    from ..api.registry import LLM_BACKENDS, OPTIMIZER_REGISTRY
-    from ..compilers import OPTIMIZER_BASE
+    from ..llm import LLM_BACKENDS
 
     def faulty_backend(persona: Any, seed: int) -> FaultyLLM:
-        inner_factory = LLM_BACKENDS.get("simulated")
-        return FaultyLLM(inner_factory(persona, seed))
+        return FaultyLLM(LLM_BACKENDS["simulated"](persona, seed))
 
-    LLM_BACKENDS.register("faulty", faulty_backend, overwrite=True)
-
-    inner_cls = OPTIMIZER_REGISTRY.get("pluto")
-
-    def faulty_pluto() -> FaultyOptimizer:
-        wrapper = FaultyOptimizer(inner_cls(), name="faulty-pluto")
-        wrapper.base_compiler = OPTIMIZER_BASE["pluto"]
-        return wrapper
-
-    OPTIMIZER_REGISTRY.register("faulty-pluto", faulty_pluto,
-                                overwrite=True)
+    LLM_BACKENDS["faulty"] = faulty_backend

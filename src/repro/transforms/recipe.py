@@ -15,7 +15,7 @@ from typing import (Any, Callable, Dict, List, Mapping, Sequence, Tuple,
 
 from ..ir.program import Program
 from ..memo import memoized
-from ..registry import Registry, UnknownComponentError
+from ..registry import UnknownComponentError, lookup
 from .base import TransformError
 from .fusion import distribute, fuse
 from .interchange import interchange
@@ -39,65 +39,67 @@ LOOP_KINDS = (KIND_TILING, KIND_INTERCHANGE, KIND_SKEWING, KIND_FUSION,
               KIND_DISTRIBUTION, KIND_SHIFTING)
 ALL_KINDS = LOOP_KINDS + (KIND_PARALLEL, KIND_VECTORIZE, KIND_REG_ACCUM)
 
-#: transform appliers by kind: ``(program, args dict) -> Program``.
-#: :meth:`TransformStep.apply` dispatches through this registry, so new
-#: transformations plug in by registering an applier — recipes, the
-#: simulated LLMs and the compilers all pick them up by name.
-TRANSFORMS = Registry("transformation kind")
 
-
-@TRANSFORMS.register_as(KIND_TILING)
 def _apply_tiling(program: Program, args: Dict[str, Any]) -> Program:
     return tile(program, args["columns"], args.get("sizes", 32),
                 args.get("stmts"), args.get("at"))
 
 
-@TRANSFORMS.register_as(KIND_INTERCHANGE)
 def _apply_interchange(program: Program, args: Dict[str, Any]) -> Program:
     return interchange(program, args["col_a"], args["col_b"],
                        args.get("stmts"))
 
 
-@TRANSFORMS.register_as(KIND_SKEWING)
 def _apply_skewing(program: Program, args: Dict[str, Any]) -> Program:
     return skew(program, args["target_col"], args["source_col"],
                 args["factor"], args.get("stmts"))
 
 
-@TRANSFORMS.register_as(KIND_FUSION)
 def _apply_fusion(program: Program, args: Dict[str, Any]) -> Program:
     return fuse(program, args["col"], args.get("stmts"))
 
 
-@TRANSFORMS.register_as(KIND_DISTRIBUTION)
 def _apply_distribution(program: Program, args: Dict[str, Any]) -> Program:
     return distribute(program, args["col"], args.get("stmts"))
 
 
-@TRANSFORMS.register_as(KIND_SHIFTING)
 def _apply_shifting(program: Program, args: Dict[str, Any]) -> Program:
     return shift(program, args["stmt"], args["col"], args["offset"])
 
 
-@TRANSFORMS.register_as(KIND_PARALLEL)
 def _apply_parallel(program: Program, args: Dict[str, Any]) -> Program:
     return parallelize(program, args["col"])
 
 
-@TRANSFORMS.register_as(KIND_VECTORIZE)
 def _apply_vectorize(program: Program, args: Dict[str, Any]) -> Program:
     return vectorize(program, args["col"])
 
 
-@TRANSFORMS.register_as(KIND_REG_ACCUM)
 def _apply_reg_accum(program: Program, args: Dict[str, Any]) -> Program:
     return accumulate_in_register(program, args["stmt"])
 
 
+#: transform appliers by kind: ``(program, args dict) -> Program``.
+#: :meth:`TransformStep.apply` dispatches through this table, so
+#: recipes, the simulated LLMs and the compilers all reach a
+#: transformation by its kind.
+TRANSFORMS = {
+    KIND_TILING: _apply_tiling,
+    KIND_INTERCHANGE: _apply_interchange,
+    KIND_SKEWING: _apply_skewing,
+    KIND_FUSION: _apply_fusion,
+    KIND_DISTRIBUTION: _apply_distribution,
+    KIND_SHIFTING: _apply_shifting,
+    KIND_PARALLEL: _apply_parallel,
+    KIND_VECTORIZE: _apply_vectorize,
+    KIND_REG_ACCUM: _apply_reg_accum,
+}
+
+
 def _resolve_applier(kind: str):
-    """Registry lookup re-raised as the package's own error type."""
+    """Table lookup re-raised as the package's own error type."""
     try:
-        return TRANSFORMS.get(kind)
+        return lookup(TRANSFORMS, "transformation kind", kind)
     except UnknownComponentError as exc:
         raise TransformError(str(exc)) from None
 

@@ -1,4 +1,4 @@
-"""Service-API tests: session/pipeline equivalence, registries, events.
+"""Service-API tests: session/pipeline equivalence, named parts, events.
 
 The acceptance bar for the API: ``optimize_many`` over a 4-kernel suite
 is bit-identical to per-request serial ``optimize``, and a session
@@ -11,8 +11,9 @@ import os
 import pytest
 
 from repro.api import (LLM_BACKENDS, OptimizationRequest,
-                       OptimizationResult, OptimizerSession, Registry,
+                       OptimizationResult, OptimizerSession,
                        UnknownComponentError)
+from repro.api import events as events_mod
 from repro.api.events import EventBus, EventLog, SessionEvent
 from repro.compilers import GCC
 from repro.llm import DEEPSEEK_V3, GPT_4O, SimulatedLLM
@@ -25,6 +26,15 @@ from repro.synthesis import build_dataset
 from repro.transforms import TransformError, TransformStep
 
 KERNELS = ("gemm", "syrk", "mvt", "atax")
+
+AXPY_SRC = """
+scop axpy(N) {
+  array X[N] output;
+  array Y[N];
+  for (i = 0; i < N; i++)
+    X[i] = X[i] + 2.0 * Y[i];
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -303,8 +313,9 @@ class TestEvents:
         assert "wall" not in a.to_dict()
         assert SessionEvent.from_dict(a.to_dict()) == a
 
-    def test_event_log_is_a_bounded_ring(self):
-        log = EventLog(limit=3)
+    def test_event_log_is_a_bounded_ring(self, monkeypatch):
+        monkeypatch.setattr(events_mod, "DEFAULT_EVENT_LOG_LIMIT", 3)
+        log = EventLog()
         for i in range(5):
             log.emit("tick", i=i)
         assert len(log) == 3
@@ -314,21 +325,16 @@ class TestEvents:
         assert [e.seq for e in retained] == [2, 3, 4]
         assert retained[0].seq > 0
 
-    def test_event_log_forwards_even_what_the_ring_drops(self):
+    def test_event_log_forwards_even_what_the_ring_drops(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(events_mod, "DEFAULT_EVENT_LOG_LIMIT", 1)
         seen = []
-        log = EventLog(forward=seen.append, limit=1)
+        log = EventLog(forward=seen.append)
         log.emit("a")
         log.emit("b")
         assert [e.kind for e in seen] == ["a", "b"]  # live saw all
         assert [e.kind for e in log.events()] == ["b"]
         assert log.dropped == 1
-
-    def test_event_log_limit_zero_is_unbounded(self):
-        log = EventLog(limit=0)
-        for i in range(4):
-            log.emit("tick", i=i)
-        assert len(log) == 4
-        assert log.dropped == 0
 
 
 class TestRegistries:
@@ -377,23 +383,28 @@ class TestRegistries:
         with pytest.raises(TransformError, match=r"registered: tiling"):
             TransformStep.make("loop-unroll")
 
-    def test_registry_protocol(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register("a", 2)
-        reg.register("a", 2, overwrite=True)
-        assert reg.get("a") == 2
-        assert reg.names() == ("a",)
-        assert "a" in reg and len(reg) == 1
-        reg.unregister("a")
-        assert reg.maybe("a") is None
+    def test_named_tables_agree(self, tmp_path, capsys):
+        """``OPTIMIZERS`` is the one list of optimizing compilers: the
+        bench tokens, each class's name and base compiler, and the
+        ``repro compilers`` report all follow it."""
+        from repro.cli import BENCH_COMPILERS, main
+        from repro.compilers import BASE_COMPILERS, OPTIMIZERS
 
-    def test_pluggable_optimizer_with_class_base(self, benches):
-        """A plugin optimizer declares its base compiler on the class
-        and is then fully servable; one without any mapping fails with
-        an actionable message."""
-        from repro.api import OPTIMIZER_REGISTRY
+        assert BENCH_COMPILERS == tuple(OPTIMIZERS)
+        for name, cls in OPTIMIZERS.items():
+            assert cls.name == name
+            assert cls.base_compiler in BASE_COMPILERS
+        kernel = tmp_path / "axpy.scop"
+        kernel.write_text(AXPY_SRC)
+        assert main(["compilers", str(kernel)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(OPTIMIZERS)
+
+    def test_pluggable_optimizer_with_class_base(self, benches,
+                                                 monkeypatch):
+        """An optimizer added to ``OPTIMIZERS`` declares its base
+        compiler on the class and is then fully servable."""
+        from repro.compilers import OPTIMIZERS
         from repro.compilers.base import Optimizer
         from repro.transforms import TransformRecipe
 
@@ -404,46 +415,29 @@ class TestRegistries:
             def optimize(self, program, params):
                 return self._done(program, TransformRecipe())
 
-        class Orphan(NoOp):
-            name = "orphan"
-            base_compiler = None
+        monkeypatch.setitem(OPTIMIZERS, "noop", NoOp)
+        session = OptimizerSession(use_store=False)
+        result = session.optimize(OptimizationRequest.make(
+            benches[0].program, benches[0].perf, system="compiler",
+            optimizer="noop"))
+        assert result.passed and result.speedup == 1.0
 
-        OPTIMIZER_REGISTRY.register("noop", NoOp)
-        OPTIMIZER_REGISTRY.register("orphan", Orphan)
-        try:
-            session = OptimizerSession(use_store=False)
-            result = session.optimize(OptimizationRequest.make(
-                benches[0].program, benches[0].perf, system="compiler",
-                optimizer="noop"))
-            assert result.passed and result.speedup == 1.0
-            with pytest.raises(ValueError,
-                               match="declares no base compiler"):
-                session.optimize(OptimizationRequest.make(
-                    benches[0].program, benches[0].perf,
-                    system="compiler", optimizer="orphan"))
-        finally:
-            OPTIMIZER_REGISTRY.unregister("noop")
-            OPTIMIZER_REGISTRY.unregister("orphan")
-
-    def test_pluggable_llm_backend(self, retriever, benches):
-        """A backend registered under a new name is fully usable."""
+    def test_pluggable_llm_backend(self, retriever, benches, monkeypatch):
+        """A backend added under a new name is fully usable."""
         calls = []
 
         def tracing_backend(persona, seed):
             calls.append((persona.name, seed))
             return SimulatedLLM(persona, seed)
 
-        LLM_BACKENDS.register("tracing", tracing_backend)
-        try:
-            bench = benches[0]
-            request = OptimizationRequest.make(bench.program, bench.perf,
-                                               bench.test)
-            traced = OptimizerSession(
-                retriever=retriever, llm_backend="tracing") \
-                .optimize(request)
-            stock = OptimizerSession(retriever=retriever) \
-                .optimize(request)
-            assert calls == [("deepseek", 0)]
-            assert _result_tuple(traced) == _result_tuple(stock)
-        finally:
-            LLM_BACKENDS.unregister("tracing")
+        monkeypatch.setitem(LLM_BACKENDS, "tracing", tracing_backend)
+        bench = benches[0]
+        request = OptimizationRequest.make(bench.program, bench.perf,
+                                           bench.test)
+        traced = OptimizerSession(
+            retriever=retriever, llm_backend="tracing") \
+            .optimize(request)
+        stock = OptimizerSession(retriever=retriever) \
+            .optimize(request)
+        assert calls == [("deepseek", 0)]
+        assert _result_tuple(traced) == _result_tuple(stock)

@@ -129,10 +129,7 @@ class TestExitCodes:
         assert code == (0 if doc["result"]["passed"] else 1)
 
     def test_serve_batch_exits_2_when_any_request_errors(
-            self, kernel_file, tmp_path, capsys, monkeypatch):
-        # --no-cache sets REPRO_NO_CACHE in os.environ; registering the
-        # variable here restores it for the tests that run after this one
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+            self, kernel_file, tmp_path, capsys):
         spec = {
             "session": {"dataset_size": 40},
             "requests": [
@@ -246,3 +243,29 @@ class TestBenchCacheSummary:
             harness._RUN_CACHE.clear()
             SESSIONS.clear()
             store_mod._STORES.clear()
+
+    def test_store_flags_do_not_leak_into_later_calls(
+            self, tmp_path, monkeypatch, capsys):
+        """``--no-cache`` / ``--cache-dir`` / ``--limit`` hold for one
+        ``main()`` call: a cached run after a ``--no-cache`` run stores
+        its results, and the run after that is served from them."""
+        import os
+
+        from repro.evaluation import harness
+        from repro.evaluation import store as store_mod
+
+        monkeypatch.setattr(store_mod, "_STORES", {})
+        cache = str(tmp_path / "cache")
+
+        def bench(*flags):
+            # a fresh in-process plan memo, so every call asks the store
+            monkeypatch.setattr(harness, "_RUN_CACHE", {})
+            before = dict(os.environ)
+            main(["bench", "--suite", "polybench", "--system", "pluto",
+                  "--limit", "2", *flags])
+            assert dict(os.environ) == before
+            return capsys.readouterr().err
+
+        assert "(disabled)" in bench("--no-cache")
+        assert "0 hits, 2 misses, 2 writes" in bench("--cache-dir", cache)
+        assert "2 hits, 2 misses, 2 writes" in bench("--cache-dir", cache)

@@ -42,7 +42,7 @@ class TestSpecParsing:
     def test_full_grammar(self):
         plan = FaultPlan.parse(
             "llm.generate:delay:seconds=0.2:always;"
-            "compiler.optimize:malformed:every=3:after=2")
+            "worker.execute:malformed:every=3:after=2")
         first, second = plan.clauses
         assert first.kind == "delay"
         assert first.seconds == 0.2
@@ -232,12 +232,11 @@ class TestActivePlan:
 
 class TestInjectedBackends:
     def test_register_is_idempotent(self):
-        from repro.api.registry import LLM_BACKENDS, OPTIMIZER_REGISTRY
+        from repro.llm import LLM_BACKENDS
 
         register_fault_backends()
         register_fault_backends()
-        assert "faulty" in LLM_BACKENDS.names()
-        assert "faulty-pluto" in OPTIMIZER_REGISTRY.names()
+        assert "faulty" in LLM_BACKENDS
 
     def test_injected_faults_never_change_results(self, monkeypatch):
         """The headline determinism contract.
