@@ -1,9 +1,11 @@
 """Benchmark-suite configuration.
 
 Each file regenerates one table or figure of the paper's evaluation
-(`DESIGN.md` has the index).  Results are deterministic (seeded), so the
-shape assertions are stable.  Set ``REPRO_SUITE_LIMIT=<n>`` to subsample
-benchmark suites for a quick pass; the default runs the full 163 kernels.
+(``repro.evaluation.ALL_EXPERIMENTS`` is the index) by calling its
+experiment function directly.  Results are deterministic (seeded), so
+the shape assertions are stable.  Set ``REPRO_SUITE_LIMIT=<n>`` to
+subsample benchmark suites for a quick pass; the default runs the full
+163 kernels.
 
 Unlike ``tests/``, benchmarks use the *persistent* result store
 (``.repro_cache/`` or ``REPRO_CACHE_DIR``): the first run computes and
@@ -13,8 +15,8 @@ result-determining module recomputes instead of serving stale numbers.
 ``REPRO_NO_CACHE=1`` forces cold runs; ``REPRO_JOBS=<n>`` fans cache
 misses across a worker pool.
 
-Run with ``pytest benchmarks/ --benchmark-only`` and add ``-s`` to see the
-rendered tables.
+Run with ``pytest benchmarks/`` and add ``-s`` to see the rendered
+tables; ``--durations=0`` lists how long each one took.
 """
 
 import os
@@ -31,8 +33,3 @@ def pytest_report_header(config):
     jobs = os.environ.get("REPRO_JOBS", "1")
     limit = os.environ.get("REPRO_SUITE_LIMIT") or "full suites"
     return f"repro harness: {store}, jobs={jobs}, {limit}"
-
-
-def run_once(benchmark, fn):
-    """Run an experiment exactly once under pytest-benchmark timing."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

@@ -1,6 +1,4 @@
-"""Ablation benches over DESIGN.md's fixed design choices."""
-
-from conftest import run_once
+"""Ablation benches over the design choices the paper fixes."""
 
 from repro.evaluation.ablations import (ablation_candidates,
                                         ablation_corpus_size,
@@ -9,8 +7,8 @@ from repro.evaluation.ablations import (ablation_candidates,
 from repro.evaluation.reporting import render_table
 
 
-def test_ablation_tile_size(benchmark):
-    result = run_once(benchmark, ablation_tile_size)
+def test_ablation_tile_size():
+    result = ablation_tile_size()
     print("\n" + render_table(result))
     by_size = dict(result.rows)
     # the default 32 sits on the plateau: within 25% of the best size
@@ -18,24 +16,24 @@ def test_ablation_tile_size(benchmark):
     assert by_size[32] > 0.75 * best
 
 
-def test_ablation_corpus_size(benchmark):
-    result = run_once(benchmark, ablation_corpus_size)
+def test_ablation_corpus_size():
+    result = ablation_corpus_size()
     print("\n" + render_table(result))
     rows = list(result.rows)
     # a tiny corpus must not beat the full one by much (retrieval value)
     assert rows[-1][2] > 0.6 * max(r[2] for r in rows)
 
 
-def test_ablation_candidates(benchmark):
-    result = run_once(benchmark, ablation_candidates)
+def test_ablation_candidates():
+    result = ablation_candidates()
     print("\n" + render_table(result))
     by_k = {r[0]: r for r in result.rows}
     # more candidates never hurt pass@k
     assert by_k[7][1] >= by_k[1][1]
 
 
-def test_ablation_personas(benchmark):
-    result = run_once(benchmark, ablation_personas)
+def test_ablation_personas():
+    result = ablation_personas()
     print("\n" + render_table(result))
     by_model = {r[0]: r for r in result.rows}
     # §6.2.2's ordering: the older deepseek-v2.5 passes fewer kernels

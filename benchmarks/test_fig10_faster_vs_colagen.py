@@ -1,12 +1,10 @@
 """Figure 10 — % of faster codes vs the COLA-Gen corpus."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_fig10_faster_vs_colagen(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["fig10"])
+def test_fig10_faster_vs_colagen():
+    result = ALL_EXPERIMENTS["fig10"]()
     print("\n" + render_table(result))
     assert result.rows
     # some fraction of codes must improve thanks to the richer corpus

@@ -1,12 +1,10 @@
 """Figure 12 — % of codes made faster by test+rank feedback."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_fig12_feedback_faster(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["fig12"])
+def test_fig12_feedback_faster():
+    result = ALL_EXPERIMENTS["fig12"]()
     print("\n" + render_table(result))
     # a visible fraction of benchmarks end faster than their step-2 best
     assert any(cell > 15.0 for row in result.rows for cell in row[1:])

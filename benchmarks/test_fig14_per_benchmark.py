@@ -1,12 +1,10 @@
 """Figure 14 / Appendix F — per-benchmark speedups vs base LLMs."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_fig14_per_benchmark(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["fig14"])
+def test_fig14_per_benchmark():
+    result = ALL_EXPERIMENTS["fig14"]()
     print("\n" + render_table(result))
     rows = {r[1]: r for r in result.rows
             if r[2] is not None}  # tolerate REPRO_SUITE_LIMIT subsampling

@@ -1,12 +1,10 @@
 """Figure 7 — % of faster codes vs base LLMs."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_fig7_faster_vs_llms(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["fig7"])
+def test_fig7_faster_vs_llms():
+    result = ALL_EXPERIMENTS["fig7"]()
     print("\n" + render_table(result))
     for row in result.rows:
         # LOOPRAG improves a substantial fraction of codes on PolyBench

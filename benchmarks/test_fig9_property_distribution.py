@@ -1,12 +1,10 @@
 """Figure 9 — loop property distributions: LOOPRAG vs COLA-Gen corpora."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_fig9_property_distribution(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["fig9"])
+def test_fig9_property_distribution():
+    result = ALL_EXPERIMENTS["fig9"]()
     print("\n" + render_table(result))
     by_gen = {}
     for generator, prop, a, b, c, d in result.rows:

@@ -1,12 +1,10 @@
 """Table 1 — LOOPRAG configurations vs baseline compilers."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab1_compilers(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab1"])
+def test_tab1_compilers():
+    result = ALL_EXPERIMENTS["tab1"]()
     print("\n" + render_table(result))
     rows = {r[0]: r for r in result.rows}
     ld = rows["LD-GCC"]

@@ -1,12 +1,10 @@
 """Table 2 — LOOPRAG vs base LLMs (and quoted LLM-method rows)."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab2_llms(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab2"])
+def test_tab2_llms():
+    result = ALL_EXPERIMENTS["tab2"]()
     print("\n" + render_table(result))
     looprag = [r for r in result.rows if r[0] == "LOOPRAG"]
     base = [r for r in result.rows if r[0] == "BaseLLM"]

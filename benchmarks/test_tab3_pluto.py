@@ -1,12 +1,10 @@
 """Table 3 — can LOOPRAG surpass its demonstration source PLuTo?"""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab3_pluto(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab3"])
+def test_tab3_pluto():
+    result = ALL_EXPERIMENTS["tab3"]()
     print("\n" + render_table(result))
     looprag = [r for r in result.rows if r[0] == "LOOPRAG"]
     pluto = [r for r in result.rows if r[0] == "PLuTo"][0]

@@ -1,12 +1,10 @@
 """Table 4 — loop transformations triggered per generator corpus."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab4_transform_kinds(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab4"])
+def test_tab4_transform_kinds():
+    result = ALL_EXPERIMENTS["tab4"]()
     print("\n" + render_table(result))
     rows = {r[0]: dict(zip(result.columns[1:], r[1:]))
             for r in result.rows}

@@ -1,12 +1,10 @@
 """Table 5 — pipeline with LOOPRAG's corpus vs COLA-Gen's corpus."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab5_colagen(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab5"])
+def test_tab5_colagen():
+    result = ALL_EXPERIMENTS["tab5"]()
     print("\n" + render_table(result))
     loop_rows = [r for r in result.rows if r[0] == "looprag"]
     cola_rows = [r for r in result.rows if r[0] == "colagen"]

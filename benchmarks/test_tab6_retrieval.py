@@ -1,12 +1,10 @@
 """Table 6 — retrieval ablation: loop-aware vs BM25 vs weighted score."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab6_retrieval(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab6"])
+def test_tab6_retrieval():
+    result = ALL_EXPERIMENTS["tab6"]()
     print("\n" + render_table(result))
     by_method = {}
     for row in result.rows:

@@ -1,12 +1,10 @@
 """Table 7 — pass@k improvement per feedback round."""
 
-from conftest import run_once
-
 from repro.evaluation import ALL_EXPERIMENTS, render_table
 
 
-def test_tab7_feedback(benchmark):
-    result = run_once(benchmark, ALL_EXPERIMENTS["tab7"])
+def test_tab7_feedback():
+    result = ALL_EXPERIMENTS["tab7"]()
     print("\n" + render_table(result))
     first = [r for r in result.rows if r[0].startswith("First")]
     second = [r for r in result.rows if r[0].startswith("Second")]

@@ -51,8 +51,8 @@ session = OptimizerSession(dataset_size=40)
 result = session.optimize(request)
 sys.stdout.write(json.dumps(result.to_json_dict(), indent=2,
                             sort_keys=True))
-from repro.evaluation.store import cache_stats
-sys.stderr.write("STATS " + json.dumps(cache_stats()))
+from repro.evaluation.store import active_store
+sys.stderr.write("STATS " + json.dumps(active_store().stats()))
 """
 
 #: re-append an existing results record; REPRO_FAULTS in the child's

@@ -25,9 +25,11 @@ same records on the command line.
 
 Whole suites run through :mod:`repro.evaluation.harness`: build a
 :class:`~repro.evaluation.harness.RunPlan` and call ``results_for`` /
-``run_plans``, which turn each plan into one request per benchmark and
+``run_plans``, which turn each plan into one request per benchmark,
 serve the batch through ``optimize_batch`` — the same store records
-and the same worker pool as any other batch.
+and the same worker pool as any other batch — and return each plan's
+results.  The result store is the only memo: a plan run again is
+served from it, not from memory.
 """
 
 from .events import EventBus, EventLog, SessionEvent

@@ -36,6 +36,7 @@ caching cannot change any result.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import threading
@@ -68,8 +69,14 @@ SYSTEMS = ("looprag", "basellm", "compiler")
 DEFAULT_DATASET_SIZE = 400
 DEFAULT_SEED = 0
 
-#: store payload format version; bump on incompatible result changes
-RESULT_SCHEMA = 1
+#: store payload format version; bump on incompatible result changes.
+#: 2: ``events`` and ``best_program`` are embedded JSON text, decoded
+#: only when read
+RESULT_SCHEMA = 2
+
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _params_tuple(params: Union[Mapping[str, int],
@@ -184,7 +191,10 @@ class OptimizationResult:
     with its test report) on in-process runs; it is ``None`` on
     persistent store hits and on pooled batch results, where
     ``best_program`` is rebuilt from the exact structural serialization
-    instead.
+    instead.  Such a result keeps its events and its program as the
+    stored JSON text and decodes each on first read, so a hit that is
+    only counted (a suite run) decodes neither; equality ignores the
+    events.
     """
 
     request: OptimizationRequest
@@ -198,21 +208,33 @@ class OptimizationResult:
     stage_pass: Tuple[Tuple[str, bool], ...] = ()
     stage_speedup: Tuple[Tuple[str, float], ...] = ()
     failure: Optional[str] = None
-    events: Tuple[SessionEvent, ...] = ()
     from_cache: bool = False
     pipeline_result: Optional[PipelineResult] = field(
         default=None, compare=False)
-    _best_program_json: Optional[dict] = field(default=None, compare=False,
-                                               repr=False)
+    #: the event log, or its stored JSON text until first read
+    _events: Union[Tuple[SessionEvent, ...], str] = field(
+        default=(), compare=False, repr=False)
+    #: the winning program's structural JSON text, when there is no
+    #: ``pipeline_result`` to take it from
+    _best_program_json: Optional[str] = field(default=None, compare=False,
+                                              repr=False)
 
     # ------------------------------------------------------------------
+    @property
+    def events(self) -> Tuple[SessionEvent, ...]:
+        """The request's event log (decoded on first read on a hit)."""
+        if isinstance(self._events, str):
+            object.__setattr__(self, "_events", tuple(
+                SessionEvent.from_dict(e) for e in json.loads(self._events)))
+        return self._events  # type: ignore[return-value]
+
     @property
     def best_program(self) -> Optional[Program]:
         if self.pipeline_result is not None and \
                 self.pipeline_result.best is not None:
             return self.pipeline_result.best.response.program
         if self._best_program_json is not None:
-            return program_from_json(self._best_program_json)
+            return program_from_json(json.loads(self._best_program_json))
         return None
 
     def stage(self, name: str) -> bool:
@@ -221,7 +243,9 @@ class OptimizationResult:
     # ------------------------------------------------------------------
     def to_payload(self) -> dict:
         """Serialize for the persistent result store."""
-        best = self.best_program
+        best = self._best_program_json
+        if best is None and self.best_program is not None:
+            best = _dumps(program_to_json(self.best_program))
         return {
             "schema": RESULT_SCHEMA,
             "system_label": self.system_label,
@@ -234,9 +258,8 @@ class OptimizationResult:
             "stage_pass": [list(p) for p in self.stage_pass],
             "stage_speedup": [list(p) for p in self.stage_speedup],
             "failure": self.failure,
-            "events": [e.to_dict() for e in self.events],
-            "best_program": (program_to_json(best)
-                             if best is not None else None),
+            "events": _dumps([e.to_dict() for e in self.events]),
+            "best_program": best,
         }
 
     @staticmethod
@@ -244,6 +267,10 @@ class OptimizationResult:
                      payload: dict) -> "OptimizationResult":
         if payload.get("schema") != RESULT_SCHEMA:
             raise ValueError("stale result payload")
+        events, best = payload["events"], payload["best_program"]
+        if not (isinstance(events, str)
+                and (best is None or isinstance(best, str))):
+            raise TypeError("result payload without its embedded JSON text")
         return OptimizationResult(
             request=request,
             system_label=str(payload["system_label"]),
@@ -258,10 +285,9 @@ class OptimizationResult:
             stage_speedup=tuple((str(n), float(v))
                                 for n, v in payload["stage_speedup"]),
             failure=payload["failure"],
-            events=tuple(SessionEvent.from_dict(e)
-                         for e in payload["events"]),
             from_cache=True,
-            _best_program_json=payload["best_program"])
+            _events=events,
+            _best_program_json=best)
 
     def to_json_dict(self, include_events: bool = True) -> dict:
         """Deterministic JSON document (request echo + verdict + events).
@@ -674,8 +700,8 @@ class OptimizerSession:
                        if best is not None else None),
             stage_pass=pr.stage_pass,
             stage_speedup=pr.stage_speedup,
-            events=log.events(),
-            pipeline_result=pr)
+            pipeline_result=pr,
+            _events=log.events())
 
     def _compiler_baseline(self, request: OptimizationRequest,
                            log: EventLog) -> OptimizationResult:
@@ -703,8 +729,8 @@ class OptimizerSession:
                 best_seconds=seconds, recipe=recipe,
                 best_code=(scop_body_to_c(program)
                            if program is not None else None),
-                failure=failure, events=log.events(),
-                _best_program_json=(program_to_json(program)
+                failure=failure, _events=log.events(),
+                _best_program_json=(_dumps(program_to_json(program))
                                     if program is not None else None))
 
         res = optimizer.optimize(request.program, perf)

@@ -191,13 +191,17 @@ def _bench(args: argparse.Namespace) -> int:
     from .evaluation.harness import run_plans
     from .evaluation.reporting import (bench_report, render_bench,
                                        render_json)
-    from .evaluation.store import active_store, cache_stats
+    from .evaluation.store import active_store
 
     wanted = args.suite or ["polybench"]
     suites = list(BENCH_SUITES) if "all" in wanted else wanted
     systems = args.system or ["looprag-deepseek"]
     plans = [_bench_plan(system, suite, args.base)
              for suite in suites for system in systems]
+    store = active_store()
+    counted = ("hits", "misses", "writes")
+    before = (store.stats() if store is not None
+              else dict.fromkeys(counted + ("superseded", "corrupt"), 0))
     results = run_plans(plans, jobs=args.jobs)
     report = bench_report([(plan.label(), plan.suite, res)
                            for plan, res in zip(plans, results)])
@@ -212,8 +216,10 @@ def _bench(args: argparse.Namespace) -> int:
     else:
         print(render_bench(report))
 
-    stats = cache_stats()
-    store = active_store()
+    # this command's requests; the stream's shape as it stands now
+    stats = store.stats() if store is not None else before
+    for name in counted:
+        stats[name] -= before[name]
     where = store.describe() if store is not None else "disabled"
     print(f"# cache: {stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['writes']} writes, {stats['superseded']} superseded, "

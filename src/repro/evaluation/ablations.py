@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the design choices the paper fixes.
 
 These are not paper artifacts; they probe the knobs the paper fixes
 (tile size 32, K = 7 candidates, 135k-example corpus, the base-LLM
@@ -16,8 +16,8 @@ from ..compilers.pluto import Pluto
 from ..llm.personas import DEEPSEEK_V25, DEEPSEEK_V3, GPT_4O
 from ..machine.analytical import estimate_cached
 from ..machine.model import DEFAULT_MACHINE
-from .experiments import ExperimentResult, looprag_results
-from .harness import evaluate_suite, looprag_plan, run_plans, suites
+from .experiments import ExperimentResult
+from .harness import looprag_plan, run_plans, suites
 from .metrics import average_speedup, pass_at_k
 
 
@@ -52,12 +52,10 @@ def ablation_tile_size(sizes=(8, 16, 32, 64, 128)) -> ExperimentResult:
 
 def ablation_corpus_size(sizes=(30, 100, 300)) -> ExperimentResult:
     """LOOPRAG quality as a function of demonstration-corpus size."""
-    run_plans([looprag_plan("polybench", DEEPSEEK_V3, dataset_size=size)
-               for size in sizes])
+    runs = run_plans([looprag_plan("polybench", DEEPSEEK_V3,
+                                   dataset_size=size) for size in sizes])
     rows: List = []
-    for size in sizes:
-        results = looprag_results("polybench", DEEPSEEK_V3,
-                              dataset_size=size)
+    for size, results in zip(sizes, runs):
         rows.append((size, pass_at_k([r.passed for r in results]),
                      average_speedup([r.speedup for r in results])))
     return ExperimentResult(
@@ -73,13 +71,13 @@ def ablation_candidates(ks=(1, 3, 7)) -> ExperimentResult:
     """Pass@k / speedup as a function of the candidate count K (§5: 7)."""
     rows: List = []
     retriever = shared_session().retriever
+    requests = [OptimizationRequest.make(bench.program, bench.perf,
+                                         bench.test, persona=DEEPSEEK_V3)
+                for bench in suites()["polybench"]]
     for k in ks:
+        # an injected retriever keeps these sessions out of the store
         session = OptimizerSession(retriever=retriever, seed=0, k=k)
-        results = evaluate_suite(
-            lambda bench: session.optimize(OptimizationRequest.make(
-                bench.program, bench.perf, bench.test,
-                persona=DEEPSEEK_V3)),
-            "polybench", f"looprag-deepseek-k{k}")
+        results = [session.optimize(request) for request in requests]
         rows.append((k, pass_at_k([r.passed for r in results]),
                      average_speedup([r.speedup for r in results])))
     return ExperimentResult(
@@ -93,11 +91,11 @@ def ablation_candidates(ks=(1, 3, 7)) -> ExperimentResult:
 def ablation_personas() -> ExperimentResult:
     """LLM generation ablation (§6.2.2): deepseek-v2.5 trails GPT-4o,
     which trails deepseek-v3 — the paper's release-time observation."""
-    run_plans([looprag_plan("polybench", persona)
-               for persona in (DEEPSEEK_V3, GPT_4O, DEEPSEEK_V25)])
+    personas = (DEEPSEEK_V3, GPT_4O, DEEPSEEK_V25)
+    runs = run_plans([looprag_plan("polybench", persona)
+                      for persona in personas])
     rows: List = []
-    for persona in (DEEPSEEK_V3, GPT_4O, DEEPSEEK_V25):
-        results = looprag_results("polybench", persona, "gcc")
+    for persona, results in zip(personas, runs):
         rows.append((persona.model_id,
                      pass_at_k([r.passed for r in results]),
                      average_speedup([r.speedup for r in results])))

@@ -2,50 +2,39 @@
 
 Each function returns an :class:`ExperimentResult` whose rows mirror the
 paper's table rows / figure series; ``repro.evaluation.reporting`` renders
-them.  Paper-vs-measured comparisons live in EXPERIMENTS.md.
+them.
 
-Experiments declare every (system, suite) run they need as a batch of
-:class:`~repro.evaluation.harness.RunPlan` and submit it through
-``run_plans`` before reading any result — the harness turns the whole
-batch into one request per benchmark, resolves every request against
-the session result store and fans the misses across one worker pool
-(``REPRO_JOBS``), instead of executing one run at a time.
+Experiments declare every (system, suite) run they need as one batch of
+:class:`~repro.evaluation.harness.RunPlan` and read each plan's results
+from what that one ``run_plans`` call returns — the harness turns the
+whole batch into one request per benchmark, resolves every request
+against the session result store and fans the misses across one worker
+pool (``REPRO_JOBS``), instead of executing one run at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..analysis.properties import FIG9_PROPERTIES, cluster_distribution
 from ..compilers import OPTIMIZERS
-from ..llm.personas import DEEPSEEK_V3, GPT_4O, Persona
+from ..llm.personas import DEEPSEEK_V3, GPT_4O
 from ..suites import FIG14_KERNELS
 from ..synthesis.dataset import cached_dataset, transformation_kinds
 from ..transforms.recipe import LOOP_KINDS
-from .harness import (DEFAULT_DATASET_SIZE, DEFAULT_SEED, base_llm_plan,
-                      compiler_plan, looprag_plan, results_for,
-                      run_plans, speedups_by_benchmark)
+from .harness import (DEFAULT_SEED, BenchResult, RunPlan, base_llm_plan,
+                      compiler_plan, looprag_plan, run_plans,
+                      speedups_by_benchmark)
 from .metrics import average_speedup, pass_at_k, percent_faster
 
 SUITE_NAMES = ("polybench", "tsvc", "lore")
 PERSONAS = (DEEPSEEK_V3, GPT_4O)
 
 
-# non-deprecated plan spellings of the old run_* helpers: experiments
-# always submit plan batches first, then read individual plans back.
-# Defaults live in the plan factories alone — nothing re-specified here.
-def looprag_results(suite, persona, base="gcc", **plan_kwargs):
-    return results_for(looprag_plan(suite, persona, base, **plan_kwargs))
-
-
-def base_llm_results(suite, persona, base="gcc", **plan_kwargs):
-    return results_for(base_llm_plan(suite, persona, base, **plan_kwargs))
-
-
-def compiler_results(suite, optimizer_name, **plan_kwargs):
-    return results_for(compiler_plan(suite, optimizer_name,
-                                     **plan_kwargs))
+def _run(plans: Sequence[RunPlan]) -> Dict[RunPlan, List[BenchResult]]:
+    """Each plan's results, from one ``run_plans`` batch."""
+    return dict(zip(plans, run_plans(plans)))
 
 
 def _looprag_gcc_plans(suites=SUITE_NAMES, generators=("looprag",),
@@ -78,20 +67,34 @@ def _row_stats(results) -> Tuple[float, float]:
             average_speedup([r.speedup for r in results]))
 
 
+def _stat_cells(runs, plan_for: Callable[[str], RunPlan]) -> List:
+    """pass@k and average speedup of ``plan_for(suite)`` per suite."""
+    return [stat for suite in SUITE_NAMES
+            for stat in _row_stats(runs[plan_for(suite)])]
+
+
+def _faster_cells(runs, ours: Callable[[str], RunPlan],
+                  theirs: Callable[[str], RunPlan]) -> List:
+    """% of benchmarks where ``ours(suite)`` beats ``theirs(suite)``."""
+    return [percent_faster(speedups_by_benchmark(runs[ours(suite)]),
+                           speedups_by_benchmark(runs[theirs(suite)]))
+            for suite in SUITE_NAMES]
+
+
 # ----------------------------------------------------------------------
 # Figure 1 — motivation: GPT-4 vs PLuTo
 # ----------------------------------------------------------------------
 def fig1_motivation() -> ExperimentResult:
     """% of GPT-4 codes faster (↑), slower (↓) or non-equivalent (≠)
     than PLuTo's, on PolyBench and TSVC."""
-    run_plans([base_llm_plan(suite, GPT_4O)
-               for suite in ("polybench", "tsvc")]
-              + [compiler_plan(suite, "pluto")
-                 for suite in ("polybench", "tsvc")])
+    runs = _run([base_llm_plan(suite, GPT_4O)
+                 for suite in ("polybench", "tsvc")]
+                + [compiler_plan(suite, "pluto")
+                   for suite in ("polybench", "tsvc")])
     rows = []
     for suite in ("polybench", "tsvc"):
-        gpt = base_llm_results(suite, GPT_4O)
-        pluto = compiler_results(suite, "pluto")
+        gpt = runs[base_llm_plan(suite, GPT_4O)]
+        pluto = runs[compiler_plan(suite, "pluto")]
         pluto_speed = speedups_by_benchmark(pluto)
         up = down = neq = 0
         for r in gpt:
@@ -134,27 +137,21 @@ _COMPILER_SUITES = {
 
 def tab1_compilers() -> ExperimentResult:
     """Pass@k and speedups: LOOPRAG configurations vs four compilers."""
-    run_plans([looprag_plan(suite, persona, base)
-               for _, persona, base in _LOOPRAG_CONFIGS
-               for suite in SUITE_NAMES]
-              + [compiler_plan(suite, compiler)
-                 for compiler, allowed in _COMPILER_SUITES.items()
-                 for suite in allowed])
-    rows = []
-    for label, persona, base in _LOOPRAG_CONFIGS:
-        cells: List = [label]
-        for suite in SUITE_NAMES:
-            pk, sp = _row_stats(looprag_results(suite, persona, base))
-            cells += [pk, sp]
-        rows.append(tuple(cells))
+    runs = _run([looprag_plan(suite, persona, base)
+                 for _, persona, base in _LOOPRAG_CONFIGS
+                 for suite in SUITE_NAMES]
+                + [compiler_plan(suite, compiler)
+                   for compiler, allowed in _COMPILER_SUITES.items()
+                   for suite in allowed])
+    rows = [tuple([label] + _stat_cells(
+                runs, lambda suite: looprag_plan(suite, persona, base)))
+            for label, persona, base in _LOOPRAG_CONFIGS]
     for compiler in ("graphite", "polly", "perspective", "icx"):
-        cells = [compiler]
+        cells: List = [compiler]
         for suite in SUITE_NAMES:
-            if suite not in _COMPILER_SUITES[compiler]:
-                cells += [None, None]
-                continue
-            pk, sp = _row_stats(compiler_results(suite, compiler))
-            cells += [pk, sp]
+            cells += (_row_stats(runs[compiler_plan(suite, compiler)])
+                      if suite in _COMPILER_SUITES[compiler]
+                      else (None, None))
         rows.append(tuple(cells))
     return ExperimentResult(
         experiment="tab1",
@@ -169,13 +166,13 @@ def tab1_compilers() -> ExperimentResult:
 def fig6_faster_vs_compilers() -> ExperimentResult:
     """% of benchmarks where LOOPRAG(DeepSeek) beats each compiler
     (matched base compiler)."""
-    run_plans([looprag_plan(suite, DEEPSEEK_V3,
-                            OPTIMIZERS[compiler].base_compiler)
-               for compiler, allowed in _COMPILER_SUITES.items()
-               for suite in allowed]
-              + [compiler_plan(suite, compiler)
+    runs = _run([looprag_plan(suite, DEEPSEEK_V3,
+                              OPTIMIZERS[compiler].base_compiler)
                  for compiler, allowed in _COMPILER_SUITES.items()
-                 for suite in allowed])
+                 for suite in allowed]
+                + [compiler_plan(suite, compiler)
+                   for compiler, allowed in _COMPILER_SUITES.items()
+                   for suite in allowed])
     rows = []
     for compiler in ("graphite", "polly", "perspective", "icx"):
         base = OPTIMIZERS[compiler].base_compiler
@@ -185,8 +182,9 @@ def fig6_faster_vs_compilers() -> ExperimentResult:
                 cells.append(None)
                 continue
             ours = speedups_by_benchmark(
-                looprag_results(suite, DEEPSEEK_V3, base))
-            theirs = speedups_by_benchmark(compiler_results(suite, compiler))
+                runs[looprag_plan(suite, DEEPSEEK_V3, base)])
+            theirs = speedups_by_benchmark(
+                runs[compiler_plan(suite, compiler)])
             cells.append(percent_faster(ours, theirs))
         rows.append(tuple(cells))
     return ExperimentResult(
@@ -210,18 +208,13 @@ _LLMVEC_ROW = ("LLM-Vectorizer", "GPT-4", None, None, 68.00, 5.25,
 
 def tab2_llms() -> ExperimentResult:
     """LOOPRAG vs base LLMs, plus PCAOT / LLM-Vectorizer as reported."""
-    run_plans(_looprag_gcc_plans() + _base_llm_gcc_plans())
-    rows = []
-    for persona in PERSONAS:
-        cells: List = ["LOOPRAG", persona.model_id]
-        for suite in SUITE_NAMES:
-            cells += list(_row_stats(looprag_results(suite, persona, "gcc")))
-        rows.append(tuple(cells))
-    for persona in PERSONAS:
-        cells = ["BaseLLM", persona.model_id]
-        for suite in SUITE_NAMES:
-            cells += list(_row_stats(base_llm_results(suite, persona, "gcc")))
-        rows.append(tuple(cells))
+    runs = _run(_looprag_gcc_plans() + _base_llm_gcc_plans())
+    rows = [tuple(["LOOPRAG", persona.model_id] + _stat_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc")))
+            for persona in PERSONAS]
+    rows += [tuple(["BaseLLM", persona.model_id] + _stat_cells(
+                 runs, lambda suite: base_llm_plan(suite, persona, "gcc")))
+             for persona in PERSONAS]
     rows.extend(_PCAOT_ROWS)
     rows.append(_LLMVEC_ROW)
     return ExperimentResult(
@@ -238,17 +231,11 @@ def tab2_llms() -> ExperimentResult:
 
 def fig7_faster_vs_llms() -> ExperimentResult:
     """% of benchmarks where LOOPRAG beats its own base LLM."""
-    run_plans(_looprag_gcc_plans() + _base_llm_gcc_plans())
-    rows = []
-    for persona in PERSONAS:
-        cells: List = [persona.model_id]
-        for suite in SUITE_NAMES:
-            ours = speedups_by_benchmark(
-                looprag_results(suite, persona, "gcc"))
-            base = speedups_by_benchmark(
-                base_llm_results(suite, persona, "gcc"))
-            cells.append(percent_faster(ours, base))
-        rows.append(tuple(cells))
+    runs = _run(_looprag_gcc_plans() + _base_llm_gcc_plans())
+    rows = [tuple([persona.model_id] + _faster_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc"),
+                lambda suite: base_llm_plan(suite, persona, "gcc")))
+            for persona in PERSONAS]
     return ExperimentResult(
         experiment="fig7",
         title="Figure 7: % faster codes vs base LLMs",
@@ -262,18 +249,13 @@ def fig7_faster_vs_llms() -> ExperimentResult:
 # ----------------------------------------------------------------------
 def tab3_pluto() -> ExperimentResult:
     """Can LOOPRAG surpass its demonstration source?"""
-    run_plans(_looprag_gcc_plans()
-              + [compiler_plan(suite, "pluto") for suite in SUITE_NAMES])
-    rows = []
-    for persona in PERSONAS:
-        cells: List = ["LOOPRAG", persona.model_id]
-        for suite in SUITE_NAMES:
-            cells += list(_row_stats(looprag_results(suite, persona, "gcc")))
-        rows.append(tuple(cells))
-    cells = ["PLuTo", "-"]
-    for suite in SUITE_NAMES:
-        cells += list(_row_stats(compiler_results(suite, "pluto")))
-    rows.append(tuple(cells))
+    runs = _run(_looprag_gcc_plans()
+                + [compiler_plan(suite, "pluto") for suite in SUITE_NAMES])
+    rows = [tuple(["LOOPRAG", persona.model_id] + _stat_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc")))
+            for persona in PERSONAS]
+    rows.append(tuple(["PLuTo", "-"] + _stat_cells(
+        runs, lambda suite: compiler_plan(suite, "pluto"))))
     return ExperimentResult(
         experiment="tab3",
         title="Table 3: LOOPRAG vs PLuTo",
@@ -286,17 +268,12 @@ def tab3_pluto() -> ExperimentResult:
 
 
 def fig8_faster_vs_pluto() -> ExperimentResult:
-    run_plans(_looprag_gcc_plans()
-              + [compiler_plan(suite, "pluto") for suite in SUITE_NAMES])
-    rows = []
-    for persona in PERSONAS:
-        cells: List = [persona.model_id]
-        for suite in SUITE_NAMES:
-            ours = speedups_by_benchmark(
-                looprag_results(suite, persona, "gcc"))
-            pluto = speedups_by_benchmark(compiler_results(suite, "pluto"))
-            cells.append(percent_faster(ours, pluto))
-        rows.append(tuple(cells))
+    runs = _run(_looprag_gcc_plans()
+                + [compiler_plan(suite, "pluto") for suite in SUITE_NAMES])
+    rows = [tuple([persona.model_id] + _faster_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc"),
+                lambda suite: compiler_plan(suite, "pluto")))
+            for persona in PERSONAS]
     return ExperimentResult(
         experiment="fig8",
         title="Figure 8: % faster codes vs PLuTo",
@@ -356,16 +333,12 @@ def tab4_transform_kinds(corpus_size: int = CORPUS_STUDY_SIZE
 
 def tab5_colagen() -> ExperimentResult:
     """Full pipeline backed by COLA-Gen demonstrations vs LOOPRAG's."""
-    run_plans(_looprag_gcc_plans(generators=("looprag", "colagen")))
-    rows = []
-    for generator in ("looprag", "colagen"):
-        for persona in PERSONAS:
-            cells: List = [generator, persona.model_id]
-            for suite in SUITE_NAMES:
-                cells += list(_row_stats(
-                    looprag_results(suite, persona, "gcc",
-                                generator=generator)))
-            rows.append(tuple(cells))
+    runs = _run(_looprag_gcc_plans(generators=("looprag", "colagen")))
+    rows = [tuple([generator, persona.model_id] + _stat_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc",
+                                                 generator=generator)))
+            for generator in ("looprag", "colagen")
+            for persona in PERSONAS]
     return ExperimentResult(
         experiment="tab5",
         title="Table 5: LOOPRAG vs COLA-Gen demonstration corpora",
@@ -377,17 +350,12 @@ def tab5_colagen() -> ExperimentResult:
 
 
 def fig10_faster_vs_colagen() -> ExperimentResult:
-    run_plans(_looprag_gcc_plans(generators=("looprag", "colagen")))
-    rows = []
-    for persona in PERSONAS:
-        cells: List = [persona.model_id]
-        for suite in SUITE_NAMES:
-            ours = speedups_by_benchmark(
-                looprag_results(suite, persona, "gcc"))
-            cola = speedups_by_benchmark(
-                looprag_results(suite, persona, "gcc", generator="colagen"))
-            cells.append(percent_faster(ours, cola))
-        rows.append(tuple(cells))
+    runs = _run(_looprag_gcc_plans(generators=("looprag", "colagen")))
+    rows = [tuple([persona.model_id] + _faster_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc"),
+                lambda suite: looprag_plan(suite, persona, "gcc",
+                                           generator="colagen")))
+            for persona in PERSONAS]
     return ExperimentResult(
         experiment="fig10",
         title="Figure 10: % faster codes vs COLA-Gen corpus",
@@ -403,17 +371,12 @@ _TAB6_METHODS = (("Loop-aware", "loop-aware"), ("BM25", "bm25"),
 
 
 def tab6_retrieval() -> ExperimentResult:
-    run_plans(_looprag_gcc_plans(
+    runs = _run(_looprag_gcc_plans(
         methods=[m for _, m in _TAB6_METHODS]))
-    rows = []
-    for label, method in _TAB6_METHODS:
-        for persona in PERSONAS:
-            cells: List = [label, persona.model_id]
-            for suite in SUITE_NAMES:
-                cells += list(_row_stats(
-                    looprag_results(suite, persona, "gcc",
-                                retrieval_method=method)))
-            rows.append(tuple(cells))
+    rows = [tuple([label, persona.model_id] + _stat_cells(
+                runs, lambda suite: looprag_plan(suite, persona, "gcc",
+                                                 retrieval_method=method)))
+            for label, method in _TAB6_METHODS for persona in PERSONAS]
     return ExperimentResult(
         experiment="tab6",
         title="Table 6: retrieval ablation (LAScore vs BM25 vs weighted)",
@@ -425,20 +388,14 @@ def tab6_retrieval() -> ExperimentResult:
 
 
 def fig11_faster_retrieval() -> ExperimentResult:
-    run_plans(_looprag_gcc_plans(
+    runs = _run(_looprag_gcc_plans(
         methods=[m for _, m in _TAB6_METHODS]))
-    rows = []
-    for label, method in _TAB6_METHODS[1:]:
-        for persona in PERSONAS:
-            cells: List = [f"loop-aware vs {label}", persona.model_id]
-            for suite in SUITE_NAMES:
-                ours = speedups_by_benchmark(
-                    looprag_results(suite, persona, "gcc"))
-                other = speedups_by_benchmark(
-                    looprag_results(suite, persona, "gcc",
-                                retrieval_method=method))
-                cells.append(percent_faster(ours, other))
-            rows.append(tuple(cells))
+    rows = [tuple([f"loop-aware vs {label}", persona.model_id]
+                  + _faster_cells(
+                      runs, lambda suite: looprag_plan(suite, persona, "gcc"),
+                      lambda suite: looprag_plan(suite, persona, "gcc",
+                                                 retrieval_method=method)))
+            for label, method in _TAB6_METHODS[1:] for persona in PERSONAS]
     return ExperimentResult(
         experiment="fig11",
         title="Figure 11: % faster codes, loop-aware vs other retrieval",
@@ -451,14 +408,14 @@ def fig11_faster_retrieval() -> ExperimentResult:
 # ----------------------------------------------------------------------
 def tab7_feedback() -> ExperimentResult:
     """Pass@k improvements per feedback round (stage snapshots)."""
-    run_plans(_looprag_gcc_plans())
+    runs = _run(_looprag_gcc_plans())
     rows = []
     for persona in PERSONAS:
         first = ["First round of compilation", persona.model_id]
         second = ["Second round of compilation", persona.model_id]
         testrank = ["Testing results + rankings", persona.model_id]
         for suite in SUITE_NAMES:
-            results = looprag_results(suite, persona, "gcc")
+            results = runs[looprag_plan(suite, persona, "gcc")]
             s1 = pass_at_k([r.stage("step1") for r in results])
             s2 = pass_at_k([r.stage("step2") for r in results])
             s3 = pass_at_k([r.stage("step3") for r in results])
@@ -480,12 +437,12 @@ def tab7_feedback() -> ExperimentResult:
 def fig12_feedback_faster() -> ExperimentResult:
     """% of benchmarks whose final code beats the step-2 best (the gain
     attributable to testing-results + ranking feedback)."""
-    run_plans(_looprag_gcc_plans())
+    runs = _run(_looprag_gcc_plans())
     rows = []
     for persona in PERSONAS:
         cells: List = [persona.model_id]
         for suite in SUITE_NAMES:
-            results = looprag_results(suite, persona, "gcc")
+            results = runs[looprag_plan(suite, persona, "gcc")]
             improved = [r.speedup_at("step4") > r.speedup_at("step2")
                         for r in results]
             cells.append(100.0 * sum(improved) / max(1, len(improved)))
@@ -502,17 +459,17 @@ def fig12_feedback_faster() -> ExperimentResult:
 # Figure 14 — per-benchmark speedups (Appendix F)
 # ----------------------------------------------------------------------
 def fig14_per_benchmark() -> ExperimentResult:
-    run_plans(_looprag_gcc_plans(suites=("polybench", "tsvc"))
-              + _base_llm_gcc_plans(suites=("polybench", "tsvc")))
+    runs = _run(_looprag_gcc_plans(suites=("polybench", "tsvc"))
+                + _base_llm_gcc_plans(suites=("polybench", "tsvc")))
     rows = []
     poly_lr = {p.name: speedups_by_benchmark(
-        looprag_results("polybench", p, "gcc")) for p in PERSONAS}
+        runs[looprag_plan("polybench", p, "gcc")]) for p in PERSONAS}
     poly_bl = {p.name: speedups_by_benchmark(
-        base_llm_results("polybench", p, "gcc")) for p in PERSONAS}
+        runs[base_llm_plan("polybench", p, "gcc")]) for p in PERSONAS}
     tsvc_lr = {p.name: speedups_by_benchmark(
-        looprag_results("tsvc", p, "gcc")) for p in PERSONAS}
+        runs[looprag_plan("tsvc", p, "gcc")]) for p in PERSONAS}
     tsvc_bl = {p.name: speedups_by_benchmark(
-        base_llm_results("tsvc", p, "gcc")) for p in PERSONAS}
+        runs[base_llm_plan("tsvc", p, "gcc")]) for p in PERSONAS}
     for name in FIG14_KERNELS:
         rows.append(("polybench", name,
                      poly_lr["deepseek"].get(name),

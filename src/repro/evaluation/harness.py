@@ -14,12 +14,13 @@ whenever they share a request and a session spec; the driver's pool
 is the one fan-out path.  Plans take their sessions from the
 process-wide registry (:func:`repro.api.session.shared_session`), one
 per session spec, so every plan over one corpus shares its pipelines
-and its retriever.  An in-process ``_RUN_CACHE``
-memoizes each plan's results per ``REPRO_SUITE_LIMIT``, so an
-experiment run with the store off still computes a plan that several
-tables share once.  :func:`results_for` runs one plan.  Each pipeline
-run seeds its RNG from ``(seed, program fingerprint)``, so parallel
-results are bit-identical to serial ones.
+and its retriever.  There is no memo above the store: a caller reads
+each plan's results from what :func:`run_plans` returns, and a plan
+that several tables share is a store hit after its first run (with
+the store off, ``REPRO_NO_CACHE``, it is recomputed).
+:func:`results_for` runs one plan.  Each pipeline run seeds its RNG
+from ``(seed, program fingerprint)``, so parallel results are
+bit-identical to serial ones.
 
 Environment switches: ``REPRO_SUITE_LIMIT=<n>`` subsamples suites for
 quick iteration (benches run the full suites); ``REPRO_JOBS=<n>`` sets
@@ -31,8 +32,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..api.session import (DEFAULT_DATASET_SIZE, DEFAULT_SEED,
                            OptimizationRequest, OptimizerSession,
@@ -76,19 +76,6 @@ def suites() -> Dict[str, Suite]:
             "lore": _limited(lore())}
 
 
-#: in-process memo per (plan, REPRO_SUITE_LIMIT); no code signature —
-#: code cannot change inside one process
-_RUN_CACHE: Dict[Tuple["RunPlan", Optional[str]], List[BenchResult]] = {}
-_SUITE_CACHE: Dict[Tuple, Suite] = {}
-
-
-def _plan_suite(name: str) -> Suite:
-    key = (name, os.environ.get("REPRO_SUITE_LIMIT"))
-    if key not in _SUITE_CACHE:
-        _SUITE_CACHE[key] = suites()[name]
-    return _SUITE_CACHE[key]
-
-
 # ----------------------------------------------------------------------
 # plans: one (system, suite) work description
 # ----------------------------------------------------------------------
@@ -97,7 +84,7 @@ class RunPlan:
     """Everything needed to run one system over one suite.
 
     Plans are plain hashable value objects (persona/optimizer by name,
-    not by object) so they dedupe and key the in-process memo.
+    not by object), so they dedupe and key a caller's results.
     """
 
     kind: str                       # "looprag" | "basellm" | "compiler"
@@ -187,55 +174,33 @@ def run_plans(plans: Sequence[RunPlan], jobs: Optional[int] = None
               ) -> List[List[BenchResult]]:
     """Run a batch of plans; returns results aligned with ``plans``.
 
-    Plans not yet memoized in this process become one request per
-    benchmark, all served by one :func:`optimize_batch` call (store
-    hits first, misses across one ``jobs``-wide pool, ``REPRO_JOBS``,
-    default serial), and are reassembled in suite order, so every path
-    yields identical lists.
+    Each distinct plan becomes one request per benchmark, all served
+    by one :func:`optimize_batch` call (store hits first, misses across
+    one ``jobs``-wide pool, ``REPRO_JOBS``, default serial), and is
+    reassembled in suite order, so every path yields identical lists.
     """
-    limit = os.environ.get("REPRO_SUITE_LIMIT")
-    todo = [plan for plan in dict.fromkeys(plans)
-            if (plan, limit) not in _RUN_CACHE]
-    runs = [(plan, bench) for plan in todo
-            for bench in _plan_suite(plan.suite)]
+    by_plan: Dict[RunPlan, List[BenchResult]] = {
+        plan: [] for plan in plans}
+    named = suites()
+    runs = [(plan, bench) for plan in by_plan
+            for bench in named[plan.suite]]
     results = optimize_batch(
         [(_plan_session(plan), _plan_request(plan, bench))
          for plan, bench in runs], jobs)
-    for plan in todo:
-        _RUN_CACHE[(plan, limit)] = []
     for (plan, bench), result in zip(runs, results):
-        _RUN_CACHE[(plan, limit)].append(BenchResult(
+        by_plan[plan].append(BenchResult(
             suite=plan.suite, benchmark=bench.name, system=plan.label(),
             passed=result.passed, speedup=result.speedup,
             stage_pass=result.stage_pass,
             stage_speedup=result.stage_speedup,
             failure=result.failure))
-    return [_RUN_CACHE[(plan, limit)] for plan in plans]
+    return [by_plan[plan] for plan in plans]
 
 
 def results_for(plan: RunPlan, jobs: Optional[int] = None
                 ) -> List[BenchResult]:
     """Results of one plan (store-backed)."""
     return run_plans([plan], jobs=jobs)[0]
-
-
-def evaluate_suite(optimize: Callable, suite_name: str,
-                   system_label: str) -> List[BenchResult]:
-    """Run an ad-hoc per-benchmark callable over a suite.
-
-    ``optimize`` returns an :class:`OptimizationResult`.  Uncached — for
-    one-off configurations (the ablations) that don't correspond to a
-    stable :class:`RunPlan`.
-    """
-    results = []
-    for bench in _plan_suite(suite_name):
-        outcome = optimize(bench)
-        results.append(BenchResult(
-            suite=suite_name, benchmark=bench.name, system=system_label,
-            passed=outcome.passed, speedup=outcome.speedup,
-            stage_pass=outcome.stage_pass,
-            stage_speedup=outcome.stage_speedup))
-    return results
 
 
 # ----------------------------------------------------------------------

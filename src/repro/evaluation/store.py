@@ -169,16 +169,6 @@ def active_artifacts() -> Optional[LocalShardedStore]:
     return None if store is None else store.artifacts()
 
 
-def cache_stats() -> Dict[str, int]:
-    """Aggregate hit/miss/write counters over every store touched."""
-    totals = {"hits": 0, "misses": 0, "writes": 0,
-              "superseded": 0, "corrupt": 0, "entries": 0}
-    for store in _STORES.values():
-        for name, value in store.stats().items():
-            totals[name] = totals.get(name, 0) + value
-    return totals
-
-
 # ----------------------------------------------------------------------
 # code signature: invalidate stored results when the code that produced
 # them changes

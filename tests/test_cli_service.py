@@ -224,12 +224,10 @@ class TestBenchCacheSummary:
     def test_superseded_and_corrupt_surface_in_summary(
             self, tmp_path, monkeypatch, capsys):
         from repro.api.session import SESSIONS
-        from repro.evaluation import harness
         from repro.evaluation import store as store_mod
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        harness._RUN_CACHE.clear()
         SESSIONS.clear()
         store_mod._STORES.clear()
         try:
@@ -240,7 +238,6 @@ class TestBenchCacheSummary:
             assert "superseded" in err and "corrupt" in err
             assert "local:" in err  # store.describe() names the backend
         finally:
-            harness._RUN_CACHE.clear()
             SESSIONS.clear()
             store_mod._STORES.clear()
 
@@ -251,15 +248,12 @@ class TestBenchCacheSummary:
         its results, and the run after that is served from them."""
         import os
 
-        from repro.evaluation import harness
         from repro.evaluation import store as store_mod
 
         monkeypatch.setattr(store_mod, "_STORES", {})
         cache = str(tmp_path / "cache")
 
         def bench(*flags):
-            # a fresh in-process plan memo, so every call asks the store
-            monkeypatch.setattr(harness, "_RUN_CACHE", {})
             before = dict(os.environ)
             main(["bench", "--suite", "polybench", "--system", "pluto",
                   "--limit", "2", *flags])
@@ -268,4 +262,23 @@ class TestBenchCacheSummary:
 
         assert "(disabled)" in bench("--no-cache")
         assert "0 hits, 2 misses, 2 writes" in bench("--cache-dir", cache)
-        assert "2 hits, 2 misses, 2 writes" in bench("--cache-dir", cache)
+        assert "2 hits, 0 misses, 0 writes" in bench("--cache-dir", cache)
+
+    def test_cached_bench_after_uncached_bench_fills_its_store(
+            self, tmp_path, monkeypatch, capsys):
+        """Results computed with the store off are not remembered: the
+        same plans run again with ``--cache-dir d`` are computed again
+        and written to ``d``."""
+        from repro.evaluation import store as store_mod
+        from repro.evaluation.store import RESULTS_STREAM, ResultStore
+
+        monkeypatch.setattr(store_mod, "_STORES", {})
+        cache = tmp_path / "cache"
+        flags = ["bench", "--suite", "polybench", "--system", "polly",
+                 "--limit", "2"]
+        main(flags + ["--no-cache"])
+        capsys.readouterr()
+        main(flags + ["--cache-dir", str(cache)])
+        assert "0 hits, 2 misses, 2 writes" in capsys.readouterr().err
+        stored = ResultStore(cache).artifacts().list(RESULTS_STREAM)
+        assert len(stored) == 2

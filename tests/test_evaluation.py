@@ -62,9 +62,14 @@ class TestHarnessCaching:
     def test_run_cache_hits(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_LIMIT", "3")
         from repro.evaluation.harness import compiler_plan, results_for
+        from repro.evaluation.store import active_store
         a = results_for(compiler_plan("polybench", "graphite"))
+        store = active_store()
+        hits, misses = store.hits, store.misses
         b = results_for(compiler_plan("polybench", "graphite"))
-        assert a is b
+        assert a == b
+        # the second run is served entirely from the result store
+        assert (store.hits - hits, store.misses - misses) == (len(b), 0)
 
     def test_suite_limit_respected(self, monkeypatch):
         monkeypatch.setenv("REPRO_SUITE_LIMIT", "4")

@@ -52,7 +52,6 @@ def fresh_harness(monkeypatch, tmp_path):
 
 def _forget_memory():
     """Simulate a new process: drop every in-memory layer."""
-    harness._RUN_CACHE.clear()
     SESSIONS.clear()
     store_module._STORES.clear()
 
@@ -235,6 +234,20 @@ class TestHarnessStore:
         assert warm == cold
         stats = active_store().stats()
         assert (stats["hits"], stats["writes"]) == (3, 0)
+
+    def test_payload_without_embedded_text_is_recomputed(
+            self, fresh_harness):
+        """A payload whose ``events`` is not JSON text (the earlier
+        nested shape) fails its lookup and is recomputed, not served."""
+        cold = results_for(GRAPHITE)
+        artifacts = active_store().artifacts()
+        for key in artifacts.list(RESULTS_STREAM):
+            payload = artifacts.read(RESULTS_STREAM, key)
+            payload["events"] = json.loads(payload["events"])
+            artifacts.append(RESULTS_STREAM, key, payload)
+        _forget_memory()
+        assert results_for(GRAPHITE) == cold
+        assert active_store().stats()["writes"] == 3
 
     def test_plan_records_serve_single_requests(self, fresh_harness):
         """A suite plan and ``OptimizerSession.optimize`` share one
