@@ -17,7 +17,10 @@ would:
 6. one entry point's store, another's hit — a kernel answered in this
    process by ``OptimizerSession.optimize`` into a fresh cache dir must
    be answered by a daemon booted on that dir from the result store
-   (``store_hits_total == 1``), byte-identically.
+   (``store_hits_total == 1``), byte-identically;
+7. malformed bodies — a non-numeric ``deadline_s`` and a ``session``
+   that is not an object, each with a valid kernel — must be answered
+   ``400 bad_request``, and the daemon must stay healthy.
 
 Stdlib plus the ``repro`` package from ``src/``; exits non-zero with a
 readable message on any violation.  Run directly or via ``make
@@ -266,6 +269,7 @@ def shared_store_hit(env):
                 fail(f"expected 1 store hit, metrics say {hits}")
             step("daemon answered the in-process result from the store, "
                  "byte-identical")
+            bad_requests(addr)
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)
             if code != 0:
@@ -274,6 +278,26 @@ def shared_store_hit(env):
             stop(proc)
     finally:
         shutil.rmtree(cache, ignore_errors=True)
+
+
+def bad_requests(addr):
+    """Step 7: malformed bodies answer 400 and never hurt the daemon."""
+    for extra in ({"deadline_s": "soon"}, {"session": ["x"]}):
+        try:
+            status, text, _ = post(addr, dict(extra,
+                                              request={"source": KERNEL}))
+        except OSError as exc:
+            fail(f"malformed body {extra}: no response ({exc!r})")
+        try:
+            kind = json.loads(text)["error"]["kind"]
+        except (ValueError, KeyError, TypeError):
+            kind = None
+        if status != 400 or kind != "bad_request":
+            fail(f"malformed body {extra}: {status} {text[:200]}")
+    status, doc = get_json(addr, "/healthz")
+    if status != 200 or doc.get("status") != "ok":
+        fail(f"healthz after malformed bodies: {status} {doc}")
+    step("malformed bodies answered 400 bad_request; daemon healthy")
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ This concretization is this repo's substitute for ISL-based exact
 dependence analysis: it is exact for the sampled sizes and, because every
 dependence in an affine SCoP with constant distances shows up at small
 sizes, it is reliable on the benchmark/synthesized programs used here
-(DESIGN.md discusses the substitution).
+("Dependence concretization at two sizes" in ``docs/architecture.md``
+discusses the substitution).
 
 Two engines share these semantics (selected by ``REPRO_ANALYSIS``):
 

@@ -210,9 +210,11 @@ def code_signature() -> str:
     IR, transforms, analyses, compilers, runtime, testing, pipeline,
     LLM, machine model, suites, retrieval, corpus synthesis, the
     session or the harness's run logic invalidates stored results.
-    A module outside it only transports, schedules, guards or presents
-    results, and editing it keeps them warm.  These are the non-result
-    modules:
+    The persistent corpus cache keys its corpora by this signature
+    too (synthesis.dataset.cached_dataset), so a corpus and the results
+    computed over it go stale together.  A module outside it only
+    transports, schedules, guards or presents results, and editing it
+    keeps them warm.  These are the non-result modules:
 
     * ``__init__.py``, ``__main__.py``, ``api/__init__.py``,
       ``testing/__init__.py`` (re-exports and entry points);

@@ -115,6 +115,14 @@ class BadRequest(Exception):
     """Client error: malformed body / unknown fields."""
 
 
+def _seconds(value: Any, field: str) -> Any:
+    """``value`` unchanged if it is a number of seconds or None."""
+    if value is None or (isinstance(value, (int, float))
+                         and not isinstance(value, bool)):
+        return value
+    raise BadRequest(f"'{field}' must be a number of seconds")
+
+
 class ServeDaemon:
     """Everything behind the HTTP surface; usable in-process in tests."""
 
@@ -172,6 +180,8 @@ class ServeDaemon:
         registry session the in-process path would (breakers and
         retries are per-process state inside that session's pipeline).
         """
+        if not isinstance(spec or {}, dict):
+            raise BadRequest("'session' must be an object")
         merged = dict(self.config.default_session)
         merged.update(spec or {})
         unknown = sorted(set(merged) - set(SESSION_KEYS))
@@ -201,10 +211,14 @@ class ServeDaemon:
             program = parse_scop(source)
         except Exception as exc:
             raise BadRequest(f"unparseable SCoP source: {exc}")
+        _seconds(entry.get("time_limit"), "request.time_limit")
         try:
             return OptimizationRequest.from_entry(program, entry)
         except UnknownComponentError as exc:
             raise BadRequest(str(exc))
+        except (TypeError, ValueError) as exc:
+            raise BadRequest("'request.perf' and 'request.test' must map "
+                             f"parameter names to integers ({exc})")
 
     # ------------------------------------------------------------------
     # the request path (called from handler threads)
@@ -313,12 +327,7 @@ class ServeDaemon:
                         last_reason=poisoned.get("last_reason"),
                         last_error=poisoned.get("last_error"))
             return
-        deadline_s = body.get("deadline_s",
-                              self.config.default_deadline or None)
-        if deadline_s is not None:
-            deadline_s = float(deadline_s)
-        token = CancelToken.with_timeout(deadline_s)
-        self._register_token(token)
+        token = None
         admitted = False
         journaled = False
         # non-streaming replies are rendered *after* the finally below
@@ -328,6 +337,13 @@ class ServeDaemon:
         # (with queue_depth=0 that race answered a spurious 503)
         reply = None
         try:
+            deadline_s = _seconds(body.get(
+                "deadline_s", self.config.default_deadline or None),
+                "deadline_s")
+            if deadline_s is not None:
+                deadline_s = float(deadline_s)
+            token = CancelToken.with_timeout(deadline_s)
+            self._register_token(token)
             try:
                 self.admission.acquire(client, token)
                 admitted = True
@@ -425,7 +441,8 @@ class ServeDaemon:
         finally:
             if admitted:
                 self.admission.release(client)
-            self._unregister_token(token)
+            if token is not None:
+                self._unregister_token(token)
         if reply is not None:
             reply()
 

@@ -3,7 +3,7 @@
 from .colagen import ColaGenSynthesizer
 from .dataset import (DATASET_PARAMS, DEFAULT_DATASET_SIZE, Dataset,
                       DatasetEntry, build_dataset, cached_dataset,
-                      dataset_signature, transformation_kinds)
+                      transformation_kinds)
 from .generator import ExampleSynthesizer, SynthesisError
 from .parameters import NAME_LIST, SIZE_LIST, LoopParameters
 from .store import (dataset_from_payload, dataset_to_payload,
@@ -12,8 +12,7 @@ from .store import (dataset_from_payload, dataset_to_payload,
 __all__ = [
     "ColaGenSynthesizer",
     "DATASET_PARAMS", "DEFAULT_DATASET_SIZE", "Dataset", "DatasetEntry",
-    "build_dataset", "cached_dataset", "dataset_signature",
-    "transformation_kinds",
+    "build_dataset", "cached_dataset", "transformation_kinds",
     "ExampleSynthesizer", "SynthesisError",
     "NAME_LIST", "SIZE_LIST", "LoopParameters",
     "dataset_from_payload", "dataset_to_payload",

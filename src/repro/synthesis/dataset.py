@@ -8,8 +8,8 @@ pseudo-C text of both versions — that text is what BM25 indexes and what
 demonstration prompts show.
 
 The paper synthesizes 135,364 examples; the generator here is the same
-algorithm, only the default corpus size is scaled down (DESIGN.md) and is
-configurable.
+algorithm, only the default corpus size is scaled down
+(``DEFAULT_DATASET_SIZE``) and is configurable.
 """
 
 from __future__ import annotations
@@ -158,13 +158,15 @@ DATASETS_STREAM = "datasets"
 def _dataset_cache_key(size: int, seed: int, generator: str) -> str:
     """Stream key of the persisted corpus.
 
-    The key embeds :func:`dataset_signature`, so any edit to a
-    corpus-determining module changes the key — stale corpora are
+    The key embeds the result key's code signature
+    (``repro.evaluation.store.code_signature``), so any edit to a
+    result-determining module changes the key — stale corpora are
     simply never found again (``make clean-cache`` reclaims them; every
     rebuild compacts away superseded and undecodable lines).
     """
-    sig = dataset_signature(size, seed, generator)
-    return f"{generator}-n{size}-s{seed}-{sig}"
+    from ..evaluation.store import code_signature
+
+    return f"{generator}-n{size}-s{seed}-{code_signature()}"
 
 
 def _load_persistent(size: int, seed: int, generator: str):
@@ -213,14 +215,14 @@ def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
 
     Corpora are cached at two levels: in-process (experiments share
     corpora) and persistently in the ``"datasets"`` stream of the
-    shared artifact store (``<cache-dir>/store/``) keyed by
-    :func:`dataset_signature` — the ~tens-of-seconds synthesis +
+    shared artifact store (``<cache-dir>/store/``), keyed by the
+    corpus parameters and the same code signature as results (see
+    :func:`_dataset_cache_key`) — the ~tens-of-seconds synthesis +
     PLuTo-optimization build is paid once per machine, not once per
     process.  ``REPRO_CACHE_DIR`` moves the store and
     ``REPRO_NO_CACHE`` disables the disk layer, exactly like the result
-    store.  Loaded
-    corpora are bit-identical to built ones (exact indexed texts,
-    properties and retrieval features are stored — see
+    store.  Loaded corpora are bit-identical to built ones (exact
+    indexed texts, properties and retrieval features are stored — see
     ``synthesis.store``), so retrieval ranks and demonstrations don't
     depend on which level served the corpus.
     """
@@ -233,60 +235,6 @@ def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
             _store_persistent(dataset, size, seed, generator)
         _DATASET_CACHE[key] = dataset
     return dataset
-
-
-_SIGNATURE_CACHE = {}
-
-
-def dataset_signature(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
-                      generator: str = "looprag") -> str:
-    """Stable content signature of a synthesized corpus.
-
-    The on-disk corpus cache embeds it in its stream keys: two
-    processes get the same signature iff they would build the same
-    corpus — the (size, seed, generator) parameters *and* the sources
-    of every corpus-determining module agree.  That closure covers the
-    synthesizers, PLuTo and the compiler passes it drives, the
-    transform implementations recipes replay, the dependence/property
-    analyses (both engines), the C printer whose text BM25 indexes,
-    the loop-feature extractor whose output a stored corpus carries,
-    and the (de)serialization itself.  Editing any of those changes the
-    signature and invalidates stored corpora/results instead of
-    silently serving stale ones.
-    """
-    key = (size, seed, generator)
-    if key not in _SIGNATURE_CACHE:
-        import hashlib
-        import inspect
-        import sys
-
-        from ..analysis import dependences as dependences_module
-        from ..analysis import properties as properties_module
-        from ..analysis import vectorized as vectorized_module
-        from ..codegen import cprinter as cprinter_module
-        from ..compilers import passes as passes_module
-        from ..compilers import pluto as pluto_module
-        from ..ir import serialize as serialize_module
-        from ..retrieval import features as features_module
-        from ..transforms import (fusion, interchange, parallel, recipe,
-                                  scalar, skewing, tiling)
-        from . import colagen as colagen_module
-        from . import generator as generator_module
-        from . import parameters as parameters_module
-        from . import store as store_module
-
-        digest = hashlib.sha256(repr(key).encode())
-        for module in (generator_module, colagen_module,
-                       parameters_module, pluto_module, passes_module,
-                       dependences_module, vectorized_module,
-                       properties_module, cprinter_module,
-                       recipe, fusion, interchange, parallel, scalar,
-                       skewing, tiling, serialize_module,
-                       features_module, store_module,
-                       sys.modules[__name__]):
-            digest.update(inspect.getsource(module).encode())
-        _SIGNATURE_CACHE[key] = digest.hexdigest()[:16]
-    return _SIGNATURE_CACHE[key]
 
 
 def transformation_kinds(dataset: Dataset) -> dict:

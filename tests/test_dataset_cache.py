@@ -1,10 +1,11 @@
 """Persistent corpus cache: build -> persist -> reload, bit-identically.
 
 `cached_dataset` keeps corpora in the ``"datasets"`` stream of the
-shared artifact store (`<cache-dir>/store/`) keyed by
-`dataset_signature()`; a corpus served from the store must be
-indistinguishable from a freshly built one — same signature, same
-indexed texts, same properties, and bit-identical retrieval ranks.
+shared artifact store (`<cache-dir>/store/`) keyed by the results'
+`code_signature()`; a corpus served from the store must be
+indistinguishable from a freshly built one — same indexed texts, same
+properties, and bit-identical retrieval ranks — and a changed code
+signature must rebuild it.
 """
 
 import json
@@ -13,11 +14,11 @@ import pytest
 
 import repro.synthesis.dataset as dataset_mod
 from repro.evaluation import store as result_store_mod
-from repro.evaluation.store import active_artifacts
+from repro.evaluation.store import active_artifacts, code_signature
 from repro.ir import parse_scop
 from repro.retrieval import Retriever
 from repro.storage import STORAGE_SCHEMA
-from repro.synthesis import cached_dataset, dataset_signature
+from repro.synthesis import cached_dataset
 from repro.synthesis.dataset import DATASETS_STREAM, _dataset_cache_key
 from repro.synthesis.store import FORMAT_VERSION, dataset_to_payload
 
@@ -72,7 +73,7 @@ class TestPersistentCache:
                                          monkeypatch):
         built = cached_dataset(SIZE, SEED)
         [key] = active_artifacts().list(DATASETS_STREAM)
-        assert dataset_signature(SIZE, SEED) in key
+        assert key.endswith(f"-n{SIZE}-s{SEED}-{code_signature()}")
 
         forget_memory()
         refuse_build(monkeypatch)
@@ -86,9 +87,27 @@ class TestPersistentCache:
             assert a.optimized_text == b.optimized_text
             assert a.recipe == b.recipe
             assert a.properties == b.properties
-        # the signature is a pure function of (key, sources): identical
-        assert dataset_signature(SIZE, SEED) == dataset_signature(SIZE,
-                                                                  SEED)
+
+    def test_changed_code_signature_rebuilds_the_corpus(
+            self, isolated_cache, monkeypatch):
+        """An edit to any result-determining module (here: a different
+        code signature) must rebuild the corpus, exactly once."""
+        built = cached_dataset(SIZE, SEED)
+        monkeypatch.setattr(result_store_mod, "_CODE_SIGNATURE",
+                            "0123456789abcdef")
+        forget_memory()
+        builds = []
+        real_build = dataset_mod.build_dataset
+        monkeypatch.setattr(
+            dataset_mod, "build_dataset",
+            lambda *a, **k: builds.append(a) or real_build(*a, **k))
+        rebuilt = cached_dataset(SIZE, SEED)
+        forget_memory()
+        assert cached_dataset(SIZE, SEED) is not rebuilt
+        assert len(builds) == 1
+        assert ranks(rebuilt) == ranks(built)
+        keys = active_artifacts().list(DATASETS_STREAM)
+        assert f"looprag-n{SIZE}-s{SEED}-0123456789abcdef" in keys
 
     def test_retrieval_ranks_bit_identical(self, isolated_cache):
         built = cached_dataset(SIZE, SEED)

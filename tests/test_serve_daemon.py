@@ -143,10 +143,19 @@ class TestEndpoints:
             {"request": {"source": "scop ((("}},     # unparseable SCoP
             {"request": {"source": KERNEL},
              "session": {"bogus_knob": 1}},          # unknown field
+            {"request": {"source": KERNEL},
+             "deadline_s": "soon"},                  # non-numeric deadline
+            {"request": {"source": KERNEL},
+             "session": ["x"]},                      # session not an object
+            {"request": {"source": KERNEL, "perf": ["N"]}},  # perf not a map
+            {"request": {"source": KERNEL,
+                         "test": {"N": "eight"}}},   # test value not an int
+            {"request": {"source": KERNEL,
+                         "time_limit": "1m"}},       # non-numeric time limit
         ]
         for body in cases:
             status, text, _ = _post(daemon.address, body)
-            assert status == 400
+            assert status == 400, body
             assert json.loads(text)["error"]["kind"] == "bad_request"
 
         conn = http.client.HTTPConnection(*daemon.address, timeout=30)
@@ -162,7 +171,8 @@ class TestEndpoints:
 
         status, doc, _ = _get(daemon.address, "/healthz")
         assert status == 200 and doc["status"] == "ok"
-        assert daemon.metrics.get("failed_total") == 4
+        assert daemon.metrics.get("failed_total") == 9
+        assert daemon.metrics.get("requests_total") == 9
 
 
 # ----------------------------------------------------------------------
