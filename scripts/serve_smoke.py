@@ -18,9 +18,11 @@ would:
    process by ``OptimizerSession.optimize`` into a fresh cache dir must
    be answered by a daemon booted on that dir from the result store
    (``store_hits_total == 1``), byte-identically;
-7. malformed bodies — a non-numeric ``deadline_s`` and a ``session``
-   that is not an object, each with a valid kernel — must be answered
-   ``400 bad_request``, and the daemon must stay healthy.
+7. malformed bodies — a non-numeric ``deadline_s``, a ``session``
+   that is not an object, a non-integer ``session.dataset_size`` and a
+   ``request.persona`` that is not a name, each with a valid kernel —
+   must be answered ``400 bad_request``, and the daemon must stay
+   healthy.
 
 Stdlib plus the ``repro`` package from ``src/``; exits non-zero with a
 readable message on any violation.  Run directly or via ``make
@@ -282,10 +284,14 @@ def shared_store_hit(env):
 
 def bad_requests(addr):
     """Step 7: malformed bodies answer 400 and never hurt the daemon."""
-    for extra in ({"deadline_s": "soon"}, {"session": ["x"]}):
+    for extra, fields in (({"deadline_s": "soon"}, {}),
+                          ({"session": ["x"]}, {}),
+                          ({"session": {"dataset_size": "big"}}, {}),
+                          ({}, {"persona": 5})):
+        extra = extra or {"request": fields}
         try:
-            status, text, _ = post(addr, dict(extra,
-                                              request={"source": KERNEL}))
+            status, text, _ = post(addr, dict(
+                extra, request=dict(fields, source=KERNEL)))
         except OSError as exc:
             fail(f"malformed body {extra}: no response ({exc!r})")
         try:

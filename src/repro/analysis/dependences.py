@@ -156,15 +156,15 @@ def analysis_params(program: Program,
 _LATE_ONSET_SPREAD = max(_PARAM_SIZES)
 
 
-@memoized(4096, key=lambda program: program.analysis_key())
 def _nonuniform_profile(program: Program) -> Tuple[frozenset, int]:
     """``(late-onset arrays, scaled binding)`` — see :func:`nonuniform_arrays`.
 
-    Memoized per :meth:`~repro.ir.program.Program.analysis_key`.  The
-    scaled binding is normally ``_NONUNIFORM_PARAM`` (26) but grows with
-    the largest constant offset spread so that constant-offset classes
-    (``X[i]`` vs ``X[i+20]``: uniform distance, late onset) are
-    concretized at a size where they actually occur.
+    The scaled binding is normally ``_NONUNIFORM_PARAM`` (26) but grows
+    with the largest constant offset spread so that constant-offset
+    classes (``X[i]`` vs ``X[i+20]``: uniform distance, late onset) are
+    concretized at a size where they actually occur.  Not memoized: its
+    one production caller, :func:`compute_dependences`, runs only on a
+    :func:`dependences` miss for the same analysis key.
     """
     params = set(program.params)
     written = {s.write().array for s in program.statements}
@@ -244,7 +244,7 @@ def nonuniform_arrays(program: Program) -> frozenset:
 
     Only *written* arrays matter (read-only arrays generate no
     dependences).  The result drives the scaled third concretization
-    pass in :func:`compute_dependences`; memoized per analysis key.
+    pass in :func:`compute_dependences`.
     """
     return _nonuniform_profile(program)[0]
 

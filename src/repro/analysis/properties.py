@@ -33,18 +33,6 @@ class LoopProperties:
     total_array_cells: int
     index_signatures: Tuple[str, ...]
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "NStmts": self.n_statements,
-            "Bound": self.bounds_iter_refs,
-            "Depth": self.loop_depth,
-            "Schedule": self.perfect,
-            "NDeps": self.n_dependences,
-            "DepType": self.dep_types,
-            "NArrays": self.n_arrays,
-            "ArraySize": self.total_array_cells,
-        }
-
 
 def _is_perfect(program: Program) -> bool:
     """All statements at max depth with identical non-final const dims."""

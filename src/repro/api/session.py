@@ -3,9 +3,9 @@
 ``OptimizerSession`` is the long-lived service object the ROADMAP's
 production framing asks for.  It owns every piece of expensive shared
 state exactly once — the synthesized corpus (via ``cached_dataset``'s
-two cache layers), the retriever index, the process-wide dependence /
-compiled-kernel / legality caches it shares with the rest of the
-system, and the machine model — and serves typed
+two cache layers), the retriever index and the process-wide
+dependence / compiled-kernel / legality caches it shares with the rest
+of the system — and serves typed
 :class:`OptimizationRequest` → :class:`OptimizationResult` objects.
 
 * :meth:`OptimizerSession.optimize` runs one request, streaming
@@ -47,11 +47,10 @@ from typing import (Any, Callable, Dict, List, Mapping, Optional,
 from ..cancellation import CancelToken, cancel_scope
 from ..codegen import scop_body_to_c
 from ..compilers import BASE_COMPILERS, OPTIMIZERS
-from ..compilers.base import BaseCompiler
 from ..ir.program import Program
 from ..ir.serialize import program_from_json, program_to_json
 from ..llm import LLM_BACKENDS
-from ..llm.personas import PERSONAS, Persona
+from ..llm.personas import PERSONAS, Persona, registered_name
 from ..machine.analytical import estimate_cached
 from ..machine.model import DEFAULT_MACHINE, MachineModel
 from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
@@ -59,7 +58,7 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
                                    PipelineResult)
 from ..registry import UnknownComponentError, lookup
 from ..retrieval.retriever import METHODS, Retriever
-from ..synthesis.dataset import Dataset, cached_dataset
+from ..synthesis.dataset import cached_dataset
 from .events import EventBus, EventLog, SessionEvent
 from .resilience import ResilientCall, ResilientLLM
 
@@ -98,16 +97,15 @@ class OptimizationRequest:
     optimizing-compiler baseline, named by ``optimizer``).  Parameter
     bindings are stored as sorted item tuples so requests are hashable
     and pickle to worker processes; use :meth:`make` to pass plain
-    mappings.
+    mappings and a registered :class:`Persona` for its name.
     """
 
     program: Program
     perf_params: Tuple[Tuple[str, int], ...]
     test_params: Tuple[Tuple[str, int], ...] = ()
     system: str = "looprag"
-    #: persona by registered name, or a :class:`Persona` object for
-    #: ad-hoc profiles (those skip the persistent store — no stable key)
-    persona: Union[str, Persona] = "deepseek"
+    #: persona by registered name (checked when the request runs)
+    persona: str = "deepseek"
     optimizer: Optional[str] = None
     time_limit: Optional[float] = None
     tag: Optional[str] = None
@@ -127,7 +125,8 @@ class OptimizationRequest:
             program=program,
             perf_params=_params_tuple(perf_params),
             test_params=_params_tuple(test_params),
-            system=system, persona=persona, optimizer=optimizer,
+            system=system, persona=registered_name(persona),
+            optimizer=optimizer,
             time_limit=time_limit, tag=tag)
 
     @staticmethod
@@ -159,18 +158,13 @@ class OptimizationRequest:
         return (LOOPRAG_TIME_LIMIT if self.system == "looprag"
                 else BASELINE_TIME_LIMIT)
 
-    def persona_name(self) -> str:
-        if isinstance(self.persona, Persona):
-            return self.persona.name
-        return self.persona
-
     def echo(self) -> Dict[str, Any]:
         """Deterministic JSON form of the request (for reports)."""
         return {
             "target": self.program.name,
             "fingerprint": self.program.fingerprint(),
             "system": self.system,
-            "persona": (self.persona_name()
+            "persona": (self.persona
                         if self.system != "compiler" else None),
             "optimizer": self.optimizer,
             "perf": dict(self.perf_params),
@@ -351,8 +345,7 @@ def optimize_batch(items: Sequence[Tuple["OptimizerSession",
     items = list(items)
     if jobs is None:
         jobs = default_jobs()
-    stores = [session._store() if session._cacheable(request) else None
-              for session, request in items]
+    stores = [session._store() for session, _request in items]
     results: List[Optional[OptimizationResult]] = [None] * len(items)
     misses: List[int] = []
     for i, (session, request) in enumerate(items):
@@ -469,10 +462,10 @@ class OptimizerSession:
     (validated eagerly, with actionable errors); all heavy state is
     built lazily, once, and shared across every request and worker.
 
-    ``dataset``/``retriever`` inject pre-built corpora (ad-hoc
-    ablations and tests use this); such sessions skip the persistent
-    result store because their corpus has no content signature to key
-    it by.
+    ``retriever`` injects a pre-built index over a corpus of the
+    caller's own (tests and examples use it); such a session skips the
+    persistent result store, because its corpus has no key to store
+    results by.
     """
 
     def __init__(self,
@@ -481,10 +474,8 @@ class OptimizerSession:
                  generator: str = "looprag",
                  retrieval_method: str = "loop-aware",
                  llm_backend: str = "simulated",
-                 base_compiler: Union[str, BaseCompiler] = "gcc",
-                 machine: MachineModel = DEFAULT_MACHINE,
+                 base_compiler: str = "gcc",
                  k: int = DEFAULT_K,
-                 dataset: Optional[Dataset] = None,
                  retriever: Optional[Retriever] = None,
                  use_store: bool = True) -> None:
         # eager component validation: typos fail at construction, with
@@ -495,25 +486,16 @@ class OptimizerSession:
             raise UnknownComponentError("retrieval method",
                                         retrieval_method, METHODS)
         self.retrieval_method = retrieval_method
-        if isinstance(base_compiler, str):
-            self.base = lookup(BASE_COMPILERS, "base compiler",
-                               base_compiler)
-            self.base_name = base_compiler
-        else:
-            self.base = base_compiler
-            self.base_name = base_compiler.name
-        self.machine = machine
+        self.base = lookup(BASE_COMPILERS, "base compiler", base_compiler)
+        self.base_name = base_compiler
         self.dataset_size = dataset_size
         self.seed = seed
         self.generator = generator
         self.k = k
         self.events = EventBus()
         self._retriever: Optional[Retriever] = retriever
-        if retriever is None and dataset is not None:
-            self._retriever = Retriever(dataset)
-        #: injected corpora have no dataset signature -> not store-keyed
-        self._content_keyed = (dataset is None and retriever is None
-                               and machine is DEFAULT_MACHINE)
+        #: an injected corpus has no key -> results are not stored
+        self._content_keyed = retriever is None
         self.use_store = use_store
         self._pipelines: Dict[Tuple, FeedbackPipeline] = {}
         self._lock = threading.Lock()
@@ -534,27 +516,7 @@ class OptimizerSession:
                 self.dataset_size, self.seed, self.generator)
         return self._retriever
 
-    @property
-    def dataset(self) -> Dataset:
-        return self.retriever.dataset
-
-    def _persona(self, persona: Union[str, Persona]) -> Persona:
-        if isinstance(persona, Persona):
-            return persona
-        if persona not in PERSONAS:
-            raise UnknownComponentError("persona", persona,
-                                        tuple(PERSONAS))
-        return PERSONAS[persona]
-
-    def _cacheable(self, request: OptimizationRequest) -> bool:
-        """Ad-hoc persona objects have no stable content key."""
-        if request.system == "compiler":
-            return True
-        if isinstance(request.persona, str):
-            return True
-        return PERSONAS.get(request.persona.name) is request.persona
-
-    def pipeline_for(self, system: str, persona: Union[str, Persona],
+    def pipeline_for(self, system: str, persona: str,
                      time_limit: Optional[float] = None
                      ) -> FeedbackPipeline:
         """The memoized per-(system, persona, time limit) pipeline."""
@@ -566,7 +528,7 @@ class OptimizerSession:
             pipe = self._pipelines.get(key)
             if pipe is not None:
                 return pipe
-            resolved = self._persona(persona)
+            resolved = lookup(PERSONAS, "persona", persona)
             backend, seed = self.llm_backend, self.seed
 
             def llm_factory():
@@ -580,7 +542,6 @@ class OptimizerSession:
                     retriever=self.retriever,
                     llm_factory=llm_factory,
                     base_compiler=self.base,
-                    machine=self.machine,
                     retrieval_method=self.retrieval_method,
                     k=self.k,
                     time_limit=time_limit,
@@ -591,7 +552,6 @@ class OptimizerSession:
                     retriever=None,
                     llm_factory=llm_factory,
                     base_compiler=self.base,
-                    machine=self.machine,
                     k=self.k,
                     time_limit=time_limit,
                     use_feedback=False,
@@ -640,9 +600,7 @@ class OptimizerSession:
         (or ``DeadlineExceeded``) as soon as the token is due.  Store
         hits are served regardless — they cost no pipeline work.
         """
-        store = (self._store()
-                 if use_store is not False and self._cacheable(request)
-                 else None)
+        store = self._store() if use_store is not False else None
         if store is not None:
             hit = self._store_lookup(store, request)
             if hit is not None:
@@ -688,8 +646,7 @@ class OptimizerSession:
         label = ("looprag" if request.system == "looprag" else "base")
         return OptimizationResult(
             request=request,
-            system_label=(f"{label}-{request.persona_name()}"
-                          f"-{self.base_name}"),
+            system_label=f"{label}-{request.persona}-{self.base_name}",
             passed=pr.passed,
             speedup=pr.speedup,
             baseline_seconds=pr.baseline_seconds,
@@ -753,8 +710,8 @@ SESSIONS: Dict[Tuple, OptimizerSession] = {}
 def shared_session(**spec: Any) -> OptimizerSession:
     """The process-wide session for ``spec``, built on first use.
 
-    ``spec`` holds named settings only; sessions over an injected
-    ``dataset``, ``retriever`` or ``machine`` are constructed directly.
+    ``spec`` holds named settings only; a session over an injected
+    ``retriever`` is constructed directly.
     No lock: two racing builders each build one and the first stored
     wins, and a forked worker never inherits a held lock.
     """

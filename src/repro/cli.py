@@ -340,7 +340,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         per_client=args.per_client, default_deadline=args.deadline,
         drain_grace=args.drain_grace,
         workers=args.workers, worker_memory_mb=args.worker_mem,
-        worker_cpu_s=args.worker_cpu,
         worker_hang_timeout=args.hang_timeout,
         worker_crash_limit=args.crash_limit,
         journal=(False if args.no_journal else None),
@@ -641,10 +640,6 @@ def build_parser() -> argparse.ArgumentParser:
                      metavar="MB",
                      help="per-worker RLIMIT_AS in MB "
                           "(REPRO_WORKER_MEM_MB; 0 = unlimited)")
-    srv.add_argument("--worker-cpu", type=int, default=None,
-                     metavar="SECONDS",
-                     help="per-worker RLIMIT_CPU in seconds "
-                          "(REPRO_WORKER_CPU_S; 0 = unlimited)")
     srv.add_argument("--hang-timeout", type=float, default=None,
                      help="watchdog kills a worker busy longer than "
                           "this (REPRO_WORKER_HANG, default 300)")

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import List
 
-from ..api.session import (OptimizationRequest, OptimizerSession,
-                           shared_session)
+from ..api.session import OptimizationRequest, shared_session
 from ..compilers.base import BASE_COMPILERS
 from ..compilers.pluto import Pluto
 from ..llm.personas import DEEPSEEK_V25, DEEPSEEK_V3, GPT_4O
@@ -70,13 +69,11 @@ def ablation_corpus_size(sizes=(30, 100, 300)) -> ExperimentResult:
 def ablation_candidates(ks=(1, 3, 7)) -> ExperimentResult:
     """Pass@k / speedup as a function of the candidate count K (§5: 7)."""
     rows: List = []
-    retriever = shared_session().retriever
     requests = [OptimizationRequest.make(bench.program, bench.perf,
                                          bench.test, persona=DEEPSEEK_V3)
                 for bench in suites()["polybench"]]
     for k in ks:
-        # an injected retriever keeps these sessions out of the store
-        session = OptimizerSession(retriever=retriever, seed=0, k=k)
+        session = shared_session(k=k)
         results = [session.optimize(request) for request in requests]
         rows.append((k, pass_at_k([r.passed for r in results]),
                      average_speedup([r.speedup for r in results])))

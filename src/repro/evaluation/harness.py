@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..api.session import (DEFAULT_DATASET_SIZE, DEFAULT_SEED,
                            OptimizationRequest, OptimizerSession,
                            optimize_batch, shared_session)
-from ..llm.personas import PERSONAS, Persona
+from ..llm.personas import Persona, registered_name
 from ..pipeline.generation import (BASELINE_TIME_LIMIT,
                                    LOOPRAG_TIME_LIMIT)
 from ..suites import Suite, lore, polybench, tsvc
@@ -109,21 +109,13 @@ class RunPlan:
         return self.optimizer or "?"
 
 
-def _persona_name(persona: Union[Persona, str]) -> str:
-    name = persona.name if isinstance(persona, Persona) else persona
-    if name not in PERSONAS:
-        raise ValueError(f"unknown persona {name!r}; "
-                         f"expected one of {tuple(PERSONAS)}")
-    return name
-
-
 def looprag_plan(suite_name: str, persona: Union[Persona, str],
                  base: str = "gcc", retrieval_method: str = "loop-aware",
                  generator: str = "looprag",
                  dataset_size: int = DEFAULT_DATASET_SIZE,
                  seed: int = DEFAULT_SEED) -> RunPlan:
     return RunPlan(kind="looprag", suite=suite_name,
-                   persona=_persona_name(persona), base=base,
+                   persona=registered_name(persona), base=base,
                    retrieval_method=retrieval_method, generator=generator,
                    dataset_size=dataset_size, seed=seed,
                    time_limit=LOOPRAG_TIME_LIMIT)
@@ -132,7 +124,7 @@ def looprag_plan(suite_name: str, persona: Union[Persona, str],
 def base_llm_plan(suite_name: str, persona: Union[Persona, str],
                   base: str = "gcc", seed: int = DEFAULT_SEED) -> RunPlan:
     return RunPlan(kind="basellm", suite=suite_name,
-                   persona=_persona_name(persona), base=base, seed=seed)
+                   persona=registered_name(persona), base=base, seed=seed)
 
 
 def compiler_plan(suite_name: str, optimizer_name: str,

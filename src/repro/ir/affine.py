@@ -10,7 +10,7 @@ exactly the SCoP restriction the paper works under (§2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple, Union
+from typing import Mapping, Tuple, Union
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class Affine:
     @property
     def is_constant(self) -> bool:
         return not self.terms
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self.terms)
 
     # ------------------------------------------------------------------
     # Arithmetic

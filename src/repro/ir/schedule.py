@@ -139,9 +139,6 @@ class Schedule:
         """Number of dynamic dimensions."""
         return sum(1 for d in self.dims if d.is_dynamic)
 
-    def dynamic_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, d in enumerate(self.dims) if d.is_dynamic)
-
     def padded(self, length: int) -> "Schedule":
         """Pad with trailing zero constants (schedules compare elementwise)."""
         if len(self.dims) >= length:

@@ -18,8 +18,10 @@ Profiles are calibrated against the paper's observed marginals:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Tuple
+
+from ..registry import UnknownComponentError
 
 
 @dataclass(frozen=True)
@@ -51,9 +53,6 @@ class Persona:
     #: semantic misread (Table 7's test+rank gains)
     p_recover: float = 0.30
     tile_size: int = 32
-
-    def with_seedless_name(self, suffix: str) -> "Persona":
-        return replace(self, name=f"{self.name}-{suffix}")
 
 
 DEEPSEEK_V3 = Persona(
@@ -114,3 +113,20 @@ DEEPSEEK_V25 = Persona(
 )
 
 PERSONAS = {p.name: p for p in (DEEPSEEK_V3, GPT_4O, DEEPSEEK_V25)}
+
+
+def registered_name(persona: object) -> str:
+    """The persona name a request or plan carries.
+
+    A name passes as is (it is checked where it is read); a registered
+    :class:`Persona` becomes its name.  Anything else, an unregistered
+    profile included, raises :class:`UnknownComponentError`: results
+    are keyed by persona name, so only registered profiles are served.
+    """
+    if isinstance(persona, str):
+        return persona
+    if isinstance(persona, Persona):
+        if PERSONAS.get(persona.name) == persona:
+            return persona.name
+        persona = f"{persona.name} (unregistered profile)"
+    raise UnknownComponentError("persona", persona, tuple(PERSONAS))

@@ -23,7 +23,6 @@ Table 7's ablation reads those directly.
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple)
@@ -33,7 +32,7 @@ from ..compilers.base import BaseCompiler, GCC
 from ..ir.program import Program
 from ..ir.validate import check_program
 from ..machine.analytical import estimate_cached
-from ..machine.model import DEFAULT_MACHINE, MachineModel
+from ..machine.model import DEFAULT_MACHINE
 from ..llm.prompts import (AttemptRecord, Prompt, base_prompt,
                            compile_feedback_prompt, demo_prompt,
                            test_rank_feedback_prompt)
@@ -63,11 +62,16 @@ STAGES = ("step1", "step2", "step3", "step4_prefix", "step4")
 
 @dataclass
 class Candidate:
-    """One generated candidate with its evaluation."""
+    """One generated candidate with its evaluation.
+
+    ``time_limit`` is the limit of the pipeline that built it, so its
+    verdict does not depend on which pipeline runs later.
+    """
 
     slot: int
     round_tag: str
     response: LLMResponse
+    time_limit: float
     compile_errors: List[str] = field(default_factory=list)
     report: Optional[TestReport] = None
     seconds: Optional[float] = None
@@ -89,21 +93,9 @@ class Candidate:
             return None
         if not self.report.passed:
             return self.report.verdict
-        if self.seconds is not None and \
-                self.seconds > _ACTIVE_LIMIT.value:
+        if self.seconds is not None and self.seconds > self.time_limit:
             return ISSUE_ET
         return None
-
-
-# the limit is pipeline-scoped; a module slot avoids threading it through
-# every Candidate property access.  Thread-local because the evaluation
-# pool may run pipelines with different limits (LOOPRAG's 120 s vs the
-# baseline's 600 s) concurrently on sibling threads.
-class _ActiveLimit(threading.local):
-    value = DEFAULT_TIME_LIMIT
-
-
-_ACTIVE_LIMIT = _ActiveLimit()
 
 
 def _no_emit(kind: str, **data) -> None:
@@ -146,7 +138,6 @@ class FeedbackPipeline:
                  retriever: Optional[Retriever],
                  llm_factory,
                  base_compiler: BaseCompiler = GCC,
-                 machine: MachineModel = DEFAULT_MACHINE,
                  retrieval_method: str = "loop-aware",
                  k: int = DEFAULT_K,
                  time_limit: float = DEFAULT_TIME_LIMIT,
@@ -155,7 +146,6 @@ class FeedbackPipeline:
         self.retriever = retriever
         self.llm_factory = llm_factory
         self.base = base_compiler
-        self.machine = machine
         self.retrieval_method = retrieval_method
         self.k = k
         self.time_limit = time_limit
@@ -169,12 +159,11 @@ class FeedbackPipeline:
         if emit is None:
             emit = _no_emit
         checkpoint()  # cooperative cancellation (deadline/drain)
-        _ACTIVE_LIMIT.value = self.time_limit
         llm: SimulatedLLM = self.llm_factory()
         rng = random.Random(f"pipeline/{self.seed}/{target.fingerprint()}")
         checker = checker_for(target, test_params)
         baseline = estimate_cached(self.base.finalize(target), perf_params,
-                                   self.machine).seconds
+                                   DEFAULT_MACHINE).seconds
         target_text = scop_body_to_c(target)
 
         demos: Tuple[RetrievedDemo, ...] = ()
@@ -277,7 +266,7 @@ class FeedbackPipeline:
         emit("candidate_compiled", slot=slot, round=round_tag,
              ok=not errors, errors="; ".join(errors))
         return Candidate(slot=slot, round_tag=round_tag,
-                         response=response,
+                         response=response, time_limit=self.time_limit,
                          compile_errors=errors)
 
     def _compile_repair(self, llm: SimulatedLLM, prompt: Prompt,
@@ -310,7 +299,7 @@ class FeedbackPipeline:
                 finalized = self.base.finalize(cand.response.program,
                                                checker.original)
                 cand.seconds = estimate_cached(
-                    finalized, perf_params, self.machine).seconds
+                    finalized, perf_params, DEFAULT_MACHINE).seconds
             emit("candidate_tested", slot=cand.slot,
                  round=cand.round_tag, verdict=cand.report.verdict,
                  seconds=cand.seconds)

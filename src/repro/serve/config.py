@@ -20,11 +20,8 @@ _ENV_KNOBS = {
     "REPRO_SERVE_JOURNAL": ("journal", _parse_bool),
     "REPRO_WORKER_POOL": ("workers", int),
     "REPRO_WORKER_MEM_MB": ("worker_memory_mb", int),
-    "REPRO_WORKER_CPU_S": ("worker_cpu_s", int),
     "REPRO_WORKER_HANG": ("worker_hang_timeout", float),
     "REPRO_WORKER_CRASH_LIMIT": ("worker_crash_limit", int),
-    "REPRO_WORKER_RESTART_BASE": ("worker_restart_base", float),
-    "REPRO_WORKER_RESTART_CAP": ("worker_restart_cap", float),
 }
 
 
@@ -43,14 +40,14 @@ class ServeConfig:
 
     ``workers > 0`` switches execution into a pool of supervised
     forked worker processes (crash containment: a segfault, OOM, or
-    hang takes down one worker, never the daemon) with optional
-    per-worker rlimits — ``worker_memory_mb`` caps address space
-    (``RLIMIT_AS``), ``worker_cpu_s`` caps CPU seconds
-    (``RLIMIT_CPU``); 0 disables either.  The watchdog kills a worker
-    busy longer than ``worker_hang_timeout`` seconds, restarts crashed
+    hang takes down one worker, never the daemon);
+    ``worker_memory_mb`` caps each worker's address space
+    (``RLIMIT_AS``, 0 = unlimited).  The watchdog kills a worker busy
+    longer than ``worker_hang_timeout`` seconds, restarts crashed
     workers with exponential backoff (``worker_restart_base`` ..
-    ``worker_restart_cap`` seconds), and a request signature that
-    crashes workers ``worker_crash_limit`` times is quarantined (422).
+    ``worker_restart_cap`` seconds, set on the config only), and a
+    request signature that crashes workers ``worker_crash_limit`` times
+    is quarantined (422).
 
     ``journal`` write-ahead-logs every non-streaming request to the
     artifact store's "journal" stream so that ``repro serve --recover``
@@ -72,7 +69,6 @@ class ServeConfig:
     drain_grace: float = 10.0
     workers: int = 0
     worker_memory_mb: int = 0
-    worker_cpu_s: int = 0
     worker_hang_timeout: float = 300.0
     worker_crash_limit: int = 2
     worker_restart_base: float = 0.25

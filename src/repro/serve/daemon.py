@@ -96,9 +96,16 @@ from .supervisor import (QuarantineRegistry, WorkerCrashed,
 
 logger = logging.getLogger("repro.serve")
 
-#: session-spec keys a request may set; everything else is a 400
-SESSION_KEYS = ("dataset_size", "seed", "generator", "retrieval_method",
-                "llm_backend", "base_compiler", "k", "use_store")
+#: session-spec keys a request may set, with the types each accepts;
+#: any other key or type is a 400
+_INTEGER = ("an integer", (int,))
+_NAME = ("a string", (str,))
+SESSION_KEYS = {
+    "dataset_size": _INTEGER, "seed": _INTEGER, "generator": _NAME,
+    "retrieval_method": _NAME, "llm_backend": _NAME,
+    "base_compiler": _NAME, "k": _INTEGER,
+    "use_store": ("a boolean or null", (bool, type(None))),
+}
 
 #: resilience event kinds (and the store-hit stat) -> metrics counters
 _STAT_COUNTERS = {
@@ -148,7 +155,6 @@ class ServeDaemon:
                 self.config.workers,
                 lambda job: self.session_for(job["spec"]),
                 memory_mb=self.config.worker_memory_mb,
-                cpu_s=self.config.worker_cpu_s,
                 hang_timeout=self.config.worker_hang_timeout,
                 restart_base=self.config.worker_restart_base,
                 restart_cap=self.config.worker_restart_cap)
@@ -189,6 +195,11 @@ class ServeDaemon:
             raise BadRequest(
                 f"unknown session field(s) {', '.join(unknown)}; "
                 f"allowed: {', '.join(SESSION_KEYS)}")
+        for name, value in merged.items():
+            kind, allowed = SESSION_KEYS[name]
+            if not isinstance(value, allowed) \
+                    or (isinstance(value, bool) and bool not in allowed):
+                raise BadRequest(f"session field '{name}' must be {kind}")
         return merged
 
     def session_for(self, spec: Dict[str, Any]) -> OptimizerSession:

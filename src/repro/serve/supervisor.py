@@ -10,8 +10,8 @@ to a pool of **forked worker processes** supervised by this module.
 The caller's ``session_for(job)`` resolver runs in the worker and
 names the job's session.
 
-* each worker applies its rlimits at boot (``RLIMIT_AS`` /
-  ``RLIMIT_CPU`` via :mod:`resource`) and then serves one job at a
+* each worker applies its address-space limit at boot
+  (``RLIMIT_AS`` via :mod:`resource`) and then serves one job at a
   time over a duplex pipe, running the exact same
   ``OptimizerSession.optimize`` the in-process path runs and replying
   with the result's store payload — results are byte-identical by
@@ -70,6 +70,11 @@ WORKER_SITE = "worker.execute"
 
 _CTX = multiprocessing.get_context("fork")
 
+#: seconds between watchdog passes
+POLL_INTERVAL = 0.1
+#: seconds a worker gets to unwind after a parent-side cancellation
+CANCEL_GRACE = 0.5
+
 
 class WorkerCrashed(Exception):
     """A worker process died (or was killed) while running a request."""
@@ -112,16 +117,13 @@ def _raise_remote(info: Dict[str, Any]) -> None:
 # ----------------------------------------------------------------------
 # the worker side (runs in the forked child)
 # ----------------------------------------------------------------------
-def _apply_rlimits(memory_mb: int, cpu_s: int) -> Dict[str, int]:
+def _apply_rlimits(memory_mb: int) -> Dict[str, int]:
     import resource
     applied = {}
     if memory_mb > 0:
         limit = memory_mb * 1024 * 1024
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         applied["rlimit_as_mb"] = memory_mb
-    if cpu_s > 0:
-        resource.setrlimit(resource.RLIMIT_CPU, (cpu_s, cpu_s))
-        applied["rlimit_cpu_s"] = cpu_s
     return applied
 
 
@@ -155,7 +157,7 @@ def _worker_run_job(conn, session_for: SessionFor,
                       "from_cache": result.from_cache}))
 
 
-def _worker_main(conn, inherited, memory_mb: int, cpu_s: int,
+def _worker_main(conn, inherited, memory_mb: int,
                  session_for: SessionFor) -> None:
     from ..api.resilience import CircuitOpenError
     # fork copied the parent-side ends of this worker's pipe and of
@@ -165,7 +167,7 @@ def _worker_main(conn, inherited, memory_mb: int, cpu_s: int,
         parent_end.close()
     # Ctrl+C belongs to the daemon's drain logic, not to the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    applied = _apply_rlimits(memory_mb, cpu_s)
+    applied = _apply_rlimits(memory_mb)
     try:
         conn.send(("ready", dict(applied, pid=os.getpid())))
         while True:
@@ -293,23 +295,22 @@ class WorkerSupervisor:
 
     Workers are forked, so ``session_for`` and everything it closes over
     are inherited, never pickled — by replacement workers too.
+    ``memory_mb`` caps each worker's address space (0 = unlimited); a
+    worker busy longer than ``hang_timeout`` seconds is killed, and a
+    crashed worker is replaced after ``restart_base`` seconds, doubled
+    per consecutive crash up to ``restart_cap``.
     """
 
     def __init__(self, workers: int, session_for: SessionFor,
-                 memory_mb: int = 0, cpu_s: int = 0,
-                 hang_timeout: float = 300.0,
-                 restart_base: float = 0.25, restart_cap: float = 5.0,
-                 poll_interval: float = 0.1,
-                 cancel_grace: float = 0.5) -> None:
+                 memory_mb: int = 0, hang_timeout: float = 300.0,
+                 restart_base: float = 0.25,
+                 restart_cap: float = 5.0) -> None:
         self.size = max(1, workers)
         self.session_for = session_for
         self.memory_mb = memory_mb
-        self.cpu_s = cpu_s
         self.hang_timeout = hang_timeout
         self.restart_base = restart_base
         self.restart_cap = restart_cap
-        self.poll_interval = poll_interval
-        self.cancel_grace = cancel_grace
         self._idle: "queue.Queue[_WorkerHandle]" = queue.Queue()
         self._lock = threading.Lock()
         self._workers: Dict[int, _WorkerHandle] = {}
@@ -339,7 +340,7 @@ class WorkerSupervisor:
                 h.conn for h in self._workers.values()]
         proc = _CTX.Process(
             target=_worker_main,
-            args=(child_conn, inherited, self.memory_mb, self.cpu_s,
+            args=(child_conn, inherited, self.memory_mb,
                   self.session_for),
             name=f"repro-worker-{index}", daemon=True)
         proc.start()
@@ -393,7 +394,7 @@ class WorkerSupervisor:
         Raises :class:`WorkerCrashed` if the worker dies mid-job, the
         re-raised worker exception if the job failed in-worker, or
         :class:`~repro.cancellation.Cancelled` if ``token`` fires.  On
-        a parent-side cancellation the worker gets ``cancel_grace``
+        a parent-side cancellation the worker gets ``CANCEL_GRACE``
         seconds to unwind cooperatively (its own deadline token fires
         too); a worker that stays silent is presumed stuck and killed.
         """
@@ -476,11 +477,11 @@ class WorkerSupervisor:
 
         The job shipped the request deadline, so a healthy worker's own
         token fires around the same time as the parent's — give it
-        ``cancel_grace`` seconds to finish the job message ("ok" or
+        ``CANCEL_GRACE`` seconds to finish the job message ("ok" or
         "err", late events are discarded) and be reused warm.  Returns
         False if the worker stayed silent or died: the caller kills it.
         """
-        end = time.monotonic() + self.cancel_grace
+        end = time.monotonic() + CANCEL_GRACE
         while time.monotonic() < end:
             if not handle.proc.is_alive():
                 return False
@@ -572,7 +573,7 @@ class WorkerSupervisor:
 
     # -- watchdog -------------------------------------------------------
     def _watch(self) -> None:
-        while not self._stopping.wait(self.poll_interval):
+        while not self._stopping.wait(POLL_INTERVAL):
             now = time.monotonic()
             with self._lock:
                 handles = list(self._workers.values())

@@ -160,9 +160,9 @@ def _dataset_cache_key(size: int, seed: int, generator: str) -> str:
 
     The key embeds the result key's code signature
     (``repro.evaluation.store.code_signature``), so any edit to a
-    result-determining module changes the key — stale corpora are
-    simply never found again (``make clean-cache`` reclaims them; every
-    rebuild compacts away superseded and undecodable lines).
+    result-determining module changes the key — a stale corpus is
+    never found again, and the rebuild deletes it (a rebuild also
+    compacts away superseded and undecodable lines).
     """
     from ..evaluation.store import code_signature
 
@@ -196,16 +196,19 @@ def _store_persistent(dataset: Dataset, size: int, seed: int,
         return
     from .store import dataset_to_payload
 
+    key = _dataset_cache_key(size, seed, generator)
     # one atomic append: concurrent processes racing on a cold cache
     # each publish a complete record (last write wins) instead of
     # interleaving fragments
-    store.append(DATASETS_STREAM,
-                 _dataset_cache_key(size, seed, generator),
-                 dataset_to_payload(dataset))
+    store.append(DATASETS_STREAM, key, dataset_to_payload(dataset))
     # a rebuild usually means the old line is dead (damaged, an older
-    # store format, or superseded): reclaim it now rather than have
-    # every later process map and skip it; next to a rebuild's tens of
-    # seconds the rewrite is free
+    # store format, superseded, or keyed by an older code signature):
+    # reclaim it now rather than have every later process map and skip
+    # it; next to a rebuild's tens of seconds the rewrite is free
+    prefix = key[:key.rindex("-") + 1]  # this corpus, any signature
+    for old in store.list(DATASETS_STREAM):
+        if old.startswith(prefix) and old != key:
+            store.delete(DATASETS_STREAM, old)
     store.compact(DATASETS_STREAM)
 
 

@@ -178,9 +178,6 @@ class TransformRecipe:
     def kinds(self) -> Tuple[str, ...]:
         return tuple(dict.fromkeys(step.kind for step in self.steps))
 
-    def extended(self, step: TransformStep) -> "TransformRecipe":
-        return TransformRecipe(self.steps + (step,))
-
     def without(self, index: int) -> "TransformRecipe":
         return TransformRecipe(
             self.steps[:index] + self.steps[index + 1:])

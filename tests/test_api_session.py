@@ -373,6 +373,20 @@ class TestRegistries:
                            match=r"deepseek, gpt4, deepseek-v2.5"):
             session.optimize(request)
 
+    def test_requests_carry_registered_persona_names(self, benches):
+        """A registered profile becomes its name; an unregistered one,
+        or anything else that is not a name, is refused."""
+        from dataclasses import replace
+
+        program = benches[0].program
+        assert OptimizationRequest.make(
+            program, {}, {}, persona=GPT_4O).persona == "gpt4"
+        for persona in (replace(DEEPSEEK_V3, p_attempt=0.1),
+                        replace(DEEPSEEK_V3, name="deepseek-x"), 5):
+            with pytest.raises(UnknownComponentError,
+                               match=r"deepseek, gpt4, deepseek-v2.5"):
+                OptimizationRequest.make(program, {}, {}, persona=persona)
+
     def test_unknown_request_system(self, benches):
         with pytest.raises(UnknownComponentError,
                            match=r"looprag, basellm, compiler"):

@@ -106,8 +106,26 @@ class TestPersistentCache:
         assert cached_dataset(SIZE, SEED) is not rebuilt
         assert len(builds) == 1
         assert ranks(rebuilt) == ranks(built)
-        keys = active_artifacts().list(DATASETS_STREAM)
-        assert f"looprag-n{SIZE}-s{SEED}-0123456789abcdef" in keys
+        # the rebuild deleted the corpus under its outdated key
+        assert active_artifacts().list(DATASETS_STREAM) == (
+            f"looprag-n{SIZE}-s{SEED}-0123456789abcdef",)
+
+    def test_rebuild_keeps_other_corpora(self, isolated_cache,
+                                         monkeypatch):
+        """Only the rebuilt corpus's outdated keys go: a corpus of
+        another size or seed stays, whatever its signature."""
+        cached_dataset(SIZE, SEED)
+        cached_dataset(SIZE, SEED + 1)
+        cached_dataset(SIZE + 1, SEED)
+        kept = set(active_artifacts().list(DATASETS_STREAM))
+        kept.remove(_dataset_cache_key(SIZE, SEED, "looprag"))
+        monkeypatch.setattr(result_store_mod, "_CODE_SIGNATURE",
+                            "0123456789abcdef")
+        forget_memory()
+        cached_dataset(SIZE, SEED)
+        assert set(active_artifacts().list(DATASETS_STREAM)) == kept | {
+            f"looprag-n{SIZE}-s{SEED}-0123456789abcdef"}
+        assert len(kept) == 2
 
     def test_retrieval_ranks_bit_identical(self, isolated_cache):
         built = cached_dataset(SIZE, SEED)

@@ -381,7 +381,6 @@ def _same_applied(a, b):
 
 #: how two values of each memo are compared
 _SAME = {
-    "repro.analysis.dependences._nonuniform_profile": operator.eq,
     "repro.analysis.dependences._legality":
         lambda a, b: a.schedules == b.schedules,
     "repro.analysis.dependences.dependences": operator.eq,

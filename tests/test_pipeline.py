@@ -6,8 +6,11 @@ from repro.api import OptimizationRequest, OptimizerSession
 from repro.compilers import GCC
 from repro.ir import parse_scop
 from repro.llm import DEEPSEEK_V3, GPT_4O, SimulatedLLM
-from repro.pipeline import FeedbackPipeline, STAGES
+from repro.pipeline import FeedbackPipeline, ISSUE_ET, STAGES
+from repro.pipeline.generation import (BASELINE_TIME_LIMIT,
+                                       LOOPRAG_TIME_LIMIT)
 from repro.retrieval import Retriever
+from repro.suites import SUITES
 from repro.synthesis import build_dataset
 
 PERF = {"NI": 1200, "NJ": 1200, "NK": 1200}
@@ -140,3 +143,21 @@ class TestIssueClassification:
                         issues.add(cand.issue)
         assert "CE" in issues
         assert "IA" in issues
+
+
+    def test_verdict_keeps_its_own_pipelines_time_limit(self):
+        """A LOOPRAG candidate over its 120 s limit stays an ET after a
+        baseline pipeline (600 s limit) ran on the same thread."""
+        bench = SUITES["polybench"]().get("covariance")
+        session = OptimizerSession(dataset_size=40, seed=0,
+                                   use_store=False)
+        result = session.optimize(OptimizationRequest.make(
+            bench.program, bench.perf, bench.test)).pipeline_result
+        slow = [c for c in result.candidates
+                if c.report is not None and c.report.passed
+                and LOOPRAG_TIME_LIMIT < c.seconds <= BASELINE_TIME_LIMIT]
+        assert slow
+        assert all(c.issue == ISSUE_ET and not c.passed for c in slow)
+        session.optimize(OptimizationRequest.make(
+            bench.program, bench.perf, bench.test, system="basellm"))
+        assert all(c.issue == ISSUE_ET and not c.passed for c in slow)

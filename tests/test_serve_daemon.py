@@ -138,6 +138,7 @@ class TestEndpoints:
     def test_bad_requests_answer_400_and_never_kill_the_daemon(
             self, make_daemon):
         daemon = make_daemon()
+        sessions = set(SESSIONS)
         cases = [
             {},                                      # no request at all
             {"request": {"source": "scop ((("}},     # unparseable SCoP
@@ -152,6 +153,12 @@ class TestEndpoints:
                          "test": {"N": "eight"}}},   # test value not an int
             {"request": {"source": KERNEL,
                          "time_limit": "1m"}},       # non-numeric time limit
+            {"request": {"source": KERNEL},
+             "session": {"dataset_size": "big"}},    # size not an integer
+            {"request": {"source": KERNEL},
+             "session": {"k": "x"}},                 # k not an integer
+            {"request": {"source": KERNEL,
+                         "persona": 5}},             # persona not a name
         ]
         for body in cases:
             status, text, _ = _post(daemon.address, body)
@@ -171,8 +178,9 @@ class TestEndpoints:
 
         status, doc, _ = _get(daemon.address, "/healthz")
         assert status == 200 and doc["status"] == "ok"
-        assert daemon.metrics.get("failed_total") == 9
-        assert daemon.metrics.get("requests_total") == 9
+        assert daemon.metrics.get("failed_total") == 12
+        assert daemon.metrics.get("requests_total") == 12
+        assert set(SESSIONS) == sessions
 
 
 # ----------------------------------------------------------------------
