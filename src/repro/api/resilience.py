@@ -186,22 +186,15 @@ _BREAKERS: Dict[str, CircuitBreaker] = {}
 _BREAKERS_LOCK = threading.Lock()
 
 
-def breaker_for(site: str, failure_threshold: Optional[int] = None,
-                reset_timeout: Optional[float] = None) -> CircuitBreaker:
+def breaker_for(site: str, failure_threshold: int = 5,
+                reset_timeout: float = 30.0) -> CircuitBreaker:
     """The process-wide breaker for ``site`` (created on first use).
 
-    Defaults come from ``REPRO_BREAKER_THRESHOLD`` /
-    ``REPRO_BREAKER_RESET``; explicit arguments only apply on creation.
+    The arguments only apply on creation.
     """
     with _BREAKERS_LOCK:
         breaker = _BREAKERS.get(site)
         if breaker is None:
-            if failure_threshold is None:
-                failure_threshold = int(
-                    os.environ.get("REPRO_BREAKER_THRESHOLD", "5"))
-            if reset_timeout is None:
-                reset_timeout = float(
-                    os.environ.get("REPRO_BREAKER_RESET", "30"))
             breaker = CircuitBreaker(site, failure_threshold,
                                      reset_timeout)
             _BREAKERS[site] = breaker

@@ -74,6 +74,15 @@ DEFAULT_SEED = 0
 RESULT_SCHEMA = 2
 
 
+def check_counts(settings: Mapping[str, Any]) -> None:
+    """Refuse a ``dataset_size`` or ``k`` below 1 (an empty corpus, no
+    candidates) with a ``ValueError`` naming the field."""
+    for name in ("dataset_size", "k"):
+        if settings.get(name, 1) < 1:
+            raise ValueError(f"session field '{name}' must be at least 1, "
+                             f"got {settings[name]}")
+
+
 def _dumps(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"))
 
@@ -478,8 +487,9 @@ class OptimizerSession:
                  k: int = DEFAULT_K,
                  retriever: Optional[Retriever] = None,
                  use_store: bool = True) -> None:
-        # eager component validation: typos fail at construction, with
-        # the registered names in the message
+        # eager validation: bad settings fail at construction, unknown
+        # names with the registered ones in the message
+        check_counts({"dataset_size": dataset_size, "k": k})
         self.llm_backend = llm_backend
         lookup(LLM_BACKENDS, "LLM backend", llm_backend)
         if retrieval_method not in METHODS:

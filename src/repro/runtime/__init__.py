@@ -2,8 +2,10 @@
 
 Two engines share one strict semantics (pick with ``REPRO_ENGINE``):
 the vectorized block executor (default) and the reference tree-walking
-interpreter.  ``runtime.instances`` holds the batched enumeration both
-build on; ``runtime.compile`` the per-statement kernel cache.
+interpreter, whose per-instance ``interpreter.step`` is also the
+vectorized engine's only scalar path.  ``runtime.instances`` holds the
+batched enumeration both build on; ``runtime.compile`` the
+per-statement vector kernel cache.
 """
 
 from .data import Storage, allocate, checksum, clone_storage, init_array

@@ -1,18 +1,12 @@
-"""Per-statement kernel compilation for the vectorized engine.
+"""Per-statement vector kernels for the vectorized engine.
 
-The reference interpreter re-walks each statement's guard, subscript and
-RHS expression trees once per instance.  This module lowers every
-statement to generated Python source, compiled once per program
-:meth:`~repro.ir.program.Program.kernel_key` and cached:
-
-* a **scalar step** — one function per statement that executes a single
-  instance with exactly the reference semantics: same guard order,
-  same bounds checks (via the shared ``_check_bounds``), same error
-  classes and messages, same arithmetic tree shape (so results are
-  bit-identical);
-* a **vector kernel** — one function per statement that evaluates the RHS
-  for a whole batch of instances as NumPy array expressions over
-  pre-gathered read columns.
+This module lowers every statement's RHS to a **vector kernel**:
+generated NumPy source that evaluates it for a whole batch of instances
+as array expressions over pre-gathered read columns, compiled once per
+program :meth:`~repro.ir.program.Program.kernel_key` and cached.  There
+is no compiled scalar path: every instance the engine does not batch
+runs on the reference interpreter's
+:func:`~repro.runtime.interpreter.step`.
 
 Vectorization is *refused* at compile time whenever NumPy cannot
 reproduce the scalar semantics bit-for-bit or structurally: ``exp`` calls
@@ -20,17 +14,16 @@ reproduce the scalar semantics bit-for-bit or structurally: ``exp`` calls
 scalar reference wins), references whose rank disagrees with the array
 declaration (the reference's partial-indexing/IndexError behaviour is
 easier to reproduce one instance at a time), and unknown arrays or
-functions.  Such statements run on the scalar step instead; results stay
-identical either way.
+functions.  Such statements run one instance at a time on ``step``;
+results stay identical either way.
 
 The kernel key covers the array declarations plus each statement's name,
 domain, guards and body — exactly what :func:`compile_statement` reads.
-It leaves out the schedule (a kernel runs one instance, or one batch of
-instances, wherever the schedule puts it), the parallel/vector marks and
-tags (they carry no semantics) and the program name (the kernels take it
-as a run-time argument for their error messages).  So every
-schedule-only or pragma-only candidate of a program runs on the kernels
-compiled for the first one.
+It leaves out the schedule (a kernel evaluates one batch of instances
+wherever the schedule puts it), the parallel/vector marks and tags
+(they carry no semantics) and the program name (only errors name it,
+and they come from ``step``).  So every schedule-only or pragma-only
+candidate of a program runs on the kernels compiled for the first one.
 """
 
 from __future__ import annotations
@@ -42,11 +35,10 @@ import numpy as np
 
 from ..ir.affine import Affine
 from ..ir.expr import (Assignment, Bin, Call, Const, Expr, IterExpr, Neg,
-                       Ref, Scalar, _FUNCS)
+                       Ref, Scalar)
 from ..ir.program import Program
 from ..memo import memoized
 from .instances import affine_column
-from .interpreter import RuntimeExecutionError, _check_bounds
 
 #: funcs whose NumPy lowering is bit-identical to the scalar ``_FUNCS``
 #: (sqrt is correctly rounded on both sides; fabs/pow2 are exact) —
@@ -56,11 +48,6 @@ _VECTOR_FUNCS = {
     "fabs": "np.abs({0})",
     "pow2": "_pow2({0})",
 }
-
-
-def _sdiv(a, b):
-    """The interpreter's guarded scalar division."""
-    return a / b if b != 0 else 0.0
 
 
 def _vdiv(a, b):
@@ -89,41 +76,8 @@ def _as_batch(value, n: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Source generation helpers
 # ----------------------------------------------------------------------
-def _affine_scalar_src(expr: Affine) -> str:
-    """Affine expression as Python source over an ``env`` dict of ints."""
-    parts = [str(expr.const)]
-    for name, coeff in expr.terms:
-        parts.append(f"{coeff}*env[{name!r}]")
-    return "(" + " + ".join(parts) + ")"
-
-
 class _VectorUnsupported(Exception):
     """RHS contains a construct the vector lowering must not touch."""
-
-
-def _scalar_expr_src(expr: Expr, read_slots: Dict[int, str]) -> str:
-    """RHS tree as scalar Python source (reads resolve to index locals)."""
-    if isinstance(expr, Const):
-        return repr(expr.value)
-    if isinstance(expr, Scalar):
-        return f"scalars[{expr.name!r}]"
-    if isinstance(expr, IterExpr):
-        return f"float({_affine_scalar_src(expr.expr)})"
-    if isinstance(expr, Ref):
-        slot = read_slots[id(expr)]
-        return f"storage[{expr.array!r}][{slot}]"
-    if isinstance(expr, Bin):
-        lhs = _scalar_expr_src(expr.lhs, read_slots)
-        rhs = _scalar_expr_src(expr.rhs, read_slots)
-        if expr.op == "/":
-            return f"_sdiv({lhs}, {rhs})"
-        return f"({lhs} {expr.op} {rhs})"
-    if isinstance(expr, Neg):
-        return f"(-{_scalar_expr_src(expr.operand, read_slots)})"
-    if isinstance(expr, Call):
-        return (f"_FUNCS[{expr.func!r}]"
-                f"({_scalar_expr_src(expr.arg, read_slots)})")
-    raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
 def _vector_expr_src(expr: Expr, read_slots: Dict[int, str],
@@ -170,7 +124,6 @@ class CompiledStatement:
     guards: Tuple[Affine, ...]
     write_ref: Ref
     read_refs: Tuple[Ref, ...]        # RHS reads in tree order (no lhs)
-    scalar_step: Callable
     vector_values: Optional[Callable]  # None => scalar path only
     vector_ok: bool
     pure_input: bool                  # RHS reads no array any stmt writes
@@ -180,62 +133,6 @@ class CompiledStatement:
 class CompiledProgram:
     key: str
     statements: Tuple[CompiledStatement, ...]
-
-
-def _compile_scalar_step(stmt, body: Assignment) -> Callable:
-    """Generate the per-instance step mirroring ``_run_items`` exactly."""
-    lines: List[str] = ["def _step(env, storage, shapes, scalars, _prog):"]
-
-    def emit(text: str, indent: int = 1) -> None:
-        lines.append("    " * indent + text)
-
-    for guard in stmt.guards:
-        emit(f"if {_affine_scalar_src(guard)} < 0:")
-        emit("    return False")
-
-    lhs = body.lhs
-    widx = ", ".join(_affine_scalar_src(ix) for ix in lhs.indices)
-    emit(f"_w = ({widx}{',' if len(lhs.indices) == 1 else ''})")
-    emit(f"_shape = shapes.get({lhs.array!r})")
-    emit("if _shape is None:")
-    emit(f"    raise RuntimeExecutionError(")
-    emit(f"        f\"{{_prog}}/{stmt.name}: write to unknown array \"")
-    emit(f"        f\"'{lhs.array}'\")")
-    emit(f"_check_bounds(_prog, {stmt.name!r}, {lhs.array!r}, _w, _shape)")
-
-    read_slots: Dict[int, str] = {}
-    for k, ref in enumerate(body.rhs.reads()):
-        slot = f"_r{k}"
-        read_slots[id(ref)] = slot
-        ridx = ", ".join(_affine_scalar_src(ix) for ix in ref.indices)
-        emit(f"{slot} = ({ridx}{',' if len(ref.indices) == 1 else ''})")
-        emit(f"_rshape = shapes.get({ref.array!r})")
-        emit("if _rshape is None:")
-        emit(f"    raise RuntimeExecutionError(")
-        emit(f"        f\"{{_prog}}/{stmt.name}: read of unknown array \"")
-        emit(f"        f\"'{ref.array}'\")")
-        emit(f"_check_bounds(_prog, {stmt.name!r}, {ref.array!r}, "
-             f"{slot}, _rshape)")
-
-    emit("try:")
-    emit(f"    _value = {_scalar_expr_src(body.rhs, read_slots)}")
-    emit("except (KeyError, IndexError) as exc:")
-    emit("    raise RuntimeExecutionError(")
-    emit(f"        f\"{{_prog}}/{stmt.name}: {{exc}}\") from exc")
-    emit(f"_arr = storage[{lhs.array!r}]")
-    if body.op == "=":
-        emit("_arr[_w] = _value")
-    elif body.op in ("+=", "-=", "*="):
-        emit(f"_arr[_w] {body.op} _value")
-    else:  # "/="
-        emit("_arr[_w] = _arr[_w] / _value if _value != 0 else 0.0")
-    emit("return True")
-
-    namespace = {"RuntimeExecutionError": RuntimeExecutionError,
-                 "_check_bounds": _check_bounds, "_FUNCS": _FUNCS,
-                 "_sdiv": _sdiv}
-    exec("\n".join(lines), namespace)  # noqa: S102 - generated from the IR
-    return namespace["_step"]
 
 
 def _compile_vector_values(stmt, body: Assignment) -> Optional[Callable]:
@@ -283,7 +180,6 @@ def compile_statement(program: Program, stmt) -> CompiledStatement:
         guards=stmt.guards,
         write_ref=body.lhs,
         read_refs=tuple(body.rhs.reads()),
-        scalar_step=_compile_scalar_step(stmt, body),
         vector_values=vector_values,
         vector_ok=vector_ok,
         pure_input=pure_input,

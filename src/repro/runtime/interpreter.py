@@ -13,14 +13,17 @@ wrapping, and an instance budget bounds runaway candidates.
 
 Two engines share these semantics (selected by ``REPRO_ENGINE``):
 
-* ``vectorized`` (default) — compiled per-statement kernels plus the
-  block executor of :mod:`repro.runtime.vectorized`; bit-identical to
-  the reference on outputs, checksums, instance counts and raised
-  error classes, but executes dependence-free runs of instances
-  as single NumPy operations;
+* ``vectorized`` (default) — the block executor of
+  :mod:`repro.runtime.vectorized` with per-statement vector kernels;
+  bit-identical to the reference on outputs, checksums, instance counts
+  and raised error classes, but executes dependence-free runs of
+  instances as single NumPy operations;
 * ``reference`` — the original strict tree-walking interpreter below,
   kept as the executable specification the equivalence suite pins the
   vectorized engine against.
+
+Both execute every instance they run one at a time through
+:func:`step`, the single per-instance semantics.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -56,20 +59,6 @@ class RunResult:
 def _budget_error(program: Program, budget: int) -> BudgetExceededError:
     return BudgetExceededError(
         f"{program.name}: more than {budget} statement instances")
-
-
-def _instances(program: Program, params: Mapping[str, int],
-               budget: int) -> List[Tuple[Tuple[int, ...], int, Dict[str, int]]]:
-    """Collect (schedule_key, stmt_index, env) for every instance.
-
-    Enumeration and global ordering are shared with the dependence
-    concretizer and the vectorized engine (``runtime.instances``); only
-    the per-instance execution below stays scalar in this engine.
-    """
-    from .instances import instance_list
-
-    return instance_list(program, params, budget,
-                         lambda b: _budget_error(program, b))
 
 
 def engine_name() -> str:
@@ -118,55 +107,61 @@ def execute(program: Program, params: Mapping[str, int],
             return execute_vectorized(
                 program, params, storage, budget,
                 lambda b: _budget_error(program, b))
+        from .instances import instance_list
+
+        # enumeration and global order are shared with the vectorized
+        # engine and the dependence concretizer
         scalars = program.scalar_values()
-        items = _instances(program, params, budget)
+        items = instance_list(program, params, budget,
+                              lambda b: _budget_error(program, b))
         shapes = {name: arr.shape for name, arr in storage.items()}
-        return _run_items(program, params, storage, items, scalars,
-                          shapes)
+        executed = 0
+        for _key, si, point in items:
+            env = dict(params)
+            env.update(point)
+            executed += step(program.statements[si], env, storage, shapes,
+                             scalars, program.name)
+        return executed
 
 
-def _run_items(program, params, storage, items, scalars, shapes) -> int:
-    executed = 0
-    for _key, si, point in items:
-        stmt = program.statements[si]
-        env = dict(params)
-        env.update(point)
-        if any(guard.evaluate(env) < 0 for guard in stmt.guards):
-            continue
-        lhs = stmt.body.lhs
-        idx = lhs.index_values(env)
-        shape = shapes.get(lhs.array)
-        if shape is None:
+def step(stmt, env: Dict[str, int], storage: Storage,
+         shapes: Mapping[str, Tuple[int, ...]], scalars: Mapping[str, float],
+         prog: str) -> bool:
+    """Execute one instance of ``stmt`` at ``env``; False if a guard
+    skips it.  Both engines run every instance they do not batch here."""
+    if any(guard.evaluate(env) < 0 for guard in stmt.guards):
+        return False
+    lhs = stmt.body.lhs
+    idx = lhs.index_values(env)
+    shape = shapes.get(lhs.array)
+    if shape is None:
+        raise RuntimeExecutionError(
+            f"{prog}/{stmt.name}: write to unknown array '{lhs.array}'")
+    _check_bounds(prog, stmt.name, lhs.array, idx, shape)
+    for ref in stmt.body.rhs.reads():
+        rshape = shapes.get(ref.array)
+        if rshape is None:
             raise RuntimeExecutionError(
-                f"{program.name}/{stmt.name}: write to unknown array "
-                f"'{lhs.array}'")
-        _check_bounds(program.name, stmt.name, lhs.array, idx, shape)
-        for ref in stmt.body.rhs.reads():
-            rshape = shapes.get(ref.array)
-            if rshape is None:
-                raise RuntimeExecutionError(
-                    f"{program.name}/{stmt.name}: read of unknown array "
-                    f"'{ref.array}'")
-            _check_bounds(program.name, stmt.name, ref.array,
-                          ref.index_values(env), rshape)
-        try:
-            value = stmt.body.rhs.evaluate(env, scalars, storage)
-        except (KeyError, IndexError) as exc:
-            raise RuntimeExecutionError(
-                f"{program.name}/{stmt.name}: {exc}") from exc
-        arr = storage[lhs.array]
-        if stmt.body.op == "=":
-            arr[idx] = value
-        elif stmt.body.op == "+=":
-            arr[idx] += value
-        elif stmt.body.op == "-=":
-            arr[idx] -= value
-        elif stmt.body.op == "*=":
-            arr[idx] *= value
-        elif stmt.body.op == "/=":
-            arr[idx] = arr[idx] / value if value != 0 else 0.0
-        executed += 1
-    return executed
+                f"{prog}/{stmt.name}: read of unknown array "
+                f"'{ref.array}'")
+        _check_bounds(prog, stmt.name, ref.array, ref.index_values(env),
+                      rshape)
+    try:
+        value = stmt.body.rhs.evaluate(env, scalars, storage)
+    except (KeyError, IndexError) as exc:
+        raise RuntimeExecutionError(f"{prog}/{stmt.name}: {exc}") from exc
+    arr = storage[lhs.array]
+    if stmt.body.op == "=":
+        arr[idx] = value
+    elif stmt.body.op == "+=":
+        arr[idx] += value
+    elif stmt.body.op == "-=":
+        arr[idx] -= value
+    elif stmt.body.op == "*=":
+        arr[idx] *= value
+    elif stmt.body.op == "/=":
+        arr[idx] = arr[idx] / value if value != 0 else 0.0
+    return True
 
 
 def _check_bounds(prog: str, stmt: str, array: str,

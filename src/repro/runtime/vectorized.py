@@ -24,8 +24,9 @@ inside itself, checked at the concrete-index level:
 * **scalar fallback** — anything else (dependence-carrying runs, tiny
   runs, statements the compile layer refused to vectorize, potential
   out-of-bounds accesses, unknown arrays) runs one instance at a time on
-  the compiled scalar step, which reproduces the reference error classes,
-  messages and partial-write state exactly.
+  the reference interpreter's own :func:`~repro.runtime.interpreter.step`,
+  so its error classes, messages and partial-write state are the
+  reference's by construction.
 
 Bounds are validated per statement with array-level min/max over the
 executed instances; any potential violation demotes the whole statement
@@ -44,7 +45,7 @@ from ..memo import Memo
 from .compile import CompiledStatement, compile_program
 from .data import Storage
 from .instances import InstanceBatch, affine_column, sorted_instances
-from .interpreter import _budget_error
+from .interpreter import _budget_error, step
 
 #: runs shorter than this skip the NumPy mode checks entirely — per-call
 #: overhead beats vector width at these sizes (results are identical
@@ -57,12 +58,13 @@ _ACCUMULATE = {"+=": np.add, "-=": np.subtract, "*=": np.multiply}
 class _StatementState:
     """Per-statement execution plan derived once per ``execute`` call."""
 
-    __slots__ = ("cs", "points", "cursor", "dirty", "exec_mask", "all_exec",
-                 "epos", "wcols", "wlin", "rcols", "overlap", "cols",
-                 "values", "vector_values", "injective", "src_rows")
+    __slots__ = ("cs", "stmt", "points", "cursor", "dirty", "exec_mask",
+                 "all_exec", "epos", "wcols", "wlin", "rcols", "overlap",
+                 "cols", "values", "vector_values", "injective", "src_rows")
 
-    def __init__(self, cs: CompiledStatement) -> None:
+    def __init__(self, cs: CompiledStatement, stmt) -> None:
         self.cs = cs
+        self.stmt = stmt  # the program's own, for the reference step
         self.cursor = 0
         self.dirty = False
         self.values: Optional[np.ndarray] = None
@@ -222,7 +224,7 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
 
     states = []
     for si, cs in enumerate(comp.statements):
-        state = _StatementState(cs)
+        state = _StatementState(cs, program.statements[si])
         _prepare(state, si, batch, params, storage, shapes, scalars)
         states.append(state)
 
@@ -243,7 +245,7 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
 
         if state.dirty or length < _MIN_VECTOR_RUN:
             # sweep: walk a stretch of tiny/scalar-only runs instance by
-            # instance on the compiled steps — one shared loop instead of
+            # instance on the reference step — one shared loop instead of
             # per-run setup (interleaved statements produce myriads of
             # one-instance runs)
             j = r
@@ -263,8 +265,7 @@ def execute_vectorized(program: Program, params: Mapping[str, int],
                 env = dict(env_base)
                 env.update(zip(gstate.cs.iter_names,
                                gstate.src_rows[row_list[g]]))
-                if gstate.cs.scalar_step(env, storage, shapes, scalars,
-                                         prog):
+                if step(gstate.stmt, env, storage, shapes, scalars, prog):
                     executed += 1
             r = j
             continue
@@ -369,18 +370,17 @@ def _run_values(state: _StatementState, ea: int, eb: int,
 def _run_scalar_span(state: _StatementState, ea: int, eb: int,
                      storage: Storage, shapes, scalars, env_base,
                      prog: str) -> int:
-    """Execute the run's guard-passing instances on the scalar step.
+    """Execute the run's guard-passing instances on the reference step.
 
     Guards are re-checked harmlessly — every row here already passed.
     """
-    step = state.cs.scalar_step
     names = state.cs.iter_names
     rows = state.points[state.epos[ea:eb]].tolist()
     executed = 0
     for row in rows:
         env = dict(env_base)
         env.update(zip(names, row))
-        if step(env, storage, shapes, scalars, prog):
+        if step(state.stmt, env, storage, shapes, scalars, prog):
             executed += 1
     return executed
 

@@ -81,7 +81,7 @@ from ..api import (OptimizationRequest, OptimizerSession,
                    UnknownComponentError)
 from ..api.resilience import (CircuitOpenError, RESILIENCE_BUS,
                               breaker_states)
-from ..api.session import SESSIONS, shared_session
+from ..api.session import SESSIONS, check_counts, shared_session
 from ..cancellation import Cancelled, CancelToken, DeadlineExceeded
 from ..evaluation.store import STORE_DIR, cache_dir
 from ..ir import parse_scop
@@ -200,6 +200,10 @@ class ServeDaemon:
             if not isinstance(value, allowed) \
                     or (isinstance(value, bool) and bool not in allowed):
                 raise BadRequest(f"session field '{name}' must be {kind}")
+        try:
+            check_counts(merged)
+        except ValueError as exc:
+            raise BadRequest(str(exc))
         return merged
 
     def session_for(self, spec: Dict[str, Any]) -> OptimizerSession:

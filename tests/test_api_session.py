@@ -354,6 +354,14 @@ class TestRegistries:
                            match=r"unknown base compiler 'tcc'"):
             OptimizerSession(base_compiler="tcc")
 
+    @pytest.mark.parametrize("field, value", [
+        ("dataset_size", 0), ("dataset_size", -3), ("k", 0), ("k", -1)])
+    def test_counts_below_one_name_the_field(self, field, value):
+        with pytest.raises(ValueError,
+                           match=rf"session field '{field}' must be at "
+                                 rf"least 1, got {value}"):
+            OptimizerSession(**{field: value})
+
     def test_unknown_optimizer_lists_names(self, benches):
         session = OptimizerSession(use_store=False)
         request = OptimizationRequest.make(

@@ -196,14 +196,19 @@ class TestCircuitBreaker:
         breaker.record_failure()
         assert breaker.state == CircuitBreaker.CLOSED  # streak broken
 
-    def test_registry_and_env_defaults(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
-        monkeypatch.setenv("REPRO_BREAKER_RESET", "7.5")
-        breaker = breaker_for("test:env")
+    def test_registry_and_defaults(self):
+        default = breaker_for("test:default")
+        assert default.failure_threshold == 5
+        assert default.reset_timeout == 30.0
+        breaker = breaker_for("test:explicit", failure_threshold=2,
+                              reset_timeout=7.5)
         assert breaker.failure_threshold == 2
         assert breaker.reset_timeout == 7.5
-        assert breaker_for("test:env") is breaker
-        assert breaker_states() == {"test:env": "closed"}
+        # the arguments only apply on creation
+        assert breaker_for("test:explicit", failure_threshold=9) is breaker
+        assert breaker.failure_threshold == 2
+        assert breaker_states() == {"test:default": "closed",
+                                    "test:explicit": "closed"}
         reset_resilience()
         assert breaker_states() == {}
 

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro.api import OptimizationRequest, OptimizerSession
-from repro.api.resilience import reset_resilience
+from repro.api.resilience import breaker_for, reset_resilience
 from repro.api.session import SESSIONS, shared_session
 from repro.cancellation import Cancelled, CancelToken
 from repro.ir import parse_scop
@@ -159,6 +159,14 @@ class TestEndpoints:
              "session": {"k": "x"}},                 # k not an integer
             {"request": {"source": KERNEL,
                          "persona": 5}},             # persona not a name
+            {"request": {"source": KERNEL},
+             "session": {"k": 0}},                   # no candidates
+            {"request": {"source": KERNEL},
+             "session": {"k": -1}},                  # negative k
+            {"request": {"source": KERNEL},
+             "session": {"dataset_size": 0}},        # empty corpus
+            {"request": {"source": KERNEL},
+             "session": {"dataset_size": -3}},       # negative size
         ]
         for body in cases:
             status, text, _ = _post(daemon.address, body)
@@ -178,8 +186,23 @@ class TestEndpoints:
 
         status, doc, _ = _get(daemon.address, "/healthz")
         assert status == 200 and doc["status"] == "ok"
-        assert daemon.metrics.get("failed_total") == 12
-        assert daemon.metrics.get("requests_total") == 12
+        assert daemon.metrics.get("failed_total") == 16
+        assert daemon.metrics.get("requests_total") == 16
+        assert set(SESSIONS) == sessions
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_out_of_range_session_values_answer_400(self, make_daemon,
+                                                    workers):
+        daemon = make_daemon(workers=workers)
+        sessions = set(SESSIONS)
+        for spec in ({"k": 0}, {"dataset_size": -3}):
+            status, text, _ = _post(daemon.address, {
+                "request": {"source": KERNEL}, "session": spec})
+            assert status == 400, spec
+            error = json.loads(text)["error"]
+            assert error["kind"] == "bad_request"
+            assert f"'{next(iter(spec))}' must be at least 1" \
+                in error["message"]
         assert set(SESSIONS) == sessions
 
 
@@ -334,8 +357,8 @@ class TestResilienceOverHTTP:
     def test_persistent_failure_trips_the_breaker_to_fail_fast(
             self, monkeypatch, make_daemon):
         monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "2")
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "3")
         daemon = make_daemon()
+        breaker_for("llm:faulty", failure_threshold=3)
         install_plan(FaultPlan.parse("llm.generate:raise:always"))
         body = {"request": {"source": KERNEL},
                 "session": {"llm_backend": "faulty"},
