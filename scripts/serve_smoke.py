@@ -22,7 +22,13 @@ would:
    that is not an object, a non-integer ``session.dataset_size`` and a
    ``request.persona`` that is not a name, each with a valid kernel —
    must be answered ``400 bad_request``, and the daemon must stay
-   healthy.
+   healthy;
+8. request-schema violations — a NaN ``time_limit``, a ``compiler``
+   request without an optimizer, ``perf`` for a parameter the kernel
+   does not have, ``test`` bindings over the instance budget, and a
+   ``Content-Length`` over the body limit (sent without its body) —
+   must each answer 4xx naming the field (the body, for the last),
+   and the daemon must stay healthy.
 
 Stdlib plus the ``repro`` package from ``src/``; exits non-zero with a
 readable message on any violation.  Run directly or via ``make
@@ -272,6 +278,7 @@ def shared_store_hit(env):
             step("daemon answered the in-process result from the store, "
                  "byte-identical")
             bad_requests(addr)
+            schema_violations(addr)
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)
             if code != 0:
@@ -304,6 +311,46 @@ def bad_requests(addr):
     if status != 200 or doc.get("status") != "ok":
         fail(f"healthz after malformed bodies: {status} {doc}")
     step("malformed bodies answered 400 bad_request; daemon healthy")
+
+
+def schema_violations(addr):
+    """Step 8: each class of schema violation answers 4xx naming its
+    field; the daemon stays healthy."""
+    for fields, status, field in (
+            ({"time_limit": float("nan")}, 400, "request.time_limit"),
+            ({"system": "compiler"}, 400, "request.optimizer"),
+            ({"perf": {"M": 3}}, 400, "request.perf"),
+            ({"test": {"N": 10 ** 6}}, 400, "request.test")):
+        try:
+            got, text, _ = post(addr, {"request": dict(fields,
+                                                       source=KERNEL)})
+        except OSError as exc:
+            fail(f"schema violation {fields}: no response ({exc!r})")
+        try:
+            named = json.loads(text)["error"].get("field")
+        except (ValueError, KeyError, TypeError, AttributeError):
+            named = None
+        if got != status or named != field:
+            fail(f"schema violation {fields}: want {status} naming "
+                 f"{field}, got {got} {text[:200]}")
+    conn = http.client.HTTPConnection(*addr, timeout=30)
+    try:  # the header alone: a daemon that reads the body never answers
+        conn.putrequest("POST", "/v1/optimize")
+        conn.putheader("Content-Length", str(10 ** 11))
+        conn.endheaders()
+        response = conn.getresponse()
+        if response.status != 400:
+            fail(f"oversized Content-Length: want 400, got "
+                 f"{response.status} {response.read()[:200]!r}")
+    except OSError as exc:
+        fail(f"oversized Content-Length: no response ({exc!r})")
+    finally:
+        conn.close()
+    status, doc = get_json(addr, "/healthz")
+    if status != 200 or doc.get("status") != "ok":
+        fail(f"healthz after schema violations: {status} {doc}")
+    step("schema violations answered 4xx naming the field; daemon "
+         "healthy")
 
 
 if __name__ == "__main__":

@@ -37,16 +37,19 @@ caching cannot change any result.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
+import reprlib
 import threading
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from typing import (Any, Callable, Collection, Dict, List, Mapping,
+                    Optional, Sequence, Tuple, Union)
 
 from ..cancellation import CancelToken, cancel_scope
 from ..codegen import scop_body_to_c
 from ..compilers import BASE_COMPILERS, OPTIMIZERS
+from ..ir import parse_scop
 from ..ir.program import Program
 from ..ir.serialize import program_from_json, program_to_json
 from ..llm import LLM_BACKENDS
@@ -58,7 +61,9 @@ from ..pipeline.generation import (BASELINE_TIME_LIMIT, DEFAULT_K,
                                    PipelineResult)
 from ..registry import UnknownComponentError, lookup
 from ..retrieval.retriever import METHODS, Retriever
-from ..synthesis.dataset import cached_dataset
+from ..runtime.instances import sorted_instances
+from ..synthesis.dataset import GENERATORS, cached_dataset
+from ..testing.equivalence import TEST_BUDGET
 from .events import EventBus, EventLog, SessionEvent
 from .resilience import ResilientCall, ResilientLLM
 
@@ -74,27 +79,148 @@ DEFAULT_SEED = 0
 RESULT_SCHEMA = 2
 
 
-def check_counts(settings: Mapping[str, Any]) -> None:
-    """Refuse a ``dataset_size`` or ``k`` below 1 (an empty corpus, no
-    candidates) with a ``ValueError`` naming the field."""
-    for name in ("dataset_size", "k"):
-        if settings.get(name, 1) < 1:
-            raise ValueError(f"session field '{name}' must be at least 1, "
-                             f"got {settings[name]}")
+# the request schema: every field a request, its session and a ``repro
+# serve`` body may carry, with its type and range, checked in one place
+class BadRequest(ValueError):
+    """A field that breaks the request schema; ``field`` is its dotted
+    path (``"request.test"``, ``"deadline_s"``), named in the message."""
+
+    def __init__(self, path: str, must: str, value: Any = None) -> None:
+        super().__init__(f"{_named(path)} must {must}, "
+                         f"got {reprlib.repr(value)}")
+        self.field = path
+
+
+class UnknownName(BadRequest, UnknownComponentError):
+    """A field naming no registered component."""
+
+    def __init__(self, path: str, kind: str, name: str,
+                 registered: Tuple[str, ...]) -> None:
+        UnknownComponentError.__init__(self, kind, name, registered)
+        self.args, self.field = (f"{_named(path)}: {self}",), path
+
+
+def _named(path: str) -> str:
+    scope, _dot, name = path.rpartition(".")
+    return f"{scope} field '{name}'".lstrip()
+
+
+#: a field's rule: raises :class:`BadRequest` for a value it refuses
+Rule = Callable[[str, Any], None]
+
+
+def _kind(test: Callable[[Any], bool], must: str) -> Rule:
+    def rule(path: str, value: Any) -> None:
+        if not test(value):
+            raise BadRequest(path, must, value)
+    return rule
+
+
+def _integer(low: int) -> Rule:
+    def rule(path: str, value: Any) -> None:
+        if type(value) is not int:
+            raise BadRequest(path, "be an integer", value)
+        if value < low:
+            raise BadRequest(path, f"be at least {low}", value)
+    return rule
+
+
+def _one_of(names: Collection[str], kind: str,
+            nullable: bool = False) -> Rule:
+    def rule(path: str, value: Any) -> None:
+        if not isinstance(value, str) and not (nullable and value is None):
+            raise BadRequest(path, "be a name", value)
+        if value is not None and value not in names:
+            raise UnknownName(path, kind, value, tuple(names))
+    return rule
+
+
+_MAYBE_FLAG = _kind(lambda v: v is None or type(v) is bool,
+                    "be a boolean or null")
+_SECONDS = _kind(lambda v: v is None or type(v) in (int, float)
+                 and math.isfinite(v) and v > 0,
+                 "be null or a finite number of seconds above 0")
+_BINDINGS = _kind(lambda v: v is None or isinstance(v, dict) and all(
+    type(n) is int and n >= 1 for n in v.values()),
+    "be null or map parameter names to integers of at least 1")
+
+#: a session's settings (the ``OptimizerSession`` arguments)
+SESSION_FIELDS: Dict[str, Rule] = {
+    "dataset_size": _integer(1), "seed": _integer(0), "k": _integer(1),
+    "generator": _one_of(GENERATORS, "generator"),
+    "retrieval_method": _one_of(METHODS, "retrieval method"),
+    "llm_backend": _one_of(LLM_BACKENDS, "LLM backend"),
+    "base_compiler": _one_of(BASE_COMPILERS, "base compiler"),
+    "use_store": _MAYBE_FLAG}
+#: a request's fields; ``make`` names an ``optimizer`` on ``compiler``
+#: requests only, and ``from_entry`` binds ``perf`` and ``test`` to
+#: exactly the kernel's parameters, the ``test`` run within TEST_BUDGET
+REQUEST_FIELDS: Dict[str, Rule] = {
+    "source": _kind(lambda v: isinstance(v, str) and v.strip() != "",
+                    "be SCoP text"),
+    "system": _one_of(SYSTEMS, "request system"),
+    "persona": _one_of(PERSONAS, "persona"),
+    "optimizer": _one_of(OPTIMIZERS, "optimizing compiler", nullable=True),
+    "perf": _BINDINGS, "test": _BINDINGS, "time_limit": _SECONDS,
+    "tag": _kind(lambda v: v is None or isinstance(v, str),
+                 "be a string or null")}
+#: a ``repro serve-batch`` entry: a request, or one read from ``file``
+BATCH_ENTRY_FIELDS: Dict[str, Rule] = dict(
+    REQUEST_FIELDS, file=_kind(lambda v: isinstance(v, str), "be a path"))
+#: a ``repro serve`` body's top-level fields
+BODY_FIELDS: Dict[str, Rule] = {
+    "request": lambda path, v: check_fields(REQUEST_FIELDS, v, path),
+    "session": lambda path, v: check_fields(SESSION_FIELDS, v, path),
+    "deadline_s": _SECONDS, "use_store": _MAYBE_FLAG,
+    "stream": _kind(lambda v: type(v) is bool, "be a boolean"),
+    "include_events": _kind(lambda v: type(v) is bool, "be a boolean")}
+
+
+def check_fields(table: Mapping[str, Rule], value: Any,
+                 where: str) -> Dict[str, Any]:
+    """``value``, an object (``None`` reads as none), with each field
+    checked by its rule in ``table``; the first field that is unknown or
+    breaks its rule raises :class:`BadRequest` naming it."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise BadRequest(where, "be an object", value)
+    for name, item in value.items():
+        path = f"{where}.{name}" if where else name
+        if name not in table:
+            raise BadRequest(path, "be left out (known fields: "
+                             f"{', '.join(table)})", item)
+        table[name](path, item)
+    return value
+
+
+def _bindings(program: Program, entry: Mapping[str, Any], name: str,
+              default: int) -> Dict[str, int]:
+    value = entry.get(name) or dict.fromkeys(program.params, default)
+    if set(value) != set(program.params):
+        raise BadRequest(f"request.{name}", "bind exactly the kernel's "
+                         f"parameters ({', '.join(program.params)})", value)
+    return value
+
+
+def _check_test_run(program: Program, test: Dict[str, int]) -> None:
+    """Each array holds 1 to ``TEST_BUDGET`` elements and the source run
+    at most ``TEST_BUDGET`` statement instances at ``test``."""
+    over = BadRequest("request.test", f"give each array 1 to {TEST_BUDGET} "
+                      f"elements and the source run at most {TEST_BUDGET} "
+                      "statement instances", test)
+    try:
+        shapes = [decl.shape(test) for decl in program.arrays]
+        if any(min(shape, default=1) < 1 or math.prod(shape) > TEST_BUDGET
+               for shape in shapes):
+            raise over
+        sorted_instances(program, test, TEST_BUDGET, lambda _budget: over)
+    except OverflowError:
+        raise over from None
 
 
 def _dumps(value: Any) -> str:
     return json.dumps(value, separators=(",", ":"))
-
-
-def _params_tuple(params: Union[Mapping[str, int],
-                                Sequence[Tuple[str, int]], None]
-                  ) -> Tuple[Tuple[str, int], ...]:
-    if params is None:
-        return ()
-    if isinstance(params, Mapping):
-        return tuple(sorted((str(k), int(v)) for k, v in params.items()))
-    return tuple(sorted((str(k), int(v)) for k, v in params))
 
 
 @dataclass(frozen=True)
@@ -128,31 +254,44 @@ class OptimizationRequest:
              optimizer: Optional[str] = None,
              time_limit: Optional[float] = None,
              tag: Optional[str] = None) -> "OptimizationRequest":
-        if system not in SYSTEMS:
-            raise UnknownComponentError("request system", system, SYSTEMS)
+        REQUEST_FIELDS["system"]("request.system", system)
+        if (system == "compiler") != (optimizer is not None):
+            raise BadRequest("request.optimizer", "be set on 'compiler' "
+                             "requests and only on them", optimizer)
         return OptimizationRequest(
             program=program,
-            perf_params=_params_tuple(perf_params),
-            test_params=_params_tuple(test_params),
+            perf_params=tuple(sorted((perf_params or {}).items())),
+            test_params=tuple(sorted((test_params or {}).items())),
             system=system, persona=registered_name(persona),
             optimizer=optimizer,
             time_limit=time_limit, tag=tag)
 
     @staticmethod
-    def from_entry(program: Program,
-                   entry: Mapping[str, Any]) -> "OptimizationRequest":
+    def from_entry(program: Optional[Program],
+                   entry: Any) -> "OptimizationRequest":
         """The request a JSON entry (a ``serve-batch`` request, a
-        ``repro serve`` body's ``request``) describes for ``program``;
-        unset ``perf``/``test`` bind every parameter to 1500/8."""
+        ``repro serve`` body's ``request``) describes for ``program``, or
+        for the program its ``source`` holds; every field is checked by
+        the request schema (:data:`REQUEST_FIELDS`).  Unset ``perf`` and
+        ``test`` bind every parameter to 1500 and 8."""
+        entry = check_fields(REQUEST_FIELDS, entry, "request")
+        if program is None:
+            source = entry.get("source")
+            REQUEST_FIELDS["source"]("request.source", source)
+            try:
+                program = parse_scop(source)
+            except Exception as exc:
+                raise BadRequest("request.source",
+                                 f"be SCoP text (unparseable: {exc})",
+                                 source) from None
+        test = _bindings(program, entry, "test", 8)
+        _check_test_run(program, test)
         return OptimizationRequest.make(
-            program,
-            entry.get("perf") or {p: 1500 for p in program.params},
-            entry.get("test") or {p: 8 for p in program.params},
+            program, _bindings(program, entry, "perf", 1500), test,
             system=entry.get("system", "looprag"),
             persona=entry.get("persona", "deepseek"),
             optimizer=entry.get("optimizer"),
-            time_limit=entry.get("time_limit"),
-            tag=entry.get("tag"))
+            time_limit=entry.get("time_limit"), tag=entry.get("tag"))
 
     # ------------------------------------------------------------------
     def perf(self) -> Dict[str, int]:
@@ -489,14 +628,14 @@ class OptimizerSession:
                  use_store: bool = True) -> None:
         # eager validation: bad settings fail at construction, unknown
         # names with the registered ones in the message
-        check_counts({"dataset_size": dataset_size, "k": k})
+        check_fields(SESSION_FIELDS, {
+            "dataset_size": dataset_size, "seed": seed,
+            "generator": generator, "retrieval_method": retrieval_method,
+            "llm_backend": llm_backend, "base_compiler": base_compiler,
+            "k": k, "use_store": use_store}, "session")
         self.llm_backend = llm_backend
-        lookup(LLM_BACKENDS, "LLM backend", llm_backend)
-        if retrieval_method not in METHODS:
-            raise UnknownComponentError("retrieval method",
-                                        retrieval_method, METHODS)
         self.retrieval_method = retrieval_method
-        self.base = lookup(BASE_COMPILERS, "base compiler", base_compiler)
+        self.base = BASE_COMPILERS[base_compiler]
         self.base_name = base_compiler
         self.dataset_size = dataset_size
         self.seed = seed
@@ -674,8 +813,6 @@ class OptimizerSession:
                            log: EventLog) -> OptimizationResult:
         """One optimizing-compiler baseline; mirrors the harness exactly."""
         name = request.optimizer
-        if name is None:
-            raise ValueError("compiler requests need optimizer=<name>")
         optimizer = lookup(OPTIMIZERS, "optimizing compiler", name)()
         base = BASE_COMPILERS[optimizer.base_compiler]
         machine: MachineModel = getattr(optimizer, "machine_override",

@@ -42,8 +42,8 @@ def _parse_bindings(pairs: Sequence[str]) -> Dict[str, int]:
     out: Dict[str, int] = {}
     for pair in pairs:
         name, _sep, value = pair.partition("=")
-        if not _sep:
-            raise SystemExit(f"expected NAME=VALUE, got {pair!r}")
+        if not (_sep and value.lstrip("-").isdecimal()):
+            raise SystemExit(f"expected NAME=INTEGER, got {pair!r}")
         out[name] = int(value)
     return out
 
@@ -229,23 +229,24 @@ def _bench(args: argparse.Namespace) -> int:
 
 def _batch_requests(spec: dict, base_dir: str):
     """Materialize ``OptimizationRequest`` objects from a batch spec."""
-    from .api import OptimizationRequest
-    from .ir import parse_scop
+    from .api.session import (BATCH_ENTRY_FIELDS, BadRequest,
+                              OptimizationRequest, check_fields)
 
     requests = []
     for i, entry in enumerate(spec.get("requests", [])):
-        if "source" in entry:
-            program = parse_scop(entry["source"])
-        elif "file" in entry:
-            path = entry["file"]
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            with open(path) as handle:
-                program = parse_scop(handle.read())
-        else:
-            raise SystemExit(
-                f"request #{i}: needs 'source' or 'file'")
-        requests.append(OptimizationRequest.from_entry(program, entry))
+        try:
+            entry = dict(check_fields(BATCH_ENTRY_FIELDS, entry, "request"))
+            path = entry.pop("file", None)
+            if "source" not in entry:
+                if path is None:
+                    raise SystemExit(
+                        f"request #{i}: needs 'source' or 'file'")
+                with open(os.path.join(base_dir, path)) as handle:
+                    entry["source"] = handle.read()
+            requests.append(OptimizationRequest.from_entry(None, entry))
+        except BadRequest as exc:
+            exc.args = (f"request #{i}: {exc}",)
+            raise
     return requests
 
 
@@ -265,7 +266,7 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
 def _serve_batch(args: argparse.Namespace) -> int:
     import json
 
-    from .api import OptimizerSession
+    from .api.session import SESSION_FIELDS, OptimizerSession, check_fields
 
     if args.batch == "-":
         spec = json.load(sys.stdin)
@@ -275,7 +276,8 @@ def _serve_batch(args: argparse.Namespace) -> int:
             spec = json.load(handle)
         base_dir = os.path.dirname(os.path.abspath(args.batch))
 
-    session_spec = dict(spec.get("session", {}))
+    session_spec = check_fields(SESSION_FIELDS, spec.get("session"),
+                                "session")
     session = OptimizerSession(**session_spec)
     if args.events:
         session.events.subscribe(
@@ -323,18 +325,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``GET /healthz`` and ``GET /metrics`` until SIGTERM/SIGINT, then
     drains gracefully: admission stops, in-flight requests finish (or
     are deadline-cancelled after ``--drain-grace``), and the process
-    exits 0.  Flags override the ``REPRO_SERVE_*`` environment knobs.
+    exits 0.
     """
     import json
 
     from .serve import ServeConfig, ServeDaemon
 
-    default_session = {}
-    if args.session:
-        default_session = json.loads(args.session)
-        if not isinstance(default_session, dict):
-            raise SystemExit("--session must be a JSON object")
-    config = ServeConfig.from_env().with_overrides(
+    config = ServeConfig().with_overrides(
         host=args.host, port=args.port,
         max_inflight=args.max_inflight, queue_depth=args.queue_depth,
         per_client=args.per_client, default_deadline=args.deadline,
@@ -344,7 +341,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         worker_crash_limit=args.crash_limit,
         journal=(False if args.no_journal else None),
         recover=(True if args.recover else None),
-        default_session=(default_session or None))
+        default_session=json.loads(args.session) if args.session else None)
     return ServeDaemon(config).run_forever()
 
 
@@ -614,39 +611,34 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=None,
                      help="port (default 8459; 0 = ephemeral)")
     srv.add_argument("--max-inflight", type=int, default=None,
-                     help="concurrent requests executed "
-                          "(REPRO_SERVE_INFLIGHT, default 4)")
+                     help="concurrent requests executed (default 4)")
     srv.add_argument("--queue-depth", type=int, default=None,
                      help="bounded admission queue beyond in-flight "
-                          "(REPRO_SERVE_QUEUE, default 8; overload "
-                          "answers 503 + Retry-After)")
+                          "(default 8; overload answers 503 + "
+                          "Retry-After)")
     srv.add_argument("--per-client", type=int, default=None,
-                     help="concurrent requests per client "
-                          "(REPRO_SERVE_PER_CLIENT, default 4)")
+                     help="concurrent requests per client (default 4)")
     srv.add_argument("--deadline", type=float, default=None,
                      help="default per-request deadline in seconds "
-                          "(REPRO_SERVE_DEADLINE; 0 = none)")
+                          "(0 = none)")
     srv.add_argument("--drain-grace", type=float, default=None,
                      help="seconds SIGTERM waits for in-flight work "
-                          "before cancelling it (REPRO_SERVE_DRAIN, "
-                          "default 10)")
+                          "before cancelling it (default 10)")
     srv.add_argument("--session", metavar="JSON",
                      help="default session spec for requests that "
                           "send none, e.g. '{\"dataset_size\": 300}'")
     srv.add_argument("--workers", type=int, default=None,
                      help="supervised worker processes; 0 = in-process "
-                          "execution (REPRO_WORKER_POOL, default 0)")
+                          "execution (default 0)")
     srv.add_argument("--worker-mem", type=int, default=None,
                      metavar="MB",
-                     help="per-worker RLIMIT_AS in MB "
-                          "(REPRO_WORKER_MEM_MB; 0 = unlimited)")
+                     help="per-worker RLIMIT_AS in MB (0 = unlimited)")
     srv.add_argument("--hang-timeout", type=float, default=None,
                      help="watchdog kills a worker busy longer than "
-                          "this (REPRO_WORKER_HANG, default 300)")
+                          "this (default 300)")
     srv.add_argument("--crash-limit", type=int, default=None,
                      help="worker crashes before a request signature "
-                          "is quarantined (REPRO_WORKER_CRASH_LIMIT, "
-                          "default 2)")
+                          "is quarantined (default 2)")
     srv.add_argument("--no-journal", action="store_true",
                      help="disable the write-ahead request journal "
                           "(required to serve on a volatile store "
@@ -734,9 +726,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] = None) -> int:
+    from .api.session import BadRequest
+
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BadRequest as exc:  # the request schema's one-line answer
+        print(f"repro {args.command}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

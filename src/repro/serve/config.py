@@ -1,28 +1,9 @@
-"""Daemon configuration (flags + ``REPRO_SERVE_*`` env knobs)."""
+"""Daemon configuration: the ``repro serve`` flags as one object."""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict
-
-def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
-#: env knob -> (field, parser); documented in README "Environment knobs"
-_ENV_KNOBS = {
-    "REPRO_SERVE_INFLIGHT": ("max_inflight", int),
-    "REPRO_SERVE_QUEUE": ("queue_depth", int),
-    "REPRO_SERVE_PER_CLIENT": ("per_client", int),
-    "REPRO_SERVE_DEADLINE": ("default_deadline", float),
-    "REPRO_SERVE_DRAIN": ("drain_grace", float),
-    "REPRO_SERVE_JOURNAL": ("journal", _parse_bool),
-    "REPRO_WORKER_POOL": ("workers", int),
-    "REPRO_WORKER_MEM_MB": ("worker_memory_mb", int),
-    "REPRO_WORKER_HANG": ("worker_hang_timeout", float),
-    "REPRO_WORKER_CRASH_LIMIT": ("worker_crash_limit", int),
-}
 
 
 @dataclass(frozen=True)
@@ -54,10 +35,12 @@ class ServeConfig:
     (``recover=True``) replays admitted-but-unfinished requests after a
     daemon crash.  Duplicates are answered by the result store.
 
-    No setting bounds sessions: each request's session comes from the
-    process-wide registry (:func:`repro.api.session.shared_session`),
-    one per spec; the heavy corpus and retriever behind a session live
-    in process-wide memos either way.
+    Every setting is a ``repro serve`` flag or the caller's; none has an
+    environment spelling.  No setting bounds sessions: each request's
+    session comes from the process-wide registry
+    (:func:`repro.api.session.shared_session`), one per spec; the heavy
+    corpus and retriever behind a session live in process-wide memos
+    either way.
     """
 
     host: str = "127.0.0.1"
@@ -80,12 +63,9 @@ class ServeConfig:
 
     @staticmethod
     def from_env(**overrides: Any) -> "ServeConfig":
-        values: Dict[str, Any] = {}
-        for env, (name, parse) in _ENV_KNOBS.items():
-            if env in os.environ:
-                values[name] = parse(os.environ[env])
-        values.update(overrides)
-        return ServeConfig(**values)
+        """``ServeConfig(**overrides)``; no setting is read from the
+        environment.  Kept for its one caller, ``perfbench/worker.py``."""
+        return ServeConfig(**overrides)
 
     def with_overrides(self, **overrides: Any) -> "ServeConfig":
         filtered = {k: v for k, v in overrides.items() if v is not None}

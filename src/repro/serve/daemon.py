@@ -35,8 +35,12 @@ Endpoints
 ---------
 ``POST /v1/optimize``
     body: ``{"request": {"source": ..., "system": ..., "persona": ...,
-    "perf": {...}, "test": {...}}, "session": {...},
-    "deadline_s": 5.0, "stream": true|false, "use_store": bool}``.
+    "optimizer": ..., "perf": {...}, "test": {...}, "time_limit": ...,
+    "tag": ...}, "session": {...}, "deadline_s": 5.0, "stream": bool,
+    "use_store": bool, "include_events": bool}``; every field is
+    checked by the request schema (``BODY_FIELDS``, ``REQUEST_FIELDS``
+    and ``SESSION_FIELDS`` in :mod:`repro.api.session`) before
+    admission; a body over ``MAX_BODY_BYTES`` is refused unread.
     Non-streaming responses are the byte-stable ``repro optimize
     --json`` document; ``"stream": true`` answers NDJSON — one line
     per :class:`SessionEvent` as it happens (resilience events
@@ -55,8 +59,9 @@ Endpoints
     quarantined signature.
 
 Errors are structured: ``{"error": {"kind": ..., "message": ...}}``
-with kinds ``bad_request`` (400), ``quarantined`` (422),
-``deadline`` (504), ``draining`` / ``overloaded`` / ``client_limit``
+with kinds ``bad_request`` (400: malformed or oversized JSON, or a
+field that breaks the schema, named in ``"field"``), ``quarantined``
+(422), ``deadline`` (504), ``draining`` / ``overloaded`` / ``client_limit``
 (503 + Retry-After), ``breaker_open`` (503 + Retry-After),
 ``backend`` (502), ``worker_crashed`` (500, with the crash reason)
 and ``internal`` (500).  A request that fails — or kills its worker —
@@ -77,14 +82,13 @@ from typing import Any, Dict, Optional, Tuple
 
 from pathlib import Path
 
-from ..api import (OptimizationRequest, OptimizerSession,
-                   UnknownComponentError)
+from ..api import OptimizationRequest, OptimizerSession
 from ..api.resilience import (CircuitOpenError, RESILIENCE_BUS,
                               breaker_states)
-from ..api.session import SESSIONS, check_counts, shared_session
+from ..api.session import (BODY_FIELDS, SESSION_FIELDS, SESSIONS,
+                           BadRequest, check_fields, shared_session)
 from ..cancellation import Cancelled, CancelToken, DeadlineExceeded
 from ..evaluation.store import STORE_DIR, cache_dir
-from ..ir import parse_scop
 from ..storage import LocalShardedStore
 from ..testing.faults import register_fault_backends
 from .admission import AdmissionController, Rejected
@@ -96,16 +100,8 @@ from .supervisor import (QuarantineRegistry, WorkerCrashed,
 
 logger = logging.getLogger("repro.serve")
 
-#: session-spec keys a request may set, with the types each accepts;
-#: any other key or type is a 400
-_INTEGER = ("an integer", (int,))
-_NAME = ("a string", (str,))
-SESSION_KEYS = {
-    "dataset_size": _INTEGER, "seed": _INTEGER, "generator": _NAME,
-    "retrieval_method": _NAME, "llm_backend": _NAME,
-    "base_compiler": _NAME, "k": _INTEGER,
-    "use_store": ("a boolean or null", (bool, type(None))),
-}
+#: the longest body the daemon reads; a longer one answers 400 unread
+MAX_BODY_BYTES = 1 << 20
 
 #: resilience event kinds (and the store-hit stat) -> metrics counters
 _STAT_COUNTERS = {
@@ -118,23 +114,13 @@ _STAT_COUNTERS = {
 }
 
 
-class BadRequest(Exception):
-    """Client error: malformed body / unknown fields."""
-
-
-def _seconds(value: Any, field: str) -> Any:
-    """``value`` unchanged if it is a number of seconds or None."""
-    if value is None or (isinstance(value, (int, float))
-                         and not isinstance(value, bool)):
-        return value
-    raise BadRequest(f"'{field}' must be a number of seconds")
-
-
 class ServeDaemon:
     """Everything behind the HTTP surface; usable in-process in tests."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.config = config or ServeConfig.from_env()
+        self.config = config or ServeConfig()
+        register_fault_backends()  # before the names are checked
+        check_fields(SESSION_FIELDS, self.config.default_session, "session")
         self.metrics = Metrics()
         self.admission = AdmissionController(
             self.config.max_inflight, self.config.queue_depth,
@@ -162,7 +148,6 @@ class ServeDaemon:
         if self.config.journal:
             self.journal = RequestJournal(
                 LocalShardedStore(str(Path(cache_dir()) / STORE_DIR)))
-        register_fault_backends()
         self._unsub_resilience = RESILIENCE_BUS.subscribe(
             self._on_resilience_event)
         self.metrics.gauge("queue_depth", lambda: self.admission.queued)
@@ -179,32 +164,15 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # sessions
     # ------------------------------------------------------------------
-    def _merged_spec(self, spec: Dict[str, Any]) -> Dict[str, Any]:
-        """Defaults + request spec, validated.
+    def _merged_spec(self, spec: Any) -> Dict[str, Any]:
+        """Defaults + request spec, checked by the request schema.
 
         This is what a supervised worker receives; it resolves the same
         registry session the in-process path would (breakers and
         retries are per-process state inside that session's pipeline).
         """
-        if not isinstance(spec or {}, dict):
-            raise BadRequest("'session' must be an object")
-        merged = dict(self.config.default_session)
-        merged.update(spec or {})
-        unknown = sorted(set(merged) - set(SESSION_KEYS))
-        if unknown:
-            raise BadRequest(
-                f"unknown session field(s) {', '.join(unknown)}; "
-                f"allowed: {', '.join(SESSION_KEYS)}")
-        for name, value in merged.items():
-            kind, allowed = SESSION_KEYS[name]
-            if not isinstance(value, allowed) \
-                    or (isinstance(value, bool) and bool not in allowed):
-                raise BadRequest(f"session field '{name}' must be {kind}")
-        try:
-            check_counts(merged)
-        except ValueError as exc:
-            raise BadRequest(str(exc))
-        return merged
+        return {**self.config.default_session,
+                **check_fields(SESSION_FIELDS, spec, "session")}
 
     def session_for(self, spec: Dict[str, Any]) -> OptimizerSession:
         """The warm session for this configuration — the same
@@ -216,24 +184,17 @@ class ServeDaemon:
     # request materialization
     # ------------------------------------------------------------------
     @staticmethod
-    def materialize_request(entry: Dict[str, Any]) -> OptimizationRequest:
-        if not isinstance(entry, dict):
-            raise BadRequest("'request' must be an object")
-        source = entry.get("source")
-        if not isinstance(source, str) or not source.strip():
-            raise BadRequest("'request.source' (SCoP text) is required")
-        try:
-            program = parse_scop(source)
-        except Exception as exc:
-            raise BadRequest(f"unparseable SCoP source: {exc}")
-        _seconds(entry.get("time_limit"), "request.time_limit")
-        try:
-            return OptimizationRequest.from_entry(program, entry)
-        except UnknownComponentError as exc:
-            raise BadRequest(str(exc))
-        except (TypeError, ValueError) as exc:
-            raise BadRequest("'request.perf' and 'request.test' must map "
-                             f"parameter names to integers ({exc})")
+    def materialize_request(entry: Any) -> OptimizationRequest:
+        """The request a body's ``request`` object describes."""
+        return OptimizationRequest.from_entry(None, entry)
+
+    def checked_body(self, body: Any
+                     ) -> Tuple[OptimizationRequest, Dict[str, Any]]:
+        """The request and session spec of a ``/v1/optimize`` body, every
+        field checked by the request schema (:data:`BODY_FIELDS`)."""
+        body = check_fields(BODY_FIELDS, body, "")
+        return (self.materialize_request(body.get("request")),
+                self._merged_spec(body.get("session")))
 
     # ------------------------------------------------------------------
     # the request path (called from handler threads)
@@ -323,11 +284,18 @@ class ServeDaemon:
                         "daemon is draining",
                         retry_after=self.admission.retry_after_estimate())
             return
+        try:
+            request, spec = self.checked_body(body)
+        except BadRequest as exc:
+            self.metrics.inc("failed_total")
+            _send_error(handler, 400, "bad_request", str(exc),
+                        field=exc.field)
+            return
         client = handler.headers.get("X-Client-Id") \
             or handler.client_address[0]
         signature = request_signature(body)
-        stream = bool(body.get("stream"))
-        include_events = bool(body.get("include_events", True))
+        stream = body.get("stream", False)
+        include_events = body.get("include_events", True)
         poisoned = self.quarantine.lookup(signature)
         if poisoned is not None:
             self.metrics.inc("rejected_total")
@@ -352,9 +320,8 @@ class ServeDaemon:
         # (with queue_depth=0 that race answered a spurious 503)
         reply = None
         try:
-            deadline_s = _seconds(body.get(
-                "deadline_s", self.config.default_deadline or None),
-                "deadline_s")
+            deadline_s = body.get("deadline_s",
+                                  self.config.default_deadline or None)
             if deadline_s is not None:
                 deadline_s = float(deadline_s)
             token = CancelToken.with_timeout(deadline_s)
@@ -369,8 +336,6 @@ class ServeDaemon:
                 _send_error(handler, 503, exc.reason, str(exc),
                             retry_after=exc.retry_after)
                 return
-            request = self.materialize_request(body.get("request", {}))
-            spec = self._merged_spec(body.get("session", {}))
             use_store = body.get("use_store")
             if self.journal is not None and not stream:
                 # write-ahead: only after validation, so every
@@ -394,14 +359,6 @@ class ServeDaemon:
                                 _strip_events(doc, include_events))
             self.metrics.inc("completed_total")
             self.metrics.observe_latency(time.monotonic() - started)
-        except BadRequest as exc:
-            self.metrics.inc("failed_total")
-            reply = partial(_send_error, handler, 400, "bad_request",
-                            str(exc))
-        except UnknownComponentError as exc:
-            self.metrics.inc("failed_total")
-            reply = partial(_send_error, handler, 400, "bad_request",
-                            str(exc))
         except DeadlineExceeded:
             self.metrics.inc("cancelled_total")
             self.metrics.inc("deadline_total")
@@ -581,9 +538,7 @@ class ServeDaemon:
                 continue
             body = record.get("body") or {}
             try:
-                request = self.materialize_request(
-                    body.get("request", {}))
-                spec = self._merged_spec(body.get("session", {}))
+                request, spec = self.checked_body(body)
                 token = CancelToken()
                 self._register_token(token)
                 try:
@@ -730,35 +685,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length", "0"))
-        raw = self.rfile.read(length) if length else b""
+        if length > MAX_BODY_BYTES:  # refused unread
+            raise ValueError(f"{length} bytes are over the "
+                             f"{MAX_BODY_BYTES}-byte limit")
+        raw = self.rfile.read(length) if length > 0 else b""
         body = json.loads(raw.decode("utf-8")) if raw else {}
         if not isinstance(body, dict):
             raise ValueError("body must be a JSON object")
         return body
 
     def do_POST(self) -> None:
-        if self.path == "/quarantine/clear":
-            try:
-                body = self._read_json_body()
-            except (ValueError, UnicodeDecodeError) as exc:
-                _send_error(self, 400, "bad_request",
-                            f"invalid JSON body: {exc}")
-                return
-            cleared = self.daemon.quarantine.clear(
-                body.get("signature"))
-            _send_json(self, 200, {"cleared": cleared})
-            return
-        if self.path != "/v1/optimize":
+        if self.path not in ("/quarantine/clear", "/v1/optimize"):
             _send_error(self, 404, "not_found",
                         f"no such endpoint: {self.path}")
             return
         try:
             body = self._read_json_body()
         except (ValueError, UnicodeDecodeError) as exc:
-            self.daemon.metrics.inc("requests_total")
-            self.daemon.metrics.inc("failed_total")
+            if self.path == "/v1/optimize":
+                self.daemon.metrics.inc("requests_total")
+                self.daemon.metrics.inc("failed_total")
             _send_error(self, 400, "bad_request",
                         f"invalid JSON body: {exc}")
+            return
+        if self.path == "/quarantine/clear":
+            cleared = self.daemon.quarantine.clear(
+                body.get("signature"))
+            _send_json(self, 200, {"cleared": cleared})
             return
         try:
             self.daemon.handle_optimize(self, body)

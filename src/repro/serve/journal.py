@@ -48,7 +48,7 @@ UNFINISHED = ("admitted", "started")
 ENV_JOURNAL_KEEP = "REPRO_JOURNAL_KEEP"
 
 
-def request_signature(body: Any) -> str:
+def request_signature(body: Dict[str, Any]) -> str:
     """Idempotency key: a content hash of the request body.
 
     Covers the kernel/request entry, the session spec and the
@@ -57,8 +57,6 @@ def request_signature(body: Any) -> str:
     computation submitted with a different timeout or event verbosity
     maps onto one journal record and one quarantine entry.
     """
-    if not isinstance(body, dict):
-        body = {"request": body}
     core = {
         "request": body.get("request"),
         "session": body.get("session") or {},

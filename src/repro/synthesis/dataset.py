@@ -38,6 +38,9 @@ DATASET_PARAMS = {"N": 1500}
 
 DEFAULT_DATASET_SIZE = 300
 
+#: the corpus generators :func:`build_dataset` knows
+GENERATORS = ("looprag", "colagen")
+
 
 #: a program, or its IR as compact JSON text (``repro.ir.serialize``)
 ProgramIR = Union[Program, str]

@@ -77,6 +77,9 @@ _ATOL = 1e-9
 #: test inputs per checker: the first entries of the mutation pool
 _INPUTS = 3
 
+#: statement instances one test run may execute (ET beyond it)
+TEST_BUDGET = 400_000
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -100,7 +103,7 @@ class EquivalenceChecker:
     """Differential tester for one (program, params) pair."""
 
     def __init__(self, original: Program, params: Mapping[str, int],
-                 budget: int = 400_000, seed: int = 0) -> None:
+                 budget: int = TEST_BUDGET, seed: int = 0) -> None:
         self.original = original
         self.params = dict(params)
         self.budget = budget

@@ -102,6 +102,53 @@ class TestServeBatch:
             main(["serve-batch", str(batch)])
 
 
+class TestSchemaErrors:
+    """A request the schema refuses exits 2 with one stderr line that
+    names the field (and a batch entry's index)."""
+
+    @pytest.mark.parametrize("entry, field", [
+        ({"perf": {"M": 3}}, "request field 'perf'"),
+        ({"system": "compiler"}, "request field 'optimizer'"),
+        ({"test": {"N": -3}}, "request field 'test'"),
+        ({"perf": {"N": "x"}}, "request field 'perf'"),
+    ])
+    def test_serve_batch_entry(self, kernel_file, tmp_path, capsys,
+                               entry, field):
+        batch = tmp_path / "bad.json"
+        batch.write_text(json.dumps({
+            "session": {"dataset_size": 40},
+            "requests": [{"file": kernel_file},
+                         dict(entry, file=kernel_file)]}))
+        assert main(["serve-batch", str(batch), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+        assert captured.err.startswith(
+            f"repro serve-batch: request #1: {field} must")
+
+    @pytest.mark.parametrize("argv, line", [
+        (["serve-batch", "{batch}"], "repro serve-batch: session field "
+                                     "'k' must be at least 1, got 0"),
+        (["optimize", "{kernel}", "--perf", "M=3"],
+         "repro optimize: request field 'perf' must bind exactly"),
+        (["optimize", "{kernel}", "--test", "N=-3"],
+         "repro optimize: request field 'test' must be"),
+        (["compilers", "{kernel}", "--perf", "N=0"],
+         "repro compilers: request field 'perf' must be"),
+        # port -1 cannot bind: the check must come before serving
+        (["serve", "--port", "-1", "--session", '{"seed": -1}'],
+         "repro serve: session field 'seed' must be at least 0"),
+    ])
+    def test_command_line(self, kernel_file, tmp_path, capsys, argv, line):
+        batch = tmp_path / "bad.json"
+        batch.write_text(json.dumps({"session": {"k": 0}, "requests": []}))
+        paths = {"{batch}": str(batch), "{kernel}": kernel_file}
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(line)
+
+
 class TestExitCodes:
     """The audited contract: 0 = passed, 1 = not passed, 2 = errored."""
 

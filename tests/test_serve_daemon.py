@@ -7,16 +7,20 @@ retried to a byte-identical result, persistent failures trip the
 breaker into fail-fast, and drain lets in-flight work finish.
 """
 
+import copy
 import http.client
 import json
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import OptimizationRequest, OptimizerSession
 from repro.api.resilience import breaker_for, reset_resilience
-from repro.api.session import SESSIONS, shared_session
+from repro.api.session import (BODY_FIELDS, REQUEST_FIELDS,
+                               SESSION_FIELDS, SESSIONS, shared_session)
 from repro.cancellation import Cancelled, CancelToken
 from repro.ir import parse_scop
 from repro.serve import (AdmissionController, BadRequest, Metrics,
@@ -31,6 +35,54 @@ scop axpyish(N) {
     X[i] = X[i] + 2.0 * Y[i];
 }
 """
+
+#: two parameters, so a binding can miss one
+KERNEL2 = """
+scop mv(N, M) {
+  array A[N][M];
+  array x[M];
+  array y[N] output;
+  for (i = 0; i < N; i++)
+    for (j = 0; j < M; j++)
+      y[i] = y[i] + A[i][j] * x[j];
+}
+"""
+NAN, INF = float("nan"), float("inf")
+
+
+def _body(request=None, **top):
+    """A body for KERNEL with extra request fields and top-level ones."""
+    return dict(top, request=dict(request or {}, source=KERNEL))
+
+
+#: request-schema violations that once answered 500 or were accepted,
+#: each with the field its 400 must name
+SCHEMA_CASES = [
+    (_body({"system": "compiler"}), "request.optimizer"),
+    (_body({"optimizer": "pluto"}), "request.optimizer"),
+    (_body({"test": {"N": -3}}), "request.test"),
+    (_body({"test": {"N": 1000000}}), "request.test"),
+    (_body({"perf": {"M": 3}}), "request.perf"),
+    (_body({"perf": {"N": 0}}), "request.perf"),
+    (_body({"perf": {"N": -5}}), "request.perf"),
+    (_body({"perf": {"N": 2.7}}), "request.perf"),
+    (_body({"perf": {"N": "12"}}), "request.perf"),
+    (_body({"perf": {"N": "x"}}), "request.perf"),
+    (_body({"time_limit": NAN}), "request.time_limit"),
+    (_body({"time_limit": -1}), "request.time_limit"),
+    (_body({"tag": [1]}), "request.tag"),
+    (_body(deadline_s=-1), "deadline_s"),
+    (_body(deadline_s=INF), "deadline_s"),
+    (_body(use_store="yes"), "use_store"),
+    (_body(stream="x"), "stream"),
+]
+
+
+def _strict(text):
+    """``text`` parsed as strict JSON: NaN and Infinity are refused."""
+    def refuse(constant):
+        raise ValueError(f"non-strict JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
 
 
 # ----------------------------------------------------------------------
@@ -204,6 +256,63 @@ class TestEndpoints:
             assert f"'{next(iter(spec))}' must be at least 1" \
                 in error["message"]
         assert set(SESSIONS) == sessions
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_schema_violations_answer_400_naming_the_field(
+            self, make_daemon, workers):
+        daemon = make_daemon(workers=workers)
+        sessions = set(SESSIONS)
+        for body, field in SCHEMA_CASES:
+            status, text, _ = _post(daemon.address, body)
+            assert status == 400, body
+            error = _strict(text)["error"]
+            assert (error["kind"], error["field"]) == ("bad_request", field)
+            assert f"field '{field.rpartition('.')[2]}'" in error["message"]
+        assert daemon.metrics.get("failed_total") == len(SCHEMA_CASES)
+        assert daemon.metrics.get("completed_total") == 0
+        assert set(SESSIONS) == sessions
+
+    def test_nan_and_infinity_anywhere_answer_400(self, make_daemon):
+        daemon = make_daemon()
+        for constant in ("NaN", "Infinity", "-Infinity"):
+            for raw in (
+                    '{"request": {"source": %s, "time_limit": %s}}',
+                    '{"request": {"source": %s, "perf": {"N": %s}}}',
+                    '{"request": {"source": %s, "tag": %s}}',
+                    '{"request": {"source": %s}, "deadline_s": %s}',
+                    '{"request": {"source": %s}, "session": {"k": %s}}',
+                    '{"request": {"source": %s}, "extra": %s}'):
+                conn = http.client.HTTPConnection(*daemon.address,
+                                                  timeout=30)
+                try:
+                    conn.request("POST", "/v1/optimize",
+                                 raw % (json.dumps(KERNEL), constant))
+                    resp = conn.getresponse()
+                    assert resp.status == 400, (raw, constant)
+                    _strict(resp.read())
+                finally:
+                    conn.close()
+        assert daemon.metrics.get("completed_total") == 0
+
+    def test_oversized_body_is_refused_unread(self, make_daemon):
+        """Only the header is sent: the daemon must answer without
+        waiting for (or allocating) the body it announces."""
+        daemon = make_daemon()
+        conn = http.client.HTTPConnection(*daemon.address, timeout=30)
+        try:
+            conn.putrequest("POST", "/v1/optimize")
+            conn.putheader("Content-Length", "99999999999")
+            conn.endheaders()
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert json.loads(resp.read())["error"]["message"] == (
+                "invalid JSON body: 99999999999 bytes are over the "
+                "1048576-byte limit")
+        finally:
+            conn.close()
+        assert daemon.metrics.get("failed_total") == 1
+        status, doc, _ = _get(daemon.address, "/healthz")
+        assert status == 200 and doc["status"] == "ok"
 
 
 # ----------------------------------------------------------------------
@@ -614,10 +723,194 @@ class TestMaterializeRequest:
         ({"source": "scop ((("}, "unparseable"),
         ({"source": KERNEL, "system": "not-a-system"},
          "not-a-system"),
+        ({"source": KERNEL, "file": "k.scop"}, "field 'file'"),
+        ({"source": KERNEL, "system": "compiler", "optimizer": "zz"},
+         "optimizer.*unknown optimizing compiler 'zz'"),
+        ({"source": KERNEL, "system": "basellm", "optimizer": "pluto"},
+         "'optimizer' must be set on 'compiler' requests"),
+        ({"source": KERNEL, "perf": {"N": True}}, "'perf' must be"),
+        ({"source": KERNEL, "test": {"N": 1500, "M": 2}},
+         r"'test' must bind exactly the kernel's parameters \(N\)"),
+        ({"source": KERNEL, "test": {"N": 10 ** 30}},
+         "'test' must give each array 1 to 400000 elements"),
+        ({"source": KERNEL, "persona": "zz"}, "persona.*registered"),
     ])
     def test_bad_entries(self, entry, match):
         with pytest.raises(BadRequest, match=match):
             ServeDaemon.materialize_request(entry)
+
+
+class TestRequestSchema:
+    """One test per rule of the request schema."""
+
+    @pytest.mark.parametrize("unset", [{}, {"perf": None, "test": None},
+                                       {"perf": {}, "test": {}}])
+    def test_unset_bindings_take_the_defaults(self, unset):
+        echo = ServeDaemon.materialize_request(
+            dict(unset, source=KERNEL2)).echo()
+        assert (echo["perf"], echo["test"]) == (
+            {"N": 1500, "M": 1500}, {"N": 8, "M": 8})
+
+    def test_compiler_requests_and_only_they_name_an_optimizer(self):
+        echo = ServeDaemon.materialize_request({
+            "source": KERNEL, "system": "compiler",
+            "optimizer": "pluto"}).echo()
+        assert (echo["system"], echo["optimizer"]) == ("compiler", "pluto")
+        for system, optimizer in (("compiler", None), ("looprag", "pluto"),
+                                  ("basellm", "polly")):
+            entry = {"source": KERNEL, "system": system}
+            if optimizer is not None:
+                entry["optimizer"] = optimizer
+            with pytest.raises(BadRequest) as info:
+                ServeDaemon.materialize_request(entry)
+            assert info.value.field == "request.optimizer"
+
+    @pytest.mark.parametrize("field, good, bad", [
+        ("time_limit", [None, 0.5, 120], [0, -1, True, "1m", NAN, INF]),
+        ("deadline_s", [None, 2, 0.25], [0, -1, False, "soon", NAN, -INF]),
+        ("tag", [None, "", "x"], [1, [1], {"a": 1}, True]),
+        ("use_store", [None, True, False], [0, 1, "yes"]),
+        ("stream", [True, False], [None, 0, "x"]),
+        ("include_events", [True, False], [None, 1, "no"]),
+    ])
+    def test_seconds_tags_and_flags(self, make_daemon, field, good, bad):
+        daemon = make_daemon()
+        path = f"request.{field}" if field in ("time_limit", "tag") \
+            else field
+
+        def body(value):
+            if path.startswith("request."):
+                return _body({field: value})
+            return _body(**{field: value})
+        for value in good:
+            daemon.checked_body(body(value))
+        for value in bad:
+            with pytest.raises(BadRequest) as info:
+                daemon.checked_body(body(value))
+            assert info.value.field == path, value
+
+    def test_any_seed_at_least_zero_names_a_corpus(self, make_daemon):
+        daemon = make_daemon()
+        for seed in (0, 7, 10 ** 30):
+            assert daemon._merged_spec({"seed": seed})["seed"] == seed
+        assert OptimizerSession(seed=10 ** 30).seed == 10 ** 30
+        for seed in (-1, 1.0, "0", True, None):
+            with pytest.raises(BadRequest, match="session field 'seed'"):
+                daemon._merged_spec({"seed": seed})
+
+    def test_one_unknown_key_rule_at_every_level(self, make_daemon):
+        daemon = make_daemon()
+        for body, field in ((_body(bogus=1), "bogus"),
+                            (_body({"bogus": 1}), "request.bogus"),
+                            (_body(session={"bogus": 1}), "session.bogus"),
+                            (_body({"file": "k.scop"}), "request.file")):
+            with pytest.raises(BadRequest, match="must be left out") as info:
+                daemon.checked_body(body)
+            assert info.value.field == field
+
+
+# ----------------------------------------------------------------------
+# the request schema, fuzzed: bodies built from its field tables, then
+# one field mutated out of its rule
+# ----------------------------------------------------------------------
+#: for each kind of field, values its rule must refuse
+_BAD = {
+    "count": ["8", 1.5, True, None, 0, -1, NAN, INF],
+    "seed": ["0", 1.5, True, None, -1, NAN],
+    "name": [5, None, [1], "zz-unregistered", NAN],
+    "source": [5, None, "", "  ", "scop ((("],
+    "bindings": ["x", [1], 5, {"N": 0, "M": 1}, {"N": -3, "M": 1},
+                 {"N": 2.5, "M": 1}, {"N": "12", "M": 1},
+                 {"N": True, "M": 1}, {"N": NAN, "M": 1}, {"N": 8},
+                 {"N": 8, "M": 8, "Q": 8}, {"Q": 8, "M": 8}],
+    "seconds": [0, -1, "1m", True, [1], NAN, INF, -INF],
+    "tag": [5, [1], True, {"a": 1}, NAN],
+    "flag": ["x", 1, 0, None, NAN],
+    "maybe_flag": ["x", 1, 0, NAN],
+    "object": [5, "x", [1], NAN],
+}
+_BAD["test"] = _BAD["bindings"] + [{"N": 10 ** 6, "M": 1}]  # over budget
+#: every field of the schema's tables, by kind
+_KINDS = {
+    "": {"request": "object", "session": "object",
+         "deadline_s": "seconds", "stream": "flag",
+         "use_store": "maybe_flag", "include_events": "flag"},
+    "request": {"source": "source", "system": "name", "persona": "name",
+                "optimizer": "name", "perf": "bindings",
+                "test": "test", "time_limit": "seconds",
+                "tag": "tag"},
+    "session": {"dataset_size": "count", "seed": "seed", "k": "count",
+                "generator": "name", "retrieval_method": "name",
+                "llm_backend": "name", "base_compiler": "name",
+                "use_store": "maybe_flag"},
+}
+_PATHS = [(where, name) for where in _KINDS for name in _KINDS[where]]
+
+
+def _valid_bodies():
+    request = st.fixed_dictionaries({
+        "source": st.just(KERNEL2),
+        "perf": st.sampled_from([{"N": 1500, "M": 1500},
+                                 {"N": 1, "M": 10 ** 30}]),
+        "test": st.sampled_from([None, {}, {"N": 1, "M": 6}]),
+        "tag": st.sampled_from([None, "t"]),
+        "time_limit": st.sampled_from([None, 0.5]),
+    }) | st.just({"source": KERNEL2, "system": "compiler",
+                  "optimizer": "pluto", "persona": "gpt4"})
+    return st.fixed_dictionaries({
+        "request": request, "session": st.just({"dataset_size": 40}),
+        "use_store": st.just(True), "include_events": st.booleans()})
+
+
+def _mutations(draw, body):
+    """(body with one field out of its rule, that field's path) for
+    every field of the schema, then an unknown key at every level."""
+    for where, name in _PATHS + [(where, "bogus") for where in _KINDS]:
+        if name == "bogus":
+            value = draw(st.sampled_from([1, None, NAN]))
+        elif name == "optimizer":  # null is valid where none goes
+            compiler = body["request"].get("system") == "compiler"
+            value = draw(st.sampled_from([5, [1], "zz-unregistered",
+                                          None if compiler else "pluto"]))
+        else:
+            value = draw(st.sampled_from(_BAD[_KINDS[where][name]]))
+        mutated = copy.deepcopy(body)
+        (mutated[where] if where else mutated)[name] = value
+        yield mutated, f"{where}.{name}" if where else name
+
+
+class TestRequestSchemaProperty:
+    def test_the_kinds_cover_the_schema(self):
+        assert set(_KINDS[""]) == set(BODY_FIELDS)
+        assert set(_KINDS["request"]) == set(REQUEST_FIELDS)
+        assert set(_KINDS["session"]) == set(SESSION_FIELDS)
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_mutated_bodies_answer_400_naming_the_field(self, make_daemon,
+                                                        workers):
+        """Never a 5xx: a valid body answers 200 with a strict-JSON
+        document, and the same body with any one field out of its rule
+        answers 400 naming that field."""
+        daemon = make_daemon(workers=workers)
+
+        @settings(max_examples=8, derandomize=True, deadline=None,
+                  database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.data())
+        def check(data):
+            body = data.draw(_valid_bodies())
+            status, text, _ = _post(daemon.address, body)
+            assert status == 200, text
+            assert _strict(text)["request"]["target"] == "mv"
+            for mutated, field in _mutations(data.draw, body):
+                status, text, _ = _post(daemon.address, mutated)
+                assert status == 400, (field, mutated)
+                assert _strict(text)["error"]["field"] == field
+
+        check()
+        assert daemon.metrics.get("completed_total") \
+            + daemon.metrics.get("failed_total") \
+            == daemon.metrics.get("requests_total")
 
 
 # ----------------------------------------------------------------------
@@ -729,17 +1022,13 @@ class TestAdmissionController:
 # config + metrics (unit)
 # ----------------------------------------------------------------------
 class TestServeConfig:
-    def test_env_knobs(self, monkeypatch):
+    def test_with_overrides_filters_none(self, monkeypatch):
+        # settings have no environment spelling: from_env only overrides
         monkeypatch.setenv("REPRO_SERVE_INFLIGHT", "2")
-        monkeypatch.setenv("REPRO_SERVE_QUEUE", "3")
-        monkeypatch.setenv("REPRO_SERVE_DEADLINE", "1.5")
-        config = ServeConfig.from_env()
-        assert config.max_inflight == 2
-        assert config.queue_depth == 3
-        assert config.default_deadline == 1.5
+        monkeypatch.setenv("REPRO_SERVE_JOURNAL", "0")
+        assert ServeConfig.from_env() == ServeConfig()
         assert ServeConfig.from_env(max_inflight=9).max_inflight == 9
-
-    def test_with_overrides_filters_none(self):
+        assert ServeConfig.from_env(journal=False).journal is False
         config = ServeConfig()
         same = config.with_overrides(port=None, host=None)
         assert same == config

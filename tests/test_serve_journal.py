@@ -441,20 +441,3 @@ class TestJournalRetention:
         doc = json.loads(capsys.readouterr().out)
         assert doc["journal_retention"]["dropped"] == 1
         assert doc["journal_retention"]["kept_finished"] == 1
-
-
-# ----------------------------------------------------------------------
-# config knobs
-# ----------------------------------------------------------------------
-class TestJournalConfig:
-    def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_JOURNAL", "0")
-        monkeypatch.setenv("REPRO_WORKER_POOL", "3")
-        monkeypatch.setenv("REPRO_WORKER_MEM_MB", "256")
-        monkeypatch.setenv("REPRO_WORKER_HANG", "12.5")
-        config = ServeConfig.from_env()
-        assert config.journal is False
-        assert config.workers == 3
-        assert config.worker_memory_mb == 256
-        assert config.worker_hang_timeout == 12.5
-        assert ServeConfig.from_env(journal=True).journal is True
