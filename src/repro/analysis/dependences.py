@@ -509,13 +509,15 @@ class _Legality(NamedTuple):
     """The legality schedules of one analysis key and the verdicts
     answered on them.
 
-    ``verdicts`` maps ``(ids of the dependence list, dim, binding,
-    engine)`` to ``(the dependence tuple, the violated dependences)``;
-    ``dim`` is ``None`` for a schedule query.  The value pins the
-    dependence objects, so their ids cannot be reused while the entry
-    lives (as in ``vectorized._witness_pack``).  The engine is in the
-    key so that switching ``REPRO_ANALYSIS`` in-process recomputes
-    instead of serving one engine's verdict to the other.
+    ``verdicts`` maps ``(ids of the dependence list, dim, engine)`` to
+    ``(the dependence tuple, the violated dependences)``; ``dim`` is
+    ``None`` for a schedule query.  Every verdict is answered at
+    ``analysis_params``, a binding the analysis key already fixes.  The
+    value pins the dependence objects, so their ids cannot be reused
+    while the entry lives (as in ``vectorized._witness_pack``).  The
+    engine is in the key so that switching ``REPRO_ANALYSIS``
+    in-process recomputes instead of serving one engine's verdict to
+    the other.
     """
 
     schedules: Tuple[Schedule, ...]
@@ -548,18 +550,17 @@ def _legality(program: Program) -> _Legality:
 
 
 def _verdict(program: Program, deps: Sequence[Dependence],
-             dim: Optional[int], params: Optional[Mapping[str, int]],
+             dim: Optional[int],
              compute: Callable[[Tuple[Schedule, ...], Mapping[str, int]],
                                List[Dependence]]) -> List[Dependence]:
-    """``compute(schedules, params)``, memoized in the legality entry."""
-    if params is None:
-        params = analysis_params(program)
+    """``compute(schedules, analysis_params(program))``, memoized in the
+    legality entry (whose analysis key fixes that binding)."""
     entry = _legality(program)
-    key = (tuple(map(id, deps)), dim, tuple(sorted(params.items())),
-           analysis_engine_name())
+    key = (tuple(map(id, deps)), dim, analysis_engine_name())
     hit = entry.verdicts.get(key)
     if hit is None:
-        hit = (tuple(deps), tuple(compute(entry.schedules, params)))
+        hit = (tuple(deps),
+               tuple(compute(entry.schedules, analysis_params(program))))
         entry.verdicts[key] = hit
     return list(hit[1])
 
@@ -572,8 +573,7 @@ def _instance_key(program: Program, schedules: Sequence[Schedule],
     return schedules[si].evaluate(env)
 
 
-def schedule_violations(program: Program, deps: Sequence[Dependence],
-                        params: Optional[Mapping[str, int]] = None
+def schedule_violations(program: Program, deps: Sequence[Dependence]
                         ) -> List[Dependence]:
     """Dependences whose witnesses are reordered by ``program``'s schedule.
 
@@ -604,18 +604,15 @@ def schedule_violations(program: Program, deps: Sequence[Dependence],
                     violated.append(dep)
                     break
         return violated
-    return _verdict(program, deps, None, params, compute)
+    return _verdict(program, deps, None, compute)
 
 
-def is_legal_schedule(program: Program, deps: Sequence[Dependence],
-                      params: Optional[Mapping[str, int]] = None) -> bool:
-    return not schedule_violations(program, deps, params)
+def is_legal_schedule(program: Program, deps: Sequence[Dependence]) -> bool:
+    return not schedule_violations(program, deps)
 
 
 def parallel_violations(program: Program, deps: Sequence[Dependence],
-                        dim: int,
-                        params: Optional[Mapping[str, int]] = None
-                        ) -> List[Dependence]:
+                        dim: int) -> List[Dependence]:
     """Dependences carried by schedule dimension ``dim``.
 
     A dimension may be marked parallel only when no dependence has equal
@@ -640,13 +637,12 @@ def parallel_violations(program: Program, deps: Sequence[Dependence],
                     violated.append(dep)
                     break
         return violated
-    return _verdict(program, deps, dim, params, compute)
+    return _verdict(program, deps, dim, compute)
 
 
 def is_parallel_dim(program: Program, deps: Sequence[Dependence],
-                    dim: int,
-                    params: Optional[Mapping[str, int]] = None) -> bool:
-    return not parallel_violations(program, deps, dim, params)
+                    dim: int) -> bool:
+    return not parallel_violations(program, deps, dim)
 
 
 @memoized(4096, key=lambda program, params=None: (

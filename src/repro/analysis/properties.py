@@ -10,11 +10,11 @@ distribution study buckets eight of them into four clusters (A–D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..ir.program import Program
 from ..ir.schedule import ConstDim
-from .dependences import Dependence, dependences
+from .dependences import dependences
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,10 @@ def _is_perfect(program: Program) -> bool:
     return True
 
 
-def extract_properties(program: Program,
-                       params: Optional[Mapping[str, int]] = None,
-                       deps: Optional[Sequence[Dependence]] = None
-                       ) -> LoopProperties:
-    """Extract all eleven loop properties."""
-    if deps is None:
-        deps = dependences(program, params)
+def extract_properties(program: Program) -> LoopProperties:
+    """Extract all eleven loop properties (array sizes at 32 per
+    parameter)."""
+    deps = dependences(program)
     bounds_refs = 0
     for stmt in program.statements:
         outer = set(program.params)
@@ -71,7 +68,7 @@ def extract_properties(program: Program,
             for v in vec:
                 max_dist = max(max_dist, abs(v))
     names = tuple(sorted(program.array_names()))
-    size_params = params or {p: 32 for p in program.params}
+    size_params = {p: 32 for p in program.params}
     cells = sum(
         int(_prod(decl.shape(size_params))) for decl in program.arrays)
     signatures: List[str] = []
@@ -153,8 +150,7 @@ def property_cluster(name: str, props: LoopProperties) -> str:
     raise KeyError(name)
 
 
-def cluster_distribution(programs: Sequence[Program],
-                         params_value: int = 32
+def cluster_distribution(programs: Sequence[Program]
                          ) -> Dict[str, Dict[str, float]]:
     """Per-property cluster percentage distribution over a corpus."""
     counts: Dict[str, Dict[str, int]] = {

@@ -25,10 +25,14 @@ structured :class:`~repro.api.events.SessionEvent` on the module-level
 byte-identical to fault-free runs (a retried call returns the same
 deterministic response the clean call would have).
 
-Transience: an exception is retryable when it is an instance of the
-policy's ``retryable`` types or carries a truthy ``transient``
-attribute (the convention :mod:`repro.testing.faults` uses).
-:class:`~repro.cancellation.Cancelled` is never retried.
+Transience: :func:`is_transient` is the one rule.  An exception is
+transient when it is a ``ConnectionError`` or ``TimeoutError`` or
+carries a truthy ``transient`` attribute (the convention
+:mod:`repro.testing.faults` uses);
+:class:`~repro.cancellation.Cancelled` and :class:`CircuitOpenError`
+never are.  It decides what :class:`ResilientCall` retries, whether
+``repro serve`` answers a failure 502 ``backend`` or 500 ``internal``,
+and the ``transient`` flag a supervised worker relays with a failure.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, Optional
 
 from ..cancellation import Cancelled, sleep_interruptible
 from .events import EventBus, SessionEvent
@@ -66,13 +70,12 @@ def _emit(kind: str, **data: Any) -> SessionEvent:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How hard to try before giving up on one call."""
+    """How hard to try before giving up on one call (the backoff jitter
+    is seeded per site, so it is deterministic)."""
 
     attempts: int = 4
     base: float = 0.05      # first backoff lower bound (seconds)
     cap: float = 2.0        # backoff upper bound (seconds)
-    retryable: Tuple[type, ...] = (ConnectionError, TimeoutError)
-    seed: int = 0           # jitter RNG seed (deterministic tests)
 
     @staticmethod
     def from_env(**overrides: Any) -> "RetryPolicy":
@@ -86,12 +89,11 @@ class RetryPolicy:
         return RetryPolicy(**values)
 
 
-def is_transient(exc: BaseException, policy: RetryPolicy) -> bool:
-    if isinstance(exc, Cancelled):
+def is_transient(exc: BaseException) -> bool:
+    """Whether a failure is worth retrying (see the module docstring)."""
+    if isinstance(exc, (Cancelled, CircuitOpenError)):
         return False
-    if isinstance(exc, CircuitOpenError):
-        return False
-    return (isinstance(exc, policy.retryable)
+    return (isinstance(exc, (ConnectionError, TimeoutError))
             or bool(getattr(exc, "transient", False)))
 
 
@@ -232,7 +234,7 @@ class ResilientCall:
         self.breaker = breaker if breaker is not None \
             else breaker_for(site)
         self._sleep = sleep
-        self._rng = random.Random(f"retry/{site}/{self.policy.seed}")
+        self._rng = random.Random(f"retry/{site}/0")
         self._rng_lock = threading.Lock()
 
     def _backoff(self, previous: float) -> float:
@@ -249,7 +251,7 @@ class ResilientCall:
             try:
                 result = fn(*args, **kwargs)
             except BaseException as exc:
-                if not is_transient(exc, policy):
+                if not is_transient(exc):
                     raise
                 self.breaker.record_failure()
                 if attempt >= policy.attempts \

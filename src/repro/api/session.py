@@ -36,6 +36,7 @@ caching cannot change any result.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import multiprocessing
@@ -101,6 +102,8 @@ class UnknownName(BadRequest, UnknownComponentError):
 
 
 def _named(path: str) -> str:
+    if not path:
+        return "the document"
     scope, _dot, name = path.rpartition(".")
     return f"{scope} field '{name}'".lstrip()
 
@@ -174,6 +177,11 @@ BODY_FIELDS: Dict[str, Rule] = {
     "deadline_s": _SECONDS, "use_store": _MAYBE_FLAG,
     "stream": _kind(lambda v: type(v) is bool, "be a boolean"),
     "include_events": _kind(lambda v: type(v) is bool, "be a boolean")}
+#: a ``repro serve-batch`` file's top-level fields (each ``requests``
+#: entry is then checked against :data:`BATCH_ENTRY_FIELDS`)
+BATCH_FIELDS: Dict[str, Rule] = {
+    "session": BODY_FIELDS["session"],
+    "requests": _kind(lambda v: isinstance(v, list), "be a list")}
 
 
 def check_fields(table: Mapping[str, Rule], value: Any,
@@ -853,16 +861,24 @@ class OptimizerSession:
 #: the session registry: one session per spec of named settings
 SESSIONS: Dict[Tuple, OptimizerSession] = {}
 
+#: every :class:`OptimizerSession` setting at its default
+_SESSION_DEFAULTS = {
+    name: param.default for name, param in
+    inspect.signature(OptimizerSession).parameters.items()}
+
 
 def shared_session(**spec: Any) -> OptimizerSession:
     """The process-wide session for ``spec``, built on first use.
 
     ``spec`` holds named settings only; a session over an injected
-    ``retriever`` is constructed directly.
+    ``retriever`` is constructed directly.  The registry keys on the
+    spec with :class:`OptimizerSession`'s defaults filled in, so a
+    setting spelled out at its default names the same session as one
+    left out.
     No lock: two racing builders each build one and the first stored
     wins, and a forked worker never inherits a held lock.
     """
-    key = tuple(sorted(spec.items()))
+    key = tuple(sorted({**_SESSION_DEFAULTS, **spec}.items()))
     session = SESSIONS.get(key)
     if session is None:
         session = SESSIONS.setdefault(key, OptimizerSession(**spec))

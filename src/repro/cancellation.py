@@ -141,10 +141,10 @@ def checkpoint() -> None:
         token.check()
 
 
-def sleep_interruptible(seconds: float, slice_s: float = 0.02) -> None:
+def sleep_interruptible(seconds: float) -> None:
     """Sleep that honors the active token.
 
-    Sleeps in short slices and checkpoints between them, so injected
+    Sleeps in 20 ms slices and checkpoints between them, so injected
     delays and retry backoffs wake up promptly on cancellation instead
     of pinning a drain or deadline to the full sleep duration.
     """
@@ -154,5 +154,5 @@ def sleep_interruptible(seconds: float, slice_s: float = 0.02) -> None:
         left = end - time.monotonic()
         if left <= 0:
             return
-        time.sleep(min(slice_s, left))
+        time.sleep(min(0.02, left))
         checkpoint()

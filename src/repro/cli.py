@@ -241,8 +241,12 @@ def _batch_requests(spec: dict, base_dir: str):
                 if path is None:
                     raise SystemExit(
                         f"request #{i}: needs 'source' or 'file'")
-                with open(os.path.join(base_dir, path)) as handle:
-                    entry["source"] = handle.read()
+                try:
+                    with open(os.path.join(base_dir, path)) as handle:
+                        entry["source"] = handle.read()
+                except OSError:
+                    raise BadRequest("request.file",
+                                     "name a readable file", path) from None
             requests.append(OptimizationRequest.from_entry(None, entry))
         except BadRequest as exc:
             exc.args = (f"request #{i}: {exc}",)
@@ -266,18 +270,22 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
 def _serve_batch(args: argparse.Namespace) -> int:
     import json
 
-    from .api.session import SESSION_FIELDS, OptimizerSession, check_fields
+    from .api.session import (BATCH_FIELDS, BadRequest, OptimizerSession,
+                              check_fields)
 
-    if args.batch == "-":
-        spec = json.load(sys.stdin)
-        base_dir = os.getcwd()
-    else:
-        with open(args.batch) as handle:
-            spec = json.load(handle)
-        base_dir = os.path.dirname(os.path.abspath(args.batch))
+    try:
+        if args.batch == "-":
+            spec = json.load(sys.stdin)
+            base_dir = os.getcwd()
+        else:
+            with open(args.batch) as handle:
+                spec = json.load(handle)
+            base_dir = os.path.dirname(os.path.abspath(args.batch))
+    except json.JSONDecodeError as exc:
+        raise BadRequest("", "be JSON", str(exc)) from None
 
-    session_spec = check_fields(SESSION_FIELDS, spec.get("session"),
-                                "session")
+    spec = check_fields(BATCH_FIELDS, spec, "")
+    session_spec = spec.get("session") or {}
     session = OptimizerSession(**session_spec)
     if args.events:
         session.events.subscribe(
@@ -401,17 +409,13 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
     """Drop superseded/tombstoned/corrupt records from every stream."""
     import json
 
-    from .serve.journal import ENV_JOURNAL_KEEP, JOURNAL_STREAM
-    from .serve.journal import prune_finished
+    from .serve.journal import JOURNAL_STREAM, prune_finished
 
     store = _store_for_maintenance(args)
     artifacts = store.artifacts()
     streams = ([args.stream] if args.stream
                else list(artifacts.streams()))
     keep = args.journal_keep
-    if keep is None:
-        env_keep = os.environ.get(ENV_JOURNAL_KEEP)
-        keep = int(env_keep) if env_keep else None
     retention = None
     if keep is not None and JOURNAL_STREAM in streams:
         # drop finished journal records beyond the newest `keep` before
@@ -702,9 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
             part.add_argument("--journal-keep", type=int, metavar="N",
                               default=None,
                               help="drop finished journal records "
-                                   "beyond the newest N (default: "
-                                   "REPRO_JOURNAL_KEEP, else keep all; "
-                                   "admitted/started are never touched)")
+                                   "beyond the newest N (default: keep "
+                                   "all; admitted/started are never "
+                                   "touched)")
         if name == "verify":
             part.add_argument("--repair", action="store_true",
                               help="heal the damage: compact "

@@ -17,7 +17,7 @@ from ..analysis.dependences import (Dependence, is_legal_schedule,
 from ..ir.program import Program
 from ..ir.schedule import ConstDim
 from ..machine.analytical import estimate_cached
-from ..machine.model import DEFAULT_MACHINE, MachineModel
+from ..machine.model import DEFAULT_MACHINE
 from ..transforms import (TransformError, TransformStep, fuse, interchange,
                           pad_statements, parallelize, shared_band, skew,
                           tile)
@@ -86,11 +86,10 @@ def _peer_expr_at(program: Program, si: int, col: int) -> set:
 
 
 def fuse_greedily(program: Program,
-                  deps: Sequence[Dependence],
-                  allow_shift: bool = True) -> Tuple[Program, Steps]:
+                  deps: Sequence[Dependence]) -> Tuple[Program, Steps]:
     """Maximal legal fusion at every constant column, left to right.
 
-    When plain fusion is illegal, optionally retry after *shifting* later
+    When plain fusion is illegal, retry after *shifting* later
     statements by a small offset on the following loop dimension — the
     classic fusion-enabling shift (it realigns producer/consumer
     iterations, Listing 5's ``t3 - t4 < t4`` alignment).
@@ -117,7 +116,7 @@ def fuse_greedily(program: Program,
         if is_legal_schedule(candidate, deps):
             program = candidate
             steps.append(step)
-        elif allow_shift and col + 1 < width:
+        elif col + 1 < width:
             fused = _fuse_with_shift(program, deps, col)
             if fused is not None:
                 program, shift_steps = fused
@@ -172,16 +171,16 @@ def _permutation_steps(cols: Sequence[int],
 
 
 def best_band_permutation(program: Program, deps: Sequence[Dependence],
-                          params: Mapping[str, int],
-                          machine: MachineModel = DEFAULT_MACHINE,
-                          max_band: int = 4) -> Tuple[Program, Steps]:
-    """Search loop orders of the shared band for the cheapest legal one."""
+                          params: Mapping[str, int]
+                          ) -> Tuple[Program, Steps]:
+    """Search loop orders of the shared band (at most four deep) for the
+    cheapest legal one."""
     band = shared_band(program)
-    if len(band) < 2 or len(band) > max_band:
+    if len(band) < 2 or len(band) > 4:
         return program, []
     best_prog = program
     best_steps: Steps = []
-    best_cost = estimate_cached(program, params, machine).cycles
+    best_cost = estimate_cached(program, params, DEFAULT_MACHINE).cycles
     for order in itertools.permutations(range(len(band))):
         if list(order) == sorted(order):
             continue
@@ -194,7 +193,7 @@ def best_band_permutation(program: Program, deps: Sequence[Dependence],
             continue
         if not is_legal_schedule(candidate, deps):
             continue
-        cost = estimate_cached(candidate, params, machine).cycles
+        cost = estimate_cached(candidate, params, DEFAULT_MACHINE).cycles
         if cost < best_cost * 0.999:
             best_cost = cost
             best_prog = candidate

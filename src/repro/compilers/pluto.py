@@ -19,7 +19,6 @@ from typing import Mapping
 
 from ..analysis.dependences import dependences
 from ..ir.program import Program
-from ..machine.model import DEFAULT_MACHINE, MachineModel
 from ..transforms import TransformRecipe
 from .base import Optimizer, OptimizerResult
 from .passes import (align_statement_loops, best_band_permutation,
@@ -34,13 +33,8 @@ class Pluto(Optimizer):
     name = "pluto"
     base_compiler = "gcc"
 
-    def __init__(self, tile_size: int = 32, enable_tiling: bool = True,
-                 enable_parallel: bool = True,
-                 machine: MachineModel = DEFAULT_MACHINE) -> None:
+    def __init__(self, tile_size: int = 32) -> None:
         self.tile_size = tile_size
-        self.enable_tiling = enable_tiling
-        self.enable_parallel = enable_parallel
-        self.machine = machine
 
     def optimize(self, program: Program,
                  params: Mapping[str, int]) -> OptimizerResult:
@@ -53,20 +47,17 @@ class Pluto(Optimizer):
         steps += s
         program, s = fuse_greedily(program, deps)
         steps += s
-        program, s = best_band_permutation(program, deps, params,
-                                           self.machine)
+        program, s = best_band_permutation(program, deps, params)
         steps += s
-        if self.enable_tiling:
-            program, s = tile_shared_band(program, deps, self.tile_size,
-                                          allow_skew=True, min_depth=1)
+        program, s = tile_shared_band(program, deps, self.tile_size,
+                                      allow_skew=True, min_depth=1)
+        steps += s
+        if not s:
+            program, s = distribute_for_tiling(program, deps,
+                                               self.tile_size)
             steps += s
-            if not s:
-                program, s = distribute_for_tiling(program, deps,
-                                                   self.tile_size)
-                steps += s
-            program, s = tile_statement_tails(program, deps, self.tile_size)
-            steps += s
-        if self.enable_parallel:
-            program, s = parallelize_outermost(program, deps)
-            steps += s
+        program, s = tile_statement_tails(program, deps, self.tile_size)
+        steps += s
+        program, s = parallelize_outermost(program, deps)
+        steps += s
         return self._done(program, TransformRecipe(tuple(steps)))

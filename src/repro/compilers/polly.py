@@ -29,9 +29,6 @@ class Polly(Optimizer):
     name = "polly"
     base_compiler = "clang"
 
-    def __init__(self, tile_size: int = 32) -> None:
-        self.tile_size = tile_size
-
     def optimize(self, program: Program,
                  params: Mapping[str, int]) -> OptimizerResult:
         if "dummy-call" in program.tags and \
@@ -63,7 +60,7 @@ class Polly(Optimizer):
                 continue
             cols = cols[:2]  # Polly's default band depth
             step = TransformStep.make("tiling", columns=list(cols),
-                                      sizes=[self.tile_size] * len(cols),
+                                      sizes=[32] * len(cols),
                                       stmts=[stmt.name])
             try:
                 candidate = step.apply(program)

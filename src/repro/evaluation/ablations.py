@@ -2,7 +2,8 @@
 
 These are not paper artifacts; they probe the knobs the paper fixes
 (tile size 32, K = 7 candidates, 135k-example corpus, the base-LLM
-generation) and check that the fixed values sit in sensible regimes.
+generation) over fixed value lists and check that the fixed values
+sit in sensible regimes.
 """
 
 from __future__ import annotations
@@ -19,8 +20,13 @@ from .experiments import ExperimentResult
 from .harness import looprag_plan, run_plans, suites
 from .metrics import average_speedup, pass_at_k
 
+#: the swept values of each design choice; the paper's sits inside each
+TILE_SIZES = (8, 16, 32, 64, 128)
+CORPUS_SIZES = (30, 100, 300)
+CANDIDATE_KS = (1, 3, 7)
 
-def ablation_tile_size(sizes=(8, 16, 32, 64, 128)) -> ExperimentResult:
+
+def ablation_tile_size() -> ExperimentResult:
     """PLuTo's PolyBench speedup as a function of tile size.
 
     The paper (and PLuTo's default) uses 32; the sweep should show a
@@ -30,7 +36,7 @@ def ablation_tile_size(sizes=(8, 16, 32, 64, 128)) -> ExperimentResult:
     suite = suites()["polybench"]
     base = BASE_COMPILERS["gcc"]
     rows: List = []
-    for size in sizes:
+    for size in TILE_SIZES:
         pluto = Pluto(tile_size=size)
         speedups = []
         for bench in suite:
@@ -49,12 +55,13 @@ def ablation_tile_size(sizes=(8, 16, 32, 64, 128)) -> ExperimentResult:
         notes=("design choice: 32 (the paper's and PLuTo's default)",))
 
 
-def ablation_corpus_size(sizes=(30, 100, 300)) -> ExperimentResult:
+def ablation_corpus_size() -> ExperimentResult:
     """LOOPRAG quality as a function of demonstration-corpus size."""
     runs = run_plans([looprag_plan("polybench", DEEPSEEK_V3,
-                                   dataset_size=size) for size in sizes])
+                                   dataset_size=size)
+                      for size in CORPUS_SIZES])
     rows: List = []
-    for size, results in zip(sizes, runs):
+    for size, results in zip(CORPUS_SIZES, runs):
         rows.append((size, pass_at_k([r.passed for r in results]),
                      average_speedup([r.speedup for r in results])))
     return ExperimentResult(
@@ -66,13 +73,13 @@ def ablation_corpus_size(sizes=(30, 100, 300)) -> ExperimentResult:
                "saturates far earlier at our target count",))
 
 
-def ablation_candidates(ks=(1, 3, 7)) -> ExperimentResult:
+def ablation_candidates() -> ExperimentResult:
     """Pass@k / speedup as a function of the candidate count K (§5: 7)."""
     rows: List = []
     requests = [OptimizationRequest.make(bench.program, bench.perf,
                                          bench.test, persona=DEEPSEEK_V3)
                 for bench in suites()["polybench"]]
-    for k in ks:
+    for k in CANDIDATE_KS:
         session = shared_session(k=k)
         results = [session.optimize(request) for request in requests]
         rows.append((k, pass_at_k([r.passed for r in results]),

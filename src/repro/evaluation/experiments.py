@@ -23,9 +23,9 @@ from ..llm.personas import DEEPSEEK_V3, GPT_4O
 from ..suites import FIG14_KERNELS
 from ..synthesis.dataset import cached_dataset, transformation_kinds
 from ..transforms.recipe import LOOP_KINDS
-from .harness import (DEFAULT_SEED, BenchResult, RunPlan, base_llm_plan,
-                      compiler_plan, looprag_plan, run_plans,
-                      speedups_by_benchmark)
+from ..api.session import DEFAULT_SEED
+from .harness import (BenchResult, RunPlan, base_llm_plan, compiler_plan,
+                      looprag_plan, run_plans, speedups_by_benchmark)
 from .metrics import average_speedup, pass_at_k, percent_faster
 
 SUITE_NAMES = ("polybench", "tsvc", "lore")
@@ -292,12 +292,11 @@ def fig8_faster_vs_pluto() -> ExperimentResult:
 CORPUS_STUDY_SIZE = 1000
 
 
-def fig9_property_distribution(corpus_size: int = CORPUS_STUDY_SIZE
-                               ) -> ExperimentResult:
+def fig9_property_distribution() -> ExperimentResult:
     """Cluster distributions of loop properties for both generators."""
     rows = []
     for generator in ("looprag", "colagen"):
-        dataset = cached_dataset(corpus_size, DEFAULT_SEED, generator)
+        dataset = cached_dataset(CORPUS_STUDY_SIZE, DEFAULT_SEED, generator)
         dist = cluster_distribution([e.example for e in dataset])
         for prop in FIG9_PROPERTIES:
             buckets = dist[prop]
@@ -312,12 +311,11 @@ def fig9_property_distribution(corpus_size: int = CORPUS_STUDY_SIZE
                "property; LOOPRAG spread over all four",))
 
 
-def tab4_transform_kinds(corpus_size: int = CORPUS_STUDY_SIZE
-                         ) -> ExperimentResult:
+def tab4_transform_kinds() -> ExperimentResult:
     """Transformation kinds triggered in each generator's corpus."""
     rows = []
     for generator in ("looprag", "colagen"):
-        dataset = cached_dataset(corpus_size, DEFAULT_SEED, generator)
+        dataset = cached_dataset(CORPUS_STUDY_SIZE, DEFAULT_SEED, generator)
         kinds = transformation_kinds(dataset)
         rows.append(tuple([generator] + [
             "yes" if kinds.get(kind, 0) > 0 else "no"

@@ -18,9 +18,10 @@ and its retriever.  There is no memo above the store: a caller reads
 each plan's results from what :func:`run_plans` returns, and a plan
 that several tables share is a store hit after its first run (with
 the store off, ``REPRO_NO_CACHE``, it is recomputed).
-:func:`results_for` runs one plan.  Each pipeline run seeds its RNG
-from ``(seed, program fingerprint)``, so parallel results are
-bit-identical to serial ones.
+:func:`results_for` runs one plan.  Plans carry no seed: every plan
+runs at the session's default seed, and each pipeline run seeds its
+RNG from ``(that seed, program fingerprint)``, so parallel results
+are bit-identical to serial ones.
 
 Environment switches: ``REPRO_SUITE_LIMIT=<n>`` subsamples suites for
 quick iteration (benches run the full suites); ``REPRO_JOBS=<n>`` sets
@@ -34,9 +35,9 @@ import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..api.session import (DEFAULT_DATASET_SIZE, DEFAULT_SEED,
-                           OptimizationRequest, OptimizerSession,
-                           optimize_batch, shared_session)
+from ..api.session import (DEFAULT_DATASET_SIZE, OptimizationRequest,
+                           OptimizerSession, optimize_batch,
+                           shared_session)
 from ..llm.personas import Persona, registered_name
 from ..pipeline.generation import (BASELINE_TIME_LIMIT,
                                    LOOPRAG_TIME_LIMIT)
@@ -94,7 +95,6 @@ class RunPlan:
     retrieval_method: str = "loop-aware"
     generator: str = "looprag"
     dataset_size: int = DEFAULT_DATASET_SIZE
-    seed: int = DEFAULT_SEED
     optimizer: Optional[str] = None  # compiler kind
     #: None -> the paper's default for the kind (120 s for LOOPRAG
     #: candidates, 600 s for baselines, §6.1)
@@ -112,40 +112,39 @@ class RunPlan:
 def looprag_plan(suite_name: str, persona: Union[Persona, str],
                  base: str = "gcc", retrieval_method: str = "loop-aware",
                  generator: str = "looprag",
-                 dataset_size: int = DEFAULT_DATASET_SIZE,
-                 seed: int = DEFAULT_SEED) -> RunPlan:
+                 dataset_size: int = DEFAULT_DATASET_SIZE) -> RunPlan:
     return RunPlan(kind="looprag", suite=suite_name,
                    persona=registered_name(persona), base=base,
                    retrieval_method=retrieval_method, generator=generator,
-                   dataset_size=dataset_size, seed=seed,
+                   dataset_size=dataset_size,
                    time_limit=LOOPRAG_TIME_LIMIT)
 
 
 def base_llm_plan(suite_name: str, persona: Union[Persona, str],
-                  base: str = "gcc", seed: int = DEFAULT_SEED) -> RunPlan:
+                  base: str = "gcc") -> RunPlan:
     return RunPlan(kind="basellm", suite=suite_name,
-                   persona=registered_name(persona), base=base, seed=seed)
+                   persona=registered_name(persona), base=base)
 
 
-def compiler_plan(suite_name: str, optimizer_name: str,
-                  time_limit: float = BASELINE_TIME_LIMIT) -> RunPlan:
+def compiler_plan(suite_name: str, optimizer_name: str) -> RunPlan:
     return RunPlan(kind="compiler", suite=suite_name,
-                   optimizer=optimizer_name, time_limit=time_limit)
+                   optimizer=optimizer_name, time_limit=BASELINE_TIME_LIMIT)
 
 
 # ----------------------------------------------------------------------
 # plans -> (session, request) batches
 # ----------------------------------------------------------------------
 def _plan_session(plan: RunPlan) -> OptimizerSession:
-    """The store-backed session a plan's benchmarks run through."""
+    """The store-backed session a plan's benchmarks run through (at the
+    session's default seed)."""
     spec: Dict[str, Any]
     if plan.kind == "looprag":
-        spec = {"dataset_size": plan.dataset_size, "seed": plan.seed,
+        spec = {"dataset_size": plan.dataset_size,
                 "generator": plan.generator,
                 "retrieval_method": plan.retrieval_method,
                 "base_compiler": plan.base}
     elif plan.kind in ("basellm", "compiler"):
-        spec = {"seed": plan.seed, "base_compiler": plan.base}
+        spec = {"base_compiler": plan.base}
     else:
         raise ValueError(f"unknown plan kind {plan.kind!r}")
     return shared_session(**spec)
@@ -189,10 +188,9 @@ def run_plans(plans: Sequence[RunPlan], jobs: Optional[int] = None
     return [by_plan[plan] for plan in plans]
 
 
-def results_for(plan: RunPlan, jobs: Optional[int] = None
-                ) -> List[BenchResult]:
+def results_for(plan: RunPlan) -> List[BenchResult]:
     """Results of one plan (store-backed)."""
-    return run_plans([plan], jobs=jobs)[0]
+    return run_plans([plan])[0]
 
 
 # ----------------------------------------------------------------------

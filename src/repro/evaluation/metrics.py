@@ -24,10 +24,10 @@ def pass_at_k(passed: Sequence[bool]) -> float:
     return 100.0 * sum(bool(p) for p in passed) / len(passed)
 
 
-def average_speedup(speedups: Sequence[float],
-                    cap: float = OUTLIER_CAP) -> float:
-    """Mean speedup with failures as 0 and >cap outliers excluded."""
-    kept = [s for s in speedups if s <= cap]
+def average_speedup(speedups: Sequence[float]) -> float:
+    """Mean speedup with failures as 0 and >OUTLIER_CAP outliers
+    excluded."""
+    kept = [s for s in speedups if s <= OUTLIER_CAP]
     if not kept:
         return 0.0
     return sum(kept) / len(kept)

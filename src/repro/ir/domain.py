@@ -10,7 +10,7 @@ shifted spaces are all expressible).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from ..memo import memoized_str
 from .affine import Affine, AffineLike, aff
@@ -146,12 +146,7 @@ class Domain:
 
 
 def rectangular(names: Sequence[str],
-                uppers: Sequence[AffineLike],
-                lowers: Optional[Sequence[AffineLike]] = None) -> Domain:
-    """Convenience constructor for a rectangular domain ``lo <= i <= hi``."""
-    if lowers is None:
-        lowers = [0] * len(names)
-    specs: List[IterSpec] = []
-    for name, lo, hi in zip(names, lowers, uppers):
-        specs.append(IterSpec.bounded(name, lo, hi))
-    return Domain(tuple(specs))
+                uppers: Sequence[AffineLike]) -> Domain:
+    """Convenience constructor for a rectangular domain ``0 <= i <= hi``."""
+    return Domain(tuple(IterSpec.bounded(name, 0, hi)
+                        for name, hi in zip(names, uppers)))

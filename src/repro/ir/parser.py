@@ -79,9 +79,9 @@ class _Parser:
         self._stmt_counter = 0
 
     # -- token plumbing -------------------------------------------------
-    def peek(self, ahead: int = 0) -> Optional[str]:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def peek(self) -> Optional[str]:
+        return (self.tokens[self.pos] if self.pos < len(self.tokens)
+                else None)
 
     def next(self) -> str:
         if self.pos >= len(self.tokens):

@@ -164,9 +164,9 @@ def build_view(program: Program, stmt: Statement,
 
 
 def estimate_guard_fraction(stmt: Statement,
-                            params: Mapping[str, int],
-                            cap: int = 20_000) -> float:
-    """Fraction of domain points whose guards hold, by small enumeration."""
+                            params: Mapping[str, int]) -> float:
+    """Fraction of domain points whose guards hold, by small enumeration
+    (of at most 20,000 points)."""
     if not stmt.guards:
         return 1.0
     total = 0
@@ -177,7 +177,7 @@ def estimate_guard_fraction(stmt: Statement,
         env.update(point)
         if stmt.guards_hold(env):
             passed += 1
-        if total >= cap:
+        if total >= 20_000:
             break
     if total == 0:
         return 1.0

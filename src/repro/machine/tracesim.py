@@ -16,7 +16,7 @@ from typing import Dict, Mapping, Tuple
 import numpy as np
 
 from ..ir.program import Program
-from .model import DEFAULT_MACHINE, MachineModel
+from .model import DEFAULT_MACHINE
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,14 @@ class LineCache:
 
 
 def simulate_trace(program: Program, params: Mapping[str, int],
-                   machine: MachineModel = DEFAULT_MACHINE,
-                   capacity_bytes: int = 0,
-                   budget: int = 400_000) -> TraceResult:
-    """Run the access trace through an LRU cache.
+                   capacity_bytes: int = 0) -> TraceResult:
+    """Run the access trace (at most 400,000 instances) through an LRU
+    cache of the default machine's line size.
 
     ``capacity_bytes`` defaults to the machine cache size; tests typically
     shrink it so small problem sizes still exercise capacity misses.
     """
+    machine = DEFAULT_MACHINE
     capacity = capacity_bytes or machine.cache_bytes
     cache = LineCache(capacity, machine.line_bytes)
     per_array: Dict[str, int] = {}
@@ -90,7 +90,7 @@ def simulate_trace(program: Program, params: Mapping[str, int],
     from ..runtime.instances import affine_column, sorted_instances
 
     batch = sorted_instances(
-        program, params, budget,
+        program, params, 400_000,
         lambda _b: RuntimeError("trace budget exceeded"),
         honor_guards=True)
 

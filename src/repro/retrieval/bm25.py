@@ -16,6 +16,10 @@ import numpy as np
 
 from .tokenize import tokenize
 
+#: BM25's term-frequency saturation and length normalisation (§5)
+K1 = 1.2
+B = 0.75
+
 #: term -> (doc ids, term frequencies), as arrays
 _ArrayPostings = Dict[str, Tuple[np.ndarray, np.ndarray]]
 
@@ -29,9 +33,7 @@ class ScoredDoc:
 class BM25Index:
     """Inverted index with Okapi BM25 scoring."""
 
-    def __init__(self, k1: float = 1.2, b: float = 0.75) -> None:
-        self.k1 = k1
-        self.b = b
+    def __init__(self) -> None:
         self._docs: List[Counter] = []
         self._lengths: List[int] = []
         self._postings: Dict[str, List[Tuple[int, int]]] = {}
@@ -78,9 +80,8 @@ class BM25Index:
             if tf == 0:
                 continue
             idf = self.idf(term)
-            denom = tf + self.k1 * (1 - self.b
-                                    + self.b * length / self._avg_len)
-            score += idf * tf * (self.k1 + 1) / denom
+            denom = tf + K1 * (1 - B + B * length / self._avg_len)
+            score += idf * tf * (K1 + 1) / denom
         return score
 
     def _frozen(self) -> Tuple[np.ndarray, _ArrayPostings]:
@@ -90,8 +91,7 @@ class BM25Index:
             lengths = np.array(self._lengths, dtype=np.int64)
             # avg_len is 0 only when no document has a token; then no
             # posting ever reads the norm
-            norm = self.k1 * (1 - self.b + self.b * lengths
-                              / (self._avg_len or 1.0))
+            norm = K1 * (1 - B + B * lengths / (self._avg_len or 1.0))
             postings = {}
             for term, hits in self._postings.items():
                 ids, tfs = zip(*hits)
@@ -118,8 +118,7 @@ class BM25Index:
             if hit is None:
                 continue
             ids, tfs = hit
-            acc[ids] += self.idf(term) * tfs * (self.k1 + 1) / (
-                tfs + norm[ids])
+            acc[ids] += self.idf(term) * tfs * (K1 + 1) / (tfs + norm[ids])
         return acc
 
     def search(self, query_text: str, top_n: int = 10) -> List[ScoredDoc]:

@@ -88,13 +88,11 @@ def feature_score(target: Sequence[StatementFeatures],
 
 def lascore(target: Sequence[StatementFeatures],
             example: Sequence[StatementFeatures],
-            base_score: float,
-            reward_weights: Mapping[str, float] = DEFAULT_REWARD_WEIGHTS,
-            penalty_weights: Mapping[str, float] = DEFAULT_PENALTY_WEIGHTS,
-            ) -> ScoreBreakdown:
+            base_score: float) -> ScoreBreakdown:
     """Eq 5: LAScore = SB + (SF − SM) / NS_T."""
-    sm = statement_mismatch(target, example, penalty_weights)
-    sf = feature_score(target, example, reward_weights, penalty_weights)
+    sm = statement_mismatch(target, example, DEFAULT_PENALTY_WEIGHTS)
+    sf = feature_score(target, example, DEFAULT_REWARD_WEIGHTS,
+                       DEFAULT_PENALTY_WEIGHTS)
     return ScoreBreakdown(base=base_score, feature_score=sf, mismatch=sm,
                           n_target_statements=len(target))
 

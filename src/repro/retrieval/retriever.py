@@ -113,11 +113,9 @@ class Retriever:
         return ranked
 
     def demonstrations(self, target: Program, rng: random.Random,
-                       method: str = "loop-aware",
-                       top_n: int = DEFAULT_TOP_N,
-                       count: int = DEFAULT_DEMOS) -> List[RetrievedDemo]:
-        """Top-N then random sample of ``count`` (§5: N=10, three demos)."""
-        ranked = self.rank(target, method, top_n)
-        if len(ranked) <= count:
+                       method: str = "loop-aware") -> List[RetrievedDemo]:
+        """Top-N then a random sample (§5: N=10, three demos)."""
+        ranked = self.rank(target, method, DEFAULT_TOP_N)
+        if len(ranked) <= DEFAULT_DEMOS:
             return ranked
-        return rng.sample(ranked, count)
+        return rng.sample(ranked, DEFAULT_DEMOS)

@@ -173,12 +173,11 @@ def _check_bounds(prog: str, stmt: str, array: str,
                 f"'{array}' with shape {shape}")
 
 
-def run(program: Program, params: Mapping[str, int], variant: int = 0,
-        storage: Optional[Storage] = None,
+def run(program: Program, params: Mapping[str, int],
         budget: int = 2_000_000) -> RunResult:
-    """Allocate (or reuse) inputs, execute, and collect output arrays."""
-    if storage is None:
-        storage = allocate(program, params, variant)
+    """Allocate the variant-0 inputs, execute, and collect output
+    arrays."""
+    storage = allocate(program, params, 0)
     instances = execute(program, params, storage, budget)
     outputs = {name: storage[name].copy() for name in program.outputs}
     return RunResult(outputs=outputs,

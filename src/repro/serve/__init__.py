@@ -14,8 +14,8 @@ docs/architecture.md ("Service daemon & resilience") for the design.
 from .admission import AdmissionController, Rejected
 from .config import ServeConfig
 from .daemon import BadRequest, ServeDaemon
-from .journal import (ENV_JOURNAL_KEEP, JOURNAL_STREAM, RequestJournal,
-                      prune_finished, request_signature)
+from .journal import (JOURNAL_STREAM, RequestJournal, prune_finished,
+                      request_signature)
 from .metrics import Metrics
 from .supervisor import (QuarantineRegistry, WorkerCrashed,
                          WorkerSupervisor)
@@ -23,7 +23,7 @@ from .supervisor import (QuarantineRegistry, WorkerCrashed,
 __all__ = [
     "AdmissionController", "Rejected", "ServeConfig", "BadRequest",
     "ServeDaemon", "Metrics",
-    "ENV_JOURNAL_KEEP", "JOURNAL_STREAM", "RequestJournal",
+    "JOURNAL_STREAM", "RequestJournal",
     "prune_finished", "request_signature",
     "QuarantineRegistry", "WorkerCrashed", "WorkerSupervisor",
 ]

@@ -84,7 +84,7 @@ from pathlib import Path
 
 from ..api import OptimizationRequest, OptimizerSession
 from ..api.resilience import (CircuitOpenError, RESILIENCE_BUS,
-                              breaker_states)
+                              breaker_states, is_transient)
 from ..api.session import (BODY_FIELDS, SESSION_FIELDS, SESSIONS,
                            BadRequest, check_fields, shared_session)
 from ..cancellation import Cancelled, CancelToken, DeadlineExceeded
@@ -394,11 +394,9 @@ class ServeDaemon:
                             crashes=entry["crashes"],
                             quarantined=entry["quarantined"])
         except Exception as exc:
-            transient = bool(getattr(exc, "transient", False)) \
-                or isinstance(exc, (ConnectionError, TimeoutError))
             self.metrics.inc("failed_total")
             type_name = getattr(exc, "remote_type", type(exc).__name__)
-            if transient:
+            if is_transient(exc):
                 self._journal_failed(journaled, signature, "backend",
                                      str(exc))
                 reply = partial(_send_error, handler, 502, "backend",
@@ -607,7 +605,7 @@ class ServeDaemon:
             self.supervisor.shutdown()
         self._unsub_resilience()
 
-    def run_forever(self, announce=print) -> int:
+    def run_forever(self) -> int:
         """Foreground serve loop with SIGTERM/SIGINT drain; returns 0."""
         self._boot()
         server = self._make_server()
@@ -619,13 +617,13 @@ class ServeDaemon:
         previous = {}
         for signum in (signal.SIGTERM, signal.SIGINT):
             previous[signum] = signal.signal(signum, _signal_drain)
-        announce(f"repro-serve listening on http://{host}:{port} "
-                 f"(inflight={self.config.max_inflight} "
-                 f"queue={self.config.queue_depth} "
-                 f"workers={self.config.workers or 'in-process'} "
-                 f"journal={'on' if self.journal else 'off'} "
-                 f"deadline={self.config.default_deadline or 'none'})",
-                 flush=True)
+        print(f"repro-serve listening on http://{host}:{port} "
+              f"(inflight={self.config.max_inflight} "
+              f"queue={self.config.queue_depth} "
+              f"workers={self.config.workers or 'in-process'} "
+              f"journal={'on' if self.journal else 'off'} "
+              f"deadline={self.config.default_deadline or 'none'})",
+              flush=True)
         try:
             server.serve_forever(poll_interval=0.1)
         finally:
@@ -634,7 +632,7 @@ class ServeDaemon:
                 signal.signal(signum, old)
             if self.supervisor is not None:
                 self.supervisor.shutdown()
-        announce("repro-serve drained cleanly", flush=True)
+        print("repro-serve drained cleanly", flush=True)
         return 0
 
     # ------------------------------------------------------------------

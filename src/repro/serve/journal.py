@@ -43,10 +43,6 @@ JOURNAL_SCHEMA = 1
 #: unfinished ones --recover replays
 UNFINISHED = ("admitted", "started")
 
-#: retention for finished journal records (``repro store compact
-#: --journal-keep N`` falls back to this)
-ENV_JOURNAL_KEEP = "REPRO_JOURNAL_KEEP"
-
 
 def request_signature(body: Dict[str, Any]) -> str:
     """Idempotency key: a content hash of the request body.

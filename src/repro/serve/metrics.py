@@ -24,11 +24,11 @@ def _percentile(sorted_values, fraction: float) -> float:
 class Metrics:
     """Thread-safe counters + gauges + latency percentiles."""
 
-    def __init__(self, window: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, Callable[[], Any]] = {}
-        self._latencies: Deque[float] = deque(maxlen=window)
+        self._latencies: Deque[float] = deque(maxlen=1024)
 
     def inc(self, name: str, amount: int = 1) -> None:
         with self._lock:

@@ -159,7 +159,7 @@ def _worker_run_job(conn, session_for: SessionFor,
 
 def _worker_main(conn, inherited, memory_mb: int,
                  session_for: SessionFor) -> None:
-    from ..api.resilience import CircuitOpenError
+    from ..api.resilience import CircuitOpenError, is_transient
     # fork copied the parent-side ends of this worker's pipe and of
     # every earlier worker's; while the child holds them, its own recv()
     # never sees EOF when the daemon dies, and the worker outlives it
@@ -191,10 +191,8 @@ def _worker_main(conn, inherited, memory_mb: int,
                     "kind": "breaker_open", "message": str(exc),
                     "site": exc.site, "retry_after": exc.retry_after}))
             except Exception as exc:
-                transient = bool(getattr(exc, "transient", False)) \
-                    or isinstance(exc, (ConnectionError, TimeoutError))
                 conn.send(("err", {
-                    "kind": "failure", "transient": transient,
+                    "kind": "failure", "transient": is_transient(exc),
                     "type": type(exc).__name__, "message": str(exc)}))
     except (EOFError, OSError, KeyboardInterrupt):
         pass  # parent went away (or drain); just exit
@@ -358,7 +356,7 @@ class WorkerSupervisor:
             self._workers[index] = handle
         self._idle.put(handle)
 
-    def shutdown(self, timeout: float = 5.0) -> None:
+    def shutdown(self) -> None:
         self._stopping.set()
         if self._watchdog is not None:
             self._watchdog.join(timeout=2.0)
@@ -370,7 +368,7 @@ class WorkerSupervisor:
                 handle.conn.send(("stop",))
             except (BrokenPipeError, OSError):
                 pass
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + 5.0
         for handle in handles:
             handle.proc.join(max(0.1, deadline - time.monotonic()))
             if handle.proc.is_alive():

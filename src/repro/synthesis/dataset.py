@@ -8,8 +8,8 @@ pseudo-C text of both versions — that text is what BM25 indexes and what
 demonstration prompts show.
 
 The paper synthesizes 135,364 examples; the generator here is the same
-algorithm, only the default corpus size is scaled down
-(``DEFAULT_DATASET_SIZE``) and is configurable.
+algorithm, only the corpus is scaled down: every caller names its size
+(a session's default is ``api.session.DEFAULT_DATASET_SIZE``).
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (TYPE_CHECKING, Callable, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..analysis.properties import LoopProperties, extract_properties
 from ..codegen import scop_body_to_c
@@ -35,8 +34,6 @@ if TYPE_CHECKING:
 #: parameter binding used when PLuTo optimizes examples (the paper's
 #: -custom-context global-parameter specification)
 DATASET_PARAMS = {"N": 1500}
-
-DEFAULT_DATASET_SIZE = 300
 
 #: the corpus generators :func:`build_dataset` knows
 GENERATORS = ("looprag", "colagen")
@@ -108,11 +105,8 @@ class Dataset:
         return self.entries[idx]
 
 
-def build_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
-                  generator: str = "looprag",
-                  optimizer: Optional[Pluto] = None,
-                  progress: Optional[Callable[[int], None]] = None
-                  ) -> Dataset:
+def build_dataset(size: int, seed: int = 0,
+                  generator: str = "looprag") -> Dataset:
     """Synthesize ``size`` examples and optimize each with PLuTo."""
     if generator == "looprag":
         synth = ExampleSynthesizer(base_seed=seed)
@@ -122,7 +116,7 @@ def build_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
         make = cola.synthesize
     else:
         raise ValueError(f"unknown generator {generator!r}")
-    pluto = optimizer or Pluto()
+    pluto = Pluto()
 
     entries: List[DatasetEntry] = []
     index = 0
@@ -145,8 +139,6 @@ def build_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
             recipe=result.recipe,
             properties=props,
         ))
-        if progress is not None:
-            progress(len(entries))
     return Dataset(entries=tuple(entries), generator=generator, seed=seed)
 
 
@@ -215,7 +207,7 @@ def _store_persistent(dataset: Dataset, size: int, seed: int,
     store.compact(DATASETS_STREAM)
 
 
-def cached_dataset(size: int = DEFAULT_DATASET_SIZE, seed: int = 0,
+def cached_dataset(size: int, seed: int = 0,
                    generator: str = "looprag") -> Dataset:
     """Memoized :func:`build_dataset` with an on-disk layer.
 

@@ -177,13 +177,12 @@ class ExampleSynthesizer:
     def __init__(self, base_seed: int = 0) -> None:
         self.base_seed = base_seed
 
-    def synthesize(self, index: int,
-                   params: Optional[LoopParameters] = None) -> Program:
+    def synthesize(self, index: int) -> Program:
         """Generate the ``index``-th example (deterministic per seed)."""
         last_error = "no attempt"
         for attempt in range(_MAX_ATTEMPTS):
             rng = random.Random(f"{self.base_seed}/{index}/{attempt}")
-            config = params or LoopParameters.sample(rng)
+            config = LoopParameters.sample(rng)
             try:
                 program = self._generate(rng, config, index)
             except SynthesisError as exc:

@@ -102,12 +102,11 @@ def _checksum(outputs: Mapping[str, np.ndarray]) -> float:
 class EquivalenceChecker:
     """Differential tester for one (program, params) pair."""
 
-    def __init__(self, original: Program, params: Mapping[str, int],
-                 budget: int = TEST_BUDGET, seed: int = 0) -> None:
+    def __init__(self, original: Program, params: Mapping[str, int]
+                 ) -> None:
         self.original = original
         self.params = dict(params)
-        self.budget = budget
-        self._inputs: List[TestInput] = input_pool(seed=seed)[:_INPUTS]
+        self._inputs: List[TestInput] = input_pool()[:_INPUTS]
         self._storages: List[Storage] = []
         self._expected: List[Dict[str, np.ndarray]] = []
         self._checksums: List[float] = []
@@ -118,7 +117,7 @@ class EquivalenceChecker:
         # shares a checker between kernels that differ only in name):
         # its entry leaves the name out of the key
         self._run_cache: Dict[Tuple, TestReport] = {
-            execution_key(original, self.params, budget)[1:]:
+            execution_key(original, self.params, TEST_BUDGET)[1:]:
                 TestReport(VERDICT_PASS, "", self.num_inputs)}
 
     # ------------------------------------------------------------------
@@ -128,7 +127,7 @@ class EquivalenceChecker:
                                         test_input)
             self._storages.append(clone_storage(storage))
             execute(self.original, self.params, storage,
-                    budget=self.budget)
+                    budget=TEST_BUDGET)
             outputs = {name: storage[name].copy()
                        for name in self.original.outputs}
             self._expected.append(outputs)
@@ -154,7 +153,7 @@ class EquivalenceChecker:
         if audit is not None:
             return audit
         try:
-            key = execution_key(candidate, self.params, self.budget)
+            key = execution_key(candidate, self.params, TEST_BUDGET)
         except Exception:
             return self._run(candidate)  # it reports the failure
         report = self._run_cache.get(key[1:]) or self._run_cache.get(key)
@@ -170,7 +169,7 @@ class EquivalenceChecker:
             used += 1
             try:
                 execute(candidate, self.params, storage,
-                        budget=self.budget)
+                        budget=TEST_BUDGET)
             except RuntimeExecutionError as exc:
                 return TestReport(VERDICT_RE, str(exc), used)
             except BudgetExceededError as exc:

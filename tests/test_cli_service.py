@@ -126,6 +126,23 @@ class TestSchemaErrors:
         assert captured.err.startswith(
             f"repro serve-batch: request #1: {field} must")
 
+    @pytest.mark.parametrize("content, line", [
+        ("[1, 2]", "repro serve-batch: the document must be an object, "
+                   "got [1, 2]"),
+        ('{"requests": [{"file": "nope.scop"}]}',
+         "repro serve-batch: request #0: request field 'file' must name "
+         "a readable file, got 'nope.scop'"),
+        ("{not json", "repro serve-batch: the document must be JSON"),
+    ])
+    def test_serve_batch_file(self, tmp_path, capsys, content, line):
+        batch = tmp_path / "bad.json"
+        batch.write_text(content)
+        assert main(["serve-batch", str(batch), "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(line)
+
     @pytest.mark.parametrize("argv, line", [
         (["serve-batch", "{batch}"], "repro serve-batch: session field "
                                      "'k' must be at least 1, got 0"),

@@ -10,7 +10,7 @@ from repro.compilers.passes import (align_statement_loops,
                                     tile_shared_band, tile_statement_tails,
                                     vectorize_innermost)
 from repro.ir import parse_scop
-from repro.transforms import shared_band
+from repro.transforms import TransformStep, pad_statements, shared_band
 
 
 class TestAlign:
@@ -42,8 +42,14 @@ class TestFuse:
 
     def test_illegal_fusion_skipped(self, jacobi2d):
         deps = dependences(jacobi2d)
-        fused, steps = fuse_greedily(jacobi2d, deps, allow_shift=False)
-        assert steps == []  # jacobi sweeps cannot fuse without shifting
+        plain = TransformStep.make("fusion", col=2).apply(
+            pad_statements(jacobi2d))
+        assert not is_legal_schedule(plain, deps)
+        # jacobi sweeps cannot fuse without shifting: the illegal plain
+        # fusion is skipped and a shifted one taken instead
+        fused, steps = fuse_greedily(jacobi2d, deps)
+        assert [s.kind for s in steps[:2]] == ["shifting", "fusion"]
+        assert is_legal_schedule(fused, deps)
 
     def test_shift_enabled_fusion(self):
         p = parse_scop("""
@@ -57,7 +63,7 @@ class TestFuse:
         }
         """)
         deps = dependences(p)
-        fused, steps = fuse_greedily(p, deps, allow_shift=True)
+        fused, steps = fuse_greedily(p, deps)
         kinds = [s.kind for s in steps]
         assert "shifting" in kinds and "fusion" in kinds
         assert is_legal_schedule(fused, deps)

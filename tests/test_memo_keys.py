@@ -195,10 +195,10 @@ def test_estimate_cached_keys_on_reg_accum():
 
 @pytest.fixture(scope="module")
 def legality_queries():
-    """``(query, program, deps, dim, params, returned ids)`` of every
-    legality query a deepseek looprag run makes on the TSVC and LORE
-    kernels (``REPRO_SUITE_LIMIT`` honoured); ``dim`` is ``None`` for a
-    schedule query."""
+    """``(query, program, deps, dim, returned ids)`` of every legality
+    query a deepseek looprag run makes on the TSVC and LORE kernels
+    (``REPRO_SUITE_LIMIT`` honoured); ``dim`` is ``None`` for a schedule
+    query."""
     import sys
 
     from repro.api import OptimizationRequest, OptimizerSession
@@ -209,9 +209,8 @@ def legality_queries():
     def recording(name, original):
         def query(program, deps, *args):
             got = original(program, deps, *args)
-            dim, params = ((None,) + args if name == "schedule_violations"
-                           else args + (None,))[:2]
-            queries.append((name, program, deps, dim, params,
+            dim = args[0] if args else None
+            queries.append((name, program, deps, dim,
                             [id(dep) for dep in got]))
             return got
         return query
@@ -240,10 +239,10 @@ def test_memoized_legality_equals_unmemoized(legality_queries,
     assert {q[0] for q in legality_queries} == {"schedule_violations",
                                                "parallel_violations"}
     monkeypatch.setattr(dep_module._legality.memo, "cache", LRUCache(0))
-    for name, program, deps, dim, params, got in legality_queries:
-        fresh = (dep_module.schedule_violations(program, deps, params)
+    for name, program, deps, dim, got in legality_queries:
+        fresh = (dep_module.schedule_violations(program, deps)
                  if dim is None else
-                 dep_module.parallel_violations(program, deps, dim, params))
+                 dep_module.parallel_violations(program, deps, dim))
         assert [id(dep) for dep in fresh] == got, (name, program.name, dim)
 
 
@@ -363,7 +362,7 @@ def _same_compiled(a, b):
 
 
 def _same_checker(a, b):
-    return (a.params == b.params and a.budget == b.budget
+    return (a.params == b.params
             and a._inputs == b._inputs
             and np.array_equal(a._checksums, b._checksums, equal_nan=True)
             and len(a._expected) == len(b._expected)

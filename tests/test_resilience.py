@@ -42,17 +42,16 @@ class TestRetryPolicy:
         assert RetryPolicy.from_env(attempts=2).attempts == 2
 
     def test_transience_classification(self):
-        policy = RetryPolicy()
-        assert is_transient(ConnectionError("x"), policy)
-        assert is_transient(TimeoutError("x"), policy)
+        assert is_transient(ConnectionError("x"))
+        assert is_transient(TimeoutError("x"))
 
         class Weird(Exception):
             transient = True
 
-        assert is_transient(Weird(), policy)
-        assert not is_transient(ValueError("x"), policy)
-        assert not is_transient(Cancelled(), policy)
-        assert not is_transient(CircuitOpenError("s", 1.0), policy)
+        assert is_transient(Weird())
+        assert not is_transient(ValueError("x"))
+        assert not is_transient(Cancelled())
+        assert not is_transient(CircuitOpenError("s", 1.0))
 
 
 class TestResilientCall:

@@ -708,6 +708,29 @@ class TestSessionPool:
             daemon.session_for({"bogus": 1})
 
 
+class TestSessionKey:
+    """One session per configuration: a setting spelled out at its
+    default names the same registry session as one left out."""
+
+    def test_defaults_spelled_out_share_one_session(self, make_daemon):
+        from repro.evaluation.harness import _plan_session, looprag_plan
+
+        saved = dict(SESSIONS)
+        SESSIONS.clear()
+        try:
+            first = shared_session()
+            assert shared_session(seed=0) is first
+            assert _plan_session(looprag_plan("polybench", "deepseek")) \
+                is first
+            daemon = make_daemon(default_session={})
+            assert daemon.session_for({}) is first
+            assert daemon.session_for({"seed": 0}) is first
+            assert len(SESSIONS) == 1
+        finally:
+            SESSIONS.clear()
+            SESSIONS.update(saved)
+
+
 class TestMaterializeRequest:
     def test_defaults(self):
         request = ServeDaemon.materialize_request({"source": KERNEL})

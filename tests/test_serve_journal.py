@@ -416,9 +416,7 @@ class TestJournalRetention:
         reborn.admitted("later", {"request": "later"})
         assert reborn.record("later")["seq"] == high + 1
 
-    def test_cli_journal_keep_prunes_then_compacts(self, monkeypatch,
-                                                   tmp_path, capsys):
-        monkeypatch.delenv("REPRO_JOURNAL_KEEP", raising=False)
+    def test_cli_journal_keep_prunes_then_compacts(self, tmp_path, capsys):
         self._journal_with_history(tmp_path)
         from repro.cli import main
         assert main(["store", "compact", "--cache-dir", str(tmp_path),
@@ -434,10 +432,9 @@ class TestJournalRetention:
         assert stats.entries == 4  # 2 finished survivors + 2 pending
         assert stats.tombstones == 0
 
-        # the env knob is the fallback when the flag is absent
-        monkeypatch.setenv("REPRO_JOURNAL_KEEP", "1")
+        # a second, tighter pass prunes the survivors again
         assert main(["store", "compact", "--cache-dir", str(tmp_path),
-                     "--format", "json"]) == 0
+                     "--journal-keep", "1", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["journal_retention"]["dropped"] == 1
         assert doc["journal_retention"]["kept_finished"] == 1

@@ -12,6 +12,7 @@ from repro.testing import (EquivalenceChecker, TestInput, input_pool,
                            materialize_input, VERDICT_IA, VERDICT_PASS,
                            VERDICT_RE)
 from repro.testing import TestReport as Report
+from repro.testing.equivalence import TEST_BUDGET
 from repro.transforms import interchange, parallelize, shift, tile, vectorize
 from repro.transforms.recipe import ALL_KINDS
 
@@ -20,10 +21,10 @@ from recipe_candidates import KERNELS, candidates, target
 
 class TestInputs:
     def test_pool_contains_seeds_and_mutants(self):
-        pool = input_pool(max_seeds=2, mutations_per_seed=3, seed=1)
+        pool = input_pool()
         seeds = [t for t in pool if not t.mutations]
         mutants = [t for t in pool if t.mutations]
-        assert len(seeds) == 2 and len(mutants) == 6
+        assert len(seeds) == 4 and len(mutants) == 32
 
     def test_materialize_deterministic(self, gemm):
         ti = TestInput(variant=1, mutations=(("value", 42),))
@@ -246,7 +247,7 @@ def _fresh_runs(checker, candidate):
         storage = clone_storage(pristine)
         try:
             count = execute(candidate, checker.params, storage,
-                            budget=checker.budget)
+                            budget=TEST_BUDGET)
         except Exception as exc:
             runs.append((type(exc).__name__, str(exc)))
             continue
@@ -276,7 +277,7 @@ class TestExecutionIdentity:
         groups = {}
         for candidate in candidates(program, recipes, seed):
             try:
-                key = execution_key(candidate, params, checker.budget)
+                key = execution_key(candidate, params, TEST_BUDGET)
             except Exception:
                 continue
             groups.setdefault(key, []).append(candidate)
@@ -285,7 +286,7 @@ class TestExecutionIdentity:
             assert all(r == runs[0] for r in runs[1:]), \
                 [c.provenance for c in members]
         # the checker keys the ground truth's pass without the name
-        truth = execution_key(program, params, checker.budget)[1:]
+        truth = execution_key(program, params, TEST_BUDGET)[1:]
         shared = [c for key, members in groups.items()
                   if key[1:] == truth for c in members]
         assert program in shared
