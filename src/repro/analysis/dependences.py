@@ -36,6 +36,8 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
+import numpy as np
+
 from ..ir.program import Program
 from ..ir.schedule import Schedule
 from ..memo import memoized
@@ -114,6 +116,47 @@ def analysis_override(engine: Optional[str]):
             os.environ["REPRO_ANALYSIS"] = before
 
 
+class WitnessRows:
+    """One side of a dependence's witness pairs, as int64 rows.
+
+    Row ``r`` holds the environment of that side's instance in witness
+    pair ``r``: its statement is ``si``, its columns are ``names`` (the
+    statement's iterators in sorted order, then the parameters of the
+    binding the pair was observed at).  The rows are
+    ``block[start:stop]`` of a read-only block that every witness side
+    of statement ``si`` in one dependence list shares, so legality
+    evaluates a candidate's schedule once per block.  Equality and
+    hashing compare the rows, not the block.
+    """
+
+    __slots__ = ("si", "names", "block", "start", "stop")
+
+    def __init__(self, si: int, names: Tuple[str, ...], block: np.ndarray,
+                 start: int, stop: int) -> None:
+        self.si = si
+        self.names = names
+        self.block = block
+        self.start = start
+        self.stop = stop
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.block[self.start:self.stop]
+
+    def instances(self) -> List[Instance]:
+        return [(self.si, tuple(zip(self.names, row)))
+                for row in self.rows.tolist()]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WitnessRows):
+            return NotImplemented
+        return (self.si == other.si and self.names == other.names
+                and np.array_equal(self.rows, other.rows))
+
+    def __hash__(self) -> int:
+        return hash((self.si, self.names, self.rows.tobytes()))
+
+
 @dataclass(frozen=True)
 class Dependence:
     """A dependence class between two statements through one array."""
@@ -126,8 +169,16 @@ class Dependence:
     distances: Tuple[Tuple[int, ...], ...]
     common_iters: Tuple[str, ...]
     loop_carried: bool
-    witnesses: Tuple[Tuple[Instance, Instance], ...] = field(repr=False,
-                                                             default=())
+    #: the source and target sides of the witness pairs
+    source_rows: WitnessRows = field(repr=False)
+    target_rows: WitnessRows = field(repr=False)
+
+    @property
+    def witnesses(self) -> Tuple[Tuple[Instance, Instance], ...]:
+        """The witness pairs ``((si, env items), (si, env items))``,
+        built from the rows on each read."""
+        return tuple(zip(self.source_rows.instances(),
+                         self.target_rows.instances()))
 
     @property
     def constant_distance(self) -> Optional[Tuple[int, ...]]:
@@ -306,20 +357,34 @@ def compute_dependences(program: Program,
     merged_distances: Dict[Tuple[str, int, int, str], set] = {}
     for pairs_by_kind, distance_sets in collected:
         for kind, pairs in pairs_by_kind.items():
-            for key, bucket in pairs.items():
-                merged_pairs[kind].setdefault(key, []).extend(bucket)
+            for key, sides in pairs.items():
+                merged_pairs[kind].setdefault(key, []).append(sides)
         for key, vecs in distance_sets.items():
             merged_distances.setdefault(key, set()).update(vecs)
+    classes = [(kind,) + key for kind in (KIND_RAW, KIND_WAW, KIND_WAR)
+               for key in sorted(merged_pairs[kind])]
 
-    deps: List[Dependence] = []
-    for kind in (KIND_RAW, KIND_WAW, KIND_WAR):
-        for (src_idx, tgt_idx, array), witnesses in sorted(
-                merged_pairs[kind].items()):
-            all_distances = merged_distances.get(
-                (kind, src_idx, tgt_idx, array), set())
-            deps.append(_summarize(program, kind, src_idx, tgt_idx, array,
-                                   witnesses, all_distances))
-    return deps
+    # one read-only block per (statement, env names); each class side is
+    # one span of it, holding every pass's rows in pass order
+    chunks: Dict[Tuple[int, Tuple[str, ...]], List[np.ndarray]] = {}
+    spans = []
+    for kind, src_idx, tgt_idx, array in classes:
+        passes = merged_pairs[kind][(src_idx, tgt_idx, array)]
+        for side, si in enumerate((src_idx, tgt_idx)):
+            group = (si, passes[0][side][0])
+            rows = chunks.setdefault(group, [])
+            start = sum(map(len, rows))
+            rows.extend(sides[side][1] for sides in passes)
+            spans.append((group, start, sum(map(len, rows))))
+    blocks = {group: np.concatenate(rows) for group, rows in chunks.items()}
+    for block in blocks.values():
+        block.flags.writeable = False
+    # spans alternate source side, target side, class by class
+    sides = iter([WitnessRows(si, names, blocks[(si, names)], start, stop)
+                  for (si, names), start, stop in spans])
+    return [_summarize(program, *class_key, source, target,
+                       merged_distances[class_key])
+            for class_key, source, target in zip(classes, sides, sides)]
 
 
 def _collect_scaled(program: Program, scaled_arrays: frozenset,
@@ -347,13 +412,9 @@ def _collect_scaled(program: Program, scaled_arrays: frozenset,
     except RuntimeError:
         return None
 
-    def remap_inst(inst: Instance) -> Instance:
-        return (touching[inst[0]], inst[1])
-
     remapped_pairs = {
-        kind: {(touching[src], touching[tgt], array):
-               [(remap_inst(a), remap_inst(b)) for a, b in bucket]
-               for (src, tgt, array), bucket in pairs.items()
+        kind: {(touching[src], touching[tgt], array): sides
+               for (src, tgt, array), sides in pairs.items()
                if array in scaled_arrays}
         for kind, pairs in pairs_by_kind.items()}
     remapped_dists = {
@@ -367,8 +428,12 @@ def _collect_pairs(program: Program, params: Mapping[str, int],
                    rotate: bool = True):
     """One concretization pass: witness pairs + distance vectors.
 
-    Dispatches on the active engine; both produce identical structures
-    (same buckets, same witness order, same rotation slots).
+    Returns ``({kind: {(src_si, tgt_si, array): ((env names, rows),
+    (env names, rows))}}, {(kind, src_si, tgt_si, array): {distance
+    vec, ...}})``: per class, the witness pairs' source and target
+    environments as int64 rows.  Dispatches on the active engine; both
+    produce identical structures (same buckets, same witness order, same
+    rotation slots).
     ``rotate=False`` (the scaled non-uniform pass) keeps the first
     ``_MAX_WITNESSES`` records per bucket instead of rotating — cheaper
     on the larger instance space, same exhaustive distance sets.
@@ -474,29 +539,40 @@ def _collect_pairs_reference(program: Program, params: Mapping[str, int],
         readers[element] = []
         last_write[element] = inst
 
-    return ({KIND_RAW: raw_pairs, KIND_WAW: waw_pairs,
-             KIND_WAR: war_pairs}, distance_sets)
+    return ({kind: {key: _bucket_rows(bucket) for key, bucket in pairs.items()}
+             for kind, pairs in ((KIND_RAW, raw_pairs), (KIND_WAW, waw_pairs),
+                                 (KIND_WAR, war_pairs))}, distance_sets)
+
+
+def _bucket_rows(bucket: List[Tuple[Instance, Instance]]):
+    """A bucket's witness pairs as ``((env names, rows), (env names,
+    rows))``, source side first: one int64 row per pair and side."""
+    sides = []
+    for side in (0, 1):
+        names = tuple(name for name, _v in bucket[0][side][1])
+        rows = np.array([[v for _n, v in pair[side][1]] for pair in bucket],
+                        dtype=np.int64).reshape(len(bucket), len(names))
+        sides.append((names, rows))
+    return tuple(sides)
 
 
 def _summarize(program: Program, kind: str, src_idx: int, tgt_idx: int,
-               array: str,
-               witnesses: List[Tuple[Instance, Instance]],
-               all_distances: set) -> Dependence:
+               array: str, source_rows: WitnessRows,
+               target_rows: WitnessRows, distances: set) -> Dependence:
+    """One dependence class.  Its distance set already holds every
+    witness pair's distance: both engines record a distance for each
+    pair they consider, witness or not, and merge and filter distances
+    and witnesses by the same class keys."""
     src_stmt = program.statements[src_idx]
     tgt_stmt = program.statements[tgt_idx]
-    src_iters = src_stmt.domain.iterator_names
     tgt_iters = set(tgt_stmt.domain.iterator_names)
-    common = tuple(name for name in src_iters if name in tgt_iters)
-    distances = set(all_distances)
-    for (_s_si, s_env), (_t_si, t_env) in witnesses:
-        s_map = dict(s_env)
-        t_map = dict(t_env)
-        distances.add(tuple(t_map[name] - s_map[name] for name in common))
+    common = tuple(name for name in src_stmt.domain.iterator_names
+                   if name in tgt_iters)
     carried = any(any(v != 0 for v in vec) for vec in distances)
     return Dependence(kind=kind, source=src_stmt.name, target=tgt_stmt.name,
                       array=array, distances=tuple(sorted(distances)),
                       common_iters=common, loop_carried=carried,
-                      witnesses=tuple(witnesses))
+                      source_rows=source_rows, target_rows=target_rows)
 
 
 # ----------------------------------------------------------------------
@@ -514,10 +590,9 @@ class _Legality(NamedTuple):
     ``None`` for a schedule query.  Every verdict is answered at
     ``analysis_params``, a binding the analysis key already fixes.  The
     value pins the dependence objects, so their ids cannot be reused
-    while the entry lives (as in ``vectorized._witness_pack``).  The
-    engine is in the key so that switching ``REPRO_ANALYSIS``
-    in-process recomputes instead of serving one engine's verdict to
-    the other.
+    while the entry lives.  The engine is in the key so that switching
+    ``REPRO_ANALYSIS`` in-process recomputes instead of serving one
+    engine's verdict to the other.
     """
 
     schedules: Tuple[Schedule, ...]
@@ -584,10 +659,8 @@ def schedule_violations(program: Program, deps: Sequence[Dependence]
         if analysis_engine_name() == "vectorized":
             from .vectorized import schedule_violations_batch
 
-            result = schedule_violations_batch(program, deps, params,
-                                               schedules)
-            if result is not None:
-                return result
+            return schedule_violations_batch(program, deps, params,
+                                             schedules)
         name_to_idx = {s.name: i for i, s in enumerate(program.statements)}
         violated: List[Dependence] = []
         for dep in deps:
@@ -622,10 +695,8 @@ def parallel_violations(program: Program, deps: Sequence[Dependence],
         if analysis_engine_name() == "vectorized":
             from .vectorized import parallel_violations_batch
 
-            result = parallel_violations_batch(program, deps, dim, params,
-                                               schedules)
-            if result is not None:
-                return result
+            return parallel_violations_batch(program, deps, dim, params,
+                                             schedules)
         violated: List[Dependence] = []
         for dep in deps:
             for src, tgt in dep.witnesses:
@@ -658,8 +729,8 @@ def dependences(program: Program,
     aligned schedule, guards and body — everything the concretization
     reads — and nothing else: programs that differ only in
     parallel/vector marks, tags, name, provenance or schedule padding
-    get the same list object (and with it the same cached witness
-    pack), so a finalized or pragma-marked candidate never re-runs the
+    get the same list object (and with it the same witness blocks), so
+    a finalized or pragma-marked candidate never re-runs the
     analysis of its unmarked twin, nor a padded source that of the
     source.
 

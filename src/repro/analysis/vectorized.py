@@ -26,33 +26,37 @@ two-deep read history.  Here the same information is recovered in bulk:
    bulk: the first ``_MAX_WITNESSES`` records append, and each later one
    overwrites the slot given by the crc32 of its target's iterator-only
    instance repr, so a slot ends up holding the *last* record mapped to
-   it — one ``np.unique`` over the reversed slot vector, no per-record
-   loop.  The per-point slot tables depend only on the statement index,
-   its domain (iterator names included) and the parameter binding, never
-   on the schedule, so they are memoized across programs: every
-   schedule candidate of a program reuses the tables its source built.
-   Every stored witness — and every legality verdict downstream — is
-   identical to the reference walk's, not just equivalent.
+   it — one ``np.maximum.at`` over the slot vector, no per-record loop.
+   The per-point slot tables (CRC-32 combined per column in arrays, see
+   ``_crc_rows``) depend only on the statement index, its domain
+   (iterator names included) and the parameter binding, never on the
+   schedule, so they are memoized across programs: every schedule
+   candidate of a program reuses the tables its source built.
+   The chosen records leave as int64 environment rows, one matrix per
+   side, which ``Dependence`` keeps; every stored witness — and every
+   legality verdict downstream — is identical to the reference walk's,
+   not just equivalent.
 
 Distance-vector sets are computed exhaustively as array differences over
-the common iterators and deduplicated via integer encoding.
+the common iterators, deduplicated as mixed-radix integer codes and
+decoded digit by digit.
 
 Legality checking
 -----------------
-``schedule_violations`` / ``parallel_violations`` batch all witnesses of
-all dependences into per-(statement, names) groups (cached per deps list,
-since the memoized dependence lists are reused across thousands of
-candidate queries), evaluate the legality schedules as vectorized affine
-maps over the witness environments (memoized per pack and schedule list,
-so a candidate's schedule, parallel and vector queries share one
-evaluation), and compare source/target schedule keys with one row-wise
-lexicographic comparison.
+``schedule_violations`` / ``parallel_violations`` evaluate the legality
+schedules as vectorized affine maps over the witness blocks (every
+witness side of one statement in one dependence list shares a block) and
+compare source/target schedule keys with one row-wise lexicographic
+comparison.  The keys of the candidate being judged are kept, so its
+schedule, parallel and vector queries evaluate each block once; older
+candidates' keys are dropped, since their verdicts are memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import zlib
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +65,7 @@ from ..ir.domain import Domain
 from ..ir.program import Program
 from ..ir.schedule import Schedule
 from ..memo import LRUCache, memoized
+from .dependences import Dependence, WitnessRows
 
 KIND_RAW = "RAW"
 KIND_WAW = "WAW"
@@ -78,9 +83,9 @@ class _StmtMeta:
         #: column permutation putting iterator values in sorted-name order
         self.order = sorted(range(len(names)), key=lambda d: names[d])
         self.sorted_names = tuple(names[d] for d in self.order)
-        # ``repr`` template of the iterator-only instance
-        # ``(si, (('i', v), ...))`` — the witness-rotation slot key of the
-        # reference walk, rebuilt here via one %-format per record
+        # ``repr`` of the iterator-only instance ``(si, (('i', v), ...))``
+        # — the witness-rotation slot key of the reference walk — as the
+        # text around its values, one value per sorted iterator
         if not names:
             inner = "()"
         elif len(names) == 1:
@@ -89,11 +94,8 @@ class _StmtMeta:
             inner = ("("
                      + ", ".join(f"('{nm}', %d)" for nm in self.sorted_names)
                      + ")")
-        self.slot_template = f"({si}, {inner})"
-
-    def items(self, sorted_vals: Sequence[int]
-              ) -> Tuple[Tuple[str, int], ...]:
-        return tuple(zip(self.sorted_names, sorted_vals))
+        self.slot_text = tuple(part.encode()
+                               for part in f"({si}, {inner})".split("%d"))
 
 
 def collect_pairs(program: Program, params: Mapping[str, int],
@@ -101,9 +103,9 @@ def collect_pairs(program: Program, params: Mapping[str, int],
                   max_witnesses: int, rotate: bool = True):
     """One concretization pass; same return structure as the reference.
 
-    Returns ``({kind: {(src_si, tgt_si, array): [witness pair, ...]}},
-    {(kind, src_si, tgt_si, array): {distance vec, ...}})`` with witness
-    buckets byte-identical to the scalar walk's.
+    Returns ``({kind: {(src_si, tgt_si, array): ((env names, rows),
+    (env names, rows))}}, {(kind, src_si, tgt_si, array): {distance
+    vec, ...}})`` with witness rows identical to the scalar walk's.
 
     ``rotate=False`` keeps the first ``max_witnesses`` records per
     bucket instead of crc-rotating later ones in — the policy of the
@@ -275,73 +277,68 @@ def collect_pairs(program: Program, params: Mapping[str, int],
         sid_name[sid] = name_id[array]
 
     param_items = tuple(sorted(params.items()))
+    param_names = tuple(name for name, _v in param_items)
+    param_row = np.array([v for _n, v in param_items], dtype=np.int64)
 
-    def emit(pairs_out, kind, src_ev, tgt_ev, phase, sub):
+    def env_rows(meta: _StmtMeta, pts: np.ndarray):
+        """Witness environments: sorted iterators, then the binding."""
+        rows = np.empty((len(pts), len(meta.order) + len(param_row)),
+                        dtype=np.int64)
+        rows[:, :len(meta.order)] = pts[:, meta.order]
+        rows[:, len(meta.order):] = param_row
+        return meta.sorted_names + param_names, rows
+
+    n_stmts, n_names = len(program.statements), len(name_id)
+    n_ord = int(ev_ord.max()) + 1
+    n_at = n * n_ord
+
+    def emit(pairs_out, kind, src_ev, tgt_ev):
         """Replay one kind's ``add`` stream bucket by bucket.
 
-        ``phase``/``sub`` order records the way the scalar walk issues
-        them within one write event (WAW, then the readers list in
-        append order, then the compound-history pair); across events the
-        target's schedule position orders everything.
+        Records are ordered by bucket, then by the target access (its
+        schedule position, then its ordinal).  The sort is stable, so
+        records of one target access keep the order they arrive in,
+        which for WAR is the order the scalar walk issues them in (the
+        readers list in append order, then the compound-history pair).
         """
         if len(src_ev) == 0:
             return
-        src_si = batch.si[ev_g[src_ev]]
-        tgt_si = batch.si[ev_g[tgt_ev]]
-        arr = sid_name[ev_sid[tgt_ev]]
-        rec_order = np.lexsort((sub, phase, ev_ord[tgt_ev], ev_g[tgt_ev],
-                                arr, tgt_si, src_si))
+        bucket = ((batch.si[ev_g[src_ev]] * n_stmts + batch.si[ev_g[tgt_ev]])
+                  * n_names + sid_name[ev_sid[tgt_ev]])
+        at = bucket * n_at + ev_g[tgt_ev] * n_ord + ev_ord[tgt_ev]
+        rec_order = np.argsort(at, kind="stable")
         src_ev, tgt_ev = src_ev[rec_order], tgt_ev[rec_order]
-        src_si, tgt_si, arr = (src_si[rec_order], tgt_si[rec_order],
-                               arr[rec_order])
-        bounds = np.flatnonzero(
-            np.concatenate(([True],
-                            (src_si[1:] != src_si[:-1])
-                            | (tgt_si[1:] != tgt_si[:-1])
-                            | (arr[1:] != arr[:-1]),
-                            [True])))
+        bucket = bucket[rec_order]
+        bounds = np.flatnonzero(np.concatenate(
+            ([True], bucket[1:] != bucket[:-1], [True])))
         for a, b in zip(bounds[:-1], bounds[1:]):
-            ssi, tsi = int(src_si[a]), int(tgt_si[a])
-            key = (ssi, tsi, id_name[int(arr[a])])
+            pair, array = divmod(int(bucket[a]), n_names)
+            ssi, tsi = divmod(pair, n_stmts)
+            key = (ssi, tsi, id_name[array])
             smeta, tmeta = metas[ssi], metas[tsi]
             src_rows = batch.row[ev_g[src_ev[a:b]]]
             tgt_rows = batch.row[ev_g[tgt_ev[a:b]]]
-            src_pts = batch.points[ssi][src_rows]
-            tgt_pts = batch.points[tsi][tgt_rows]
-            _merge_distances(program, distance_sets, kind, key,
-                             ssi, tsi, src_pts, tgt_pts)
+            src_points, tgt_points = batch.points[ssi], batch.points[tsi]
+            _merge_distances(program, distance_sets, kind, key, ssi, tsi,
+                             src_rows, tgt_rows, src_points, tgt_points)
             # bounded-witness replay: the first _MAX_WITNESSES records
             # append; later ones overwrite their crc slot, so each slot
-            # keeps the last record mapped to it — the first occurrence
-            # in the reversed slot vector
+            # keeps the last record mapped to it
             k = b - a
             chosen = np.arange(min(k, max_witnesses))
             if k > max_witnesses and rotate:
                 slots = _slot_table(tsi, program.statements[tsi].domain,
-                                    param_items, tmeta, batch.points[tsi],
+                                    param_items, tmeta, tgt_points,
                                     max_witnesses)[tgt_rows[max_witnesses:]]
-                used, first_rev = np.unique(slots[::-1], return_index=True)
-                chosen[used] = k - 1 - first_rev
-            sel_src = src_pts[chosen][:, smeta.order].tolist()
-            sel_tgt = tgt_pts[chosen][:, tmeta.order].tolist()
-            pairs_out[key] = [
-                ((ssi, smeta.items(sv) + param_items),
-                 (tsi, tmeta.items(tv) + param_items))
-                for sv, tv in zip(sel_src, sel_tgt)]
+                np.maximum.at(chosen, slots, np.arange(max_witnesses, k))
+            pairs_out[key] = (
+                env_rows(smeta, src_points[src_rows[chosen]]),
+                env_rows(tmeta, tgt_points[tgt_rows[chosen]]))
 
-    emit(raw_pairs, KIND_RAW, raw_src, raw_tgt,
-         np.zeros(len(raw_src), dtype=np.int64),
-         np.zeros(len(raw_src), dtype=np.int64))
-    emit(waw_pairs, KIND_WAW, waw_src, waw_tgt,
-         np.zeros(len(waw_src), dtype=np.int64),
-         np.zeros(len(waw_src), dtype=np.int64))
-    war_src = np.concatenate((warr_src, warc_src))
-    war_tgt = np.concatenate((warr_tgt, warc_tgt))
-    war_phase = np.concatenate((np.full(len(warr_src), 1, dtype=np.int64),
-                                np.full(len(warc_src), 2, dtype=np.int64)))
-    war_sub = np.concatenate((warr_src,
-                              np.zeros(len(warc_src), dtype=np.int64)))
-    emit(war_pairs, KIND_WAR, war_src, war_tgt, war_phase, war_sub)
+    emit(raw_pairs, KIND_RAW, raw_src, raw_tgt)
+    emit(waw_pairs, KIND_WAW, waw_src, waw_tgt)
+    emit(war_pairs, KIND_WAR, np.concatenate((warr_src, warc_src)),
+         np.concatenate((warr_tgt, warc_tgt)))
     return out
 
 
@@ -358,21 +355,64 @@ def _slot_table(si: int, domain: Domain,
     the iterator names and the point rows) and parameter binding.  The
     schedule, and everything else about the program, is irrelevant.
     """
-    rows = (points[:, meta.order].tolist() if points.shape[1]
-            else [[]] * len(points))
-    template = meta.slot_template
-    table = np.fromiter(
-        (zlib.crc32((template % tuple(row)).encode()) % max_witnesses
-         for row in rows),
-        dtype=np.int32, count=len(rows))
+    table = _crc_rows(meta.slot_text, points[:, meta.order]) % max_witnesses
+    table = table.astype(np.int32)
     table.flags.writeable = False  # shared across programs/threads
     return table
 
 
+_FF = 0xFFFFFFFF
+
+
+@functools.lru_cache(maxsize=64)
+def _zero_shift(n: int) -> np.ndarray:
+    """The CRC-32 register map of ``n`` zero bytes, byte-sliced.
+
+    Feeding zero bytes is linear in the register, so the map of ``x`` is
+    the xor of ``table[k][(x >> 8k) & 0xFF]`` over the four bytes ``k``.
+    """
+    zeros = bytes(n)
+    table = np.array([[zlib.crc32(zeros, (b << 8 * k) ^ _FF) ^ _FF
+                       for b in range(256)] for k in range(4)],
+                     dtype=np.int64)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+def _crc_rows(text: Tuple[bytes, ...], values: np.ndarray) -> np.ndarray:
+    """``zlib.crc32`` of ``text[0] + str(values[r, 0]) + text[1] + ...``
+    for every row ``r``.
+
+    CRC-32 combines across concatenation: the register after ``a + b`` is
+    the register after ``a`` shifted through ``len(b)`` zero bytes, xor
+    the register ``b`` alone leaves from zero.  A column holds few
+    distinct values, so each value's text is hashed once, and each row
+    takes its shift with four table gathers.
+    """
+    reg = np.full(len(values), zlib.crc32(text[0]) ^ _FF, dtype=np.int64)
+    for d, tail in enumerate(text[1:]):
+        distinct, which = np.unique(values[:, d], return_inverse=True)
+        pieces = [b"%d%s" % (v, tail) for v in distinct.tolist()]
+        sizes = sorted({len(piece) for piece in pieces})
+        shift = np.stack([_zero_shift(size) for size in sizes])
+        size_of = np.array([sizes.index(len(piece)) for piece in pieces])
+        alone = np.array([zlib.crc32(piece, _FF) ^ _FF for piece in pieces],
+                         dtype=np.int64)
+        size = size_of[which]
+        reg = (shift[size, 0, reg & 0xFF] ^ shift[size, 1, (reg >> 8) & 0xFF]
+               ^ shift[size, 2, (reg >> 16) & 0xFF]
+               ^ shift[size, 3, reg >> 24] ^ alone[which])
+    return reg ^ _FF
+
+
 def _merge_distances(program: Program, distance_sets: Dict, kind: str,
                      key: Tuple[int, int, str], ssi: int, tsi: int,
-                     src_pts: np.ndarray, tgt_pts: np.ndarray) -> None:
-    """Exhaustive distance vectors of one class (integer-encoded dedup)."""
+                     src_rows: np.ndarray, tgt_rows: np.ndarray,
+                     src_points: np.ndarray, tgt_points: np.ndarray) -> None:
+    """Exhaustive distance vectors of one class: record ``r`` runs from
+    ``src_points[src_rows[r]]`` to ``tgt_points[tgt_rows[r]]``.  Each
+    vector is encoded as one integer (mixed radix over the common
+    iterators' distance ranges), deduplicated, and decoded per digit."""
     src_names = program.statements[ssi].domain.iterator_names
     tgt_names = program.statements[tsi].domain.iterator_names
     tgt_pos = {name: d for d, name in enumerate(tgt_names)}
@@ -382,117 +422,58 @@ def _merge_distances(program: Program, distance_sets: Dict, kind: str,
     if not common:
         target.add(())
         return
-    diff = (tgt_pts[:, [t for _s, t in common]]
-            - src_pts[:, [s for s, _t in common]])
-    lo = diff.min(axis=0)
-    extent = diff.max(axis=0) - lo + 1
-    stride = np.ones(len(common), dtype=np.int64)
-    stride[:-1] = np.cumprod(extent[::-1], dtype=np.int64)[::-1][1:]
-    codes = np.unique(((diff - lo) * stride).sum(axis=1))
-    vecs = []
-    for code in codes.tolist():
-        vec = []
-        for d in range(len(common)):
-            vec.append(code // int(stride[d]) + int(lo[d]))
-            code %= int(stride[d])
-        vecs.append(tuple(vec))
-    target.update(vecs)
+    codes = np.zeros(len(src_rows), dtype=np.int64)
+    lows, extents = [], []
+    for s, t in common:
+        diff = tgt_points[:, t][tgt_rows] - src_points[:, s][src_rows]
+        low = int(diff.min())
+        extent = int(diff.max()) - low + 1
+        codes *= extent
+        codes += diff - low
+        lows.append(low)
+        extents.append(extent)
+    codes = np.unique(codes)
+    vecs = np.empty((len(codes), len(common)), dtype=np.int64)
+    for d in reversed(range(len(common))):
+        codes, vecs[:, d] = np.divmod(codes, extents[d])
+        vecs[:, d] += lows[d]
+    target.update(map(tuple, vecs.tolist()))
 
 
 # ----------------------------------------------------------------------
 # Batched legality checking
 # ----------------------------------------------------------------------
-class _WitnessPack:
-    """All witnesses of a deps list as per-(statement, names) matrices."""
-
-    def __init__(self, groups, per_dep) -> None:
-        #: [(statement index, env names, (n, len(names)) int64 values)]
-        self.groups = groups
-        #: per dep: (src gid, src slice, tgt gid, tgt slice) or None
-        self.per_dep = per_dep
-        #: evaluated schedule keys per (legality schedules, binding), so
-        #: one candidate's schedule, parallel and vector queries evaluate
-        #: each group once
-        self._keys = LRUCache(64)
-
-    def key_cache(self, schedules: Sequence[Schedule],
-                  params: Mapping[str, int]) -> Dict[int, np.ndarray]:
-        """The gid -> keys memo for one schedule list and binding.
-
-        Keyed by the identity of the (memoized, shared) legality schedule
-        list; the entry pins that list, so its id cannot be reused while
-        the entry lives.
-        """
-        memo_key = (id(schedules), tuple(sorted(params.items())))
-        hit = self._keys.get(memo_key)
-        if hit is None:
-            hit = (schedules, {})
-            self._keys.put(memo_key, hit)
-        return hit[1]
+#: evaluated schedule keys of the candidate being judged: its legality
+#: schedule list (pinned by the entry, so its id stays its own) and
+#: binding map to ``{id(witness block): (block, keys)}``.  One entry:
+#: ``dependences._legality`` memoizes the verdicts, so a candidate's
+#: keys serve only its own schedule, parallel and vector queries.
+_CANDIDATE_KEYS = LRUCache(1)
 
 
-def _build_pack(deps: Sequence) -> Optional[_WitnessPack]:
-    group_ids: Dict[Tuple[int, Tuple[str, ...]], int] = {}
-    group_rows: List[List[List[int]]] = []
-    group_meta: List[Tuple[int, Tuple[str, ...]]] = []
-    per_dep = []
-
-    def side_rows(insts) -> Optional[Tuple[int, slice]]:
-        si = insts[0][0]
-        names = tuple(n for n, _v in insts[0][1])
-        gid = group_ids.get((si, names))
-        if gid is None:
-            gid = len(group_rows)
-            group_ids[(si, names)] = gid
-            group_rows.append([])
-            group_meta.append((si, names))
-        rows = group_rows[gid]
-        start = len(rows)
-        for inst_si, env in insts:
-            if inst_si != si or len(env) != len(names):
-                return None
-            rows.append([v for _n, v in env])
-        return gid, slice(start, start + len(insts))
-
-    for dep in deps:
-        if not dep.witnesses:
-            per_dep.append(None)
-            continue
-        src = side_rows([pair[0] for pair in dep.witnesses])
-        tgt = side_rows([pair[1] for pair in dep.witnesses])
-        if src is None or tgt is None:
-            return None
-        per_dep.append(src + tgt)
-    groups = []
-    for (si, names), rows in zip(group_meta, group_rows):
-        vals = np.asarray(rows, dtype=np.int64).reshape(len(rows),
-                                                        len(names))
-        groups.append((si, names, vals))
-    return _WitnessPack(groups, per_dep)
+def _candidate_keys(schedules: Sequence[Schedule],
+                    params: Mapping[str, int]) -> Dict[int, tuple]:
+    memo_key = (id(schedules), tuple(sorted(params.items())))
+    hit = _CANDIDATE_KEYS.get(memo_key)
+    if hit is None:
+        hit = (schedules, {})
+        _CANDIDATE_KEYS.put(memo_key, hit)
+    return hit[1]
 
 
-@memoized(256, key=lambda deps: tuple(map(id, deps)))
-def _witness_pack(deps: Sequence) -> Tuple[tuple, Optional[_WitnessPack]]:
-    """``(the deps tuple, _build_pack(deps))``.
-
-    Keyed by the identity of the dependence objects; the entry pins the
-    deps tuple so ids stay valid while cached.  Memoized dependence
-    lists are queried by every candidate schedule of every persona and
-    compiler pass, so the tuple-to-matrix conversion is paid once.
-    """
-    return tuple(deps), _build_pack(deps)
-
-
-def _group_keys(pack: _WitnessPack, schedules: Sequence[Schedule],
-                params: Mapping[str, int], cache: Dict[int, np.ndarray],
-                gid: int) -> np.ndarray:
-    keys = cache.get(gid)
-    if keys is None:
-        si, names, vals = pack.groups[gid]
-        columns = {name: vals[:, j] for j, name in enumerate(names)}
-        keys = schedules[si].evaluate_columns(columns, params, len(vals))
-        cache[gid] = keys
-    return keys
+def _side_keys(side: WitnessRows, schedules: Sequence[Schedule],
+               params: Mapping[str, int], cache: Dict[int, tuple]
+               ) -> np.ndarray:
+    """Schedule keys of one witness side; its block is evaluated once
+    per candidate."""
+    hit = cache.get(id(side.block))
+    if hit is None:
+        block = side.block
+        columns = {name: block[:, j] for j, name in enumerate(side.names)}
+        hit = (block, schedules[side.si].evaluate_columns(columns, params,
+                                                          len(block)))
+        cache[id(block)] = hit
+    return hit[1][side.start:side.stop]
 
 
 def _lex_compare(skeys: np.ndarray, tkeys: np.ndarray):
@@ -504,30 +485,20 @@ def _lex_compare(skeys: np.ndarray, tkeys: np.ndarray):
     return has & (lead > 0), ~has
 
 
-def schedule_violations_batch(program: Program, deps: Sequence,
+def schedule_violations_batch(program: Program, deps: Sequence[Dependence],
                               params: Mapping[str, int],
                               schedules: Sequence[Schedule]
-                              ) -> Optional[List]:
-    """Batched :func:`..dependences.schedule_violations`.
-
-    Returns None when the witness shapes don't pack (heterogeneous
-    environments) — the caller falls back to the reference loop.
-    """
-    pack = _witness_pack(deps)[1]
-    if pack is None:
-        return None
+                              ) -> List[Dependence]:
+    """Batched :func:`..dependences.schedule_violations`."""
     name_to_idx = {s.name: i for i, s in enumerate(program.statements)}
-    key_cache = pack.key_cache(schedules, params)
+    keys = _candidate_keys(schedules, params)
     violated = []
-    for dep, entry in zip(deps, pack.per_dep):
+    for dep in deps:
         if dep.source not in name_to_idx or dep.target not in name_to_idx:
             violated.append(dep)
             continue
-        if entry is None:
-            continue
-        sgid, ssl, tgid, tsl = entry
-        skeys = _group_keys(pack, schedules, params, key_cache, sgid)[ssl]
-        tkeys = _group_keys(pack, schedules, params, key_cache, tgid)[tsl]
+        skeys = _side_keys(dep.source_rows, schedules, params, keys)
+        tkeys = _side_keys(dep.target_rows, schedules, params, keys)
         greater, equal = _lex_compare(skeys, tkeys)
         if greater.any() or (
                 name_to_idx[dep.source] >= name_to_idx[dep.target]
@@ -536,22 +507,16 @@ def schedule_violations_batch(program: Program, deps: Sequence,
     return violated
 
 
-def parallel_violations_batch(program: Program, deps: Sequence, dim: int,
-                              params: Mapping[str, int],
+def parallel_violations_batch(program: Program, deps: Sequence[Dependence],
+                              dim: int, params: Mapping[str, int],
                               schedules: Sequence[Schedule]
-                              ) -> Optional[List]:
+                              ) -> List[Dependence]:
     """Batched :func:`..dependences.parallel_violations`."""
-    pack = _witness_pack(deps)[1]
-    if pack is None:
-        return None
-    key_cache = pack.key_cache(schedules, params)
+    keys = _candidate_keys(schedules, params)
     violated = []
-    for dep, entry in zip(deps, pack.per_dep):
-        if entry is None:
-            continue
-        sgid, ssl, tgid, tsl = entry
-        skeys = _group_keys(pack, schedules, params, key_cache, sgid)[ssl]
-        tkeys = _group_keys(pack, schedules, params, key_cache, tgid)[tsl]
+    for dep in deps:
+        skeys = _side_keys(dep.source_rows, schedules, params, keys)
+        tkeys = _side_keys(dep.target_rows, schedules, params, keys)
         if dim >= skeys.shape[1]:
             continue
         carried = ((skeys[:, :dim] == tkeys[:, :dim]).all(axis=1)

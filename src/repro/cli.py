@@ -239,8 +239,8 @@ def _batch_requests(spec: dict, base_dir: str):
             path = entry.pop("file", None)
             if "source" not in entry:
                 if path is None:
-                    raise SystemExit(
-                        f"request #{i}: needs 'source' or 'file'")
+                    raise BadRequest("request.file", "name a readable "
+                                     "file when 'source' is absent")
                 try:
                     with open(os.path.join(base_dir, path)) as handle:
                         entry["source"] = handle.read()
@@ -283,6 +283,8 @@ def _serve_batch(args: argparse.Namespace) -> int:
             base_dir = os.path.dirname(os.path.abspath(args.batch))
     except json.JSONDecodeError as exc:
         raise BadRequest("", "be JSON", str(exc)) from None
+    except OSError:
+        raise BadRequest("", "be a readable file", args.batch) from None
 
     spec = check_fields(BATCH_FIELDS, spec, "")
     session_spec = spec.get("session") or {}

@@ -6,7 +6,7 @@ structure (domains + 2d+1 schedules), data dependence (derived by
 """
 
 from .affine import Affine, aff, var
-from .domain import Domain, IterSpec, rectangular
+from .domain import Domain, IterSpec
 from .expr import (Assignment, Bin, Call, Const, Expr, IterExpr, Neg, Ref,
                    Scalar, add, sub)
 from .parser import ScopSyntaxError, parse_scop
@@ -18,7 +18,7 @@ from .validate import CompileError, check_program, validate_program
 
 __all__ = [
     "Affine", "aff", "var",
-    "Domain", "IterSpec", "rectangular",
+    "Domain", "IterSpec",
     "Assignment", "Bin", "Call", "Const", "Expr", "IterExpr", "Neg", "Ref",
     "Scalar", "add", "sub",
     "ScopSyntaxError", "parse_scop",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
 from ..memo import memoized_str
-from .affine import Affine, AffineLike, aff
+from .affine import Affine
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,6 @@ class IterSpec:
     name: str
     lowers: Tuple[Affine, ...]
     uppers: Tuple[Affine, ...]
-
-    @staticmethod
-    def bounded(name: str, lower: AffineLike, upper: AffineLike) -> "IterSpec":
-        return IterSpec(name, (aff(lower),), (aff(upper),))
 
     def lower_value(self, env: Mapping[str, int]) -> int:
         return max(e.evaluate(env) for e in self.lowers)
@@ -143,10 +139,3 @@ class Domain:
     @memoized_str
     def __str__(self) -> str:
         return "{ " + " and ".join(str(s) for s in self.iters) + " }"
-
-
-def rectangular(names: Sequence[str],
-                uppers: Sequence[AffineLike]) -> Domain:
-    """Convenience constructor for a rectangular domain ``0 <= i <= hi``."""
-    return Domain(tuple(IterSpec.bounded(name, 0, hi)
-                        for name, hi in zip(names, uppers)))

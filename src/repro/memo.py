@@ -7,7 +7,8 @@ operation takes the lock (batch workers are forked processes, each on
 its own copy); at capacity the least recently used entry goes, so a
 long-lived process keeps its hot entries.  Memos whose owner bounds
 their lifetime (a checker's verdicts and test runs, a legality entry's
-verdicts, a witness pack's keys) live on that owner.
+verdicts) live on that owner; the schedule keys evaluated over witness
+blocks are kept for the one candidate being judged.
 
 :func:`memo_on` keeps a fact derived from a frozen instance on that
 instance.  :func:`memoized_str` uses it for the text of immutable IR

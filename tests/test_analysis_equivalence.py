@@ -8,9 +8,13 @@ across the synthesis generator corpus, the canonical kernels, and
 schedule rewrites both legal and illegal.
 """
 
+import gc
 import itertools
 import os
+import weakref
+import zlib
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -21,7 +25,8 @@ from repro.analysis.dependences import (analysis_engine_name,
                                         parallel_violations,
                                         schedule_violations)
 from repro.ir import parse_scop
-from repro.suites import polybench
+from repro.ir.schedule import Schedule
+from repro.suites import lore, polybench, tsvc
 from repro.synthesis.generator import ExampleSynthesizer
 from repro.transforms import interchange, skew, tile
 
@@ -45,6 +50,7 @@ def assert_dependences_identical(program, params=None):
         # common iterators/carried flag AND the witness tuples — the
         # engines must agree witness for witness, not just class-wise
         assert a == b, f"dependence differs:\n  ref {a}\n  vec {b}"
+        assert a.witnesses == b.witnesses and hash(a) == hash(b)
     return ref
 
 
@@ -128,6 +134,16 @@ class TestCanonicalKernels:
                 lambda: parallel_violations(program, deps, dim))
             assert [id(d) for d in ref] == [id(d) for d in vec]
 
+    @pytest.mark.parametrize(
+        "suite,name",
+        [("tsvc", bench.name) for bench in tsvc()]
+        + [("lore", bench.name) for bench in lore()])
+    def test_tsvc_and_lore_kernels(self, suite, name):
+        """Every TSVC and LORE kernel's dependences, witness for
+        witness."""
+        suites = {"tsvc": tsvc, "lore": lore}
+        assert_dependences_identical(suites[suite]().get(name).program)
+
     def test_witness_overflow_rotation_identical(self, gemm):
         """gemm's reduction class overflows the witness bound; the crc
         rotation slots must match record for record."""
@@ -136,6 +152,25 @@ class TestCanonicalKernels:
         assert overflowed, "expected at least one full witness bucket"
         for a, b in zip(ref, vec):
             assert a.witnesses == b.witnesses
+
+    @settings(max_examples=40, **_SETTINGS)
+    @given(names=st.sampled_from([(), ("i",), ("k", "i", "j"),
+                                  ("t", "i", "j", "k")]),
+           si=st.integers(0, 12),
+           rows=st.lists(st.lists(st.integers(-1000, 100000),
+                                  min_size=4, max_size=4),
+                         min_size=1, max_size=30))
+    def test_slot_crc_matches_reference_hash(self, names, si, rows):
+        """The slot table's array CRC equals the reference walk's
+        ``zlib.crc32`` of each iterator-only instance repr."""
+        from repro.analysis.vectorized import _crc_rows, _StmtMeta
+
+        meta = _StmtMeta(si, names)
+        values = np.array(rows, dtype=np.int64)[:, :len(names)]
+        expected = [zlib.crc32(repr((si, tuple(zip(meta.sorted_names,
+                                                   row)))).encode())
+                    for row in values.tolist()]
+        assert _crc_rows(meta.slot_text, values).tolist() == expected
 
     def test_missing_statement_marks_violated(self, gemm):
         from dataclasses import replace
@@ -147,6 +182,39 @@ class TestCanonicalKernels:
             lambda: schedule_violations(renamed, deps))
         assert [id(d) for d in ref] == [id(d) for d in vec]
         assert len(ref) == len(deps)  # all sources/targets unknown
+
+
+class TestCandidateKeyRetention:
+    def test_held_keys_do_not_grow_with_candidates(self, gemm,
+                                                   monkeypatch):
+        """Judging 70 distinct candidate schedules of one kernel holds
+        no more evaluated schedule keys for its dependence list than
+        judging one: the verdicts are memoized, so only the candidate
+        being judged keeps its keys."""
+        evaluated = []
+        evaluate = Schedule.evaluate_columns
+
+        def recording(self, columns, params, length):
+            keys = evaluate(self, columns, params, length)
+            evaluated.append(weakref.ref(keys))
+            return keys
+
+        def held():
+            gc.collect()
+            return sum(ref() is not None for ref in evaluated)
+
+        candidates = [skew(gemm, target_col=3, source_col=1, factor=f)
+                      for f in range(1, 71)]
+        with analysis_override("vectorized"):
+            deps = compute_dependences(gemm)
+            monkeypatch.setattr(Schedule, "evaluate_columns", recording)
+            schedule_violations(candidates[0], deps)
+            held_for_one = held()
+            assert held_for_one > 0
+            for candidate in candidates[1:]:
+                schedule_violations(candidate, deps)
+                parallel_violations(candidate, deps, 1)
+            assert held() <= held_for_one
 
 
 class TestErrorParity:

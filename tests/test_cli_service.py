@@ -95,11 +95,26 @@ class TestServeBatch:
         warm_doc = json.loads(capsys.readouterr().out)
         assert warm_doc == stdout_doc
 
-    def test_bad_request_entry(self, tmp_path):
+    def test_bad_request_entry(self, tmp_path, capsys):
+        """An entry with neither ``source`` nor ``file`` is a schema
+        error: one line, exit 2."""
         batch = tmp_path / "bad.json"
         batch.write_text(json.dumps({"requests": [{"tag": "x"}]}))
-        with pytest.raises(SystemExit, match="source"):
-            main(["serve-batch", str(batch)])
+        assert main(["serve-batch", str(batch)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro serve-batch: request #0: request field 'file' must "
+            "name a readable file when 'source' is absent, got None\n")
+
+    def test_missing_batch_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve-batch", "nonexistent.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro serve-batch: the document must be a readable file, "
+            "got 'nonexistent.json'\n")
 
 
 class TestSchemaErrors:

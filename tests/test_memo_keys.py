@@ -339,18 +339,6 @@ def _same_batch(a, b):
             (b.si, b.row, b.keys) + b.points))
 
 
-def _same_pack(a, b):
-    (deps_a, pack_a), (deps_b, pack_b) = a, b
-    if pack_a is None or pack_b is None:
-        return deps_a == deps_b and pack_a is pack_b
-    return (deps_a == deps_b and pack_a.per_dep == pack_b.per_dep
-            and len(pack_a.groups) == len(pack_b.groups)
-            and all(si_a == si_b and names_a == names_b
-                    and np.array_equal(vals_a, vals_b)
-                    for (si_a, names_a, vals_a), (si_b, names_b, vals_b)
-                    in zip(pack_a.groups, pack_b.groups)))
-
-
 def _same_compiled(a, b):
     """Equal keys and statements; a generated kernel is compared by what
     it runs: its code and the affine columns it closes over."""
@@ -384,7 +372,6 @@ _SAME = {
         lambda a, b: a.schedules == b.schedules,
     "repro.analysis.dependences.dependences": operator.eq,
     "repro.analysis.vectorized._slot_table": np.array_equal,
-    "repro.analysis.vectorized._witness_pack": _same_pack,
     "repro.runtime.compile.compile_program": _same_compiled,
     "repro.runtime.vectorized._instance_batch": _same_batch,
     "repro.machine.analytical.estimate_cached": operator.eq,
@@ -456,7 +443,7 @@ def test_every_memo_key_covers_what_its_function_reads():
     on the keys that leave the name, the flags or the binding out; a
     key that leaves out something its function reads gives two values
     under one key.  The vectorized engines are forced: the slot-table
-    and witness-pack memos exist only there."""
+    memo exists only there."""
     assert sorted(memo.name for memo in MEMOS) == sorted(_SAME)
     repeats = dict.fromkeys(_SAME, 0)
 
