@@ -19,7 +19,7 @@ test-quick:
 # recovery stress, with enough workers to make append races real, then
 # checksums/scrub/repair and the bit-rot property, the corpus cache and
 # the corpus-format round trip, then the subprocess smoke that corrupts
-# a live store and proves verify/--repair restore byte-identical warm
+# a live store and proves verify + compact restore byte-identical warm
 # hits.
 test-store:
 	REPRO_JOBS=$(JOBS) $(PYTHON) -m pytest -x -q \

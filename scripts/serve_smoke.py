@@ -19,16 +19,21 @@ would:
    be answered by a daemon booted on that dir from the result store
    (``store_hits_total == 1``), byte-identically;
 7. malformed bodies — a non-numeric ``deadline_s``, a ``session``
-   that is not an object, a non-integer ``session.dataset_size`` and a
-   ``request.persona`` that is not a name, each with a valid kernel —
-   must be answered ``400 bad_request``, and the daemon must stay
-   healthy;
+   that is not an object, a non-integer ``session.dataset_size``, a
+   ``session.dataset_size`` over its bound (with a short deadline: the
+   corpus build would not watch it) and a ``request.persona`` that is
+   not a name, each with a valid kernel — must be answered ``400
+   bad_request``, and the daemon must stay healthy;
 8. request-schema violations — a NaN ``time_limit``, a ``compiler``
    request without an optimizer, ``perf`` for a parameter the kernel
    does not have, ``test`` bindings over the instance budget, and a
    ``Content-Length`` over the body limit (sent without its body) —
    must each answer 4xx naming the field (the body, for the last),
-   and the daemon must stay healthy.
+   and the daemon must stay healthy;
+9. one failure, both response modes — an uncached request with a
+   deadline too short to finish must answer ``504 deadline``, and
+   streamed it must end in exactly one ``error`` line whose error
+   object equals that 504's.
 
 Stdlib plus the ``repro`` package from ``src/``; exits non-zero with a
 readable message on any violation.  Run directly or via ``make
@@ -279,6 +284,7 @@ def shared_store_hit(env):
                  "byte-identical")
             bad_requests(addr)
             schema_violations(addr)
+            one_error_object(addr)
             proc.send_signal(signal.SIGTERM)
             code = proc.wait(timeout=60)
             if code != 0:
@@ -294,6 +300,8 @@ def bad_requests(addr):
     for extra, fields in (({"deadline_s": "soon"}, {}),
                           ({"session": ["x"]}, {}),
                           ({"session": {"dataset_size": "big"}}, {}),
+                          ({"session": {"dataset_size": 1500},
+                            "deadline_s": 0.5}, {}),
                           ({}, {"persona": 5})):
         extra = extra or {"request": fields}
         try:
@@ -351,6 +359,33 @@ def schema_violations(addr):
         fail(f"healthz after schema violations: {status} {doc}")
     step("schema violations answered 4xx naming the field; daemon "
          "healthy")
+
+
+
+def one_error_object(addr):
+    """Step 9: a failed request answers the same error object whether
+    it is streamed or not."""
+    body = {"request": {"source": KERNEL}, "use_store": False,
+            "deadline_s": 0.001}
+    status, text, _ = post(addr, body)
+    if status != 504:
+        fail(f"tiny deadline: want 504, got {status} {text[:200]}")
+    error = json.loads(text)["error"]
+    status, text, _ = post(addr, dict(body, stream=True))
+    try:
+        lines = [json.loads(line) for line in text.splitlines()
+                 if line.strip()]
+    except ValueError as exc:
+        fail(f"streamed deadline: a non-JSON line: {exc}")
+    errors = [line for line in lines if line.get("kind") == "error"]
+    if status != 200 or len(errors) != 1 or lines[-1] is not errors[0]:
+        fail(f"streamed deadline: want one final error line, got "
+             f"{status} {text[-300:]}")
+    if errors[0]["error"] != error:
+        fail(f"streamed error {errors[0]['error']} differs from the "
+             f"JSON reply's {error}")
+    step(f"a {error['kind']!r} failure answered one error object, "
+         f"streamed and not")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Scrub/repair smoke test for the artifact plane (CI).
+"""Scrub/compact smoke test for the artifact plane (CI).
 
 Demonstrates the integrity loop end to end against a real store
 produced by a real optimization run, as subprocesses so every phase
@@ -10,9 +10,9 @@ sees only what the disk holds:
 2. a fault-injected write (``REPRO_FAULTS=store.append:bitflip``)
    rots the *live* record for that result on disk;
 3. ``repro store verify`` must detect the damage (nonzero exit);
-4. ``repro store verify --repair`` must heal it (exit 0: compaction
-   drops the rotten line and the valid superseded copy wins again) and
-   a re-verify must come back clean;
+4. ``repro store compact`` must heal it (compaction drops the rotten
+   line and the valid superseded copy wins again) and a re-verify
+   must come back clean (exit 0);
 5. a warm run must now hit the store and be byte-identical to the
    cold reference.
 
@@ -104,12 +104,9 @@ def optimize_once(env):
     return proc.stdout, json.loads(proc.stderr[marker + 6:])
 
 
-def verify(env, repair=False):
-    argv = [sys.executable, "-m", "repro", "store", "verify",
-            "--format", "json"]
-    if repair:
-        argv.append("--repair")
-    return run(argv, env, check=False)
+def verify(env):
+    return run([sys.executable, "-m", "repro", "store", "verify",
+                "--format", "json"], env, check=False)
 
 
 def main():
@@ -135,17 +132,21 @@ def main():
             fail(f"verify exited nonzero but reported clean: {doc}")
         step(f"detected {doc['flagged']} issue(s)")
 
-        step("store verify --repair must heal it...")
-        proc = verify(env, repair=True)
+        step("store compact must heal it...")
+        proc = run([sys.executable, "-m", "repro", "store", "compact",
+                    "--format", "json"], env)
+        dropped = sum(d["dropped_corrupt"] + d["dropped_mismatched"]
+                      for d in json.loads(proc.stdout)["compacted"])
+        if dropped < 1:
+            fail(f"compact dropped no damaged line:\n{proc.stdout}")
+        proc = verify(env)
         if proc.returncode != 0:
-            fail(f"repair did not restore the store:\n{proc.stdout}")
-        if verify(env).returncode != 0:
-            fail("store still damaged after --repair")
+            fail(f"store still damaged after compact:\n{proc.stdout}")
 
         step("warm run must hit the store byte-identically...")
         warm, stats = optimize_once(env)
         if stats["hits"] < 1:
-            fail(f"warm run missed the repaired store: {stats}")
+            fail(f"warm run missed the compacted store: {stats}")
         if warm != reference:
             fail("warm bytes differ from the cold reference "
                  f"({len(warm)} vs {len(reference)} bytes)")

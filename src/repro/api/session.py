@@ -73,6 +73,12 @@ SYSTEMS = ("looprag", "basellm", "compiler")
 
 DEFAULT_DATASET_SIZE = 400
 DEFAULT_SEED = 0
+#: the largest corpus and candidate count a session accepts: at the
+#: corpus study's 1000 examples and above the paper's K = 7, so every
+#: caller fits; a corpus build does not watch a request's deadline, so
+#: without a bound one request could hold a daemon handler indefinitely
+MAX_DATASET_SIZE = 1000
+MAX_K = 16
 
 #: store payload format version; bump on incompatible result changes.
 #: 2: ``events`` and ``best_program`` are embedded JSON text, decoded
@@ -119,12 +125,14 @@ def _kind(test: Callable[[Any], bool], must: str) -> Rule:
     return rule
 
 
-def _integer(low: int) -> Rule:
+def _integer(low: int, high: Optional[int]) -> Rule:
     def rule(path: str, value: Any) -> None:
         if type(value) is not int:
             raise BadRequest(path, "be an integer", value)
         if value < low:
             raise BadRequest(path, f"be at least {low}", value)
+        if high is not None and value > high:
+            raise BadRequest(path, f"be at most {high}", value)
     return rule
 
 
@@ -149,7 +157,8 @@ _BINDINGS = _kind(lambda v: v is None or isinstance(v, dict) and all(
 
 #: a session's settings (the ``OptimizerSession`` arguments)
 SESSION_FIELDS: Dict[str, Rule] = {
-    "dataset_size": _integer(1), "seed": _integer(0), "k": _integer(1),
+    "dataset_size": _integer(1, MAX_DATASET_SIZE),
+    "seed": _integer(0, None), "k": _integer(1, MAX_K),
     "generator": _one_of(GENERATORS, "generator"),
     "retrieval_method": _one_of(METHODS, "retrieval method"),
     "llm_backend": _one_of(LLM_BACKENDS, "LLM backend"),

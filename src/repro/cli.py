@@ -460,30 +460,21 @@ def cmd_store_compact(args: argparse.Namespace) -> int:
 
 
 def cmd_store_verify(args: argparse.Namespace) -> int:
-    """fsck for the artifact plane: detect (and repair) corruption."""
+    """fsck for the artifact plane: detect corruption (``repro store
+    compact`` drops it)."""
     import json
 
-    from .storage import repair_store, verify_store
+    from .storage import verify_store
 
     store = _store_for_maintenance(args)
     artifacts = store.artifacts()
     streams = ((args.stream,) if args.stream
                else tuple(artifacts.streams()))
     report = verify_store(artifacts, streams)
-    repair = None
-    if args.repair and not report.clean:
-        repair = repair_store(artifacts, streams)
-        # the verdict is the post-repair state
-        report = verify_store(artifacts, streams)
     if args.format == "json":
-        doc = report.to_dict()
-        if repair is not None:
-            doc["repair"] = repair.to_dict()
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.clean else 1
     _render_verify(report)
-    if repair is not None:
-        print(f"# repair: {repair.dropped} damaged lines dropped")
     print(f"# verdict: {'clean' if report.clean else 'DAMAGED'} "
           f"({report.flagged} issue(s))")
     return 0 if report.clean else 1
@@ -687,8 +678,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_help = {
         "stats": "print per-stream store statistics",
         "compact": "rewrite shards, dropping reclaimable lines",
-        "verify": "fsck: verify record checksums and shard framing; "
-                  "--repair heals what it can",
+        "verify": "fsck: verify record checksums and shard framing "
+                  "(compact drops the damage)",
     }
     for name, func in (("stats", cmd_store_stats),
                        ("compact", cmd_store_compact),
@@ -711,10 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
                                    "beyond the newest N (default: keep "
                                    "all; admitted/started are never "
                                    "touched)")
-        if name == "verify":
-            part.add_argument("--repair", action="store_true",
-                              help="heal the damage: compact "
-                                   "corrupt lines away")
         part.set_defaults(func=func)
 
     ste = sub.add_parser("suites", help="list benchmark suites")

@@ -25,10 +25,10 @@ class ServeConfig:
     ``worker_memory_mb`` caps each worker's address space
     (``RLIMIT_AS``, 0 = unlimited).  The watchdog kills a worker busy
     longer than ``worker_hang_timeout`` seconds, restarts crashed
-    workers with exponential backoff (``worker_restart_base`` ..
-    ``worker_restart_cap`` seconds, set on the config only), and a
-    request signature that crashes workers ``worker_crash_limit`` times
-    is quarantined (422).
+    workers with exponential backoff (``RESTART_BASE`` .. ``RESTART_CAP``
+    seconds in :mod:`repro.serve.supervisor`), and a request signature
+    that crashes workers ``worker_crash_limit`` times is quarantined
+    (422).
 
     ``journal`` write-ahead-logs every non-streaming request to the
     artifact store's "journal" stream so that ``repro serve --recover``
@@ -54,8 +54,6 @@ class ServeConfig:
     worker_memory_mb: int = 0
     worker_hang_timeout: float = 300.0
     worker_crash_limit: int = 2
-    worker_restart_base: float = 0.25
-    worker_restart_cap: float = 5.0
     journal: bool = True
     recover: bool = False
     #: session defaults for requests that send no "session" object

@@ -62,10 +62,13 @@ Errors are structured: ``{"error": {"kind": ..., "message": ...}}``
 with kinds ``bad_request`` (400: malformed or oversized JSON, or a
 field that breaks the schema, named in ``"field"``), ``quarantined``
 (422), ``deadline`` (504), ``draining`` / ``overloaded`` / ``client_limit``
-(503 + Retry-After), ``breaker_open`` (503 + Retry-After),
+(503 + Retry-After), a cancel reason such as ``drain`` (503 +
+Retry-After), ``breaker_open`` (503 + Retry-After, with the ``site``),
 ``backend`` (502), ``worker_crashed`` (500, with the crash reason)
-and ``internal`` (500).  A request that fails — or kills its worker —
-*never* takes the daemon down with it.
+and ``internal`` (500).  A streamed request that fails after its 200
+header ends in one ``{"kind": "error", "error": ...}`` line carrying
+the same error object the JSON reply would have.  A request that
+fails — or kills its worker — *never* takes the daemon down with it.
 """
 
 from __future__ import annotations
@@ -141,9 +144,7 @@ class ServeDaemon:
                 self.config.workers,
                 lambda job: self.session_for(job["spec"]),
                 memory_mb=self.config.worker_memory_mb,
-                hang_timeout=self.config.worker_hang_timeout,
-                restart_base=self.config.worker_restart_base,
-                restart_cap=self.config.worker_restart_cap)
+                hang_timeout=self.config.worker_hang_timeout)
         self.journal: Optional[RequestJournal] = None
         if self.config.journal:
             self.journal = RequestJournal(
@@ -264,15 +265,45 @@ class ServeDaemon:
             self._on_worker_stat("store_hit")
         return result.to_json_dict(include_events=True)
 
-    def _journal_failed(self, journaled: bool, signature: str,
-                        kind: str, message: str) -> None:
-        if journaled and self.journal is not None:
-            try:
-                self.journal.failed(signature, {"kind": kind,
-                                                "message": message})
-            except Exception:
-                logger.exception("journal write failed for %s",
-                                 signature[:12])
+    def _failure(self, exc: Exception, signature: str,
+                 deadline_s: Optional[float]) -> Tuple[int, Dict[str, Any]]:
+        """The answer to a request that failed with ``exc``: its HTTP
+        status and error object.  Both response modes answer with it,
+        and it is where every failure is counted, a crash noted against
+        the request's signature and an internal error logged."""
+        if isinstance(exc, Rejected):
+            self.metrics.inc("rejected_total")
+            self.metrics.inc(f"rejected_{exc.reason}_total")
+            return 503, _error(exc.reason, str(exc),
+                               retry_after=exc.retry_after)
+        if isinstance(exc, Cancelled):
+            self.metrics.inc("cancelled_total")
+            if isinstance(exc, DeadlineExceeded):
+                self.metrics.inc("deadline_total")
+                return 504, _error("deadline", f"request exceeded its "
+                                   f"deadline ({deadline_s}s)")
+            return 503, _error(
+                exc.reason, str(exc),
+                retry_after=self.admission.retry_after_estimate())
+        self.metrics.inc("failed_total")
+        if isinstance(exc, CircuitOpenError):
+            return 503, _error("breaker_open", str(exc),
+                               retry_after=exc.retry_after, site=exc.site)
+        if isinstance(exc, WorkerCrashed):
+            self.metrics.inc("worker_crashes_total")
+            entry = self.quarantine.note_crash(signature, exc.reason,
+                                               str(exc))
+            return 500, _error("worker_crashed",
+                               f"worker crashed mid-request: {exc}",
+                               reason=exc.reason, signature=signature,
+                               crashes=entry["crashes"],
+                               quarantined=entry["quarantined"])
+        type_name = getattr(exc, "remote_type", type(exc).__name__)
+        if is_transient(exc):
+            return 502, _error("backend", f"backend failed after retries: "
+                               f"{type_name}: {exc}")
+        logger.error("internal error serving request", exc_info=exc)
+        return 500, _error("internal", f"{type_name}: {exc}")
 
     def handle_optimize(self, handler: "_Handler",
                         body: Dict[str, Any]) -> None:
@@ -280,16 +311,16 @@ class ServeDaemon:
         started = time.monotonic()
         if self._draining.is_set():
             self.metrics.inc("rejected_total")
-            _send_error(handler, 503, "draining",
-                        "daemon is draining",
-                        retry_after=self.admission.retry_after_estimate())
+            _send_error(handler, 503, _error(
+                "draining", "daemon is draining",
+                retry_after=self.admission.retry_after_estimate()))
             return
         try:
             request, spec = self.checked_body(body)
         except BadRequest as exc:
             self.metrics.inc("failed_total")
-            _send_error(handler, 400, "bad_request", str(exc),
-                        field=exc.field)
+            _send_error(handler, 400, _error("bad_request", str(exc),
+                                             field=exc.field))
             return
         client = handler.headers.get("X-Client-Id") \
             or handler.client_address[0]
@@ -300,55 +331,45 @@ class ServeDaemon:
         if poisoned is not None:
             self.metrics.inc("rejected_total")
             self.metrics.inc("rejected_quarantined_total")
-            _send_error(handler, 422, "quarantined",
-                        f"request signature {signature[:12]} is "
-                        f"quarantined after {poisoned['crashes']} "
-                        f"worker crashes (POST /quarantine/clear to "
-                        f"release)",
-                        signature=signature,
-                        crashes=poisoned["crashes"],
-                        last_reason=poisoned.get("last_reason"),
-                        last_error=poisoned.get("last_error"))
+            _send_error(handler, 422, _error(
+                "quarantined",
+                f"request signature {signature[:12]} is quarantined "
+                f"after {poisoned['crashes']} worker crashes (POST "
+                f"/quarantine/clear to release)",
+                signature=signature, crashes=poisoned["crashes"],
+                last_reason=poisoned.get("last_reason"),
+                last_error=poisoned.get("last_error")))
             return
-        token = None
+        deadline_s = body.get("deadline_s",
+                              self.config.default_deadline or None)
+        if deadline_s is not None:
+            deadline_s = float(deadline_s)
+        token = CancelToken.with_timeout(deadline_s)
+        self._register_token(token)
         admitted = False
         journaled = False
-        # non-streaming replies are rendered *after* the finally below
-        # releases the admission slot: the client only sees its bytes
-        # once the slot is free, so reading a reply and immediately
-        # re-posting can never race the slot this request still held
-        # (with queue_depth=0 that race answered a spurious 503)
+        # replies are rendered *after* the finally below releases the
+        # admission slot: the client only sees its bytes once the slot
+        # is free, so reading a reply and immediately re-posting can
+        # never race the slot this request still held (with
+        # queue_depth=0 that race answered a spurious 503)
         reply = None
         try:
-            deadline_s = body.get("deadline_s",
-                                  self.config.default_deadline or None)
-            if deadline_s is not None:
-                deadline_s = float(deadline_s)
-            token = CancelToken.with_timeout(deadline_s)
-            self._register_token(token)
-            try:
-                self.admission.acquire(client, token)
-                admitted = True
-            except Rejected as exc:
-                self.metrics.inc("rejected_total")
-                self.metrics.inc(f"rejected_{exc.reason}_total")
-                # no slot held: safe (and simplest) to answer inline
-                _send_error(handler, 503, exc.reason, str(exc),
-                            retry_after=exc.retry_after)
-                return
+            self.admission.acquire(client, token)
+            admitted = True
             use_store = body.get("use_store")
-            if self.journal is not None and not stream:
-                # write-ahead: only after validation, so every
-                # journaled body is replayable by --recover
-                self.journal.admitted(signature, body)
-                journaled = True
             if stream:
                 self.metrics.inc("streams_total")
                 if not self._run_streaming(handler, request, spec, token,
-                                           use_store, signature):
+                                           use_store, signature,
+                                           deadline_s):
                     return  # counted and answered by its error line
             else:
-                if journaled:
+                if self.journal is not None:
+                    # write-ahead: only after validation, so every
+                    # journaled body is replayable by --recover
+                    self.journal.admitted(signature, body)
+                    journaled = True
                     self.journal.started(signature)
                 doc = self._execute_doc(request, spec, use_store,
                                         token, signature)
@@ -359,60 +380,19 @@ class ServeDaemon:
                                 _strip_events(doc, include_events))
             self.metrics.inc("completed_total")
             self.metrics.observe_latency(time.monotonic() - started)
-        except DeadlineExceeded:
-            self.metrics.inc("cancelled_total")
-            self.metrics.inc("deadline_total")
-            self._journal_failed(journaled, signature, "deadline",
-                                 f"deadline {deadline_s}s exceeded")
-            reply = partial(_send_error, handler, 504, "deadline",
-                            f"request exceeded its deadline "
-                            f"({deadline_s}s)")
-        except Cancelled as exc:
-            self.metrics.inc("cancelled_total")
-            self._journal_failed(journaled, signature, exc.reason,
-                                 str(exc))
-            reply = partial(
-                _send_error, handler, 503, exc.reason, str(exc),
-                retry_after=self.admission.retry_after_estimate())
-        except CircuitOpenError as exc:
-            self.metrics.inc("failed_total")
-            self._journal_failed(journaled, signature, "breaker_open",
-                                 str(exc))
-            reply = partial(_send_error, handler, 503, "breaker_open",
-                            str(exc), retry_after=exc.retry_after,
-                            site=exc.site)
-        except WorkerCrashed as exc:
-            self.metrics.inc("failed_total")
-            self.metrics.inc("worker_crashes_total")
-            entry = self.quarantine.note_crash(signature, exc.reason,
-                                               str(exc))
-            self._journal_failed(journaled, signature, "worker_crashed",
-                                 str(exc))
-            reply = partial(_send_error, handler, 500, "worker_crashed",
-                            f"worker crashed mid-request: {exc}",
-                            reason=exc.reason, signature=signature,
-                            crashes=entry["crashes"],
-                            quarantined=entry["quarantined"])
         except Exception as exc:
-            self.metrics.inc("failed_total")
-            type_name = getattr(exc, "remote_type", type(exc).__name__)
-            if is_transient(exc):
-                self._journal_failed(journaled, signature, "backend",
-                                     str(exc))
-                reply = partial(_send_error, handler, 502, "backend",
-                                f"backend failed after retries: "
-                                f"{type_name}: {exc}")
-            else:
-                logger.exception("internal error serving request")
-                self._journal_failed(journaled, signature, "internal",
-                                     str(exc))
-                reply = partial(_send_error, handler, 500, "internal",
-                                f"{type_name}: {exc}")
+            status, error = self._failure(exc, signature, deadline_s)
+            if journaled:
+                try:
+                    self.journal.failed(signature, error)
+                except Exception:
+                    logger.exception("journal write failed for %s",
+                                     signature[:12])
+            reply = partial(_send_error, handler, status, error)
         finally:
             if admitted:
                 self.admission.release(client)
-            if token is not None:
-                self._unregister_token(token)
+            self._unregister_token(token)
         if reply is not None:
             reply()
 
@@ -421,15 +401,17 @@ class ServeDaemon:
                        spec: Dict[str, Any],
                        token: CancelToken,
                        use_store: Optional[bool],
-                       signature: str) -> bool:
+                       signature: str,
+                       deadline_s: Optional[float]) -> bool:
         """NDJSON: live events (this request's only), then the result.
 
         Streaming requests bypass the journal (a byte-stream already
         delivered cannot be replayed idempotently) but run on whichever
         execution path is configured.  The 200 header is on the wire
         before the request runs, so a failure is answered by one final
-        ``{"kind": "error", ...}`` line and counted here; returns
-        whether the request completed.
+        ``{"kind": "error", "error": ...}`` line, whose error object is
+        the one a JSON reply would carry; returns whether the request
+        completed.
         """
         handler.send_response(200)
         handler.send_header("Content-Type", "application/x-ndjson")
@@ -458,22 +440,8 @@ class ServeDaemon:
             write_line(doc)
             self.quarantine.note_success(signature)
             return True
-        except Cancelled as exc:
-            self.metrics.inc("cancelled_total")
-            if isinstance(exc, DeadlineExceeded):
-                self.metrics.inc("deadline_total")
-            error = {"kind": exc.reason, "message": str(exc)}
-        except WorkerCrashed as exc:
-            self.metrics.inc("failed_total")
-            self.metrics.inc("worker_crashes_total")
-            entry = self.quarantine.note_crash(signature, exc.reason,
-                                               str(exc))
-            error = {"kind": "worker_crashed", "message": str(exc),
-                     "reason": exc.reason,
-                     "quarantined": entry["quarantined"]}
         except Exception as exc:
-            self.metrics.inc("failed_total")
-            error = {"kind": "failure", "message": str(exc)}
+            error = self._failure(exc, signature, deadline_s)[1]
         with contextlib.suppress(OSError):
             write_line({"kind": "error", "error": error})
         return False
@@ -678,8 +646,8 @@ class _Handler(BaseHTTPRequestHandler):
                 "limit": self.daemon.quarantine.limit,
                 "quarantined": self.daemon.quarantine.snapshot()})
         else:
-            _send_error(self, 404, "not_found",
-                        f"no such endpoint: {self.path}")
+            _send_error(self, 404, _error(
+                "not_found", f"no such endpoint: {self.path}"))
 
     def _read_json_body(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length", "0"))
@@ -694,8 +662,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         if self.path not in ("/quarantine/clear", "/v1/optimize"):
-            _send_error(self, 404, "not_found",
-                        f"no such endpoint: {self.path}")
+            _send_error(self, 404, _error(
+                "not_found", f"no such endpoint: {self.path}"))
             return
         try:
             body = self._read_json_body()
@@ -703,8 +671,8 @@ class _Handler(BaseHTTPRequestHandler):
             if self.path == "/v1/optimize":
                 self.daemon.metrics.inc("requests_total")
                 self.daemon.metrics.inc("failed_total")
-            _send_error(self, 400, "bad_request",
-                        f"invalid JSON body: {exc}")
+            _send_error(self, 400, _error(
+                "bad_request", f"invalid JSON body: {exc}"))
             return
         if self.path == "/quarantine/clear":
             cleared = self.daemon.quarantine.clear(
@@ -734,27 +702,32 @@ def _strip_events(doc: Dict[str, Any],
 
 def _send_json(handler: BaseHTTPRequestHandler, status: int,
                doc: Dict[str, Any],
-               retry_after: Optional[float] = None) -> None:
+               retry_after: Optional[int] = None) -> None:
     body = json.dumps(doc, indent=2, sort_keys=True).encode("utf-8")
     try:
         handler.send_response(status)
         handler.send_header("Content-Type", "application/json")
         handler.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
-            handler.send_header("Retry-After",
-                                str(max(1, int(round(retry_after)))))
+            handler.send_header("Retry-After", str(retry_after))
         handler.end_headers()
         handler.wfile.write(body)
     except (BrokenPipeError, ConnectionResetError):
         pass  # client hung up; nothing to salvage
 
 
-def _send_error(handler: BaseHTTPRequestHandler, status: int, kind: str,
-                message: str, retry_after: Optional[float] = None,
-                **extra: Any) -> None:
-    error: Dict[str, Any] = {"kind": kind, "message": message}
-    error.update(extra)
+def _error(kind: str, message: str, retry_after: Optional[float] = None,
+           **extra: Any) -> Dict[str, Any]:
+    """An error object: its kind, message and the kind's extra fields,
+    plus ``retry_after`` in whole seconds (at least 1) when given."""
+    error: Dict[str, Any] = {"kind": kind, "message": message, **extra}
     if retry_after is not None:
         error["retry_after"] = max(1, int(round(retry_after)))
+    return error
+
+
+def _send_error(handler: BaseHTTPRequestHandler, status: int,
+                error: Dict[str, Any]) -> None:
+    """``{"error": error}``, its ``retry_after`` also the header."""
     _send_json(handler, status, {"error": error},
-               retry_after=retry_after)
+               retry_after=error.get("retry_after"))

@@ -74,6 +74,10 @@ _CTX = multiprocessing.get_context("fork")
 POLL_INTERVAL = 0.1
 #: seconds a worker gets to unwind after a parent-side cancellation
 CANCEL_GRACE = 0.5
+#: seconds before a crashed worker is replaced, doubled per consecutive
+#: crash up to RESTART_CAP
+RESTART_BASE = 0.25
+RESTART_CAP = 5.0
 
 
 class WorkerCrashed(Exception):
@@ -295,20 +299,16 @@ class WorkerSupervisor:
     are inherited, never pickled — by replacement workers too.
     ``memory_mb`` caps each worker's address space (0 = unlimited); a
     worker busy longer than ``hang_timeout`` seconds is killed, and a
-    crashed worker is replaced after ``restart_base`` seconds, doubled
-    per consecutive crash up to ``restart_cap``.
+    crashed worker is replaced after ``RESTART_BASE`` seconds, doubled
+    per consecutive crash up to ``RESTART_CAP``.
     """
 
     def __init__(self, workers: int, session_for: SessionFor,
-                 memory_mb: int = 0, hang_timeout: float = 300.0,
-                 restart_base: float = 0.25,
-                 restart_cap: float = 5.0) -> None:
+                 memory_mb: int = 0, hang_timeout: float = 300.0) -> None:
         self.size = max(1, workers)
         self.session_for = session_for
         self.memory_mb = memory_mb
         self.hang_timeout = hang_timeout
-        self.restart_base = restart_base
-        self.restart_cap = restart_cap
         self._idle: "queue.Queue[_WorkerHandle]" = queue.Queue()
         self._lock = threading.Lock()
         self._workers: Dict[int, _WorkerHandle] = {}
@@ -563,8 +563,7 @@ class WorkerSupervisor:
             self.crashes_total += 1
             crashes = self._consecutive_crashes.get(handle.index, 0) + 1
             self._consecutive_crashes[handle.index] = crashes
-            delay = min(self.restart_cap,
-                        self.restart_base * (2 ** (crashes - 1)))
+            delay = min(RESTART_CAP, RESTART_BASE * (2 ** (crashes - 1)))
             self._restart_due[handle.index] = time.monotonic() + delay
         logger.warning("%s reaped (%d consecutive crashes); restart in "
                        "%.2fs", handle.name, crashes, delay)

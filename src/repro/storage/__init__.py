@@ -19,14 +19,13 @@ from .base import (INTEGRITY, STORAGE_SCHEMA, ArtifactStore,
 from .local import (DEFAULT_SHARDS, LocalShardedStore, exclusive_lock,
                     shard_of)
 from .memory import InMemoryStore
-from .scrub import (RepairReport, ScrubIssue, StreamScrubReport,
-                    VerifyReport, repair_store, verify_store)
+from .scrub import (ScrubIssue, StreamScrubReport, VerifyReport,
+                    verify_store)
 
 __all__ = [
     "ArtifactStore", "CompactionReport", "StoreError", "StreamStats",
     "STORAGE_SCHEMA", "INTEGRITY",
     "LocalShardedStore", "InMemoryStore",
     "DEFAULT_SHARDS", "exclusive_lock", "shard_of",
-    "ScrubIssue", "StreamScrubReport", "VerifyReport", "RepairReport",
-    "verify_store", "repair_store",
+    "ScrubIssue", "StreamScrubReport", "VerifyReport", "verify_store",
 ]

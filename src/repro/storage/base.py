@@ -132,7 +132,7 @@ class IntegrityCounters:
 
 
 #: shared by every store instance in the process: crc mismatches seen
-#: by readers, scrub runs/findings/repairs
+#: by readers, scrub runs and findings
 INTEGRITY = IntegrityCounters()
 
 

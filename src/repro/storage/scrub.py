@@ -1,12 +1,12 @@
-"""The storage fsck: line-level verification and repair.
+"""The storage fsck: line-level verification.
 
 ``repro store verify`` drives :func:`verify_store` over every stream of
 the store (the serve journal is just another stream, so it is covered)
 and reports each damaged record with shard + byte-offset diagnostics.
-``--repair`` then drives :func:`repair_store`: compaction rewrites every
-shard and the damage is dropped (an earlier valid put for the same key
-survives).  Every stored artifact is a deterministic recompute, so a
-dropped record is recomputed on its next miss, never restored.
+It only detects: ``repro store compact`` rewrites every shard and the
+damage is dropped (an earlier valid put for the same key survives).
+Every stored artifact is a deterministic recompute, so a dropped record
+is recomputed on its next miss, never restored.
 
 The scrubber replays each shard with the same walk the index scan and
 compaction use (:class:`~repro.storage.local.ShardReplay`), so it
@@ -95,16 +95,6 @@ class VerifyReport:
                 "streams": [s.to_dict() for s in self.streams]}
 
 
-@dataclass
-class RepairReport:
-    """What one ``--repair`` pass purged."""
-
-    dropped: int = 0          # damaged lines compacted away
-
-    def to_dict(self) -> Dict[str, int]:
-        return {"dropped": self.dropped}
-
-
 # ----------------------------------------------------------------------
 # detection
 # ----------------------------------------------------------------------
@@ -154,22 +144,3 @@ def verify_store(store: LocalShardedStore,
         INTEGRITY.inc("scrub_flagged", flagged)
     return report
 
-
-# ----------------------------------------------------------------------
-# repair
-# ----------------------------------------------------------------------
-def repair_store(store: LocalShardedStore,
-                 streams: Optional[Tuple[str, ...]] = None) -> RepairReport:
-    """Heal what :func:`verify_store` flagged: compact every stream,
-    which rewrites each shard without its corrupt/torn/mismatched
-    lines."""
-    if streams is None:
-        streams = store.streams()
-    report = RepairReport()
-    for stream in streams:
-        compaction = store.compact(stream)
-        report.dropped += (compaction.dropped_corrupt
-                           + compaction.dropped_mismatched)
-    if report.dropped:
-        INTEGRITY.inc("scrub_repaired", report.dropped)
-    return report

@@ -5,8 +5,7 @@ from .dataset import (DATASET_PARAMS, Dataset, DatasetEntry,
                       build_dataset, cached_dataset, transformation_kinds)
 from .generator import ExampleSynthesizer, SynthesisError
 from .parameters import NAME_LIST, SIZE_LIST, LoopParameters
-from .store import (dataset_from_payload, dataset_to_payload,
-                    load_dataset, save_dataset)
+from .store import dataset_from_payload, dataset_to_payload
 
 __all__ = [
     "ColaGenSynthesizer",
@@ -15,5 +14,4 @@ __all__ = [
     "ExampleSynthesizer", "SynthesisError",
     "NAME_LIST", "SIZE_LIST", "LoopParameters",
     "dataset_from_payload", "dataset_to_payload",
-    "load_dataset", "save_dataset",
 ]

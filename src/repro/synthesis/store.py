@@ -141,13 +141,9 @@ def _entry_from_json(item: Dict[str, Any]) -> DatasetEntry:
 
 
 def dataset_to_payload(dataset: Dataset) -> Dict[str, Any]:
-    """The format-3 JSON document for ``dataset``.
-
-    This is both what :func:`save_dataset` writes to standalone files
-    and what the persistent corpus cache appends to the ``"datasets"``
-    stream of the shared artifact store — one payload format, two
-    transports.
-    """
+    """The format-3 JSON document for ``dataset``: what the persistent
+    corpus cache appends to the ``"datasets"`` stream of the shared
+    artifact store, the one place a corpus is persisted."""
     return {
         "format": FORMAT_VERSION,
         "generator": dataset.generator,
@@ -167,19 +163,6 @@ def dataset_to_payload(dataset: Dataset) -> Dict[str, Any]:
             for entry in dataset
         ],
     }
-
-
-def save_dataset(dataset: Dataset, path: str) -> None:
-    """Write a dataset to ``path`` as JSON."""
-    with open(path, "w") as handle:
-        json.dump(dataset_to_payload(dataset), handle, indent=1)
-
-
-def load_dataset(path: str) -> Dataset:
-    """Load a dataset written by :func:`save_dataset`."""
-    with open(path) as handle:
-        payload = json.load(handle)
-    return dataset_from_payload(payload)
 
 
 def dataset_from_payload(payload: Dict[str, Any]) -> Dataset:

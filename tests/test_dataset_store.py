@@ -1,5 +1,8 @@
-"""Dataset persistence round-trip tests."""
+"""Dataset persistence round-trip tests: each corpus goes through
+``dataset_to_payload``, JSON text and ``dataset_from_payload``, the
+path the ``datasets`` stream of the artifact store takes."""
 
+import json
 import random
 
 import numpy as np
@@ -11,8 +14,8 @@ import repro.synthesis.store as store_mod
 from repro.llm.prompts import demo_prompt
 from repro.retrieval import Retriever
 from repro.runtime import run
-from repro.synthesis import build_dataset, load_dataset, save_dataset
-from repro.synthesis.store import dataset_from_payload, dataset_to_payload
+from repro.synthesis import (build_dataset, dataset_from_payload,
+                             dataset_to_payload)
 
 
 @pytest.fixture(scope="module")
@@ -20,28 +23,28 @@ def dataset():
     return build_dataset(size=15, seed=51)
 
 
+def _round_trip(dataset):
+    """``dataset`` stored as JSON text and loaded back."""
+    return dataset_from_payload(json.loads(json.dumps(
+        dataset_to_payload(dataset))))
+
+
 class TestRoundTrip:
-    def test_save_load_preserves_count(self, dataset, tmp_path):
-        path = str(tmp_path / "corpus.json")
-        save_dataset(dataset, path)
-        loaded = load_dataset(path)
+    def test_save_load_preserves_count(self, dataset):
+        loaded = _round_trip(dataset)
         assert len(loaded) == len(dataset)
         assert loaded.generator == dataset.generator
         assert loaded.seed == dataset.seed
 
-    def test_examples_semantically_identical(self, dataset, tmp_path):
-        path = str(tmp_path / "corpus.json")
-        save_dataset(dataset, path)
-        loaded = load_dataset(path)
+    def test_examples_semantically_identical(self, dataset):
+        loaded = _round_trip(dataset)
         for original, restored in zip(dataset, loaded):
             a = run(original.example, {"N": 9})
             b = run(restored.example, {"N": 9})
             assert a.checksum == pytest.approx(b.checksum)
 
-    def test_recipes_replayed(self, dataset, tmp_path):
-        path = str(tmp_path / "corpus.json")
-        save_dataset(dataset, path)
-        loaded = load_dataset(path)
+    def test_recipes_replayed(self, dataset):
+        loaded = _round_trip(dataset)
         for original, restored in zip(dataset, loaded):
             assert restored.recipe.kinds() == original.recipe.kinds()
             a = run(original.optimized, {"N": 9})
@@ -50,21 +53,16 @@ class TestRoundTrip:
                 assert np.allclose(a.outputs[name], b.outputs[name],
                                    rtol=1e-6, equal_nan=True)
 
-    def test_loaded_dataset_retrievable(self, dataset, tmp_path):
-        from repro.retrieval import Retriever
-        path = str(tmp_path / "corpus.json")
-        save_dataset(dataset, path)
-        loaded = load_dataset(path)
+    def test_loaded_dataset_retrievable(self, dataset):
+        loaded = _round_trip(dataset)
         retriever = Retriever(loaded)
         target = dataset[0].example
         ranked = retriever.rank(target, top_n=3)
         assert ranked and ranked[0].entry.name == dataset[0].name
 
-    def test_format_version_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": 99, "entries": []}')
+    def test_format_version_checked(self):
         with pytest.raises(ValueError):
-            load_dataset(str(path))
+            dataset_from_payload(json.loads('{"format": 99, "entries": []}'))
 
     def test_format_one_rejected(self, dataset):
         payload = dataset_to_payload(dataset)
@@ -130,9 +128,7 @@ class TestRoundTrip:
             assert (restored.optimized.fingerprint()
                     == original.optimized.fingerprint())
 
-    def test_file_is_human_readable(self, dataset, tmp_path):
-        path = tmp_path / "corpus.json"
-        save_dataset(dataset, str(path))
-        text = path.read_text()
+    def test_file_is_human_readable(self, dataset):
+        text = json.dumps(dataset_to_payload(dataset), indent=1)
         assert "for (" in text        # pseudo-C bodies
         assert '"kind"' in text       # recipe steps

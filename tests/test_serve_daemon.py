@@ -18,11 +18,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import OptimizationRequest, OptimizerSession
-from repro.api.resilience import breaker_for, reset_resilience
+from repro.api import resilience
+from repro.api.resilience import (CircuitBreaker, breaker_for,
+                                  reset_resilience)
 from repro.api.session import (BODY_FIELDS, REQUEST_FIELDS,
                                SESSION_FIELDS, SESSIONS, shared_session)
 from repro.cancellation import Cancelled, CancelToken
 from repro.ir import parse_scop
+from repro.llm import LLM_BACKENDS
 from repro.serve import (AdmissionController, BadRequest, Metrics,
                          Rejected, ServeConfig, ServeDaemon)
 from repro.testing.faults import FaultPlan, install_plan
@@ -75,6 +78,8 @@ SCHEMA_CASES = [
     (_body(deadline_s=INF), "deadline_s"),
     (_body(use_store="yes"), "use_store"),
     (_body(stream="x"), "stream"),
+    (_body(session={"dataset_size": 1500}), "session.dataset_size"),
+    (_body(session={"k": 17}), "session.k"),
 ]
 
 
@@ -247,13 +252,17 @@ class TestEndpoints:
                                                     workers):
         daemon = make_daemon(workers=workers)
         sessions = set(SESSIONS)
-        for spec in ({"k": 0}, {"dataset_size": -3}):
+        for spec, bound in (({"k": 0}, "at least 1"),
+                            ({"dataset_size": -3}, "at least 1"),
+                            ({"k": 17}, "at most 16"),
+                            ({"dataset_size": 1500}, "at most 1000")):
             status, text, _ = _post(daemon.address, {
-                "request": {"source": KERNEL}, "session": spec})
+                "request": {"source": KERNEL}, "session": spec,
+                "deadline_s": 0.5})
             assert status == 400, spec
             error = json.loads(text)["error"]
             assert error["kind"] == "bad_request"
-            assert f"'{next(iter(spec))}' must be at least 1" \
+            assert f"'{next(iter(spec))}' must be {bound}" \
                 in error["message"]
         assert set(SESSIONS) == sessions
 
@@ -658,11 +667,121 @@ class TestStreaming:
         assert status == 200
         docs = [json.loads(line) for line in lines]  # all NDJSON
         assert docs[-1]["kind"] == "error"
-        assert docs[-1]["error"]["kind"] == "failure"
+        assert docs[-1]["error"]["kind"] == "backend"
         assert [doc["kind"] for doc in docs].count("error") == 1
         assert "result" not in [doc["kind"] for doc in docs]
         assert daemon.metrics.get("failed_total") == 1
         assert daemon.metrics.get("completed_total") == 0
+
+
+# ----------------------------------------------------------------------
+# one failure, both response modes: the streamed error line carries the
+# error object the JSON reply does, and the failure is counted once
+# ----------------------------------------------------------------------
+class _BrokenLLM:
+    """An LLM backend with a bug: every call raises a non-transient
+    error, which the daemon answers as ``internal``."""
+
+    def __init__(self, persona, seed):
+        pass
+
+    def generate(self, prompt, k, round_tag="r0"):
+        raise RuntimeError("backend bug")
+
+
+#: per failure kind: its status and the counters one such failure moves
+FAILURES = {
+    "deadline": (504, {"cancelled_total": 1, "deadline_total": 1}),
+    "drain": (503, {"cancelled_total": 1}),
+    "breaker_open": (503, {"failed_total": 1}),
+    "backend": (502, {"failed_total": 1}),
+    "internal": (500, {"failed_total": 1}),
+    "worker_crashed": (500, {"failed_total": 1,
+                             "worker_crashes_total": 1}),
+}
+_COUNTERS = ("requests_total", "completed_total", "failed_total",
+             "cancelled_total", "deadline_total", "rejected_total",
+             "worker_crashes_total")
+
+
+def _fail_once(make_daemon, monkeypatch, kind, workers, stream):
+    """One request failing with ``kind`` on a fresh daemon: (daemon,
+    status, the JSON reply's error or the stream's NDJSON documents).
+
+    Each mode gets a daemon of its own, so both see the same state: the
+    same worker generation in a crash message, the same crash count in
+    a fresh quarantine, the same breaker and admission estimates.
+    """
+    reset_resilience()
+    install_plan(None)
+    body = {"request": {"source": KERNEL}, "use_store": False,
+            "session": {"llm_backend": "faulty"}, "stream": stream}
+    if kind == "deadline":
+        install_plan(FaultPlan.parse(
+            "llm.generate:delay:seconds=0.05:always"))
+        body["deadline_s"] = 0.3
+    elif kind == "drain":
+        install_plan(FaultPlan.parse(
+            "llm.generate:delay:seconds=0.2:always"))
+    elif kind == "breaker_open":
+        # open, on a clock that never moves: every refusal is the same
+        breaker = CircuitBreaker("llm:faulty", failure_threshold=1,
+                                 clock=lambda: 0.0)
+        breaker.record_failure()
+        monkeypatch.setitem(resilience._BREAKERS, "llm:faulty", breaker)
+    elif kind == "backend":
+        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "2")
+        install_plan(FaultPlan.parse("llm.generate:raise:always"))
+    elif kind == "internal":
+        monkeypatch.setitem(LLM_BACKENDS, "broken", _BrokenLLM)
+        body["session"] = {"llm_backend": "broken"}
+    # set up before the daemon starts, so its worker forks with it
+    daemon = make_daemon(workers=workers,
+                         drain_grace=0.0 if kind == "drain" else 10.0)
+    if kind == "worker_crashed":  # scheduled on the parent side
+        install_plan(FaultPlan.parse("worker.execute:kill:times=1"))
+
+    def send():
+        if stream:
+            return _stream(daemon.address, body)
+        status, text, _ = _post(daemon.address, body)
+        return status, json.loads(text)["error"]
+
+    if kind != "drain":
+        return (daemon,) + send()
+    out = {}
+    sender = threading.Thread(target=lambda: out.update(answer=send()))
+    sender.start()
+    assert _wait_until(lambda: daemon.admission.inflight >= 1)
+    daemon.begin_drain(reason="test")
+    sender.join(timeout=60)
+    return (daemon,) + out["answer"]
+
+
+class TestOneErrorObject:
+    @pytest.mark.parametrize("kind,workers", [
+        (kind, workers) for kind in FAILURES for workers in (0, 1)
+        if kind != "worker_crashed" or workers])
+    def test_streamed_error_line_is_the_json_replys_error(
+            self, make_daemon, monkeypatch, kind, workers):
+        status, moves = FAILURES[kind]
+        expected = {name: moves.get(name, 0) for name in _COUNTERS}
+        expected["requests_total"] = 1
+
+        daemon, got, error = _fail_once(make_daemon, monkeypatch, kind,
+                                        workers, stream=False)
+        assert got == status, error
+        assert error["kind"] == kind
+        assert {c: daemon.metrics.get(c) for c in _COUNTERS} == expected
+
+        daemon, got, lines = _fail_once(make_daemon, monkeypatch, kind,
+                                        workers, stream=True)
+        assert got == 200
+        assert {c: daemon.metrics.get(c) for c in _COUNTERS} == expected
+        assert daemon.metrics.get("streams_total") == 1
+        docs = [json.loads(line) for line in lines]
+        assert [d["kind"] for d in docs].count("error") == 1
+        assert docs[-1] == {"kind": "error", "error": error}
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.api.resilience import reset_resilience
 from repro.ir import parse_scop
 from repro.serve import (QuarantineRegistry, ServeConfig, ServeDaemon,
                          WorkerSupervisor)
+from repro.serve import supervisor as supervisor_mod
 from repro.testing.faults import FaultPlan, install_plan
 
 KERNEL = """
@@ -106,6 +107,8 @@ BODY = {"request": {"source": KERNEL}, "use_store": False}
 @pytest.fixture()
 def make_daemon(monkeypatch):
     monkeypatch.setenv("REPRO_RETRY_BASE", "0.001")
+    monkeypatch.setattr(supervisor_mod, "RESTART_BASE", 0.05)
+    monkeypatch.setattr(supervisor_mod, "RESTART_CAP", 0.2)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     reset_resilience()
     install_plan(None)
@@ -115,7 +118,6 @@ def make_daemon(monkeypatch):
         options = dict(host="127.0.0.1", port=0, max_inflight=4,
                        queue_depth=4, per_client=8, drain_grace=10.0,
                        workers=1, journal=False,
-                       worker_restart_base=0.05, worker_restart_cap=0.2,
                        default_session={"dataset_size": 40})
         options.update(overrides)
         daemon = ServeDaemon(ServeConfig(**options))
@@ -359,8 +361,7 @@ class TestQuarantine:
 class TestSupervisorPool:
     def test_describe_counts_and_clean_shutdown(self):
         supervisor = WorkerSupervisor(
-            workers=2, session_for=lambda job: OptimizerSession(),
-            restart_base=0.05, restart_cap=0.2)
+            workers=2, session_for=lambda job: OptimizerSession())
         supervisor.start()
         try:
             assert _wait_until(
@@ -373,10 +374,12 @@ class TestSupervisorPool:
             supervisor.shutdown()
         assert supervisor.describe()["alive"] == 0
 
-    def test_restart_backoff_doubles_per_consecutive_crash(self):
+    def test_restart_backoff_doubles_per_consecutive_crash(
+            self, monkeypatch):
+        monkeypatch.setattr(supervisor_mod, "RESTART_BASE", 0.5)
+        monkeypatch.setattr(supervisor_mod, "RESTART_CAP", 2.0)
         supervisor = WorkerSupervisor(
-            workers=1, session_for=lambda job: OptimizerSession(),
-            restart_base=0.5, restart_cap=2.0)
+            workers=1, session_for=lambda job: OptimizerSession())
         supervisor.start()
         try:
             handle = supervisor._idle.get(timeout=5.0)

@@ -5,7 +5,7 @@ bytes; readers never serve a record whose checksum fails (a scan skips
 the line so an earlier put of its key wins, a read of a line damaged
 since the scan reports the key missing, and the damage is counted); ``repro store verify`` pinpoints
 corrupt/torn/mismatched lines with shard+offset diagnostics and
-``--repair`` heals them by compaction.  The hypothesis bit-rot property
+``repro store compact`` heals them.  The hypothesis bit-rot property
 at the bottom is the headline: flip any single bit of any shard and no
 reader ever returns altered data.
 """
@@ -336,10 +336,13 @@ class TestScrub:
         assert main(args) == 1  # damage means a nonzero exit
         out = capsys.readouterr().out
         assert "mismatched" in out and "DAMAGED" in out
-        assert main(args + ["--repair", "--format", "json"]) == 0
+        assert main(["store", "compact", "--cache-dir", str(cache),
+                     "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["clean"] is True
-        assert doc["repair"]["dropped"] == 1
+        assert [(d["stream"], d["dropped_corrupt"] + d["dropped_mismatched"])
+                for d in doc["compacted"]] == [("results", 1)]
+        assert main(args + ["--format", "json"]) == 0  # healed
+        assert json.loads(capsys.readouterr().out)["clean"] is True
         fresh = LocalShardedStore(store_root, shards=1)
         assert fresh.read("results", "k") == "v1"
 
